@@ -356,8 +356,9 @@ class ColumnarOBDD:
                 if countdown == 0:
                     countdown = _CHECKPOINT_STRIDE
                     budget.checkpoint()
-            level = var[index]
-            low, high = lo[index], hi[index]
+            # Python ints throughout: numpy int64 shift amounts would make
+            # the counts wrap.
+            level, low, high = int(var[index]), int(lo[index]), int(hi[index])
             counts[index + 2] = (counts[low] << (landing[low] - level - 1)) + (
                 counts[high] << (landing[high] - level - 1)
             )

@@ -208,7 +208,7 @@ def _command_probability(arguments: argparse.Namespace) -> int:
             f" (degraded: {value.method}, estimate {value.estimate:.6f},"
             f" {value.samples} samples)"
         )
-    elif arguments.method in ("obdd_float", "columnar_float"):
+    elif isinstance(value, float):
         print(f"probability: {value:.6f} (float fast path)")
     else:
         print(f"probability: {value} (= {float(value):.6f})")
@@ -372,7 +372,7 @@ def _command_store(arguments: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser for the ``repro`` command."""
-    from repro.probability.evaluation import METHOD_NAMES
+    from repro.engine import ROUTES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     prob = subparsers.add_parser("probability", help="probability of a UCQ≠ on a TID file")
     _add_instance_argument(prob)
     prob.add_argument("--query", required=True, help="UCQ≠ in textual syntax")
-    prob.add_argument("--method", default="auto", choices=list(METHOD_NAMES))
+    prob.add_argument("--method", default="auto", choices=list(ROUTES))
     prob.add_argument(
         "--explain",
         action="store_true",
@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="UCQ≠ in textual syntax (repeatable; all queries share one compilation session)",
     )
-    batch.add_argument("--method", default="auto", choices=list(METHOD_NAMES))
+    batch.add_argument("--method", default="auto", choices=list(ROUTES))
     batch.add_argument(
         "--stats", action="store_true", help="also print the engine's cache hit/miss statistics"
     )

@@ -63,9 +63,12 @@ def tid_from_dict(data: Mapping[str, Any]) -> ProbabilisticInstance:
     """The inverse of :func:`tid_to_dict`."""
     instance = instance_from_dict(data)
     valuation: dict[Fact, Fraction] = {}
-    for entry in data.get("probabilities", []):
-        f = Fact(entry["relation"], tuple(entry["arguments"]))
-        valuation[f] = as_probability(Fraction(entry["probability"]))
+    try:
+        for entry in data.get("probabilities", []):
+            f = Fact(entry["relation"], tuple(entry["arguments"]))
+            valuation[f] = as_probability(Fraction(entry["probability"]))
+    except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as error:
+        raise InstanceError(f"malformed probability description: {error}") from error
     return ProbabilisticInstance(instance, valuation)
 
 

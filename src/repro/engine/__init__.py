@@ -40,15 +40,20 @@ repeated queries in the batch are served from cache.  The CLI ``batch``
 subcommand, the examples, and ``benchmarks/bench_engine.py`` all go through
 these entry points.
 
-Dichotomy routing
------------------
+Routes and dichotomy routing
+----------------------------
+Every evaluation route is one :class:`Route` record in :data:`ROUTES`: its
+name, whether it is exact, its evaluator, whether ``auto`` may pick it, its
+cost prior, and its artifact peek.  ``probability(..., method=name)`` is a
+lookup in that table, and so are the router, the failover chain, the CLI
+``--method`` choices, and the differential oracle's name check.
 ``probability(..., method="auto")`` consults the dichotomy router
 (:meth:`CompilationEngine.choose_route`): if the query admits a lifted plan
 (cached, instance-independent — :meth:`CompilationEngine.lifted_plan`), the
 safe-plan route competes on measured cost with the circuit routes (OBDD,
-columnar, d-DNNF, automaton); past ``circuit_fact_limit`` facts the circuit
-routes are gated infeasible (unless already compiled) and safe queries run
-on the lifted plan alone.  Chosen routes are counted in
+columnar, automaton); past ``circuit_fact_limit`` facts the circuit routes
+are gated infeasible (unless already compiled) and safe queries run on the
+lifted plan alone.  Chosen routes are counted in
 :meth:`CompilationEngine.route_mix` and surfaced by the CLI.
 
 Parallelism
@@ -73,16 +78,14 @@ reclaims segments orphaned by crashed workers), and only the tiny
 
 Resilience
 ----------
-:mod:`repro.engine.resilience` adds deadline/budget-aware execution:
-a :class:`~repro.resilience.ResourceBudget` (node/row caps plus a
+A :class:`~repro.resilience.ResourceBudget` (node/row caps plus a
 wall-clock :class:`~repro.resilience.Deadline`) threads through
 ``probability(..., budget=...)`` into the kernels' cooperative
-checkpoints; ``method="auto"`` fails over along
-:data:`~repro.engine.resilience.FAILOVER_ORDER` on blowouts, recording
-failures as cost-model penalties; an engine constructed with
-``degradation="karp_luby"`` returns labelled
-:class:`~repro.engine.resilience.ProbabilityBounds` when every exact
-route fails.  :class:`ParallelEngine` detects crashed workers, respawns
+checkpoints; ``method="auto"`` fails over along the :data:`ROUTES` order
+on blowouts, recording failures as cost-model penalties; an engine
+constructed with ``degradation="karp_luby"`` returns labelled
+:class:`~repro.engine.router.ProbabilityBounds` when every exact route
+fails.  :class:`ParallelEngine` detects crashed workers, respawns
 them, and retries only the affected shards.
 """
 
@@ -92,43 +95,33 @@ from repro.engine.parallel import (
     available_workers,
     shard_workload,
 )
-from repro.engine.resilience import (
-    DEGRADED_ROUTE,
-    FAILOVER_ORDER,
-    Deadline,
-    ProbabilityBounds,
-    ResourceBudget,
-    degraded_probability_bounds,
-)
 from repro.engine.router import (
-    CIRCUIT_ROUTES,
-    DEFAULT_COST_PRIORS,
-    ROUTE_PREFERENCE,
+    DEGRADED_ROUTE,
+    ProbabilityBounds,
     RouteAttempt,
     RouteCostModel,
     RouteDecision,
+    degraded_probability_bounds,
 )
 from repro.engine.session import (
+    ROUTES,
     CacheStats,
     CompilationEngine,
+    Route,
     default_engine,
     merge_cache_stats,
 )
 from repro.engine.shm import SegmentHandle, SegmentPlane, attach_segment, publish_segment
 
 __all__ = [
-    "CIRCUIT_ROUTES",
     "CacheStats",
     "CompilationEngine",
-    "DEFAULT_COST_PRIORS",
     "DEGRADED_ROUTE",
-    "Deadline",
-    "FAILOVER_ORDER",
     "ParallelEngine",
     "ParallelReport",
     "ProbabilityBounds",
-    "ROUTE_PREFERENCE",
-    "ResourceBudget",
+    "ROUTES",
+    "Route",
     "RouteAttempt",
     "RouteCostModel",
     "RouteDecision",

@@ -1,19 +1,28 @@
-"""Dichotomy router support: route decisions and measured cost models.
+"""Dichotomy router support: route decisions, cost models, degraded answers.
 
 The paper's two tractability routes — query-based lifted inference and
 instance-based circuit compilation — meet in
 :meth:`repro.engine.CompilationEngine.choose_route`: given a query and a
-TID instance, pick the evaluation method for ``method="auto"``.  This
-module holds the passive data behind that choice:
+TID instance, pick the evaluation route for ``method="auto"``.  The routes
+themselves are the records of :data:`repro.engine.session.ROUTES`; this
+module holds the passive data around that choice:
 
-* :class:`RouteDecision` — the chosen method plus everything that went
+* :class:`RouteDecision` — the chosen route plus everything that went
   into it (liftability, instance size, per-route cost estimates, which
   routes were gated infeasible, a human-readable reason), recorded so the
   CLI and tests can explain routing;
+* :class:`RouteAttempt` — one try of the failover chain;
 * :class:`RouteCostModel` — per-route cost rates in seconds per fact,
-  seeded with static priors and updated from measured evaluations
-  (exponentially weighted moving average), so a session learns the actual
-  relative costs of its routes on its own workload.
+  seeded with the route table's priors and updated from measured
+  evaluations (exponentially weighted moving average), so a session learns
+  the actual relative costs of its routes on its own workload;
+* :class:`ProbabilityBounds` and :func:`degraded_probability_bounds` — the
+  labelled result of the opt-in ``karp_luby`` degradation tier.  The
+  exactness contract: an exact route either returns an exact
+  :class:`~fractions.Fraction` or raises a typed error; when every exact
+  route is exhausted and the engine was constructed with
+  ``degradation="karp_luby"``, the caller receives this explicit bounds
+  object — never a bare float masquerading as exact.
 
 Cost estimates are deliberately ``float`` seconds: they steer which exact
 route runs, they never enter a probability computation.
@@ -22,30 +31,15 @@ route runs, they never enter a probability computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-#: The circuit-building routes the router arbitrates against the lifted
-#: plan: all exact, all requiring lineage enumeration over the instance.
-CIRCUIT_ROUTES: tuple[str, ...] = ("obdd", "columnar", "dnnf", "automaton")
+from repro.data.tid import ProbabilisticInstance
+from repro.queries.cq import ConjunctiveQuery
+from repro.queries.ucq import UnionOfConjunctiveQueries
 
-#: Tie-break preference when estimates are equal (cheapest artifact first).
-ROUTE_PREFERENCE: dict[str, int] = {
-    "safe_plan": 0,
-    "obdd": 1,
-    "columnar": 2,
-    "dnnf": 3,
-    "automaton": 4,
-}
-
-#: Prior cost rates in seconds per fact, from the benchmark suite's orders
-#: of magnitude: a lifted plan streams the hash indexes once; the circuit
-#: routes enumerate lineage matches and build node graphs on top.
-DEFAULT_COST_PRIORS: dict[str, float] = {
-    "safe_plan": 5e-6,
-    "obdd": 2e-4,
-    "columnar": 2e-4,
-    "dnnf": 3e-4,
-    "automaton": 5e-4,
-}
+#: The name under which the degradation tier is recorded in the route mix
+#: and on :class:`RouteDecision`.
+DEGRADED_ROUTE = "karp_luby"
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +90,9 @@ class RouteCostModel:
 
     ``observe`` folds a measured evaluation into the route's rate;
     ``predict`` extrapolates to an instance size.  Rates start at the
-    static priors, so the router is usable from the first call and simply
-    gets sharper as the session measures its own workload.
+    route table's priors (``Route.prior``), so the router is usable from the
+    first call and simply gets sharper as the session measures its own
+    workload.
 
     Failed attempts (budget blowouts, route-specific errors) are recorded
     by :meth:`record_failure` as a *penalty* — a separate multiplier of
@@ -117,9 +112,13 @@ class RouteCostModel:
         priors: dict[str, float] | None = None,
         smoothing: float = 0.3,
     ) -> None:
-        self._rates: dict[str, float] = dict(
-            DEFAULT_COST_PRIORS if priors is None else priors
-        )
+        if priors is None:
+            # The priors live on the route table, next to the engine.
+            from repro.engine.session import ROUTES
+
+            priors = {name: route.prior for name, route in ROUTES.items() if route.auto}
+        self._rates: dict[str, float] = dict(priors)
+        self._unseen_rate = max(priors.values(), default=0.0)
         self._smoothing = smoothing
         self._failures: dict[str, int] = {}
 
@@ -161,7 +160,7 @@ class RouteCostModel:
         Routes with recorded failures are penalized by ``2**failures``
         (exponent capped) on top of the measured rate.
         """
-        rate = self._rates.get(route, max(DEFAULT_COST_PRIORS.values()))
+        rate = self._rates.get(route, self._unseen_rate)
         exponent = min(
             self._failures.get(route, 0), self.MAX_FAILURE_PENALTY_EXPONENT
         )
@@ -174,3 +173,59 @@ class RouteCostModel:
     def snapshot(self) -> dict[str, float]:
         """A copy of every route's current rate."""
         return dict(self._rates)
+
+
+@dataclass(frozen=True, slots=True)
+class ProbabilityBounds:
+    """A labelled approximate answer: guaranteed interval plus point estimate.
+
+    ``lower``/``upper`` are the exact dissociation bounds (theorems — the
+    true probability always lies inside); ``estimate`` is the seeded
+    Karp–Luby point estimate with its sampling effort.  Returned *only* by
+    the opt-in degradation tier, so a caller can never mistake it for an
+    exact :class:`~fractions.Fraction`.
+    """
+
+    lower: Fraction
+    upper: Fraction
+    estimate: float
+    samples: int
+    method: str = DEGRADED_ROUTE
+
+    def contains(self, value: Fraction | float) -> bool:
+        """Whether ``value`` lies in the guaranteed interval."""
+        if isinstance(value, float):
+            return float(self.lower) - 1e-12 <= value <= float(self.upper) + 1e-12
+        return self.lower <= value <= self.upper
+
+    @property
+    def gap(self) -> Fraction:
+        return self.upper - self.lower
+
+    def __float__(self) -> float:
+        return float(self.estimate)
+
+
+def degraded_probability_bounds(
+    query: UnionOfConjunctiveQueries | ConjunctiveQuery,
+    tid: ProbabilisticInstance,
+    samples: int = 2000,
+    seed: int = 0,
+) -> ProbabilityBounds:
+    """The ``karp_luby`` degradation tier: bounds, never a silent approximation.
+
+    One DNF lineage (polynomial in the instance even when the compiled
+    circuits explode) feeds both the guaranteed dissociation interval and
+    the Karp–Luby estimator; the estimate is clamped into the interval so
+    the three numbers are always mutually consistent.
+    """
+    from repro.probability.approximation import karp_luby_with_bounds
+
+    estimate, bounds = karp_luby_with_bounds(query, tid, samples=samples, seed=seed)
+    point = min(max(estimate.estimate, float(bounds.lower)), float(bounds.upper))
+    return ProbabilityBounds(
+        lower=bounds.lower,
+        upper=bounds.upper,
+        estimate=point,
+        samples=estimate.samples,
+    )

@@ -5,6 +5,11 @@ dictionaries behind content fingerprints, so a web worker, a benchmark, or a
 CLI invocation can hold one engine per process (or one per tenant) and get
 memoization without any global state.  A module-level :func:`default_engine`
 is provided for the common single-session case.
+
+Every evaluation route is one :class:`Route` record in :data:`ROUTES`, the
+single table that ``probability(method=...)``, the dichotomy router, the
+failover chain, the CLI ``--method`` choices, and the differential oracle
+all read.
 """
 
 from __future__ import annotations
@@ -14,28 +19,20 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.booleans.columnar import ColumnarOBDD
 from repro.booleans.dnnf import DNNF
 from repro.data.gaifman import gaifman_graph
 from repro.data.instance import Fact, Instance
 from repro.data.tid import ProbabilisticInstance
-from repro.engine.resilience import (
-    DEGRADED_ROUTE,
-    FAILOVER_ORDER,
-    ProbabilityBounds,
-    ResourceBudget,
-    activate,
-    active_budget,
-    degraded_probability_bounds,
-)
 from repro.engine.router import (
-    CIRCUIT_ROUTES,
-    ROUTE_PREFERENCE,
+    DEGRADED_ROUTE,
+    ProbabilityBounds,
     RouteAttempt,
     RouteCostModel,
     RouteDecision,
+    degraded_probability_bounds,
 )
 from repro.errors import (
     CompilationError,
@@ -55,6 +52,7 @@ from repro.provenance.variable_orders import (
 )
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.resilience import ResourceBudget, activate, active_budget
 from repro.store import (
     ArtifactStore,
     canonical_query_text,
@@ -188,7 +186,7 @@ class CompilationEngine:
         route in the ``method="auto"`` failover chain fails, the last typed
         error is raised.  ``"karp_luby"`` opts into graceful degradation:
         the engine then returns a labelled
-        :class:`~repro.engine.resilience.ProbabilityBounds` (guaranteed
+        :class:`~repro.engine.router.ProbabilityBounds` (guaranteed
         dissociation interval plus a seeded point estimate) instead of
         raising — never a bare float masquerading as exact, and never
         entered into the exact probability cache.
@@ -597,49 +595,31 @@ class CompilationEngine:
                 self._lifted_plans.popitem(last=False)
         return self._lifted_plans[key]
 
-    def _has_circuit_artifact(self, route: str, query: Query, instance: Instance) -> bool:
-        """Whether the route's artifact is already cached for (query, instance).
-
-        A peek, not a touch: no LRU reordering, no stats, no construction.
-        """
-        slot = self._artifacts.get(instance.fingerprint)
-        if slot is None:
-            return False
-        key = as_ucq(query)
-        if route == "obdd":
-            return (key, False) in slot.compiled or (key, True) in slot.compiled
-        if route == "columnar":
-            return (key, False) in slot.columnar or (key, True) in slot.columnar
-        if route == "dnnf":
-            return key in slot.dnnfs
-        if route == "automaton":
-            return slot.encoding is not None
-        return False
-
     def choose_route(self, query: Query, tid: ProbabilisticInstance) -> RouteDecision:
         """The dichotomy router: pick the ``method="auto"`` evaluation route.
 
-        The query side of the dichotomy first: if the query admits a lifted
-        plan, the safe-plan route is a candidate at its measured cost.  The
+        The candidates are the :data:`ROUTES` records with an ``auto``
+        evaluator.  The query side of the dichotomy first: the safe-plan
+        route is a candidate when the query admits a lifted plan.  The
         instance side next: each circuit route is a candidate unless the
         instance exceeds ``circuit_fact_limit`` and the route's artifact is
         not already cached.  Among the candidates, the cost model's cheapest
-        prediction wins (ties broken by :data:`ROUTE_PREFERENCE`).
+        prediction wins (ties broken by the table's order).
         """
         plan = self.lifted_plan(query)
         facts = len(tid.instance)
         estimates: list[tuple[str, float]] = []
         infeasible: list[str] = []
-        if plan is not None:
-            estimates.append(("safe_plan", self.route_costs.predict("safe_plan", facts)))
-        for route in CIRCUIT_ROUTES:
-            if facts > self.circuit_fact_limit and not self._has_circuit_artifact(
-                route, query, tid.instance
+        for name in _AUTO:
+            route = ROUTES[name]
+            if (route.circuit and facts <= self.circuit_fact_limit) or route.cached(
+                self, query, tid.instance
             ):
-                infeasible.append(route)
-            else:
-                estimates.append((route, self.route_costs.predict(route, facts)))
-        estimates.sort(key=lambda e: (e[1], ROUTE_PREFERENCE.get(e[0], len(ROUTE_PREFERENCE))))
+                estimates.append((name, self.route_costs.predict(name, facts)))
+            elif route.circuit:
+                infeasible.append(name)
+        # A stable sort: equal predictions keep the table's order.
+        estimates.sort(key=lambda estimate: estimate[1])
         if estimates:
             method = estimates[0][0]
             reason = (
@@ -672,19 +652,16 @@ class CompilationEngine:
     ) -> Fraction | float | ProbabilityBounds:
         """The (cached) probability of the query on a TID instance.
 
-        Methods mirror :func:`repro.probability.evaluation.probability`:
-        ``auto`` consults the dichotomy router (:meth:`choose_route`) and
-        records the chosen route in :meth:`route_mix`; ``safe_plan`` executes
-        the engine's cached lifted plan (:meth:`lifted_plan`);
-        ``read_once``/``obdd``/``dnnf`` run on the engine's cached lineages
-        and OBDDs (evaluated by the fused sweep kernel of
-        :meth:`repro.booleans.obdd.OBDD.sweep`); ``obdd_float`` serves the
-        sweep's float fast path (a ``float``, cached under its own method
-        key, never mixed with the exact entries); ``automaton`` runs the
-        state dynamic programming over the engine's cached fused tree
-        encoding (:meth:`tree_encoding_of`); the remaining methods
-        (``brute_force``, ``safe_plan_reference``) have no reusable
-        artifacts and are delegated, with only their final value cached.
+        ``method`` names a :data:`ROUTES` record: ``auto`` consults the
+        dichotomy router (:meth:`choose_route`) and records the chosen route
+        in :meth:`route_mix`; ``safe_plan`` executes the engine's cached
+        lifted plan (:meth:`lifted_plan`); ``read_once``/``obdd``/
+        ``columnar``/``dnnf`` run on the engine's cached lineages and
+        circuits; ``automaton`` runs the state dynamic programming over the
+        engine's cached fused tree encoding (:meth:`tree_encoding_of`).  The
+        ``*_float`` routes serve the sweeps' float fast path (a ``float``,
+        cached under its own method key, never mixed with the exact
+        entries).
 
         ``budget`` activates a :class:`~repro.resilience.ResourceBudget`
         around the evaluation: the kernels then checkpoint against its node
@@ -693,10 +670,17 @@ class CompilationEngine:
         :class:`~repro.errors.DeadlineExceeded` (``method="auto"`` fails
         over between routes on the former).  A cache hit answers without
         consulting the budget.  Degraded answers
-        (:class:`~repro.engine.resilience.ProbabilityBounds`) are never
+        (:class:`~repro.engine.router.ProbabilityBounds`) are never
         cached: the next call gets a fresh chance at an exact route.
         """
-        key = (as_ucq(query), tid.fingerprint, method)
+        route = ROUTES.get(method)
+        if route is None:
+            raise ProbabilityError(
+                f"unknown probability evaluation method {method!r};"
+                f" use one of {', '.join(ROUTES)}"
+            )
+        ucq = as_ucq(query)
+        key = (ucq, tid.fingerprint, method)
         cached = self._probabilities.get(key)
         self.stats["probability"].record(cached is not None)
         if cached is not None:
@@ -704,9 +688,9 @@ class CompilationEngine:
             return cached
         if budget is not None:
             with activate(budget):
-                value = self._evaluate_probability(as_ucq(query), tid, method)
+                value = route.evaluate(self, ucq, tid)
         else:
-            value = self._evaluate_probability(as_ucq(query), tid, method)
+            value = route.evaluate(self, ucq, tid)
         if isinstance(value, ProbabilityBounds):
             return value
         self._probabilities[key] = value
@@ -729,59 +713,6 @@ class CompilationEngine:
         """
         return [self.probability(q, tid, method, budget=budget) for q in queries]
 
-    def _evaluate_probability(
-        self, query: UnionOfConjunctiveQueries, tid: ProbabilisticInstance, method: str
-    ) -> Fraction | float | ProbabilityBounds:
-        from repro.probability.evaluation import (
-            _probability_of_read_once,
-            probability as one_shot_probability,
-        )
-
-        if method == "auto":
-            return self._evaluate_auto(query, tid)
-        if method == "read_once":
-            lineage = self.lineage(query, tid.instance)
-            if lineage.is_read_once_shaped():
-                return _probability_of_read_once(lineage, tid)
-            raise ProbabilityError("lineage is not read-once shaped; use another method")
-        if method == "safe_plan":
-            plan = self.lifted_plan(query)
-            if plan is None:
-                raise UnsafeQueryError(
-                    "query admits no lifted plan: use a circuit method or auto"
-                )
-            return execute_plan(plan, tid)
-        if method == "obdd":
-            return self.compile(query, tid.instance).probability(tid.valuation())
-        if method == "obdd_float":
-            return self.compile(query, tid.instance).probability(tid.valuation(), exact=False)
-        if method == "columnar":
-            return self.columnar(query, tid.instance).probability(tid.valuation())
-        if method == "columnar_float":
-            return self.columnar(query, tid.instance).probability(tid.valuation(), exact=False)
-        if method == "automaton_columnar":
-            from repro.provenance.columnar_product import (
-                ucq_probability_via_columnar_automaton,
-            )
-
-            return ucq_probability_via_columnar_automaton(
-                query, tid, encoding=self.tree_encoding_of(tid.instance)
-            )
-        if method == "dnnf":
-            dnnf = self.dnnf(query, tid.instance)
-            valuation = {fact: tid.probability_of(fact) for fact in dnnf.variables()}
-            return dnnf.probability(valuation)
-        if method == "automaton":
-            from repro.provenance.ucq_automaton import ucq_probability_via_automaton
-
-            # The fused tree encoding is a per-instance structural artifact:
-            # cached here, every query in a session reuses it.
-            return ucq_probability_via_automaton(
-                query, tid, encoding=self.tree_encoding_of(tid.instance)
-            )
-        # brute_force / safe_plan_reference: no cross-call artifacts to reuse.
-        return one_shot_probability(query, tid, method=method)
-
     def _evaluate_auto(
         self, query: UnionOfConjunctiveQueries, tid: ProbabilisticInstance
     ) -> Fraction | ProbabilityBounds:
@@ -789,7 +720,7 @@ class CompilationEngine:
 
         The router's pick runs first; on a budget blowout or a
         route-specific failure the engine advances through the remaining
-        feasible routes in :data:`~repro.engine.resilience.FAILOVER_ORDER`,
+        feasible routes in :data:`ROUTES` order,
         resetting the active budget's usage counters between attempts
         (caps are per-attempt) and recording each failure as a cost-model
         penalty.  A :class:`~repro.errors.DeadlineExceeded` is terminal:
@@ -804,9 +735,7 @@ class CompilationEngine:
         decision = self.choose_route(query, tid)
         feasible = {route for route, _ in decision.estimates}
         chain = [decision.method] + [
-            route
-            for route in FAILOVER_ORDER
-            if route in feasible and route != decision.method
+            name for name in _AUTO if name in feasible and name != decision.method
         ]
         budget = active_budget()
         facts = len(tid.instance)
@@ -819,7 +748,7 @@ class CompilationEngine:
                     # Never start a route after the deadline has passed; the
                     # kernels' own checkpoints only fire once work is underway.
                     budget.checkpoint()
-                value = self._evaluate_route(route, query, tid)
+                value = _AUTO[route](self, query, tid)
             except DeadlineExceeded as error:
                 self.route_costs.record_failure(route)
                 attempts.append(
@@ -862,38 +791,6 @@ class CompilationEngine:
         assert last_error is not None  # the chain is never empty
         raise last_error
 
-    def _evaluate_route(
-        self, route: str, query: UnionOfConjunctiveQueries, tid: ProbabilisticInstance
-    ) -> Fraction:
-        """Run one route chosen by :meth:`choose_route` (always exact)."""
-        from repro.probability.evaluation import _probability_of_read_once
-
-        if route == "safe_plan":
-            plan = self.lifted_plan(query)
-            if plan is None:  # pragma: no cover - router never picks this
-                raise UnsafeQueryError("query admits no lifted plan")
-            return execute_plan(plan, tid)
-        if route == "obdd":
-            # Keep the read-once shortcut: a read-once-shaped lineage is
-            # evaluated directly, skipping OBDD construction entirely.
-            lineage = self.lineage(query, tid.instance)
-            if lineage.is_read_once_shaped():
-                return _probability_of_read_once(lineage, tid)
-            return self.compile(query, tid.instance).probability(tid.valuation())
-        if route == "columnar":
-            return self.columnar(query, tid.instance).probability(tid.valuation())
-        if route == "dnnf":
-            dnnf = self.dnnf(query, tid.instance)
-            valuation = {fact: tid.probability_of(fact) for fact in dnnf.variables()}
-            return dnnf.probability(valuation)
-        if route == "automaton":
-            from repro.provenance.ucq_automaton import ucq_probability_via_automaton
-
-            return ucq_probability_via_automaton(
-                query, tid, encoding=self.tree_encoding_of(tid.instance)
-            )
-        raise CompilationError(f"unknown route {route!r}")
-
 
 def _describe_failure(error: BaseException) -> str:
     """One-line attempt label: ``ErrorType: message`` (message truncated)."""
@@ -901,6 +798,157 @@ def _describe_failure(error: BaseException) -> str:
     if len(message) > 200:
         message = message[:197] + "..."
     return f"{type(error).__name__}: {message}" if message else type(error).__name__
+
+
+# -- the route table -------------------------------------------------------------
+
+UCQ = UnionOfConjunctiveQueries
+RouteEvaluator = Callable[
+    [CompilationEngine, UCQ, ProbabilisticInstance], "Fraction | float | ProbabilityBounds"
+]
+ExactEvaluator = Callable[[CompilationEngine, UCQ, ProbabilisticInstance], Fraction]
+ArtifactPeek = Callable[[CompilationEngine, Query, Instance], bool]
+
+
+def _never_cached(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
+    return False
+
+
+@dataclass(frozen=True, slots=True)
+class Route:
+    """One evaluation route: the only place a route is described.
+
+    ``evaluate`` answers ``probability(method=name)``: a
+    :class:`~fractions.Fraction` when ``exact``, else a ``float``.  ``auto``
+    is what ``method="auto"`` and its failover chain run for this route
+    (usually ``evaluate`` itself); ``None`` keeps the route explicit-only.
+    ``prior`` seeds the router's cost model, in seconds per fact.
+    ``circuit`` routes build a per-instance artifact, so past the engine's
+    ``circuit_fact_limit`` they are candidates only when ``cached`` finds
+    that artifact in memory; any other route is a candidate exactly when
+    ``cached`` holds.  ``cached`` is a peek: no LRU touch, no stats, no
+    construction.
+    """
+
+    name: str
+    exact: bool
+    evaluate: RouteEvaluator
+    auto: ExactEvaluator | None = None
+    prior: float = 0.0
+    circuit: bool = False
+    cached: ArtifactPeek = _never_cached
+
+
+def _safe_plan(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
+    plan = engine.lifted_plan(query)
+    if plan is None:
+        raise UnsafeQueryError("query admits no lifted plan: use a circuit method or auto")
+    return execute_plan(plan, tid)
+
+
+def _plan_cached(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
+    return engine._lifted_plans.get(as_ucq(query)) is not None
+
+
+def _obdd(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
+    return engine.compile(query, tid.instance).probability(tid.valuation())
+
+
+def _obdd_float(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> float:
+    return engine.compile(query, tid.instance).probability(tid.valuation(), exact=False)
+
+
+def _read_once(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
+    from repro.probability.evaluation import _probability_of_read_once
+
+    lineage = engine.lineage(query, tid.instance)
+    if not lineage.is_read_once_shaped():
+        raise ProbabilityError("lineage is not read-once shaped; use another method")
+    return _probability_of_read_once(lineage, tid)
+
+
+def _obdd_or_read_once(
+    engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance
+) -> Fraction:
+    """The ``auto`` side of the OBDD route: a read-once-shaped lineage is
+    evaluated directly, skipping OBDD construction entirely."""
+    from repro.probability.evaluation import _probability_of_read_once
+
+    lineage = engine.lineage(query, tid.instance)
+    if lineage.is_read_once_shaped():
+        return _probability_of_read_once(lineage, tid)
+    return _obdd(engine, query, tid)
+
+
+def _circuit_cached(cache: str) -> ArtifactPeek:
+    def peek(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
+        slot = engine._artifacts.get(instance.fingerprint)
+        if slot is None:
+            return False
+        artifacts = getattr(slot, cache)
+        return (as_ucq(query), False) in artifacts or (as_ucq(query), True) in artifacts
+
+    return peek
+
+
+def _columnar(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
+    return engine.columnar(query, tid.instance).probability(tid.valuation())
+
+
+def _columnar_float(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> float:
+    return engine.columnar(query, tid.instance).probability(tid.valuation(), exact=False)
+
+
+def _automaton(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
+    from repro.provenance.ucq_automaton import ucq_probability_via_automaton
+
+    # The fused tree encoding is a per-instance structural artifact: cached
+    # on the engine, every query in a session reuses it.
+    return ucq_probability_via_automaton(
+        query, tid, encoding=engine.tree_encoding_of(tid.instance)
+    )
+
+
+def _encoding_cached(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
+    slot = engine._artifacts.get(instance.fingerprint)
+    return slot is not None and slot.encoding is not None
+
+
+def _dnnf(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
+    dnnf = engine.dnnf(query, tid.instance)
+    return dnnf.probability({fact: tid.probability_of(fact) for fact in dnnf.variables()})
+
+
+def _auto(
+    engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance
+) -> Fraction | ProbabilityBounds:
+    return engine._evaluate_auto(query, tid)
+
+
+#: Every evaluation route by name, in presentation order.  The routes with
+#: an ``auto`` evaluator appear in tie-break order, which is also the
+#: failover order.  The d-DNNF route is derived from the OBDD, so it is
+#: never cheaper and stays explicit-only.
+ROUTES: dict[str, Route] = {
+    route.name: route
+    for route in (
+        # name, exact, evaluate, auto, prior, circuit, cached
+        Route("auto", True, _auto),
+        Route("safe_plan", True, _safe_plan, _safe_plan, 5e-6, cached=_plan_cached),
+        Route("obdd", True, _obdd, _obdd_or_read_once, 2e-4, True, _circuit_cached("compiled")),
+        Route("columnar", True, _columnar, _columnar, 2e-4, True, _circuit_cached("columnar")),
+        Route("automaton", True, _automaton, _automaton, 5e-4, True, _encoding_cached),
+        Route("dnnf", True, _dnnf),
+        Route("read_once", True, _read_once),
+        Route("obdd_float", False, _obdd_float),
+        Route("columnar_float", False, _columnar_float),
+    )
+}
+
+#: The ``auto`` evaluators by route name, in table order.
+_AUTO: dict[str, ExactEvaluator] = {
+    name: route.auto for name, route in ROUTES.items() if route.auto is not None
+}
 
 
 _DEFAULT_ENGINE: CompilationEngine | None = None

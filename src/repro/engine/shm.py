@@ -16,12 +16,12 @@ Lifecycle contract (the satellite tests pin it):
   sweeps ``/dev/shm`` for orphans under the plane's prefix — segments left
   behind by a worker that crashed between ``shm_open`` and handing the name
   back are reclaimed too;
-* creators and attachers are both detached from CPython's
-  ``resource_tracker``: under the ``spawn`` start method each worker has its
-  *own* tracker, which would otherwise unlink segments at worker exit while
-  the parent still maps them, and (before 3.13) every attach spuriously
-  re-registers the name.  Explicit ownership plus the prefix sweep replaces
-  the tracker.
+* segments never talk to CPython's ``resource_tracker`` (:class:`_Segment`
+  opens them with ``shm_open`` directly): under the ``spawn`` start method
+  each worker has its *own* tracker, which would unlink segments at worker
+  exit while the parent still maps them, and forked workers share one
+  tracker, where two attaches of one segment end in a double unregister.
+  Explicit ownership plus the prefix sweep replaces the tracker.
 
 Segments are a transport for *flat columns only*; the small picklable
 sidecar (:class:`SegmentHandle`: name, node count, root, variable order)
@@ -30,12 +30,14 @@ still crosses the process boundary by value.
 
 from __future__ import annotations
 
+import mmap
 import os
 import secrets
 import weakref
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator
+
+import _posixshmem
 
 from repro.booleans.columnar import ColumnarOBDD, columnar_from_buffer
 from repro.errors import CompilationError, SegmentError
@@ -43,13 +45,35 @@ from repro.errors import CompilationError, SegmentError
 _DEV_SHM = "/dev/shm"
 
 
-def _untrack(name: str) -> None:
-    """Detach a segment from the resource tracker (ownership is explicit)."""
-    try:
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    # repro-analysis: allow(EXCEPT001): the tracker API differs across platforms and Python versions; failing to unregister only risks a spurious unlink at exit, never correctness
-    except Exception:  # pragma: no cover - tracker variations across platforms
-        pass
+class _Segment:
+    """One POSIX shared-memory mapping, unknown to the resource tracker.
+
+    ``multiprocessing.shared_memory.SharedMemory`` registers every create
+    *and* every attach with the tracker (before Python 3.13) and unregisters
+    on unlink; ownership here is explicit instead, so this opens the segment
+    with ``shm_open`` and maps it without any tracker traffic.
+    """
+
+    def __init__(self, name: str, create: bool = False, size: int = 0) -> None:
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open(f"/{name}", flags, mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            self.size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, self.size)
+        except OSError:
+            if create:
+                _posixshmem.shm_unlink(f"/{name}")
+            raise
+        finally:
+            os.close(fd)
+        self.name = name
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,11 +99,10 @@ def publish_segment(columnar: ColumnarOBDD, name: str) -> SegmentHandle:
     """
     if len(columnar) == 0:
         return SegmentHandle(None, 0, columnar.root, columnar.order)
-    segment = shared_memory.SharedMemory(create=True, name=name, size=columnar.nbytes)
+    segment = _Segment(name, create=True, size=columnar.nbytes)
     try:
         columnar.write_into(segment.buf)
     finally:
-        _untrack(segment.name)
         segment.close()
     return SegmentHandle(name, len(columnar), columnar.root, columnar.order)
 
@@ -100,13 +123,12 @@ def attach_segment(handle: SegmentHandle) -> ColumnarOBDD:
     if handle.name is None:
         return ColumnarOBDD(handle.order, [], [], [], handle.root)
     try:
-        segment = shared_memory.SharedMemory(name=handle.name)
+        segment = _Segment(handle.name)
     except FileNotFoundError as error:
         raise SegmentError(
             f"shared-memory segment {handle.name!r} is absent"
             " (crashed publisher or swept plane)"
         ) from error
-    _untrack(handle.name)
     if segment.size < handle.nbytes:
         segment.close()
         raise SegmentError(
@@ -164,9 +186,9 @@ class SegmentPlane:
         # disjoint.
         self.prefix = f"{base}-{session_id}"
         self._serial = 0
-        # name -> open SharedMemory mapping (attached artifacts keep their
+        # name -> open segment mapping (attached artifacts keep their
         # own reference too; this registry is for close/unlink).
-        self._attached: dict[str, shared_memory.SharedMemory] = {}
+        self._attached: dict[str, _Segment] = {}
         self._owned: set[str] = set()
         # Safety net for planes that are garbage-collected (or alive at
         # interpreter exit) without an explicit close(): the finalizer sees
@@ -241,7 +263,7 @@ class SegmentPlane:
 def _reclaim_segments(
     prefix: str,
     owned: set[str],
-    attached: dict[str, shared_memory.SharedMemory],
+    attached: dict[str, _Segment],
 ) -> None:
     """Close mappings, unlink owned segments, sweep prefix orphans.
 
@@ -259,7 +281,7 @@ def _reclaim_segments(
         _unlink_quietly(name)
 
 
-def _close_ignoring_exports(segment: shared_memory.SharedMemory) -> None:
+def _close_ignoring_exports(segment: _Segment) -> None:
     """Close a mapping, tolerating still-exported numpy views.
 
     An adopted artifact that outlives its plane keeps views into the mapping;
@@ -276,16 +298,8 @@ def _close_ignoring_exports(segment: shared_memory.SharedMemory) -> None:
 
 def _unlink_quietly(name: str) -> None:
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        _posixshmem.shm_unlink(f"/{name}")
     except FileNotFoundError:
-        return
-    segment.close()
-    try:
-        # unlink() also unregisters the name from the resource tracker,
-        # balancing the registration the attach above made — no _untrack
-        # here, or the tracker would see the name unregistered twice.
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - raced with another unlink
         pass
 
 

@@ -263,7 +263,7 @@ def karp_luby_with_bounds(
     """The Karp–Luby estimate and the dissociation interval off one lineage.
 
     The degradation tier of ``method="auto"`` (see
-    :mod:`repro.engine.resilience`) needs both: the interval is the
+    :func:`repro.engine.router.degraded_probability_bounds`) needs both: the interval is the
     *guarantee* (the true probability always lies inside), the estimate the
     usable point value.  Building the DNF lineage once and sharing it keeps
     the degraded path a single lineage enumeration — the lineage is

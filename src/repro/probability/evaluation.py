@@ -2,170 +2,62 @@
 
 This is the user-facing entry point implementing the upper bound of
 Theorem 4.2: on treelike instances, probability evaluation runs in one pass
-over a tree encoding (the ``automaton`` method) or through a compiled lineage
-(``obdd`` / ``dnnf``); ``brute_force`` is the exponential oracle;
-``safe_plan`` is the query-based lifted-inference route of Section 9
-(compiled plans, :mod:`repro.probability.lifted`) and
-``safe_plan_reference`` its recursive differential reference
-(:mod:`repro.probability.safe_plans`).
+over a tree encoding (the ``automaton`` route) or through a compiled lineage
+(``obdd`` / ``columnar`` / ``dnnf``); ``safe_plan`` is the query-based
+lifted-inference route of Section 9 (compiled plans,
+:mod:`repro.probability.lifted`).  The routes are the records of
+:data:`repro.engine.session.ROUTES`; this one-shot helper evaluates on a
+throwaway :class:`~repro.engine.CompilationEngine`, so it shares the
+engine's single ``auto`` policy and its failover.
 
-All methods return exact :class:`fractions.Fraction` values and agree with
-each other — the test suite checks this systematically.  The one deliberate
-exception is ``obdd_float``: the float fast path of the fused sweep kernel
-(:meth:`repro.booleans.obdd.OBDD.sweep`), which returns a ``float`` computed
-in hardware arithmetic and falls back to the exact Fraction kernel whenever
-the float pass degenerates (non-finite or outside ``[0, 1]``).  Every route
-advertised as exact stays exact.
+Every route advertised as exact returns an exact
+:class:`fractions.Fraction`, and the routes agree with each other — the
+test suite checks this systematically against the references in
+:mod:`repro.testing`.  The ``*_float`` routes are the deliberate exception:
+the float fast path of the sweep kernels, computed in hardware arithmetic
+(falling back to the exact kernel whenever the float pass degenerates).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal
+from typing import TYPE_CHECKING
 
 from repro.data.tid import ProbabilisticInstance
-from repro.errors import ProbabilityError
-from repro.provenance.compile_obdd import compile_query_to_obdd
-from repro.provenance.lineage import lineage_of
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.queries.ucq import UnionOfConjunctiveQueries
 
-Method = Literal[
-    "auto",
-    "obdd",
-    "obdd_float",
-    "columnar",
-    "columnar_float",
-    "dnnf",
-    "automaton",
-    "automaton_columnar",
-    "brute_force",
-    "safe_plan",
-    "safe_plan_reference",
-    "read_once",
-]
-
-#: Every accepted method string, in presentation order (the CLI choices).
-METHOD_NAMES: tuple[str, ...] = (
-    "auto",
-    "obdd",
-    "obdd_float",
-    "columnar",
-    "columnar_float",
-    "dnnf",
-    "automaton",
-    "automaton_columnar",
-    "brute_force",
-    "safe_plan",
-    "safe_plan_reference",
-    "read_once",
-)
+if TYPE_CHECKING:
+    from repro.engine import CompilationEngine, ProbabilityBounds
+    from repro.resilience import ResourceBudget
 
 
 def probability(
     query: UnionOfConjunctiveQueries | ConjunctiveQuery,
     probabilistic_instance: ProbabilisticInstance,
-    method: Method = "auto",
-    engine=None,
-    budget=None,
-) -> Fraction | float:
+    method: str = "auto",
+    engine: CompilationEngine | None = None,
+    budget: ResourceBudget | None = None,
+) -> Fraction | float | ProbabilityBounds:
     """The probability that the TID instance satisfies the UCQ≠ (Definition 3.1).
 
+    ``method`` names a route of :data:`repro.engine.session.ROUTES`.
     Passing a :class:`repro.engine.CompilationEngine` routes the evaluation
     through the engine's caches (lineages, OBDDs, and probability results are
-    memoized across calls by content fingerprint); without one, everything is
-    recomputed from scratch.
+    memoized across calls by content fingerprint); without one, a throwaway
+    engine recomputes everything from scratch.
 
     Passing a :class:`repro.resilience.ResourceBudget` activates its node/row
     caps and wall-clock deadline around the evaluation (the kernels
     checkpoint cooperatively and raise :class:`~repro.errors.BudgetExceeded`
-    / :class:`~repro.errors.DeadlineExceeded`); with an engine,
-    ``method="auto"`` additionally fails over between routes on a blowout.
+    / :class:`~repro.errors.DeadlineExceeded`); ``method="auto"``
+    additionally fails over between routes on a blowout.
     """
-    query = as_ucq(query)
-    if engine is not None:
-        return engine.probability(query, probabilistic_instance, method, budget=budget)
-    if budget is not None:
-        from repro.resilience import activate
+    from repro.engine import CompilationEngine  # the engine imports this package
 
-        with activate(budget):
-            return probability(query, probabilistic_instance, method)
-    if method == "auto":
-        return _auto_probability(query, probabilistic_instance)
-    if method == "brute_force":
-        from repro.probability.brute_force import brute_force_probability
-
-        return brute_force_probability(query, probabilistic_instance)
-    if method == "safe_plan":
-        from repro.probability.lifted import lifted_probability
-
-        return lifted_probability(query, probabilistic_instance)
-    if method == "safe_plan_reference":
-        from repro.probability.safe_plans import safe_plan_probability
-
-        return safe_plan_probability(query, probabilistic_instance)
-    if method == "obdd":
-        compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-        return compiled.probability(probabilistic_instance.valuation())
-    if method == "obdd_float":
-        compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-        return compiled.probability(probabilistic_instance.valuation(), exact=False)
-    if method in ("columnar", "columnar_float"):
-        compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-        columnar = compiled.to_columnar()
-        return columnar.probability(
-            probabilistic_instance.valuation(), exact=method == "columnar"
-        )
-    if method == "automaton_columnar":
-        from repro.provenance.columnar_product import (
-            ucq_probability_via_columnar_automaton,
-        )
-
-        return ucq_probability_via_columnar_automaton(query, probabilistic_instance)
-    if method == "dnnf":
-        compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-        dnnf = compiled.to_dnnf()
-        valuation = {
-            fact: probabilistic_instance.probability_of(fact) for fact in dnnf.variables()
-        }
-        return dnnf.probability(valuation)
-    if method == "automaton":
-        from repro.provenance.ucq_automaton import ucq_probability_via_automaton
-
-        return ucq_probability_via_automaton(query, probabilistic_instance)
-    if method == "read_once":
-        return _read_once_probability(query, probabilistic_instance)
-    raise ProbabilityError(f"unknown probability evaluation method {method!r}")
-
-
-def _auto_probability(
-    query: UnionOfConjunctiveQueries, probabilistic_instance: ProbabilisticInstance
-) -> Fraction:
-    """Pick a strategy: liftable queries run their compiled safe plan (no
-    lineage, no circuit — the route that scales past any compilation);
-    read-once lineages get the direct formula; everything else goes through
-    the OBDD compilation (which is exact for any UCQ≠).  With an engine, the
-    dichotomy router additionally weighs measured costs
-    (:meth:`repro.engine.CompilationEngine.choose_route`)."""
-    from repro.probability.lifted import execute_plan, try_lifted_plan
-
-    plan = try_lifted_plan(query)
-    if plan is not None:
-        return execute_plan(plan, probabilistic_instance)
-    lineage = lineage_of(query, probabilistic_instance.instance)
-    if lineage.is_read_once_shaped():
-        return _probability_of_read_once(lineage, probabilistic_instance)
-    compiled = compile_query_to_obdd(query, probabilistic_instance.instance)
-    return compiled.probability(probabilistic_instance.valuation())
-
-
-def _read_once_probability(
-    query: UnionOfConjunctiveQueries, probabilistic_instance: ProbabilisticInstance
-) -> Fraction:
-    lineage = lineage_of(query, probabilistic_instance.instance)
-    if not lineage.is_read_once_shaped():
-        raise ProbabilityError("lineage is not read-once shaped; use another method")
-    return _probability_of_read_once(lineage, probabilistic_instance)
+    if engine is None:
+        engine = CompilationEngine()
+    return engine.probability(query, probabilistic_instance, method, budget=budget)
 
 
 def _probability_of_read_once(lineage, probabilistic_instance: ProbabilisticInstance) -> Fraction:

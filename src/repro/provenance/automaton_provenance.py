@@ -96,9 +96,8 @@ def reachability_tables(
     first-reached order (the dense id of a state is its list position), and
     ``combos[n][q]`` indexes, per resulting state id q, the
     (child-state-id combination, fact_present) pairs whose transition reaches
-    q — each combination is evaluated once.  Both the gate-emission passes
-    below and the columnar probability product
-    (:mod:`repro.provenance.columnar_product`) consume these tables.
+    q — each combination is evaluated once.  The gate-emission passes below
+    consume these tables.
     """
     post = encoding.post_order()
     nodes = encoding.nodes

@@ -31,8 +31,8 @@ therefore their own ambient slot.
 
 This module sits *below* :mod:`repro.engine` (it imports only the error
 hierarchy) so the kernels can use it without importing the engine package;
-:mod:`repro.engine.resilience` re-exports everything here and adds the
-engine-level failover and degradation machinery on top.
+the engine adds failover (:class:`repro.engine.session.CompilationEngine`)
+and degradation (:mod:`repro.engine.router`) on top.
 """
 
 from __future__ import annotations

@@ -189,21 +189,16 @@ def apply_parent_segment_faults(plan: FaultPlan, handle) -> None:
     attach.  Both surface worker-side as the retryable
     :class:`~repro.errors.SegmentError`.
     """
-    from multiprocessing import shared_memory
+    from repro.engine.shm import _Segment, _unlink_quietly
 
     if handle.name is None:
         return
     if consume_token(plan, "segment_unlink"):
-        try:
-            segment = shared_memory.SharedMemory(name=handle.name)
-        except FileNotFoundError:
-            return
-        segment.close()
-        segment.unlink()
+        _unlink_quietly(handle.name)
         return
     if consume_token(plan, "segment_corrupt"):
         try:
-            segment = shared_memory.SharedMemory(name=handle.name)
+            segment = _Segment(handle.name)
         except FileNotFoundError:
             return
         try:

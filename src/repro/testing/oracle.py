@@ -7,15 +7,15 @@ differentially testable.  :class:`ProbabilityOracle` evaluates one
 
 * **exact agreement** — brute-force world enumeration, OBDD compilation,
   the columnar (structure-of-arrays) sweep, d-DNNF compilation, the ``auto``
-  dispatcher (and optionally the tree-automaton dynamic program, object or
-  columnar) must return the *same*
+  dispatcher (and optionally the tree-automaton dynamic program) must
+  return the *same*
   :class:`~fractions.Fraction`, compared exactly, never through ``float``.
   Brute force is the fully independent reference (as are the automaton and
   lifted-inference routes when they run); the compiled routes share the
   lineage-compilation pipeline, so their agreement additionally guards the
   engine's caching, not just the algorithms;
-* **safe plans** — when ``is_liftable`` holds, both lifted routes (the
-  compiled plan executor and the recursive reference) must agree exactly
+* **safe plans** — when ``is_liftable`` holds, both lifted evaluators (the
+  compiled plan route and the recursive reference) must agree exactly
   with the others — an :class:`~repro.errors.UnsafeQueryError` there is a
   *disagreement with the verdict*, never a skip; when the query is not
   liftable, both routes must raise :class:`UnsafeQueryError` (a wrong
@@ -39,15 +39,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from repro.data.tid import ProbabilisticInstance
-from repro.engine import CompilationEngine
+from repro.engine import ROUTES, CompilationEngine
 from repro.errors import ReproError
 from repro.probability.approximation import (
     DissociationBounds,
     dissociation_bounds,
     karp_luby_probability,
 )
+from repro.probability.brute_force import brute_force_probability
 from repro.probability.evaluation import probability
-from repro.probability.safe_plans import UnsafeQueryError, is_liftable
+from repro.probability.safe_plans import UnsafeQueryError, is_liftable, safe_plan_probability
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
 from repro.testing.workloads import WorkloadCase
@@ -55,6 +56,10 @@ from repro.testing.workloads import WorkloadCase
 Query = UnionOfConjunctiveQueries | ConjunctiveQuery
 
 DEFAULT_EXACT_METHODS = ("brute_force", "obdd", "columnar", "dnnf", "auto")
+
+#: The reference the oracle anchors on: exponential world enumeration, kept
+#: out of the production route table and called directly.
+REFERENCE_METHOD = "brute_force"
 
 
 class OracleDisagreement(ReproError):
@@ -81,8 +86,8 @@ class OracleReport:
     @property
     def reference_method(self) -> str:
         """Which exact route anchors the comparison (brute force when run)."""
-        if "brute_force" in self.exact_values:
-            return "brute_force"
+        if REFERENCE_METHOD in self.exact_values:
+            return REFERENCE_METHOD
         if not self.exact_values:
             # An explicit error, not a bare StopIteration: the latter would be
             # silently swallowed as exhaustion by generator-driven pipelines.
@@ -135,14 +140,16 @@ class ProbabilityOracle:
     Parameters
     ----------
     exact_methods:
-        Exact routes to run (method names of
-        :func:`repro.probability.evaluation.probability`).  Brute force is
-        the reference; the default adds the OBDD, columnar, d-DNNF, and
-        ``auto`` routes.  Add ``"automaton"`` (or ``"automaton_columnar"``)
-        for the (slower) tree-automaton dynamic program.
+        Exact routes to run: names of :data:`repro.engine.ROUTES` records
+        whose ``exact`` flag is set, plus ``"brute_force"`` for the
+        reference.  Brute force is the anchor; the default adds the OBDD,
+        columnar, d-DNNF, and ``auto`` routes.  Add ``"automaton"`` for the
+        (slower) tree-automaton dynamic program.
     include_safe_plan:
-        Also check the lifted tier: on liftable queries both lifted routes
-        (compiled plan and recursive reference) must agree exactly; on
+        Also check the lifted tier: on liftable queries the ``safe_plan``
+        route and the recursive reference
+        (:func:`~repro.probability.safe_plans.safe_plan_probability`,
+        reported as ``"safe_plan_reference"``) must agree exactly; on
         non-liftable queries both must raise — so every case exercises the
         ``is_liftable`` iff-contract in one direction or the other.
     karp_luby_samples / karp_luby_delta:
@@ -174,6 +181,13 @@ class ProbabilityOracle:
                 "ProbabilityOracle needs at least one exact method to anchor "
                 "the differential comparison"
             )
+        exact_routes = [name for name, route in ROUTES.items() if route.exact]
+        for method in self.exact_methods:
+            if method != REFERENCE_METHOD and method not in exact_routes:
+                raise ReproError(
+                    f"unknown exact method {method!r}; use {REFERENCE_METHOD!r}"
+                    f" or one of {', '.join(exact_routes)}"
+                )
         self.include_safe_plan = include_safe_plan
         self.karp_luby_samples = karp_luby_samples
         self.karp_luby_delta = karp_luby_delta
@@ -182,8 +196,8 @@ class ProbabilityOracle:
 
     # Routes served from the shared engine's cached artifact chain.  The
     # obdd and auto routes deliberately share it (they also test that cached
-    # artifacts stay consistent); dnnf, brute force, automaton, and safe
-    # plans are evaluated one-shot, on freshly built artifacts.  Note the
+    # artifacts stay consistent); dnnf, automaton, and safe plans are
+    # evaluated one-shot, on freshly built artifacts.  Note the
     # compiled routes still share the compilation *pipeline* — the genuinely
     # independent algorithms are brute force, the automaton dynamic program,
     # and lifted inference.
@@ -198,16 +212,23 @@ class ProbabilityOracle:
         report = OracleReport(name=name, query=query, tid=tid)
         skipped: list[str] = []
         for method in self.exact_methods:
+            if method == REFERENCE_METHOD:
+                report.exact_values[method] = brute_force_probability(query, tid)
+                continue
             engine = self.engine if method in self._ENGINE_METHODS else None
             report.exact_values[method] = probability(query, tid, method=method, engine=engine)
         if self.include_safe_plan:
             liftable = is_liftable(query)
-            for method in ("safe_plan", "safe_plan_reference"):
+            lifted = {
+                "safe_plan": lambda: probability(query, tid, method="safe_plan"),
+                "safe_plan_reference": lambda: safe_plan_probability(query, tid),
+            }
+            for method, evaluate in lifted.items():
                 if liftable:
                     # The verdict contract: is_liftable promised success, so
                     # an UnsafeQueryError here IS a disagreement, not a skip.
                     try:
-                        report.exact_values[method] = probability(query, tid, method=method)
+                        report.exact_values[method] = evaluate()
                     except UnsafeQueryError as error:
                         raise OracleDisagreement(
                             f"oracle case {name!r}: is_liftable is True but "
@@ -216,7 +237,7 @@ class ProbabilityOracle:
                         ) from error
                 else:
                     try:
-                        probability(query, tid, method=method)
+                        evaluate()
                     except UnsafeQueryError:
                         skipped.append(method)
                     else:

@@ -80,7 +80,7 @@ def test_probability_command_exact(tid_json, capsys):
 def test_probability_command_methods_agree(tid_json, capsys):
     path, tid = tid_json
     expected = probability(unsafe_rst(), tid)
-    for method in ("obdd", "brute_force"):
+    for method in ("obdd", "columnar", "automaton"):
         assert (
             main(["probability", str(path), "--query", "R(x), S(x, y), T(y)", "--method", method])
             == 0

@@ -22,11 +22,10 @@ from repro.booleans.columnar import (
     columnar_from_obdd,
 )
 from repro.data.tid import ProbabilisticInstance
-from repro.engine import CompilationEngine
+from repro.engine import ROUTES, CompilationEngine
 from repro.errors import CompilationError, LineageError
-from repro.generators import labelled_partial_ktree_instance
-from repro.probability.evaluation import METHOD_NAMES, probability
-from repro.provenance.columnar_product import ucq_probability_via_columnar_automaton
+from repro.generators import labelled_partial_ktree_instance, rst_chain_instance
+from repro.probability.evaluation import probability
 from repro.queries import hierarchical_example, unsafe_rst
 from repro.testing import random_workload
 
@@ -101,6 +100,9 @@ def test_columnar_measures_match_object_kernels(compiled_cases):
         exact = compiled.probability(case.tid.valuation())
         assert columnar.probability(case.tid.valuation()) == exact
         assert isinstance(columnar.probability(case.tid.valuation()), Fraction)
+    # rst-line-240: 720 variables, so the model count is far past int64.
+    compiled = CompilationEngine().compile(unsafe_rst(), rst_chain_instance(240))
+    assert compiled.to_columnar().model_count() == compiled.model_count() > 2**64
 
 
 def test_columnar_float_fast_path_matches_exact(compiled_cases):
@@ -219,8 +221,9 @@ def test_fallback_backend_matches_numpy(compiled_cases, monkeypatch):
 
 
 def test_method_names_cover_columnar_routes():
-    for name in ("columnar", "columnar_float", "automaton_columnar"):
-        assert name in METHOD_NAMES
+    assert ROUTES["columnar"].exact and ROUTES["columnar"].auto is not None
+    assert not ROUTES["columnar_float"].exact
+    assert "automaton_columnar" not in ROUTES
 
 
 def test_probability_columnar_routes_agree(cases):
@@ -229,7 +232,6 @@ def test_probability_columnar_routes_agree(cases):
         assert probability(case.query, case.tid, method="columnar") == exact
         fast = probability(case.query, case.tid, method="columnar_float")
         assert abs(fast - float(exact)) < 1e-9
-        assert probability(case.query, case.tid, method="automaton_columnar") == exact
 
 
 def test_engine_columnar_cache_hits(cases):
@@ -242,15 +244,6 @@ def test_engine_columnar_cache_hits(cases):
     assert engine.stats["columnar"].misses == 1
     value = engine.probability(case.query, case.tid, method="columnar")
     assert value == engine.probability(case.query, case.tid, method="obdd")
-
-
-def test_columnar_automaton_product_exact_and_float(cases):
-    for case in cases[:4]:
-        exact = probability(case.query, case.tid, method="automaton")
-        columnar = ucq_probability_via_columnar_automaton(case.query, case.tid)
-        assert columnar == exact
-        fast = ucq_probability_via_columnar_automaton(case.query, case.tid, exact=False)
-        assert abs(fast - float(exact)) < 1e-9
 
 
 def test_columnar_vectorized_sweep_on_larger_instance():

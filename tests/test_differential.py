@@ -75,6 +75,10 @@ def test_oracle_requires_an_exact_anchor():
 
     with pytest.raises(ReproError):
         ProbabilityOracle(exact_methods=())
+    # Names are checked against the route table: no unknown or float routes.
+    for methods in (("brute_force", "automaton_columnar"), ("obdd_float",)):
+        with pytest.raises(ReproError):
+            ProbabilityOracle(exact_methods=methods)
 
 
 def test_oracle_detects_a_corrupted_backend(oracle):
@@ -134,8 +138,7 @@ def test_differential_heavy_grid_family(oracle):
 
 @pytest.mark.slow
 def test_differential_with_automaton_route():
-    """The tree-automaton dynamic program joins the cross-check (slow) —
-    in both its object-kernel and columnar (dense-id) forms."""
+    """The tree-automaton dynamic program joins the cross-check (slow)."""
     oracle = ProbabilityOracle(
         exact_methods=(
             "brute_force",
@@ -144,10 +147,8 @@ def test_differential_with_automaton_route():
             "dnnf",
             "auto",
             "automaton",
-            "automaton_columnar",
         )
     )
     cases = random_workload(40, seed=505, max_facts=6)
     reports = oracle.check_many(cases)
     assert all("automaton" in report.exact_values for report in reports)
-    assert all("automaton_columnar" in report.exact_values for report in reports)

@@ -55,6 +55,27 @@ def test_instance_from_dict_rejects_malformed_input():
         instance_from_dict({"signature": {"R": 1}, "facts": [{"relation": "R"}]})
 
 
+def test_tid_from_dict_rejects_malformed_probabilities():
+    data = tid_to_dict(ProbabilisticInstance.uniform(rst_chain_instance(2), Fraction(1, 3)))
+    data["probabilities"][0]["probability"] = "abc"
+    with pytest.raises(InstanceError):
+        tid_from_dict(data)
+    data["probabilities"] = {"R": 1}
+    with pytest.raises(InstanceError):
+        tid_from_dict(data)
+
+
+def test_cli_reports_malformed_probabilities_as_errors(tmp_path, capsys):
+    from repro.cli import main
+
+    data = tid_to_dict(ProbabilisticInstance.uniform(rst_chain_instance(2), Fraction(1, 3)))
+    data["probabilities"][0]["probability"] = "abc"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["probability", str(path), "--query", "R(x), S(x, y), T(y)"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_tid_dict_round_trip_preserves_fractions():
     instance = rst_chain_instance(2)
     tid = ProbabilisticInstance.uniform(instance, Fraction(1, 3))

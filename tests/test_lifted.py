@@ -224,7 +224,7 @@ def test_auto_routes_unsafe_query_to_circuit():
     tid = _unsafe_tid()
     decision = engine.choose_route(unsafe_rst(), tid)
     assert not decision.liftable
-    assert decision.method in ("obdd", "columnar", "dnnf", "automaton")
+    assert decision.method in ("obdd", "columnar", "automaton")
     value = engine.probability(unsafe_rst(), tid, "auto")
     assert value == brute_force_probability(unsafe_rst(), tid)
     assert engine.route_mix() == {decision.method: 1}
@@ -235,7 +235,7 @@ def test_circuit_routes_gated_past_fact_limit():
     tid = _small_tid()
     decision = engine.choose_route(hierarchical_example(), tid)
     assert decision.method == "safe_plan"
-    assert set(decision.infeasible) == {"obdd", "columnar", "dnnf", "automaton"}
+    assert set(decision.infeasible) == {"obdd", "columnar", "automaton"}
     assert [route for route, _ in decision.estimates] == ["safe_plan"]
 
 
@@ -323,7 +323,7 @@ def test_lifted_scales_past_circuit_limit():
     engine = CompilationEngine(circuit_fact_limit=100)
     decision = engine.choose_route(hierarchical_example(), tid)
     assert decision.method == "safe_plan"
-    assert set(decision.infeasible) == {"obdd", "columnar", "dnnf", "automaton"}
+    assert set(decision.infeasible) == {"obdd", "columnar", "automaton"}
     p = Fraction(1, 2)
     expected = 1 - (1 - p * (1 - (1 - p) ** m)) ** k
     assert engine.probability(hierarchical_example(), tid, "auto") == expected

@@ -55,6 +55,29 @@ def test_publish_attach_round_trip(columnar_artifact):
         del attached
 
 
+def test_segments_send_no_traffic_to_the_resource_tracker(columnar_artifact, monkeypatch):
+    # Forked workers share one tracker whose cache is a set: two attaches of
+    # one segment followed by two unregisters make the second one raise
+    # KeyError inside the tracker.  Repro segments must not touch it at all.
+    from multiprocessing import resource_tracker
+
+    calls = []
+    for kind in ("register", "unregister"):
+        monkeypatch.setattr(
+            resource_tracker,
+            kind,
+            lambda name, rtype, kind=kind: calls.append((kind, name, rtype)),
+        )
+    columnar, tid = columnar_artifact
+    with SegmentPlane() as plane:
+        handle = plane.publish(columnar)
+        attached = attach_segment(handle)
+        assert attached.probability(tid.valuation()) == columnar.probability(tid.valuation())
+        del attached
+    assert live_segments(plane.prefix) == []
+    assert [call for call in calls if plane.prefix in call[1]] == []
+
+
 def test_terminal_only_artifact_needs_no_segment():
     from repro.booleans import TRUE_NODE
     from repro.booleans.columnar import ColumnarOBDD
@@ -218,7 +241,7 @@ def test_inline_regime_never_creates_segments(workload, monkeypatch):
     def forbidden(*args, **kwargs):  # pragma: no cover - only on regression
         raise AssertionError("workers=1 must never touch shared memory")
 
-    monkeypatch.setattr(shm_module.shared_memory, "SharedMemory", forbidden)
+    monkeypatch.setattr(shm_module, "_Segment", forbidden)
     engine = ParallelEngine(workers=1)
     artifacts = engine.compile_many(queries, tids[0].instance)
     assert all(type(artifact).__name__ == "CompiledOBDD" for artifact in artifacts)
