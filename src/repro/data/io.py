@@ -42,6 +42,9 @@ def instance_from_dict(data: Mapping[str, Any]) -> Instance:
         facts = [Fact(entry["relation"], tuple(entry["arguments"])) for entry in data["facts"]]
     except (KeyError, TypeError, AttributeError) as error:
         raise InstanceError(f"malformed instance description: {error}") from error
+    for f in facts:
+        if any(isinstance(argument, (list, dict)) for argument in f.arguments):
+            raise InstanceError(f"fact arguments must be scalars, not arrays or objects: {f}")
     return Instance(facts, signature)
 
 

@@ -480,9 +480,10 @@ class CompilationEngine:
                 lineage = self.lineage(query, instance)
                 order = self.fact_order(instance, "path" if use_path else "default")
                 slot.compiled[key] = compile_lineage_to_obdd(lineage, order)
-                self._store_save_columnar(
-                    query, instance, use_path, slot.compiled[key].to_columnar()
-                )
+                if self.store is not None:
+                    self._store_save_columnar(
+                        query, instance, use_path, slot.compiled[key].to_columnar()
+                    )
             while len(slot.compiled) > self._max_queries_per_instance:
                 slot.compiled.popitem(last=False)
         return slot.compiled[key]

@@ -1,10 +1,11 @@
-"""Seed tree-encoding and automaton-provenance constructions, kept as oracles.
+"""Seed provenance constructions and fact placements, kept as oracles.
 
-PR 5 rebuilt the provenance front-end as fused kernels: the single-sweep
-tree-encoding builder of :mod:`repro.provenance.tree_encoding` and the
+The provenance front-end runs as fused kernels: the single-sweep
+tree-encoding builder of :mod:`repro.provenance.tree_encoding`, the
 dense-state automaton-provenance kernel of
-:mod:`repro.provenance.automaton_provenance`.  This module preserves the
-*seed* constructions in their original form:
+:mod:`repro.provenance.automaton_provenance`, and the first-bag-index fact
+placements of :mod:`repro.provenance.variable_orders`.  This module
+preserves the *seed* constructions in their original form:
 
 * ``tree_encoding_seed`` — binarize, then a recursive node-by-node build with
   a full scan over all bags per fact to find its topmost covering bag, and a
@@ -13,7 +14,10 @@ dense-state automaton-provenance kernel of
 * ``reachable_states_seed`` / ``provenance_seed`` — child states sorted by
   ``repr`` at every node, the full child-state product enumerated twice
   (once for reachability, once for the gates), every per-child gate table
-  retained until the end, and no co-reachability pruning.
+  retained until the end, and no co-reachability pruning;
+* ``fact_order_from_path_decomposition_seed`` /
+  ``fact_order_from_tree_decomposition_seed`` — every bag scanned for every
+  fact to find its first covering bag.
 
 They exist for two purposes:
 
@@ -21,7 +25,8 @@ They exist for two purposes:
   pipeline's d-DNNF / circuit / OBDD provenance is extensionally equal to
   these seed constructions (``tests/test_structure_kernels.py``);
 * **benchmarking**: ``benchmarks/bench_structure.py`` measures the fused
-  front-end against this seed path and gates CI on a >= 3x speedup.
+  front-end and the path-order pipeline against these seed paths and gates
+  CI on their speedups.
 
 Do not use these from production code paths.
 """
@@ -34,13 +39,16 @@ from repro.booleans.circuit import BooleanCircuit
 from repro.booleans.dnnf import DNNF
 from repro.data.gaifman import gaifman_graph
 from repro.data.instance import Fact, Instance
-from repro.errors import DecompositionError
+from repro.errors import CompilationError, DecompositionError
 from repro.provenance.automata import State, TreeAutomaton
 from repro.provenance.tree_encoding import EncodingNode, TreeEncoding
 from repro.structure.nice import binarize
+from repro.structure.path_decomposition import PathDecomposition
 from repro.structure.tree_decomposition import TreeDecomposition
 
 __all__ = [
+    "fact_order_from_path_decomposition_seed",
+    "fact_order_from_tree_decomposition_seed",
     "provenance_seed",
     "reachable_states_seed",
     "tree_encoding_seed",
@@ -194,6 +202,36 @@ def provenance_seed(automaton: TreeAutomaton, encoding: TreeEncoding):
         reachable_state_counts=counts,
         peak_live_gates=total_gates,
     )
+
+
+def fact_order_from_tree_decomposition_seed(
+    instance: Instance, decomposition: TreeDecomposition
+) -> list[Fact]:
+    """The seed tree placement: every bag scanned for every fact."""
+    order = decomposition.topological_order()
+    position = {node: index for index, node in enumerate(order)}
+    placement: dict[Fact, int] = {}
+    for f in instance:
+        elements = set(f.elements())
+        covering = [node for node in order if elements <= decomposition.bags[node]]
+        if not covering:
+            raise CompilationError(f"no bag covers the fact {f}")
+        placement[f] = min(position[node] for node in covering)
+    return sorted(instance.facts, key=lambda f: (placement[f], _fact_key(f)))
+
+
+def fact_order_from_path_decomposition_seed(
+    instance: Instance, decomposition: PathDecomposition
+) -> list[Fact]:
+    """The seed path placement: every bag scanned for every fact."""
+    placement: dict[Fact, int] = {}
+    for f in instance:
+        elements = set(f.elements())
+        covering = [index for index, bag in enumerate(decomposition.bags) if elements <= bag]
+        if not covering:
+            raise CompilationError(f"no bag covers the fact {f}")
+        placement[f] = min(covering)
+    return sorted(instance.facts, key=lambda f: (placement[f], _fact_key(f)))
 
 
 def _product(sequences: Sequence[Sequence[State]]):

@@ -27,16 +27,8 @@ def fact_order_from_tree_decomposition(
     """Facts ordered by the pre-order position of their topmost covering bag."""
     if decomposition is None:
         decomposition = tree_decomposition(gaifman_graph(instance))
-    order = decomposition.topological_order()
-    position = {node: index for index, node in enumerate(order)}
-    placement: dict[Fact, int] = {}
-    for f in instance:
-        elements = set(f.elements())
-        covering = [node for node in order if elements <= decomposition.bags[node]]
-        if not covering:
-            raise CompilationError(f"no bag covers the fact {f}")
-        placement[f] = min(position[node] for node in covering)
-    return sorted(instance.facts, key=lambda f: (placement[f], _fact_key(f)))
+    bags = [decomposition.bags[node] for node in decomposition.topological_order()]
+    return _order_by_first_covering_bag(instance, bags)
 
 
 def fact_order_from_path_decomposition(
@@ -45,13 +37,34 @@ def fact_order_from_path_decomposition(
     """Facts ordered by the first path bag that covers them (left to right)."""
     if decomposition is None:
         decomposition = path_decomposition(gaifman_graph(instance))
+    return _order_by_first_covering_bag(instance, decomposition.bags)
+
+
+def _order_by_first_covering_bag(instance: Instance, bags: Sequence[frozenset]) -> list[Fact]:
+    """Facts sorted by the index of the first bag covering them, then by fact key.
+
+    No bag before the latest first occurrence among a fact's elements can
+    cover it, so the scan starts there.  When ``bags`` is a valid path
+    decomposition, or a valid tree decomposition in pre-order, of the
+    instance's Gaifman graph, the fact's elements are pairwise adjacent, so
+    their occurrence intervals (subtrees) pairwise meet and, by the Helly
+    property, all contain that starting bag: the first probe covers the
+    fact, and placement costs O(arity) per fact instead of a scan of every
+    bag.  Any other input falls through to the scan, which is exact.
+    """
+    first: dict[Any, int] = {}
+    for position, bag in enumerate(bags):
+        for element in bag:
+            first.setdefault(element, position)
     placement: dict[Fact, int] = {}
     for f in instance:
-        elements = set(f.elements())
-        covering = [index for index, bag in enumerate(decomposition.bags) if elements <= bag]
-        if not covering:
+        start = max((first.get(a, len(bags)) for a in f.arguments), default=0)
+        covering = next(
+            (i for i in range(start, len(bags)) if bags[i].issuperset(f.arguments)), None
+        )
+        if covering is None:
             raise CompilationError(f"no bag covers the fact {f}")
-        placement[f] = min(covering)
+        placement[f] = covering
     return sorted(instance.facts, key=lambda f: (placement[f], _fact_key(f)))
 
 

@@ -13,6 +13,7 @@ used only as a fallback).
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Sequence
 
 from repro.errors import DecompositionError
@@ -50,17 +51,39 @@ class PathDecomposition:
         return list(seen)
 
     def validate(self, graph: Graph) -> None:
-        covered = set()
-        for bag in self._bags:
-            covered |= bag
-        if set(graph.vertices) - covered:
+        """Raise :class:`DecompositionError` unless this is a valid path
+        decomposition of ``graph``.
+
+        One pass over the bags indexes each vertex's first and last bag and
+        notes the vertices that skip a bag between two occurrences: an edge
+        between two contiguous vertices is covered exactly when their
+        intervals overlap.  An edge touching a split vertex (an invalid
+        decomposition either way) is checked by scanning the bags, so the
+        error raised is the one a plain bag scan raises, checking cover,
+        then edges, then contiguity (kept as :func:`repro.structure.
+        reference.validate_path_decomposition_seed`).
+        """
+        first: dict[Vertex, int] = {}
+        last: dict[Vertex, int] = {}
+        split: set[Vertex] = set()
+        for i, bag in enumerate(self._bags):
+            for vertex in bag:
+                if vertex not in first:
+                    first[vertex] = i
+                elif last[vertex] != i - 1:
+                    split.add(vertex)
+                last[vertex] = i
+        if any(vertex not in first for vertex in graph.vertices):
             raise DecompositionError("path decomposition does not cover all vertices")
         for u, v in graph.edges():
-            if not any(u in bag and v in bag for bag in self._bags):
+            if u in split or v in split:
+                covered = any(u in bag and v in bag for bag in self._bags)
+            else:
+                covered = max(first[u], first[v]) <= min(last[u], last[v])
+            if not covered:
                 raise DecompositionError(f"edge ({u!r}, {v!r}) not covered")
         for vertex in graph.vertices:
-            indices = [i for i, bag in enumerate(self._bags) if vertex in bag]
-            if indices and indices != list(range(indices[0], indices[-1] + 1)):
+            if vertex in split:
                 raise DecompositionError(f"occurrences of {vertex!r} are not contiguous")
 
     def to_tree_decomposition(self) -> TreeDecomposition:
@@ -107,26 +130,54 @@ def greedy_path_order(graph: Graph) -> list[Vertex]:
     """A greedy linear order minimizing the number of active vertices.
 
     At each step, pick the vertex that minimizes the resulting active-set
-    size, breaking ties by number of not-yet-placed neighbors.
-    """
-    remaining = set(graph.vertices)
-    placed: list[Vertex] = []
-    active: set[Vertex] = set()
-    while remaining:
-        def cost(v: Vertex) -> tuple[int, int, tuple]:
-            new_active = (active | {v})
-            new_active = {
-                u
-                for u in new_active
-                if any(w in remaining and w != v for w in graph.neighbors(u))
-            }
-            return (len(new_active), len(graph.neighbors(v) & remaining), _stable_key(v))
+    size, breaking ties by number of not-yet-placed neighbors, then by the
+    stable vertex key.
 
-        best = min(remaining, key=cost)
-        placed.append(best)
-        remaining.discard(best)
-        active.add(best)
-        active = {u for u in active if graph.neighbors(u) & remaining}
+    Placing ``v`` keeps every active vertex except those whose only
+    remaining neighbor is ``v`` (``c1[v]`` of them), and adds ``v`` itself
+    when it has remaining neighbors, so the resulting active-set size is
+    ``|active| - c1[v] + [rdeg[v] > 0]``.  ``|active|`` is shared by every
+    candidate, so a lazy heap keyed ``([rdeg > 0] - c1, rdeg, index)`` over
+    stable-key-indexed vertices pops exactly the vertex a full rescan would
+    pick.  Placing ``v`` changes the keys of its remaining neighbors
+    (``rdeg`` drops) and of the single remaining neighbor of every active
+    vertex whose ``rdeg`` drops to one (``c1`` grows); only those are
+    re-pushed.  The seed full rescan is kept as
+    :func:`repro.structure.reference.greedy_path_order_seed`.
+    """
+    vertices = sorted(graph.vertices, key=_stable_key)
+    index = {v: i for i, v in enumerate(vertices)}
+    adjacency = [[index[u] for u in graph.neighbors(v)] for v in vertices]
+    n = len(vertices)
+    remaining = [True] * n
+    rdeg = [len(neighbors) for neighbors in adjacency]
+    c1 = [0] * n
+    heap = [(int(rdeg[i] > 0), rdeg[i], i) for i in range(n)]
+    heapq.heapify(heap)
+
+    def credit_last_neighbor(u: int) -> None:
+        """``u`` is active with one remaining neighbor: that neighbor's
+        placement would now retire ``u``."""
+        w = next(x for x in adjacency[u] if remaining[x])
+        c1[w] += 1
+        heapq.heappush(heap, ((rdeg[w] > 0) - c1[w], rdeg[w], w))
+
+    placed: list[Vertex] = []
+    for _ in range(n):
+        while True:
+            key, degree, v = heapq.heappop(heap)
+            if remaining[v] and key == (degree > 0) - c1[v] and degree == rdeg[v]:
+                break
+        remaining[v] = False
+        placed.append(vertices[v])
+        for u in adjacency[v]:
+            rdeg[u] -= 1
+            if remaining[u]:
+                heapq.heappush(heap, ((rdeg[u] > 0) - c1[u], rdeg[u], u))
+            elif rdeg[u] == 1:
+                credit_last_neighbor(u)
+        if rdeg[v] == 1:
+            credit_last_neighbor(v)
     return placed
 
 

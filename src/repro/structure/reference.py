@@ -1,19 +1,24 @@
-"""Seed elimination heuristics, kept as differential oracles.
+"""Seed structural heuristics, kept as differential oracles.
 
-PR 5 rebuilt the structural front-end as indexed, heap-driven kernels (the
+The structural front-end runs as indexed, heap-driven kernels: the
 lazily-updated degree / fill-count orderings and the fused elimination sweep
-of :mod:`repro.structure.elimination`).  This module preserves the *seed*
-algorithms — the per-step linear scan of min-degree, the per-step full
-``fill_in`` rescan of min-fill, and the decomposition builder that re-runs
-the elimination and re-validates the result — in their original form, for
-two purposes:
+of :mod:`repro.structure.elimination`, and the lazy-heap greedy path order
+and interval-indexed validation of :mod:`repro.structure.path_decomposition`.
+This module preserves the *seed* algorithms — the per-step linear scan of
+min-degree, the per-step full ``fill_in`` rescan of min-fill, the
+decomposition builder that re-runs the elimination and re-validates the
+result, the greedy path order that re-scores every remaining vertex at every
+step, and the path-decomposition check that scans every bag per edge and per
+vertex — in their original form, for two purposes:
 
 * **differential testing**: the property suite checks that the indexed
   kernels pick exactly the same vertices (identical tie-breaking), hence
-  certify exactly the same widths, as these references on randomized graph
-  families (``tests/test_structure_kernels.py``);
+  certify exactly the same widths, and that the interval check rejects
+  exactly what the bag scans reject, on randomized graph families
+  (``tests/test_structure_kernels.py``);
 * **benchmarking**: ``benchmarks/bench_structure.py`` measures the fused
-  front-end against this seed path and gates CI on a >= 3x speedup.
+  front-end and the path-order pipeline against these seed paths and gates
+  CI on their speedups.
 
 Everything here intentionally inherits the seed's complexity: min-fill
 recomputes every fill count from scratch on every elimination step, and
@@ -27,14 +32,18 @@ from typing import Sequence
 
 from repro.errors import DecompositionError
 from repro.structure.graph import Graph, Vertex
+from repro.structure.path_decomposition import PathDecomposition
 from repro.structure.tree_decomposition import BagId, TreeDecomposition
 
 __all__ = [
     "best_heuristic_ordering_seed",
     "decomposition_from_ordering_seed",
+    "greedy_path_order_seed",
     "min_degree_ordering_seed",
     "min_fill_ordering_seed",
     "ordering_width_seed",
+    "path_decomposition_seed",
+    "validate_path_decomposition_seed",
 ]
 
 
@@ -137,6 +146,68 @@ def decomposition_from_ordering_seed(
     bags = {ids[v]: bag_of[v] for v in vertices}
     decomposition = TreeDecomposition(bags=bags, children=children, root=root)
     decomposition.validate(graph)
+    return decomposition
+
+
+def greedy_path_order_seed(graph: Graph) -> list[Vertex]:
+    """The seed greedy path order: every remaining vertex re-scored per step."""
+    remaining = set(graph.vertices)
+    placed: list[Vertex] = []
+    active: set[Vertex] = set()
+    while remaining:
+        def cost(v: Vertex) -> tuple[int, int, tuple]:
+            new_active = (active | {v})
+            new_active = {
+                u
+                for u in new_active
+                if any(w in remaining and w != v for w in graph.neighbors(u))
+            }
+            return (len(new_active), len(graph.neighbors(v) & remaining), _stable_key(v))
+
+        best = min(remaining, key=cost)
+        placed.append(best)
+        remaining.discard(best)
+        active.add(best)
+        active = {u for u in active if graph.neighbors(u) & remaining}
+    return placed
+
+
+def validate_path_decomposition_seed(decomposition: PathDecomposition, graph: Graph) -> None:
+    """The seed path-decomposition check: a scan of every bag per edge and
+    per vertex (O(E·bags))."""
+    bags = decomposition.bags
+    covered = set()
+    for bag in bags:
+        covered |= bag
+    if set(graph.vertices) - covered:
+        raise DecompositionError("path decomposition does not cover all vertices")
+    for u, v in graph.edges():
+        if not any(u in bag and v in bag for bag in bags):
+            raise DecompositionError(f"edge ({u!r}, {v!r}) not covered")
+    for vertex in graph.vertices:
+        indices = [i for i, bag in enumerate(bags) if vertex in bag]
+        if indices and indices != list(range(indices[0], indices[-1] + 1)):
+            raise DecompositionError(f"occurrences of {vertex!r} are not contiguous")
+
+
+def path_decomposition_seed(graph: Graph) -> PathDecomposition:
+    """The seed heuristic path decomposition: the full-rescan greedy order,
+    the bags it induces, and the bag-scan validation."""
+    if len(graph) == 0:
+        return PathDecomposition([frozenset()])
+    order = greedy_path_order_seed(graph)
+    position = {v: i for i, v in enumerate(order)}
+    last_needed = {
+        v: max([position[v]] + [position[u] for u in graph.neighbors(v)]) for v in order
+    }
+    bags: list[frozenset] = []
+    active: set[Vertex] = set()
+    for i, v in enumerate(order):
+        active.add(v)
+        bags.append(frozenset(active))
+        active = {u for u in active if last_needed[u] > i}
+    decomposition = PathDecomposition(bags)
+    validate_path_decomposition_seed(decomposition, graph)
     return decomposition
 
 

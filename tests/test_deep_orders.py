@@ -7,6 +7,10 @@ bounded only by memory, stay exact, and agree with the closed form: for the
 two-consecutive-edges query on a directed path, the satisfying worlds are the
 complement of the binary strings with no two adjacent ones, counted by a
 Fibonacci number.
+
+The line is compiled by a plain ``CompilationEngine().compile``, so the
+default fact order (greedy path decomposition, its validation, and the fact
+placement) runs at this depth too and must stay near-linear in the length.
 """
 
 import sys
@@ -16,9 +20,8 @@ import pytest
 
 from repro.booleans.reference import build_from_clauses_fold
 from repro.data.tid import ProbabilisticInstance
+from repro.engine import CompilationEngine
 from repro.generators.lines import directed_path_instance
-from repro.provenance.compile_obdd import compile_lineage_to_obdd
-from repro.provenance.lineage import lineage_of
 from repro.queries.parser import parse_ucq
 
 LENGTH = 2000
@@ -36,9 +39,9 @@ def fibonacci(index: int) -> int:
 def deep_line():
     instance = directed_path_instance(LENGTH)
     query = parse_ucq("E(x,y), E(y,z)")
-    lineage = lineage_of(query, instance)
-    order = sorted(instance.facts, key=lambda f: int(f.arguments[0][1:]))
-    compiled = compile_lineage_to_obdd(lineage, order)
+    engine = CompilationEngine()
+    compiled = engine.compile(query, instance)
+    lineage = engine.lineage(query, instance)
     tid = ProbabilisticInstance.uniform(instance, Fraction(1, 2))
     return instance, lineage, compiled, tid
 

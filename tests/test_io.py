@@ -53,6 +53,11 @@ def test_instance_from_dict_rejects_malformed_input():
         instance_from_dict({"facts": []})
     with pytest.raises(InstanceError):
         instance_from_dict({"signature": {"R": 1}, "facts": [{"relation": "R"}]})
+    for argument in (["x"], {"x": 1}):
+        with pytest.raises(InstanceError, match="scalars"):
+            instance_from_dict(
+                {"signature": {"R": 1}, "facts": [{"relation": "R", "arguments": [argument]}]}
+            )
 
 
 def test_tid_from_dict_rejects_malformed_probabilities():
@@ -73,6 +78,17 @@ def test_cli_reports_malformed_probabilities_as_errors(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["probability", str(path), "--query", "R(x), S(x, y), T(y)"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_non_scalar_fact_arguments_as_errors(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "nested.json"
+    path.write_text(
+        json.dumps({"signature": {"R": 1}, "facts": [{"relation": "R", "arguments": [["x"]]}]})
+    )
+    assert main(["probability", str(path), "--query", "R(x)"]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -27,6 +27,7 @@ from repro.engine import CompilationEngine, ParallelEngine
 from repro.errors import StoreError
 from repro.generators import labelled_partial_ktree_instance
 from repro.generators.lines import rst_chain_instance
+from repro.provenance.compile_obdd import CompiledOBDD
 from repro.queries import parse_ucq, unsafe_rst
 from repro.store import (
     CODEC_COLUMNAR,
@@ -374,6 +375,24 @@ class TestEngineWiring:
         assert loaded.instance is instance
         assert loaded.root == encoding.root
         assert loaded.nodes == encoding.nodes
+
+    def test_only_store_backed_compiles_flatten(self, tmp_path, ktree_tid, monkeypatch):
+        flattened = []
+        original = CompiledOBDD.to_columnar
+
+        def counting_to_columnar(self):
+            flattened.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CompiledOBDD, "to_columnar", counting_to_columnar)
+        instance = ktree_tid.instance
+        CompilationEngine().compile(unsafe_rst(), instance)
+        assert flattened == []  # nothing to write behind, nothing to flatten
+
+        CompilationEngine(store=tmp_path / "store").compile(unsafe_rst(), instance)
+        assert len(flattened) == 1
+        CompilationEngine().columnar(unsafe_rst(), instance)
+        assert len(flattened) == 2
 
     def test_engine_accepts_store_instance_and_path(self, tmp_path, ktree_tid):
         root = tmp_path / "store"
