@@ -158,8 +158,8 @@ def report(baseline_time, trajectory, speedups, item_count):
 def test_parallel_speedup(benchmark):
     baseline_time, trajectory, speedups, gate_enforced, skip_reason, item_count = run_benchmark()
     pairs = build_workload()[:6]
-    parallel = ParallelEngine(workers=2)
-    benchmark(parallel.map_probability, pairs)
+    with ParallelEngine(workers=2) as parallel:
+        benchmark(parallel.map_probability, pairs)
     report(baseline_time, trajectory, speedups, item_count)
     if gate_enforced:
         assert speedups[4] >= MINIMUM_SPEEDUP, (

@@ -1,26 +1,28 @@
 """PICKLE001 — only picklable callables cross the process pool boundary.
 
-Bug class: everything submitted to ``ParallelEngine``'s persistent
-``multiprocessing`` pool (PR 3) is pickled under the ``spawn`` start method —
-lambdas, functions nested inside other functions, and classes defined in a
-local scope raise ``PicklingError`` only at runtime, only on platforms
-without ``fork``, which is exactly how the bug escapes CI.  The shard runners
+Bug class: everything submitted to ``ParallelEngine``'s persistent process
+pool is pickled — ``ProcessPoolExecutor.submit`` pickles the callable and
+every argument whatever the start method, and a ``Process`` target is
+pickled under ``spawn`` — so lambdas, functions nested inside other
+functions, and classes defined in a local scope raise ``PicklingError`` only
+at runtime, on the first submission that carries them.  The shard runners
 are module-level functions for this reason; this rule keeps it that way.
 
 The rule inspects every pool submission site:
 
 * attribute calls named like pool submissions (``map``, ``imap``,
   ``apply_async``, ``submit``, ...) — the callable is the first positional
-  argument or the ``func=`` keyword;
+  argument or the ``func=`` keyword, and every later positional argument is
+  pickled too (``submit(fn, *args)`` ships a shard runner as an argument);
 * any call carrying a ``target=`` or ``initializer=`` keyword
   (``multiprocessing.Process``, ``Pool``);
 * the accompanying ``args=`` / ``initargs=`` / ``iterable`` arguments, whose
   *elements* are scanned for lambdas.
 
-A callable argument is flagged when it is a lambda, resolves to a function or
-class defined inside another function, or is ``self.method`` of a class that
-is itself not module-level.  Names the analyzer cannot resolve (parameters,
-attributes of unknown objects) are not flagged.
+A callable or positional argument is flagged when it is a lambda, resolves to
+a function or class defined inside another function, or is ``self.method``
+of a class that is itself not module-level.  Names the analyzer cannot
+resolve (parameters, attributes of unknown objects) are not flagged.
 
 Options (``[tool.repro-analysis.rules.PICKLE001]``):
 
@@ -92,9 +94,10 @@ class ForkSafetyRule:
     ) -> Iterator[Finding]:
         candidates: list[tuple[ast.expr, str]] = []
         is_submission = isinstance(call.func, ast.Attribute) and call.func.attr in submit_methods
-        if is_submission:
-            if call.args:
-                candidates.append((call.args[0], "submitted callable"))
+        if is_submission and call.args:
+            candidates.append((call.args[0], "submitted callable"))
+            # submit(fn, *args) pickles every argument, callables included.
+            candidates.extend((argument, "submitted argument") for argument in call.args[1:])
         for keyword in call.keywords:
             if keyword.arg in CALLABLE_KEYWORDS:
                 candidates.append((keyword.value, f"{keyword.arg}= callable"))
@@ -123,7 +126,10 @@ class ForkSafetyRule:
                 )
         if isinstance(call.func, ast.Attribute) and call.func.attr in submit_methods:
             for argument in call.args[1:]:
-                yield from self._scan_payload(context, module, function, argument, site)
+                if not isinstance(argument, ast.Lambda):  # flagged above
+                    yield from self._scan_payload(
+                        context, module, function, argument, site
+                    )
 
     def _scan_payload(
         self,

@@ -137,7 +137,12 @@ def instance_from_csv(text: str) -> tuple[Instance, dict[Fact, Fraction]]:
         f = Fact(row[0], arguments)
         facts.append(f)
         if has_probability and row[-1]:
-            probabilities[f] = as_probability(Fraction(row[-1]))
+            try:
+                probabilities[f] = as_probability(Fraction(row[-1]))
+            except (ValueError, ZeroDivisionError) as error:
+                raise InstanceError(
+                    f"malformed probability {row[-1]!r} in CSV row {reader.line_num}: {error}"
+                ) from error
     return Instance(facts), probabilities
 
 

@@ -61,9 +61,10 @@ Parallelism
 :class:`repro.engine.parallel.ParallelEngine` scales the same batched entry
 points past one core: ``(query, instance)`` workloads are partitioned into
 shards (grouped by instance fingerprint for cache affinity, split when a
-single instance dominates), each shard runs in a ``multiprocessing`` worker
-owning a private :class:`CompilationEngine`, and the values plus per-worker
-``CacheStats`` are merged back into one :class:`ParallelReport`.  The CLI
+single instance dominates), each shard runs in a worker of a
+:class:`concurrent.futures.ProcessPoolExecutor` owning a private
+:class:`CompilationEngine`, and the values plus per-worker ``CacheStats``
+are merged back into one :class:`ParallelReport`.  The CLI
 ``batch --workers N`` flag and ``benchmarks/bench_parallel.py`` go through
 it.
 
@@ -85,8 +86,8 @@ checkpoints; ``method="auto"`` fails over along the :data:`ROUTES` order
 on blowouts, recording failures as cost-model penalties; an engine
 constructed with ``degradation="karp_luby"`` returns labelled
 :class:`~repro.engine.router.ProbabilityBounds` when every exact route
-fails.  :class:`ParallelEngine` detects crashed workers, respawns
-them, and retries only the affected shards.
+fails.  When a worker crashes, :class:`ParallelEngine` restarts its whole
+process pool and charges one bounded retry to every unfinished shard.
 """
 
 from repro.engine.parallel import (

@@ -6,38 +6,39 @@ but the *instance group*: all items touching one instance should land in the
 same worker, where they share that worker's cached Gaifman graph,
 decompositions, fact orders, and lineages.  :func:`shard_workload` partitions
 a workload accordingly (greedy least-loaded assignment of instance groups),
-and :class:`ParallelEngine` runs each shard in a ``multiprocessing`` worker
-that owns a private :class:`CompilationEngine`, then merges the values (in
-the original workload order) and the per-worker :class:`CacheStats` into a
-single :class:`ParallelReport`.
+and :class:`ParallelEngine` runs each shard in a worker process that owns a
+private :class:`CompilationEngine`, then merges the values (in the original
+workload order) and the per-worker :class:`CacheStats` into a single
+:class:`ParallelReport`.
 
 Two execution regimes:
 
 * ``workers == 1`` runs inline in the calling process on a local engine — no
   subprocess, no pickling, **no shared-memory segments**; semantics are
   identical, which keeps debugging and single-core environments honest;
-* ``workers > 1`` uses a lazily created, persistent pool (``fork`` start
-  method when the platform has it, ``spawn`` otherwise): the workers — and
-  their engines' caches — survive across calls, so repeated workloads
+* ``workers > 1`` uses a lazily created, persistent
+  :class:`concurrent.futures.ProcessPoolExecutor` (``fork`` start method
+  when the platform has it, the platform default otherwise): the workers —
+  and their engines' caches — survive across calls, so repeated workloads
   against hot instances keep their artifacts warm.  ``close()`` (or use as
-  a context manager) tears the pool down, **clears the inline engine's
+  a context manager) shuts the pool down, **clears the inline engine's
   caches deterministically**, and unlinks every shared-memory segment the
   run created (including orphans left by crashed workers, swept by the
   plane prefix).
 
-The pool is hand-rolled (:class:`_WorkerPool`), not ``multiprocessing.Pool``,
-because ``Pool.map`` simply never returns when a worker dies mid-task.  Each
-worker gets its own duplex pipe, the parent waits on the pipes *and* the
-process sentinels, and a dead worker is detected immediately: its
-shared-memory leftovers are swept (keeping segments already merged into
-completed outcomes), a replacement is spawned, and only the affected shard
-is re-submitted — bounded per-shard retries with exponential backoff, then
-a typed :class:`~repro.errors.WorkerCrashError`.  Worker-reported
-``MemoryError`` / :class:`~repro.errors.SegmentError` failures are retried
-the same way (a segment failure additionally triggers the caller's recovery
-hook, e.g. republishing the reweight artifact); any other worker error is
-re-raised in the parent.  Outcomes are keyed by shard index and merged
-exactly once, so a worker that answered and *then* died cannot double-count.
+A run submits one future per shard and collects them with
+:func:`concurrent.futures.wait`, so it never returns or raises while any of
+its shards is still running.  A worker that dies breaks the whole executor
+(``BrokenProcessPool``): the engine shuts the broken executor down (joining
+its workers), sweeps the shared-memory segments the dead workers left
+unclaimed, and charges one retry to every unfinished shard; the next
+submission starts a fresh executor, so a crash restarts every worker and
+rebuilds their warm caches.  Worker-reported ``MemoryError`` /
+:class:`~repro.errors.SegmentError` failures are retried per shard (a
+segment failure first triggers the caller's recovery hook, e.g.
+republishing the reweight artifact); any other worker error is re-raised in
+the parent.  Retries are bounded per shard, with exponential backoff, and
+exhaustion raises the typed :class:`~repro.errors.WorkerCrashError`.
 
 The data plane is columnar.  Compiled artifacts cross the process boundary
 as :class:`repro.booleans.columnar.ColumnarOBDD` columns inside
@@ -52,9 +53,9 @@ per-worker cost is exactly "an attach plus a sweep".
 
 Because the hot artifacts are acyclic int arrays rather than node-object
 graphs, workers run with the cyclic garbage collector frozen and disabled
-(``gc.freeze()`` + ``gc.disable()`` in the initializer, on by default):
-full GC passes rescanning millions of cached nodes were a measured ~2x drag
-on allocation-heavy shards.
+(``gc.freeze()`` + ``gc.disable()`` in the initializer): full GC passes
+rescanning millions of cached nodes were a measured ~2x drag on
+allocation-heavy shards.  The calling process's collector is never touched.
 
 Everything else crossing the process boundary is plain picklable data:
 instances and TID instances (content-fingerprinted, so worker-side caching
@@ -70,10 +71,9 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.booleans.columnar import ColumnarOBDD
 from repro.data.instance import Instance
@@ -93,13 +93,16 @@ from repro.engine.shm import (
 from repro.errors import CompilationError, SegmentError, WorkerCrashError
 from repro.provenance.compile_obdd import CompiledOBDD
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    from repro.testing.faults import WorkerFaults
+
 ProbabilityItem = tuple[Query, ProbabilisticInstance]
 CompileItem = tuple[Query, Instance]
 Shard = list[tuple[int, tuple]]
 ShardOutcome = tuple[list[tuple[int, Any]], dict[str, CacheStats], dict[str, int]]
-ShardRunner = Callable[[tuple[Shard, Any]], ShardOutcome]
-
-_TRANSPORTS = ("auto", "shm", "object")
+ShardRunner = Callable[[Shard, Any], ShardOutcome]
 
 
 def available_workers() -> int:
@@ -195,50 +198,55 @@ class ParallelReport:
 # The pool initializer builds one CompilationEngine per worker process; the
 # shard runners look it up through a module global.  Under the ``fork`` start
 # method the workload shards themselves are the only data pickled per task.
-# Workers also carry the plane prefix (for naming the segments they publish)
-# and a small LRU of attached shared artifacts for the reweight runner.
+# Workers also carry the plane prefix (for naming the segments they publish;
+# the inline regime has none and publishes nothing), the fault hooks of the
+# chaos tests, and a small LRU of attached shared artifacts for the reweight
+# runner.
 
 _WORKER_ENGINE: CompilationEngine | None = None
 _WORKER_PLANE_PREFIX: str | None = None
+_WORKER_FAULTS: WorkerFaults | None = None
 _WORKER_SEGMENT_SERIAL = itertools.count(1)
 _WORKER_ATTACHMENTS: dict[str, ColumnarOBDD] = {}
 _WORKER_ATTACHMENT_LIMIT = 8
 
 
-def _init_worker(
-    engine_options: dict[str, Any],
-    plane_prefix: str | None,
-    freeze_gc: bool,
-    fault_plan: Any = None,
-) -> None:
-    global _WORKER_ENGINE, _WORKER_PLANE_PREFIX
-    _WORKER_ENGINE = CompilationEngine(**engine_options)
-    if fault_plan is not None and _WORKER_ENGINE.store is not None:
-        # The chaos suite's disk faults reach worker-opened stores too; the
-        # store path travels as a plain string in engine_options, so the
-        # plan is attached after construction.
-        _WORKER_ENGINE.store.fault_plan = fault_plan
+def _init_worker(store: str | None, plane_prefix: str, fault_plan: Any) -> None:
+    global _WORKER_ENGINE, _WORKER_PLANE_PREFIX, _WORKER_FAULTS
+    _WORKER_ENGINE = CompilationEngine(store=store)
     _WORKER_PLANE_PREFIX = plane_prefix
     _WORKER_ATTACHMENTS.clear()
-    if freeze_gc:
-        # The hot artifacts are flat int columns (acyclic); full cyclic-GC
-        # passes over the interpreter state and the engine caches are pure
-        # overhead in a worker whose lifetime the pool already bounds.
-        gc.collect()
-        gc.freeze()
-        gc.disable()
+    if fault_plan is not None:
+        from repro.testing.faults import WorkerFaults
+
+        _WORKER_FAULTS = WorkerFaults(fault_plan)
+        if _WORKER_ENGINE.store is not None:
+            # The chaos suite's disk faults reach worker-opened stores too;
+            # the store path travels as a plain string, so the plan is
+            # attached after construction.
+            _WORKER_ENGINE.store.fault_plan = fault_plan
+    # The hot artifacts are flat int columns (acyclic); full cyclic-GC
+    # passes over the interpreter state and the engine caches are pure
+    # overhead in a worker whose lifetime the pool already bounds.
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+
+
+def _run_task(runner: ShardRunner, shard: Shard, extra: Any) -> ShardOutcome:
+    """Run one shard in a pool worker, between the fault hooks (tests only)."""
+    if _WORKER_FAULTS is not None:
+        _WORKER_FAULTS.on_task_start()
+    outcome = runner(shard, extra)
+    if _WORKER_FAULTS is not None:
+        _WORKER_FAULTS.before_result()
+    return outcome
 
 
 def _worker_engine() -> CompilationEngine:
     if _WORKER_ENGINE is None:  # pragma: no cover - initializer always ran
         raise CompilationError("parallel worker used before initialization")
     return _WORKER_ENGINE
-
-
-def _worker_segment_name() -> str:
-    if _WORKER_PLANE_PREFIX is None:  # pragma: no cover - initializer always ran
-        raise CompilationError("worker has no segment plane prefix")
-    return f"{_WORKER_PLANE_PREFIX}-w{os.getpid()}-{next(_WORKER_SEGMENT_SERIAL)}"
 
 
 def _worker_attachment(handle: SegmentHandle) -> ColumnarOBDD:
@@ -257,8 +265,9 @@ def _stats_snapshot(engine: CompilationEngine) -> dict[str, CacheStats]:
     return {name: stats.copy() for name, stats in engine.stats.items()}
 
 
-def _routes_snapshot(engine: CompilationEngine) -> dict[str, int]:
-    return engine.route_mix()
+def _outcome(engine: CompilationEngine, results: list[tuple[int, Any]]) -> ShardOutcome:
+    """A shard's indexed results plus the counters of the work it did."""
+    return results, _stats_snapshot(engine), engine.route_mix()
 
 
 def _reset_stats(engine: CompilationEngine) -> None:
@@ -274,35 +283,31 @@ def _reset_stats(engine: CompilationEngine) -> None:
     engine.route_counts.clear()
 
 
-def _run_probability_shard(payload: tuple[Shard, str]) -> ShardOutcome:
-    shard, method = payload
+def _run_probability_shard(shard: Shard, method: str) -> ShardOutcome:
     engine = _worker_engine()
     _reset_stats(engine)
     results = [(index, engine.probability(query, tid, method)) for index, (query, tid) in shard]
-    return results, _stats_snapshot(engine), _routes_snapshot(engine)
+    return _outcome(engine, results)
 
 
-def _run_compile_shard(payload: tuple[Shard, tuple[bool, str]]) -> ShardOutcome:
-    shard, (use_path_decomposition, transport) = payload
+def _run_compile_shard(shard: Shard, use_path_decomposition: bool) -> ShardOutcome:
+    """Compile to columns; a pool worker ships them as segment handles."""
     engine = _worker_engine()
     _reset_stats(engine)
     results: list[tuple[int, Any]] = []
     for index, (query, instance) in shard:
-        if transport == "shm":
-            columnar = engine.columnar(query, instance, use_path_decomposition)
-            results.append((index, publish_segment(columnar, _worker_segment_name())))
-        elif transport == "columnar":
-            # Inline stand-in for "shm": same columnar representation, but
-            # with no process boundary there is no segment to publish.
-            results.append((index, engine.columnar(query, instance, use_path_decomposition)))
+        columnar = engine.columnar(query, instance, use_path_decomposition)
+        if _WORKER_PLANE_PREFIX is None:  # inline: no process boundary to cross
+            results.append((index, columnar))
         else:
-            results.append((index, engine.compile(query, instance, use_path_decomposition)))
-    return results, _stats_snapshot(engine), _routes_snapshot(engine)
+            name = f"{_WORKER_PLANE_PREFIX}-w{os.getpid()}-{next(_WORKER_SEGMENT_SERIAL)}"
+            results.append((index, publish_segment(columnar, name)))
+    return _outcome(engine, results)
 
 
-def _run_reweight_shard(payload: tuple[Shard, tuple[SegmentHandle, bool]]) -> ShardOutcome:
+def _run_reweight_shard(shard: Shard, extra: tuple[SegmentHandle, bool]) -> ShardOutcome:
     """Sweep one shared artifact under this shard's probability assignments."""
-    shard, (handle, exact) = payload
+    handle, exact = extra
     engine = _worker_engine()
     _reset_stats(engine)
     artifact = _worker_attachment(handle)
@@ -311,63 +316,7 @@ def _run_reweight_shard(payload: tuple[Shard, tuple[SegmentHandle, bool]]) -> Sh
     values = artifact.probability_many(
         [probabilities for _, (probabilities,) in shard], exact=exact
     )
-    results = [(index, value) for (index, _), value in zip(shard, values)]
-    return results, _stats_snapshot(engine), _routes_snapshot(engine)
-
-
-# -- the crash-aware pool ------------------------------------------------------
-
-
-def _worker_loop(
-    connection: Connection,
-    engine_options: dict[str, Any],
-    plane_prefix: str | None,
-    freeze_gc: bool,
-    fault_plan: Any = None,
-) -> None:
-    """Entry point of one pool worker process.
-
-    Requests arrive as ``((epoch, shard_index), runner, payload)`` and are
-    answered with ``(task_key, ok, outcome_or_error)``; ``None`` shuts the
-    worker down.  Task failures are *reported*, never allowed to kill the
-    loop — the parent owns the retry / re-raise decision.  ``fault_plan``
-    (tests only) installs the deterministic injectors of
-    :mod:`repro.testing.faults` around each task.
-    """
-    faults = None
-    if fault_plan is not None:
-        from repro.testing.faults import WorkerFaults
-
-        faults = WorkerFaults(fault_plan)
-    _init_worker(engine_options, plane_prefix, freeze_gc, fault_plan)
-    while True:
-        try:
-            message = connection.recv()
-        except (EOFError, OSError):  # pragma: no cover - parent went away
-            break
-        if message is None:
-            break
-        task_key, runner, payload = message
-        try:
-            if faults is not None:
-                faults.on_task_start()
-            outcome = runner(payload)
-            if faults is not None:
-                faults.before_result()
-            reply = (task_key, True, outcome)
-        # repro-analysis: allow(EXCEPT001): the worker loop must survive any task failure and report it; the parent classifies the error and owns the retry/re-raise decision
-        except Exception as error:
-            reply = (task_key, False, error)
-        try:
-            connection.send(reply)
-        # repro-analysis: allow(EXCEPT001): an unpicklable outcome or error must still produce a reply, or the parent would wait on this task forever
-        except Exception:
-            if reply[1]:
-                fallback = f"unpicklable shard outcome ({type(reply[2]).__name__})"
-            else:
-                fallback = f"{type(reply[2]).__name__}: {reply[2]}"
-            connection.send((task_key, False, fallback))
-    connection.close()
+    return _outcome(engine, [(index, value) for (index, _), value in zip(shard, values)])
 
 
 def _segment_names(outcomes: Iterable[ShardOutcome]) -> set[str]:
@@ -380,199 +329,6 @@ def _segment_names(outcomes: Iterable[ShardOutcome]) -> set[str]:
     return names
 
 
-class _PoolWorker:
-    """One live worker process plus the parent's end of its pipe."""
-
-    __slots__ = ("process", "connection")
-
-    def __init__(self, process: Any, connection: Connection) -> None:
-        self.process = process
-        self.connection = connection
-
-
-class _WorkerPool:
-    """A crash-aware replacement for ``multiprocessing.Pool`` (see the
-    module docstring): per-worker pipes, sentinel-watched dispatch,
-    exactly-once merge by shard index, bounded shard retries, respawn."""
-
-    def __init__(
-        self,
-        context: Any,
-        worker_count: int,
-        worker_args: tuple,
-        max_shard_retries: int,
-        retry_backoff: float,
-        plane: SegmentPlane | None,
-    ) -> None:
-        self._context = context
-        self._worker_count = worker_count
-        self._worker_args = worker_args
-        self._max_shard_retries = max_shard_retries
-        self._retry_backoff = retry_backoff
-        self._plane = plane
-        self._workers: list[_PoolWorker] = []
-        self._epoch = 0
-
-    def _spawn(self) -> _PoolWorker:
-        parent_end, child_end = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_worker_loop,
-            args=(child_end, *self._worker_args),
-            daemon=True,
-        )
-        process.start()
-        child_end.close()
-        return _PoolWorker(process, parent_end)
-
-    def _ensure_workers(self) -> None:
-        self._workers = [w for w in self._workers if w.process.is_alive()]
-        while len(self._workers) < self._worker_count:
-            self._workers.append(self._spawn())
-
-    def run(
-        self,
-        shards: list[Shard],
-        runner: ShardRunner,
-        extra: Any,
-        recover: Callable[[], Any] | None = None,
-    ) -> dict[int, ShardOutcome]:
-        """Execute every shard, retrying around crashes; outcomes by index.
-
-        Task keys carry the run's epoch, so replies from a run that was
-        abandoned mid-flight (an error propagated to the caller while
-        workers were still busy) are recognized and discarded instead of
-        being merged into the wrong run.
-        """
-        self._ensure_workers()
-        self._epoch += 1
-        epoch = self._epoch
-        pending: deque[int] = deque(range(len(shards)))
-        retries = {index: 0 for index in range(len(shards))}
-        outcomes: dict[int, ShardOutcome] = {}
-        busy: dict[_PoolWorker, int] = {}
-        current_extra = extra
-
-        def requeue(shard_index: int, cause: BaseException | str) -> None:
-            retries[shard_index] += 1
-            attempt = retries[shard_index]
-            if attempt > self._max_shard_retries:
-                raise WorkerCrashError(
-                    f"shard {shard_index} failed {attempt} times"
-                    f" ({self._max_shard_retries} retries allowed);"
-                    f" last cause: {cause}"
-                ) from (cause if isinstance(cause, BaseException) else None)
-            if self._retry_backoff > 0.0:
-                time.sleep(min(self._retry_backoff * (1 << (attempt - 1)), 1.0))
-            pending.appendleft(shard_index)
-
-        def absorb(worker: _PoolWorker, message: tuple) -> None:
-            nonlocal current_extra
-            (message_epoch, shard_index), ok, payload = message
-            busy.pop(worker, None)
-            if message_epoch != epoch or shard_index in outcomes:
-                return  # stale or duplicate reply: merged exactly once
-            if ok:
-                outcomes[shard_index] = payload
-                return
-            if isinstance(payload, (MemoryError, SegmentError)):
-                # Retryable: transient allocation pressure, or a segment
-                # that a crashed publisher / racing sweep invalidated.
-                if isinstance(payload, SegmentError) and recover is not None:
-                    current_extra = recover()
-                requeue(shard_index, payload)
-                return
-            if isinstance(payload, BaseException):
-                raise payload
-            raise WorkerCrashError(f"worker failed with unpicklable error: {payload}")
-
-        def bury(worker: _PoolWorker) -> None:
-            # Salvage first: results the worker sent before dying still count.
-            try:
-                while worker.connection.poll():
-                    absorb(worker, worker.connection.recv())
-            except (EOFError, OSError):
-                pass
-            shard_index = busy.pop(worker, None)
-            self._workers.remove(worker)
-            worker.process.join()
-            pid = worker.process.pid
-            try:
-                worker.connection.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            if self._plane is not None and pid is not None:
-                # Reclaim the dead worker's segments — except those already
-                # merged into completed outcomes, which the parent will adopt.
-                self._plane.sweep_worker_orphans(pid, _segment_names(outcomes.values()))
-            self._workers.append(self._spawn())
-            if shard_index is not None and shard_index not in outcomes:
-                requeue(
-                    shard_index,
-                    f"worker pid {pid} died (exit code {worker.process.exitcode})",
-                )
-
-        while len(outcomes) < len(shards):
-            for worker in self._workers:
-                if worker not in busy and pending:
-                    shard_index = pending.popleft()
-                    try:
-                        worker.connection.send(
-                            (
-                                (epoch, shard_index),
-                                runner,
-                                (shards[shard_index], current_extra),
-                            )
-                        )
-                    except (BrokenPipeError, OSError):
-                        # The death surfaces through the sentinel below.
-                        pending.appendleft(shard_index)
-                        continue
-                    busy[worker] = shard_index
-            by_connection = {w.connection: w for w in self._workers}
-            by_sentinel = {w.process.sentinel: w for w in self._workers}
-            dead: list[_PoolWorker] = []
-            for item in connection_wait(list(by_connection) + list(by_sentinel)):
-                worker = by_connection.get(item)
-                if worker is not None:
-                    try:
-                        message = worker.connection.recv()
-                    except (EOFError, OSError):
-                        if worker not in dead:
-                            dead.append(worker)
-                        continue
-                    absorb(worker, message)
-                    continue
-                worker = by_sentinel.get(item)  # type: ignore[arg-type]
-                if worker is not None and worker not in dead:
-                    dead.append(worker)
-            for worker in dead:
-                bury(worker)
-        return outcomes
-
-    def close(self) -> None:
-        """Shut every worker down: polite request, then escalating force."""
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            try:
-                worker.connection.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for worker in workers:
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-        for worker in workers:
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(1.0)
-            if worker.process.is_alive():  # pragma: no cover - terminate sufficed
-                worker.process.kill()
-                worker.process.join(1.0)
-            try:
-                worker.connection.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-
 class ParallelEngine:
     """Shard ``(query, instance)`` workloads across engine-owning workers.
 
@@ -581,19 +337,6 @@ class ParallelEngine:
     workers:
         Worker process count; defaults to the host's available parallelism.
         ``workers=1`` executes inline (no subprocess, no segments).
-    engine_options:
-        Keyword arguments forwarded to each worker's
-        :class:`CompilationEngine` (cache bounds).
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` when the
-        platform offers it (cheap on Linux), else the platform default.
-    use_shared_memory:
-        Ship compiled artifacts through shared-memory segments (columnar
-        zero-copy transport) instead of pickling them.  Defaults to True;
-        only the pool regime ever creates segments.
-    freeze_worker_gc:
-        Freeze and disable the cyclic garbage collector in pool workers
-        (default True); the calling process is never touched.
     max_shard_retries:
         How many times one shard may be re-submitted after a worker crash
         or a retryable worker failure (``MemoryError`` /
@@ -622,10 +365,6 @@ class ParallelEngine:
     def __init__(
         self,
         workers: int | None = None,
-        engine_options: Mapping[str, Any] | None = None,
-        start_method: str | None = None,
-        use_shared_memory: bool = True,
-        freeze_worker_gc: bool = True,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
         fault_plan: Any = None,
@@ -638,26 +377,19 @@ class ParallelEngine:
         if retry_backoff < 0.0:
             raise CompilationError("retry_backoff must not be negative")
         self.workers = workers if workers is not None else available_workers()
-        self.engine_options = dict(engine_options or {})
+        self._store: str | None = None
         if store is not None:
-            # Workers rebuild their engines from pickled options, so the
-            # store crosses the process boundary as its directory path.
-            # (isinstance, not getattr: Path.root is the *filesystem* root.)
+            # Workers open their own engines, so the store crosses the
+            # process boundary as its directory path.  (isinstance, not
+            # getattr: Path.root is the *filesystem* root.)
             from repro.store import ArtifactStore
 
-            path = store.root if isinstance(store, ArtifactStore) else store
-            self.engine_options.setdefault("store", str(path))
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
-        self.use_shared_memory = use_shared_memory
-        self.freeze_worker_gc = freeze_worker_gc
+            self._store = str(store.root if isinstance(store, ArtifactStore) else store)
         self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff
         self.fault_plan = fault_plan
         self.last_report: ParallelReport | None = None
-        self._pool: _WorkerPool | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._plane: SegmentPlane | None = None
         self._inline_engine: CompilationEngine | None = None
 
@@ -667,27 +399,25 @@ class ParallelEngine:
         """Tear down the pool, the segment plane, and every worker cache.
 
         Deterministic by design: the pool processes (and with them every
-        worker engine's cached node graphs) are terminated, the inline
-        engine's caches are *cleared* — not merely dereferenced, so no dead
-        engine keeps millions of cached nodes alive for later GC passes to
-        rescan — and every shared-memory segment this engine created is
-        unlinked (a prefix sweep also reclaims segments orphaned by worker
-        crashes).  Shared-columnar artifacts returned by earlier calls become
-        invalid at that point; take a :meth:`ColumnarOBDD.copy` first if one
-        must outlive the engine.  The engine itself stays usable: pools,
-        plane, and inline engine are rebuilt lazily on the next call.
+        worker engine's cached node graphs) are shut down and joined, the
+        inline engine's caches are *cleared* — not merely dereferenced, so
+        no dead engine keeps millions of cached nodes alive for later GC
+        passes to rescan — and every shared-memory segment this engine
+        created is unlinked (a prefix sweep also reclaims segments orphaned
+        by worker crashes).  Shared-columnar artifacts returned by earlier
+        calls become invalid at that point; take a :meth:`ColumnarOBDD.copy`
+        first if one must outlive the engine.  The engine itself stays
+        usable: pools, plane, and inline engine are rebuilt lazily on the
+        next call.
 
         Exception-safe by construction (``try``/``finally`` chain): even
-        when tearing the pool down fails — e.g. the context manager body
-        raised mid-batch and workers are wedged — the segment plane is
-        still closed (so no ``/dev/shm`` leak) and the inline engine's
-        caches are still cleared.
+        when shutting the pool down fails — e.g. the context manager body
+        raised mid-batch — the segment plane is still closed (so no
+        ``/dev/shm`` leak) and the inline engine's caches are still cleared.
         """
         try:
-            if self._pool is not None:
-                self._pool.close()
+            self._discard_pool()
         finally:
-            self._pool = None
             try:
                 if self._plane is not None:
                     self._plane.close()
@@ -717,35 +447,24 @@ class ParallelEngine:
         runner: ShardRunner,
         extra: Any,
         group_key: Callable[[tuple], str] | None = None,
-        extra_inline: Any = None,
         recover: Callable[[], Any] | None = None,
     ) -> ParallelReport:
-        """Shard ``items`` and execute; ``extra_inline`` (when not None)
-        replaces ``extra`` in the inline regime — the compile path uses it to
-        force the object transport where no process boundary exists.
-        ``recover`` rebuilds ``extra`` after a retryable segment failure."""
-        if not items:
-            report = ParallelReport(
-                values=(),
-                workers=self.workers,
-                shard_sizes=(),
-                worker_stats=(),
-                worker_routes=(),
-            )
-            self.last_report = report
-            return report
+        """Shard ``items`` and execute: on the pool when there are several
+        shards, else inline.  ``recover`` rebuilds ``extra`` after a
+        retryable segment failure in the pool regime."""
         shards = shard_workload(items, self.workers, group_key)
-        if self.workers == 1 or len(shards) == 1:
-            chosen = extra if extra_inline is None else extra_inline
-            report = self._run_inline(shards, runner, chosen)
-        else:
+        if len(shards) > 1:
             report = self._run_pool(shards, runner, extra, recover)
+        elif shards:
+            report = self._run_inline(shards, runner, extra)
+        else:
+            report = self._merge([], [])
         self.last_report = report
         return report
 
     def _ensure_inline_engine(self) -> CompilationEngine:
         if self._inline_engine is None:
-            self._inline_engine = CompilationEngine(**self.engine_options)
+            self._inline_engine = CompilationEngine(store=self._store)
             if self.fault_plan is not None and self._inline_engine.store is not None:
                 # Mirror _init_worker: the chaos suite's disk faults reach
                 # the inline (workers == 1) engine's store too.
@@ -759,10 +478,25 @@ class ParallelEngine:
         previous = _WORKER_ENGINE
         _WORKER_ENGINE = self._ensure_inline_engine()
         try:
-            outcomes = [runner((shard, extra)) for shard in shards]
+            outcomes = [runner(shard, extra) for shard in shards]
         finally:
             _WORKER_ENGINE = previous
         return self._merge(shards, outcomes)
+
+    def _executor(self) -> ProcessPoolExecutor:
+        """The live pool, started on first use (``fork`` where available)."""
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if "fork" in methods else None)
+            self._pool = ProcessPoolExecutor(
+                self.workers,
+                mp_context=context,
+                initializer=_init_worker,
+                initargs=(self._store, self.segment_plane().prefix, self.fault_plan),
+            )
+        return self._pool
 
     def _run_pool(
         self,
@@ -771,24 +505,82 @@ class ParallelEngine:
         extra: Any,
         recover: Callable[[], Any] | None = None,
     ) -> ParallelReport:
-        if self._pool is None:
-            context = multiprocessing.get_context(self.start_method)
-            plane = self.segment_plane() if self.use_shared_memory else None
-            self._pool = _WorkerPool(
-                context,
-                self.workers,
-                (
-                    self.engine_options,
-                    plane.prefix if plane is not None else None,
-                    self.freeze_worker_gc,
-                    self.fault_plan,
-                ),
-                max_shard_retries=self.max_shard_retries,
-                retry_backoff=self.retry_backoff,
-                plane=plane,
-            )
-        outcomes = self._pool.run(shards, runner, extra, recover)
+        """Execute every shard on the pool, retrying around failures.
+
+        Outcomes are keyed by shard index, so each shard is merged exactly
+        once.  A failure that ends the run (a non-retryable worker error, or
+        a shard out of retries) is raised only after every running shard
+        has settled.
+        """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        outcomes: dict[int, ShardOutcome] = {}
+        attempts = [0] * len(shards)
+        pending = deque(range(len(shards)))
+        running: dict[Future[ShardOutcome], int] = {}
+        failure: BaseException | None = None
+        while running or (pending and failure is None):
+            broken = False
+            if pending and failure is None:
+                pool = self._executor()
+                try:
+                    while pending:
+                        future = pool.submit(_run_task, runner, shards[pending[0]], extra)
+                        running[future] = pending.popleft()
+                except BrokenProcessPool:
+                    broken = True  # a worker died while shards were queued
+            if not broken:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                broken = any(
+                    isinstance(future.exception(), BrokenProcessPool) for future in done
+                )
+            if broken:
+                # Joining the broken pool settles every future it held.
+                self._discard_pool()
+                done = set(running)
+            retried: list[int] = []
+            for future in done:
+                index = running.pop(future)
+                error = future.exception()
+                if error is None:
+                    outcomes[index] = future.result()
+                    continue
+                if not isinstance(error, (BrokenProcessPool, MemoryError, SegmentError)):
+                    failure = failure or error
+                    continue
+                # Retryable: a crash, transient allocation pressure, or a
+                # segment a crashed publisher / racing sweep invalidated.
+                if isinstance(error, SegmentError) and recover is not None:
+                    extra = recover()
+                attempts[index] += 1
+                if attempts[index] > self.max_shard_retries:
+                    exhausted = WorkerCrashError(
+                        f"shard {index} failed {attempts[index]} times"
+                        f" ({self.max_shard_retries} retries allowed);"
+                        f" last cause: {error}"
+                    )
+                    exhausted.__cause__ = error
+                    failure = failure or exhausted
+                else:
+                    retried.append(index)
+            if broken:
+                # Reclaim the dead pool's unclaimed segments — except those
+                # merged into completed outcomes, which the caller adopts.
+                self.segment_plane().sweep_worker_orphans(_segment_names(outcomes.values()))
+            pending.extend(sorted(retried))
+            if retried and failure is None and self.retry_backoff > 0.0:
+                attempt = max(attempts[index] for index in retried)
+                time.sleep(min(self.retry_backoff * (1 << (attempt - 1)), 1.0))
+        if failure is not None:
+            raise failure
         return self._merge(shards, [outcomes[index] for index in range(len(shards))])
+
+    def _discard_pool(self) -> None:
+        """Shut the pool down and join its workers; the next run starts anew."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def _merge(
         self, shards: list[Shard], outcomes: list[ShardOutcome]
@@ -839,62 +631,27 @@ class ParallelEngine:
         self,
         pairs: Sequence[CompileItem],
         use_path_decomposition: bool = False,
-        transport: str = "auto",
     ) -> ParallelReport:
         """Compile a workload of ``(query, instance)`` pairs; full report.
 
-        Transport of the compiled artifacts back to the caller:
-
-        * ``"shm"`` — workers publish columnar columns into shared-memory
-          segments and return handles; the parent attaches zero-copy, so the
-          values are :class:`~repro.booleans.columnar.ColumnarOBDD` views
-          owned by this engine (valid until :meth:`close`);
-        * ``"object"`` — the artifacts are pickled back as
-          :class:`~repro.provenance.compile_obdd.CompiledOBDD` node graphs
-          (the pre-columnar behavior);
-        * ``"auto"`` (default) — ``"shm"`` when this engine runs a pool and
-          shared memory is enabled, else ``"object"``.
-
-        The inline regime (``workers=1``, or a workload that collapses to a
-        single shard) never creates segments — there is no process boundary
-        to cross.  ``"auto"`` resolves to ``"object"`` there; an explicit
-        ``"shm"`` still honors the *representation* and returns
-        :class:`ColumnarOBDD` values, built directly without a segment, so
-        the value types a caller sees depend only on the transport they
-        asked for, never on how the workload happened to shard.
+        The values are always :class:`~repro.booleans.columnar.ColumnarOBDD`
+        artifacts.  In the pool regime, workers publish the columns into
+        shared-memory segments and return handles; the parent attaches
+        zero-copy, so the values are views owned by this engine (valid until
+        :meth:`close`).  The inline regime (``workers=1``, or a workload that
+        collapses to a single shard) builds the same columns directly and
+        never creates a segment — there is no process boundary to cross.
         """
-        if transport not in _TRANSPORTS:
-            raise CompilationError(
-                f"unknown transport {transport!r}; use one of {_TRANSPORTS}"
-            )
-        if transport == "auto":
-            transport = "shm" if self.use_shared_memory else "object"
-            inline_transport = "object"
-        elif transport == "shm":
-            inline_transport = "columnar"
-        else:
-            inline_transport = transport
-        if transport == "shm" and not self.use_shared_memory:
-            raise CompilationError("shared-memory transport is disabled on this engine")
-        report = self._run(
-            pairs,
-            _run_compile_shard,
-            (bool(use_path_decomposition), transport),
-            extra_inline=(bool(use_path_decomposition), inline_transport),
-        )
+        report = self._run(pairs, _run_compile_shard, bool(use_path_decomposition))
         if any(isinstance(value, SegmentHandle) for value in report.values):
             plane = self.segment_plane()
-            report = ParallelReport(
+            report = self.last_report = replace(
+                report,
                 values=tuple(
                     plane.adopt(value) if isinstance(value, SegmentHandle) else value
                     for value in report.values
                 ),
-                workers=report.workers,
-                shard_sizes=report.shard_sizes,
-                worker_stats=report.worker_stats,
-                worker_routes=report.worker_routes,
             )
-            self.last_report = report
         return report
 
     def compile_many(
@@ -902,11 +659,10 @@ class ParallelEngine:
         queries: Sequence[Query],
         instance: Instance,
         use_path_decomposition: bool = False,
-        transport: str = "auto",
-    ) -> list[CompiledOBDD | ColumnarOBDD]:
+    ) -> list[ColumnarOBDD]:
         """Compiled artifacts of a batch of queries against one instance."""
         report = self.map_compile(
-            [(query, instance) for query in queries], use_path_decomposition, transport
+            [(query, instance) for query in queries], use_path_decomposition
         )
         return list(report.values)
 
@@ -936,8 +692,8 @@ class ParallelEngine:
         if not items:
             self._run(items, _run_reweight_shard, None)
             return []
-        if self.workers == 1 or not self.use_shared_memory:
-            self._ensure_inline_engine()
+        if self.workers == 1:
+            engine = self._ensure_inline_engine()
             values = columnar.probability_many(
                 [probabilities for (probabilities,) in items], exact=exact
             )
@@ -945,8 +701,8 @@ class ParallelEngine:
                 values=tuple(values),
                 workers=self.workers,
                 shard_sizes=(len(items),),
-                worker_stats=(_stats_snapshot(self._inline_engine),),
-                worker_routes=(_routes_snapshot(self._inline_engine),),
+                worker_stats=(_stats_snapshot(engine),),
+                worker_routes=(engine.route_mix(),),
             )
             return values
         handle = self._publish_reweight_artifact(columnar)
@@ -955,7 +711,6 @@ class ParallelEngine:
             _run_reweight_shard,
             (handle, exact),
             group_key=_reweight_group_key,
-            extra_inline=(handle, exact),
             # A worker that cannot attach (absent/corrupt segment) reports a
             # retryable SegmentError; republishing under a fresh name is the
             # recovery — retried shards then attach to the new segment.

@@ -231,18 +231,19 @@ class SegmentPlane:
     def owned_segments(self) -> tuple[str, ...]:
         return tuple(sorted(self._owned))
 
-    def sweep_worker_orphans(self, worker_pid: int, keep: Iterable[str] = ()) -> list[str]:
-        """Reclaim segments a crashed worker left behind, surgically.
+    def sweep_worker_orphans(self, keep: Iterable[str] = ()) -> list[str]:
+        """Reclaim the worker segments a crashed pool left unclaimed.
 
-        Only names under this worker's sub-prefix (``{prefix}-w{pid}-``) are
-        touched, so live segments published by other workers survive; names
-        in ``keep`` (handles already merged into completed outcomes) and
-        names the plane owns (adopted earlier) survive too.  Returns the
-        unlinked names.
+        Called after a broken pool has been shut down and joined, when no
+        worker of this plane is alive to publish.  Only worker-published
+        names (``{prefix}-w*``) are touched — segments the parent published
+        (``{prefix}-p*``) survive; names in ``keep`` (handles already merged
+        into completed outcomes) and names the plane owns (adopted earlier)
+        survive too.  Returns the unlinked names.
         """
         kept = set(keep) | self._owned
         swept = []
-        for name in orphan_segments(f"{self.prefix}-w{worker_pid}-"):
+        for name in orphan_segments(f"{self.prefix}-w"):
             if name in kept:
                 continue
             _unlink_quietly(name)

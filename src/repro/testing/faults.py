@@ -7,15 +7,16 @@ part — a seeded RNG per worker would make fault counts depend on how the
 scheduler distributed tasks — so the plan is a **token directory**: arming
 a fault drops N token files, and every injection site consumes a token by
 ``os.unlink``, which the filesystem makes atomic.  Exactly N firings happen
-across all workers, respawns included, no matter how the tasks were
+across all workers, pool restarts included, no matter how the tasks were
 scheduled; tests then assert recovery and exactness without caring *which*
 worker was hit.
 
 Fault kinds (see :data:`FAULT_KINDS`):
 
 * ``worker_kill`` — the worker ``SIGKILL``s itself at task start (a hard
-  crash: no reply, no cleanup; exercises sentinel detection, respawn, the
-  shard retry, and the per-pid segment sweep);
+  crash: no reply, no cleanup; breaks the process pool, and exercises the
+  pool restart, the one retry charged to every unfinished shard, and the
+  sweep of the segments the dead pool's workers left unclaimed);
 * ``slow_kernel`` — the worker sleeps ``slow_seconds`` at task start (a
   straggler, not an error; nothing should be retried);
 * ``alloc_fail`` — the worker raises ``MemoryError`` after computing its
@@ -45,9 +46,10 @@ proves every one still yields oracle-checked exact answers):
 
 Wiring: build a :class:`FaultInjector`, ``arm`` faults, and pass
 ``injector.plan`` as ``ParallelEngine(fault_plan=...)``.  The plan is a
-tiny picklable value object; workers instantiate :class:`WorkerFaults`
-around it inside their loop, the parent consults
-:func:`apply_parent_segment_faults` when publishing reweight segments.
+tiny picklable value object; the pool initializer builds a
+:class:`WorkerFaults` around it in every worker, and each task runs between
+its hooks; the parent consults :func:`apply_parent_segment_faults` when
+publishing reweight segments.
 With ``fault_plan=None`` (production) none of these hooks exist.
 """
 
@@ -158,7 +160,11 @@ class FaultInjector:
 
 
 class WorkerFaults:
-    """Worker-side injection hooks, called by the pool's worker loop."""
+    """Worker-side injection hooks, built by the pool initializer.
+
+    Every pool task calls :meth:`on_task_start` before its shard runner and
+    :meth:`before_result` after it; the inline regime has no hooks.
+    """
 
     __slots__ = ("plan",)
 

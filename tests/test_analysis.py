@@ -272,6 +272,23 @@ class TestPICKLE001:
             line_of(source, "initargs=(lambda"),
         ]
 
+    def test_nested_function_as_later_submit_argument_flagged(self, tmp_path):
+        source = """
+            def _run_task(runner, shards):
+                return runner(shards)
+
+            def run(pool, shards):
+                def local_runner(shard):
+                    return shard
+
+                return pool.submit(_run_task, local_runner, shards)
+        """
+        pkg = write_package(tmp_path, engine=source)
+        result = analyze([pkg], config=KERNEL_CONFIG, select=["PICKLE001"])
+        findings = findings_for(result, "PICKLE001")
+        assert [f.line for f in findings] == [line_of(source, "pool.submit")]
+        assert "function defined inside another function" in findings[0].message
+
     def test_module_level_runner_passes(self, tmp_path):
         source = """
             def runner(shard):

@@ -119,8 +119,8 @@ def test_differential_workload_through_parallel_engine(oracle):
     reports = oracle.check_many(cases)
     pairs = workload_pairs(cases)
     serial = CompilationEngine()
-    parallel = ParallelEngine(workers=2)
-    parallel_values = parallel.map_probability(pairs).values
+    with ParallelEngine(workers=2) as parallel:
+        parallel_values = parallel.map_probability(pairs).values
     for case, report, value in zip(cases, reports, parallel_values):
         assert value == report.reference, str(case)
         assert serial.probability(case.query, case.tid) == report.reference

@@ -193,8 +193,8 @@ def test_merged_parallel_stats_equal_sum_of_worker_stats(ktree_tid):
     from repro.engine import ParallelEngine, merge_cache_stats
 
     queries = [unsafe_rst(), qp(ktree_tid.instance.signature), unsafe_rst(), unsafe_rst()]
-    parallel = ParallelEngine(workers=2)
-    parallel.probability_many(queries, ktree_tid)
+    with ParallelEngine(workers=2) as parallel:
+        parallel.probability_many(queries, ktree_tid)
     report = parallel.last_report
     assert report.items == len(queries)
     merged = report.stats

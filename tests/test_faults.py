@@ -121,12 +121,42 @@ def test_worker_kill_during_shm_compile_leaves_no_orphans(injector, workload):
         workers=2, fault_plan=injector.plan, retry_backoff=0.01
     ) as parallel:
         prefix = parallel.segment_plane().prefix
-        report = parallel.map_compile(pairs, transport="shm")
+        report = parallel.map_compile(pairs)
         for mine, reference in zip(report.values, serial):
             assert mine.probability(tid.valuation()) == reference.probability(
                 tid.valuation()
             )
     assert injector.armed("worker_kill") == 0
+    assert live_segments(prefix) == []
+
+
+def test_worker_kill_restarts_the_pool_and_the_engine_stays_usable(
+    injector, workload, expected
+):
+    """A crash replaces the whole executor; the same engine keeps answering
+    exactly afterwards, and close() still reclaims every segment."""
+    _, tid = workload[0]
+    queries = [unsafe_rst(), hierarchical_example()]
+    serial = CompilationEngine().compile_many(queries, tid.instance)
+    with ParallelEngine(
+        workers=2, fault_plan=injector.plan, retry_backoff=0.0
+    ) as parallel:
+        prefix = parallel.segment_plane().prefix
+        assert list(parallel.map_probability(workload).values) == expected
+        first = parallel._pool
+        assert first is not None
+        injector.arm("worker_kill", 1)
+        assert list(parallel.map_probability(workload).values) == expected
+        assert injector.armed("worker_kill") == 0
+        assert parallel._pool is not None and parallel._pool is not first
+        # The next call runs on the replacement pool, segments included.
+        assert list(parallel.map_probability(workload).values) == expected
+        compiled = parallel.compile_many(queries, tid.instance)
+        for mine, reference in zip(compiled, serial):
+            assert mine.probability(tid.valuation()) == reference.probability(
+                tid.valuation()
+            )
+        del compiled
     assert live_segments(prefix) == []
 
 
@@ -202,7 +232,7 @@ def test_context_exit_releases_everything_when_body_raises(workload):
     pairs = [(query, tid.instance) for query in (unsafe_rst(), hierarchical_example())]
     with pytest.raises(RuntimeError, match="mid-batch"):
         with ParallelEngine(workers=2) as parallel:
-            parallel.map_compile(pairs, transport="shm")
+            parallel.map_compile(pairs)
             prefix = parallel.segment_plane().prefix
             assert live_segments(prefix), "the batch should have published segments"
             raise RuntimeError("mid-batch failure")

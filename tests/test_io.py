@@ -150,6 +150,23 @@ def test_csv_handles_mixed_arities_and_empty_input():
         instance_from_csv("")
 
 
+@pytest.mark.parametrize("cell", ["x", "1/0"])
+def test_csv_rejects_malformed_probability_cells(cell):
+    text = f"relation,arg1,probability\nR,a,1/2\nR,b,{cell}\n"
+    with pytest.raises(InstanceError, match="row 3"):
+        instance_from_csv(text)
+
+
+def test_cli_reports_malformed_csv_probabilities_as_errors(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "bad.csv"
+    for cell in ("x", "1/0"):
+        path.write_text(f"relation,arg1,probability\nR,a,{cell}\n")
+        assert main(["probability", str(path), "--query", "R(x)"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 def test_save_instance_csv_plain_instance(tmp_path):
     instance = rst_chain_instance(1)
     path = tmp_path / "plain.csv"

@@ -1,5 +1,9 @@
 """Tests for the sharded parallel evaluation engine (repro.engine.parallel)."""
 
+import os
+import threading
+import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,7 @@ from repro.engine import (
 from repro.errors import CompilationError
 from repro.generators import labelled_partial_ktree_instance
 from repro.queries import hierarchical_example, parse_ucq, qp, unsafe_rst
+from repro.testing import FaultInjector
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +88,8 @@ def test_shard_workload_rejects_zero_shards(workload):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_map_probability_matches_serial_engine(workers, workload, expected):
-    parallel = ParallelEngine(workers=workers)
-    report = parallel.map_probability(workload)
+    with ParallelEngine(workers=workers) as parallel:
+        report = parallel.map_probability(workload)
     assert list(report.values) == expected
     assert report.workers == workers
     assert report.shard_count <= workers
@@ -96,8 +101,8 @@ def test_probability_many_single_instance(workload, expected):
     query, tid = workload[0]
     queries = [unsafe_rst(), hierarchical_example(), qp(tid.instance.signature)]
     serial = CompilationEngine().probability_many(queries, tid)
-    parallel = ParallelEngine(workers=2)
-    assert parallel.probability_many(queries, tid) == serial
+    with ParallelEngine(workers=2) as parallel:
+        assert parallel.probability_many(queries, tid) == serial
     assert parallel.last_report is not None
     assert parallel.last_report.items == len(queries)
 
@@ -106,21 +111,25 @@ def test_compile_many_matches_serial_engine(workload):
     _, tid = workload[0]
     queries = [unsafe_rst(), hierarchical_example()]
     serial = CompilationEngine().compile_many(queries, tid.instance)
-    parallel = ParallelEngine(workers=2).compile_many(queries, tid.instance)
-    for mine, reference in zip(parallel, serial):
-        assert mine.size == reference.size
-        assert mine.width == reference.width
-        assert mine.order == reference.order
-        assert mine.probability(tid.valuation()) == reference.probability(tid.valuation())
+    with ParallelEngine(workers=2) as parallel:
+        for mine, reference in zip(parallel.compile_many(queries, tid.instance), serial):
+            assert mine.size == reference.size
+            assert mine.width == reference.width
+            assert mine.order == reference.order
+            assert mine.probability(tid.valuation()) == reference.probability(
+                tid.valuation()
+            )
 
 
 def test_map_compile_report_carries_worker_stats(workload):
     pairs = [(query, tid.instance) for query, tid in workload]
-    report = ParallelEngine(workers=2).map_compile(pairs)
+    with ParallelEngine(workers=2) as parallel:
+        report = parallel.map_compile(pairs)
     assert report.items == len(pairs)
     assert report.stats["obdd"].total == len(pairs)
     # Repeated (query, instance) pairs hit the owning worker's cache.
-    doubled = ParallelEngine(workers=2).map_compile(pairs + pairs)
+    with ParallelEngine(workers=2) as parallel:
+        doubled = parallel.map_compile(pairs + pairs)
     assert doubled.stats["obdd"].hits >= len(pairs)
 
 
@@ -139,6 +148,62 @@ def test_pool_persists_across_calls(workload, expected):
         assert parallel._pool is pool
         assert warm.stats["probability"].total == len(workload)
     assert parallel._pool is None  # context exit closed it
+
+
+def _os_thread_count() -> int:
+    """Threads in this process as the OS counts them (what Python 3.12's
+    fork warning reads), else the threads Python started."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def test_pools_fork_only_beside_no_executor_thread(workload, expected, monkeypatch):
+    """An open executor keeps a manager and a queue-feeder thread, and from
+    Python 3.12 on fork() in a multi-threaded process warns that it "may
+    lead to deadlocks".  The first pool start, the restart after a worker
+    kill, and the start after close() must each fork with no executor
+    thread alive.
+
+    The OS-level exit of a joined thread trails its join by a millisecond
+    or two (threads are detached before Python 3.13), so the fork hook
+    first checks the Python-level threads, then gives a joined thread that
+    long to vanish before it forks.  The warning check needs a process with
+    no native threads of its own (a BLAS pool makes every fork warn).
+    """
+    threads_at_fork: list[int] = []
+    baseline = threading.active_count()
+    os_baseline = _os_thread_count()
+    fork = os.fork
+
+    def recording_fork() -> int:
+        threads_at_fork.append(threading.active_count())
+        deadline = time.monotonic() + 1.0
+        while _os_thread_count() > os_baseline and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    with FaultInjector() as injector, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        injector.arm("worker_kill", 1)
+        with ParallelEngine(
+            workers=2, fault_plan=injector.plan, retry_backoff=0.0
+        ) as parallel:
+            # Pool start, then kill-and-restart.
+            assert list(parallel.map_probability(workload).values) == expected
+            assert injector.armed("worker_kill") == 0
+            parallel.close()
+            assert threading.active_count() == baseline
+            # Close-and-reopen.
+            assert list(parallel.map_probability(workload).values) == expected
+    assert len(threads_at_fork) == 3 * 2  # three pool starts, two workers each
+    assert set(threads_at_fork) == {baseline}
+    assert threading.active_count() == baseline
+    if os_baseline == 1:
+        messages = [str(warning.message) for warning in caught]
+        assert [message for message in messages if "multi-threaded" in message] == []
 
 
 def test_inline_engine_persists_across_calls(workload, expected):
@@ -195,19 +260,6 @@ def test_close_drops_worker_caches_deterministically(workload):
     assert ref() is None, "close() left a cached compiled artifact alive"
 
 
-def test_map_compile_object_transport_in_pool_regime(workload):
-    from repro.provenance.compile_obdd import CompiledOBDD
-
-    _, tid = workload[0]
-    queries = [unsafe_rst(), hierarchical_example()]
-    with ParallelEngine(workers=2) as parallel:
-        artifacts = parallel.compile_many(queries, tid.instance, transport="object")
-        assert all(isinstance(artifact, CompiledOBDD) for artifact in artifacts)
-        # The plane exists (workers get the prefix at pool startup) but the
-        # object transport never put a segment in it.
-        assert parallel.segment_plane().owned_segments() == ()
-
-
 def test_map_compile_shm_transport_in_pool_regime(workload):
     from repro.booleans.columnar import ColumnarOBDD
 
@@ -215,7 +267,7 @@ def test_map_compile_shm_transport_in_pool_regime(workload):
     queries = [unsafe_rst(), hierarchical_example()]
     serial = CompilationEngine().compile_many(queries, tid.instance)
     with ParallelEngine(workers=2) as parallel:
-        artifacts = parallel.compile_many(queries, tid.instance, transport="shm")
+        artifacts = parallel.compile_many(queries, tid.instance)
         assert all(isinstance(artifact, ColumnarOBDD) for artifact in artifacts)
         for mine, reference in zip(artifacts, serial):
             assert mine.probability(tid.valuation()) == reference.probability(
@@ -224,8 +276,8 @@ def test_map_compile_shm_transport_in_pool_regime(workload):
 
 
 def test_map_compile_shm_transport_in_inline_regime(workload):
-    """Explicit "shm" honors the columnar representation even when the
-    workload collapses to the inline regime — and still creates no segment."""
+    """The columnar representation holds even when the workload collapses
+    to the inline regime — which still creates no segment."""
     from repro.booleans.columnar import ColumnarOBDD
 
     _, tid = workload[0]
@@ -233,27 +285,13 @@ def test_map_compile_shm_transport_in_inline_regime(workload):
     for parallel in (ParallelEngine(workers=1), ParallelEngine(workers=2)):
         with parallel:
             # One query -> one shard -> inline, whatever the worker count.
-            artifacts = parallel.compile_many(
-                [unsafe_rst()], tid.instance, transport="shm"
-            )
+            artifacts = parallel.compile_many([unsafe_rst()], tid.instance)
             assert isinstance(artifacts[0], ColumnarOBDD)
             assert artifacts[0].probability(tid.valuation()) == reference.probability(
                 tid.valuation()
             )
             if parallel._plane is not None:
                 assert parallel._plane.owned_segments() == ()
-
-
-def test_map_compile_rejects_unknown_transport(workload):
-    _, tid = workload[0]
-    with pytest.raises(CompilationError):
-        ParallelEngine(workers=2).map_compile(
-            [(unsafe_rst(), tid.instance)], transport="carrier-pigeon"
-        )
-    with pytest.raises(CompilationError):
-        ParallelEngine(workers=2, use_shared_memory=False).map_compile(
-            [(unsafe_rst(), tid.instance)], transport="shm"
-        )
 
 
 def test_reweight_many_matches_direct_evaluation(workload):
@@ -286,10 +324,10 @@ def test_inline_regime_leaves_gc_enabled(workload):
 
 
 def test_worker_errors_propagate(workload):
-    parallel = ParallelEngine(workers=2)
     bad = [(unsafe_rst(), workload[0][1])] + [("not a query", workload[1][1])]
-    with pytest.raises(Exception):
-        parallel.map_probability(bad)
+    with ParallelEngine(workers=2) as parallel:
+        with pytest.raises(Exception):
+            parallel.map_probability(bad)
 
 
 def test_available_workers_positive():

@@ -152,6 +152,26 @@ def test_crash_orphans_are_swept_on_close(columnar_artifact):
     assert live_segments(plane.prefix) == []
 
 
+def test_sweep_worker_orphans_spares_kept_owned_and_parent_segments(columnar_artifact):
+    """The crash-path sweep unlinks only unclaimed worker segments."""
+    columnar, _ = columnar_artifact
+    with SegmentPlane() as plane:
+        parent = plane.publish(columnar)
+        owned_name = plane.worker_name(11111, 1)
+        adopted = plane.adopt(publish_segment(columnar, owned_name))
+        kept_name = plane.worker_name(22222, 1)
+        publish_segment(columnar, kept_name)
+        orphans = [plane.worker_name(pid, 2) for pid in (11111, 33333)]
+        for name in orphans:
+            publish_segment(columnar, name)
+        assert parent.name is not None and parent.name.startswith(f"{plane.prefix}-p")
+        assert sorted(plane.sweep_worker_orphans(keep=[kept_name])) == sorted(orphans)
+        assert live_segments(plane.prefix) == sorted([parent.name, owned_name, kept_name])
+        assert plane.sweep_worker_orphans(keep=[kept_name]) == []
+        del adopted
+    assert live_segments(plane.prefix) == []
+
+
 def test_session_id_scopes_the_orphan_sweep(columnar_artifact):
     """Two planes sharing a base prefix never reclaim each other's segments."""
     columnar, _ = columnar_artifact
@@ -244,7 +264,7 @@ def test_inline_regime_never_creates_segments(workload, monkeypatch):
     monkeypatch.setattr(shm_module, "_Segment", forbidden)
     engine = ParallelEngine(workers=1)
     artifacts = engine.compile_many(queries, tids[0].instance)
-    assert all(type(artifact).__name__ == "CompiledOBDD" for artifact in artifacts)
+    assert all(type(artifact).__name__ == "ColumnarOBDD" for artifact in artifacts)
     maps = [{fact: Fraction(1, 3) for fact in artifacts[0].order}]
     assert engine.reweight_many(artifacts[0], maps) == [
         artifacts[0].probability(maps[0])
