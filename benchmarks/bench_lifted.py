@@ -15,16 +15,26 @@ infeasible.  This benchmark drives the whole stack end to end:
   ``1 - (1 - p*(1 - (1-p)^m))^k`` exactly, as a Fraction;
 * at a small size the lifted value must also agree with the OBDD route and
   with the brute-force and recursive safe-plan references (self-validation
-  of the family's closed form).
+  of the family's closed form);
+* the input stage — building ``Instance`` and ``ProbabilisticInstance`` and
+  both fingerprints from an in-memory fact list — is timed at every size
+  against the seed forms in :mod:`repro.data.reference`, at p=1/2 (the
+  uniform default) and at p=k/1000 (one seeded ``k/1000`` per fact, an
+  explicit valuation).  The two sides run interleaved, each keeps its minimum
+  over ``INPUT_REPEATS`` runs, their fact orders, domains and digests must be
+  identical, and the interned build must be at least
+  ``MINIMUM_INPUT_SPEEDUP`` times faster at the largest size.
 
 Results go to ``BENCH_lifted.json``; the CI step fails on any gate.
 """
 
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
 from repro.data.instance import Fact, Instance
+from repro.data.reference import input_stage_seed
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine
 from repro.experiments import ScalingSeries, format_table, write_benchmark_json
@@ -39,12 +49,71 @@ SMALL_K, SMALL_M = (3, 2)
 RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_lifted.json"
 MINIMUM_LARGEST_FACTS = 100_000
 MAXIMUM_LARGEST_SECONDS = 60.0
+INPUT_REPEATS = 3
+MINIMUM_INPUT_SPEEDUP = 1.5
+
+
+def _family_facts(k, m):
+    facts = [Fact("R", (f"a{i}",)) for i in range(k)]
+    facts.extend(Fact("S", (f"a{i}", f"b{j}")) for i in range(k) for j in range(m))
+    return facts
 
 
 def _family_tid(k, m):
-    facts = [Fact("R", (f"a{i}",)) for i in range(k)]
-    facts.extend(Fact("S", (f"a{i}", f"b{j}")) for i in range(k) for j in range(m))
-    return ProbabilisticInstance.uniform(Instance(facts), PROBABILITY)
+    return ProbabilisticInstance.uniform(Instance(_family_facts(k, m)), PROBABILITY)
+
+
+def _valuations(facts, k):
+    """The input stage's two probability settings: ``(valuation, default)``."""
+    generator = random.Random(k)
+    return {
+        "p=1/2": (None, PROBABILITY),
+        "p=k/1000": ({f: Fraction(generator.randint(1, 999), 1000) for f in facts}, 1),
+    }
+
+
+def _input_stage(facts, valuation, default):
+    """What a library caller pays before evaluation starts."""
+    tid = ProbabilisticInstance(Instance(facts), valuation, default)
+    tid.fingerprint  # also computes the instance fingerprint
+    return tid
+
+
+def _seconds(build, *arguments):
+    start = time.perf_counter()
+    result = build(*arguments)
+    return time.perf_counter() - start, result
+
+
+def run_input_stage_benchmark():
+    """Seed vs interned input stage per family size and probability setting."""
+    series = {}
+    for k in K_SIZES:
+        facts = _family_facts(k, M_PER_K)
+        for setting, (valuation, default) in _valuations(facts, k).items():
+            seed_best = interned_best = float("inf")
+            for _ in range(INPUT_REPEATS):
+                seed_seconds, seed = _seconds(input_stage_seed, facts, valuation, default)
+                interned_seconds, tid = _seconds(_input_stage, facts, valuation, default)
+                seed_best = min(seed_best, seed_seconds)
+                interned_best = min(interned_best, interned_seconds)
+            instance = tid.instance
+            assert instance.facts == seed.facts, f"fact order differs at k={k}, {setting}"
+            assert instance.domain == seed.domain, f"domain differs at k={k}, {setting}"
+            assert instance.fingerprint == seed.fingerprint, f"fingerprint differs at k={k}"
+            assert tid.fingerprint == seed.tid_fingerprint, (
+                f"TID fingerprint differs at k={k}, {setting}"
+            )
+            for side, seconds in (("seed reference", seed_best), ("interned", interned_best)):
+                name = f"input stage, {side}, {setting} (s)"
+                series.setdefault(name, ScalingSeries(name)).add(len(facts), seconds)
+            del seed, tid
+    speedups = {
+        setting: series[f"input stage, seed reference, {setting} (s)"].values[-1]
+        / series[f"input stage, interned, {setting} (s)"].values[-1]
+        for setting in ("p=1/2", "p=k/1000")
+    }
+    return list(series.values()), speedups
 
 
 def _closed_form(k, m):
@@ -129,10 +198,11 @@ def run_benchmark():
         f"facts (limit {MAXIMUM_LARGEST_SECONDS}s)"
     )
 
+    input_series, input_speedups = run_input_stage_benchmark()
     write_benchmark_json(
         RESULT_FILE,
         "Lifted inference (safe plans) at circuit-infeasible instance sizes",
-        [series],
+        [series, *input_series],
         extra={
             "family": (
                 f"R(a_i) + S(a_i, b_j), m={M_PER_K} per root, k in {list(K_SIZES)}, "
@@ -147,12 +217,27 @@ def run_benchmark():
             "largest_infeasible_routes": list(largest_decision.infeasible),
             "minimum_largest_facts": MINIMUM_LARGEST_FACTS,
             "maximum_largest_seconds": MAXIMUM_LARGEST_SECONDS,
+            "input_stage": {
+                "stage": "Instance() + ProbabilisticInstance() + both fingerprints",
+                "probabilities": {
+                    "p=1/2": "uniform default, no valuation",
+                    "p=k/1000": "one seeded k/1000 per fact, explicit valuation",
+                },
+                "repeats": INPUT_REPEATS,
+                "largest_speedups": input_speedups,
+                "minimum_largest_speedup": MINIMUM_INPUT_SPEEDUP,
+            },
         },
     )
-    return series, checks
+    slow = {s: x for s, x in input_speedups.items() if x < MINIMUM_INPUT_SPEEDUP}
+    assert not slow, (
+        f"input stage at {largest_facts} facts only {slow} faster than the seed "
+        f"reference; expected >= {MINIMUM_INPUT_SPEEDUP}x"
+    )
+    return series, checks, input_speedups
 
 
-def report(series, checks):
+def report(series, checks, input_speedups):
     rows = [
         (check["k"], check["facts"], round(check["seconds"], 4), check["route"])
         for check in checks
@@ -165,15 +250,16 @@ def report(series, checks):
         f"{largest['seconds']:.3f}s; circuit routes gated: "
         f"{', '.join(largest['infeasible_routes'])} (results in {RESULT_FILE.name})"
     )
+    for setting, ratio in input_speedups.items():
+        print(f"input stage at {largest['facts']} facts, {setting}: {ratio:.2f}x over the seed")
 
 
 def test_lifted_route_at_scale(benchmark):
-    series, checks = run_benchmark()
+    results = run_benchmark()
     small = _family_tid(SMALL_K, SMALL_M)
     benchmark(probability, hierarchical_example(), small, method="safe_plan")
-    report(series, checks)
+    report(*results)
 
 
 if __name__ == "__main__":
-    series, checks = run_benchmark()
-    report(series, checks)
+    report(*run_benchmark())

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, attrgetter, mul
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.data.signature import Relation, Signature
@@ -62,53 +64,76 @@ class Instance:
     facts (each relation gets the arity of its first fact).  Facts are stored
     in a deterministic (sorted) order so that iteration, variable orders, and
     generated lineages are reproducible.
+
+    The order is by relation, then by the ``(type name, repr)`` rendering of
+    each argument.  Construction interns each distinct element once, keyed by
+    ``(type(element), element)`` because ``1``, ``True`` and ``1.0`` are equal
+    but render differently, ranks the interned elements by their rendering,
+    and sorts each relation's facts by their packed element ranks.  For the
+    order to be well defined, ``repr`` must be faithful to equality within
+    each element type (see :attr:`fingerprint`).
     """
 
-    __slots__ = ("_facts", "_signature", "_domain", "_by_relation", "_fingerprint", "_position_index")
+    __slots__ = (
+        "_facts",
+        "_signature",
+        "_domain",
+        "_by_relation",
+        "_fingerprint",
+        "_position_index",
+        "_positions",
+    )
 
     def __init__(
         self,
         facts: Iterable[Fact] = (),
         signature: Signature | None = None,
     ) -> None:
-        fact_set = set(facts)
-        for f in fact_set:
+        # A dict keeps the first of several equal facts, as a set would.
+        by_relation: dict[str, list[Fact]] = {}
+        for f in dict.fromkeys(facts):
             if not isinstance(f, Fact):
                 raise InstanceError(f"expected Fact, got {type(f).__name__}")
-        if signature is None:
-            arities: dict[str, int] = {}
-            for f in fact_set:
-                prev = arities.setdefault(f.relation, f.arity)
-                if prev != f.arity:
-                    raise SignatureError(
-                        f"relation {f.relation!r} used with arities {prev} and {f.arity}"
-                    )
-            signature = Signature(sorted(arities.items()))
-        else:
-            for f in fact_set:
-                if f.relation not in signature:
-                    raise SignatureError(
-                        f"fact {f} uses relation not in signature {signature!r}"
-                    )
-                if signature.arity(f.relation) != f.arity:
-                    raise SignatureError(
-                        f"fact {f} has arity {f.arity}, signature says "
-                        f"{signature.arity(f.relation)}"
-                    )
-        self._signature = signature
-        self._facts: tuple[Fact, ...] = tuple(
-            sorted(fact_set, key=lambda f: (f.relation, _sort_key(f.arguments)))
-        )
-        domain: dict[Any, None] = {}
-        by_relation: dict[str, list[Fact]] = {}
-        for f in self._facts:
-            for a in f.arguments:
-                domain.setdefault(a, None)
             by_relation.setdefault(f.relation, []).append(f)
-        self._domain = tuple(sorted(domain, key=_element_key))
-        self._by_relation = {rel: tuple(fs) for rel, fs in by_relation.items()}
+        self._signature = _checked_signature(by_relation, signature)
+        relations = sorted(by_relation)
+        # Every argument occurrence, relation by relation: arity-strided.
+        grouped = chain.from_iterable(map(by_relation.get, relations))
+        arguments = list(chain.from_iterable(map(_ARGUMENTS, grouped)))
+        # Each distinct element is rendered and ranked once.
+        keys, distinct, renderings = _interned(arguments)
+        order = sorted(range(len(distinct)), key=renderings.__getitem__)
+        ranked = list(map(distinct.__getitem__, order))
+        base = len(ranked)
+        rank = dict(zip(ranked, range(base)))
+        ranks = list(map(rank.__getitem__, keys))
+        ordered: list[Fact] = []
+        self._by_relation: dict[str, tuple[Fact, ...]] = {}
+        start = 0
+        for relation in relations:
+            group = by_relation[relation]
+            arity = self._signature.arity(relation)
+            stop = start + arity * len(group)
+            # One integer per fact: its element ranks as base-`base` digits.
+            packed = ranks[start:stop:arity]
+            for position in range(1, arity):
+                digits = ranks[start + position : stop : arity]
+                packed = list(map(add, map(mul, packed, repeat(base)), digits))
+            order = sorted(range(len(group)), key=packed.__getitem__)
+            block = self._by_relation[relation] = tuple(map(group.__getitem__, order))
+            ordered.extend(block)
+            start = stop
+        self._facts: tuple[Fact, ...] = tuple(ordered)
+        if keys is arguments:
+            self._domain = tuple(ranked)
+        else:
+            # Equal elements of different types (1, True, 1.0) share one
+            # domain entry: the one that occurs first in fact order.
+            first = dict.fromkeys(chain.from_iterable(map(_ARGUMENTS, self._facts)))
+            self._domain = tuple(sorted(first, key=_element_key))
         self._fingerprint: str | None = None
         self._position_index: dict[str, dict[tuple[int, Any], tuple[Fact, ...]]] = {}
+        self._positions: dict[str, dict[tuple[Any, ...], int]] | None = None
 
     # -- basic protocol -----------------------------------------------------
 
@@ -120,7 +145,7 @@ class Instance:
         return iter(self._facts)
 
     def __contains__(self, f: object) -> bool:
-        return f in set(self._facts)
+        return isinstance(f, Fact) and f.arguments in self.fact_positions(f.relation)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -178,24 +203,40 @@ class Instance:
 
         Domain elements enter the digest as ``(type name, repr)`` — the same
         rendering that orders facts deterministically.  This requires ``repr``
-        to be faithful to equality for domain elements (equal iff equal
+        to be faithful to equality within each element type (equal iff equal
         repr), which holds for the strings, ints, and tuples used throughout
         the library; custom element types with identity-based equality and a
         non-injective ``repr`` would alias fingerprints and must not be used
-        as cache-keyed domain elements.
+        as cache-keyed domain elements.  ``1``, ``True`` and ``1.0`` are equal
+        but of different types, so each keeps its own rendering.  Equal
+        elements of one type that render differently — tuples such as
+        ``(1, "a")`` and ``(True, "a")``, or ``0.0`` and ``-0.0`` — are outside
+        this contract: an instance renders all occurrences of such an element
+        one way, so its fingerprint and fact order may differ from those of
+        an instance that uses the other form.
+
+        Each distinct element is rendered once, and the whole digest input is
+        hashed in a single update.
         """
         if self._fingerprint is None:
-            hasher = hashlib.sha256()
-            for relation in self._signature:
-                hasher.update(f"{relation.name}/{relation.arity};".encode())
-            hasher.update(b"|")
-            for f in self._facts:
-                hasher.update(f.relation.encode())
-                for argument in f.arguments:
-                    kind, rendering = _element_key(argument)
-                    hasher.update(b"\x00" + kind.encode() + b"\x1f" + rendering.encode())
-                hasher.update(b"\x01")
-            self._fingerprint = hasher.hexdigest()
+            arguments = list(chain.from_iterable(map(_ARGUMENTS, self._facts)))
+            keys, distinct, renderings = _interned(arguments)
+            rendered = dict(zip(distinct, map(str.encode, map("\x00%s\x1f%s".__mod__, renderings))))
+            chunks = list(map(rendered.__getitem__, keys))
+            header = "".join(f"{relation.name}/{relation.arity};" for relation in self._signature)
+            parts = [header.encode(), b"|"]
+            start = 0
+            for relation, group in self._by_relation.items():
+                arity = self._signature.arity(relation)
+                stop = start + arity * len(group)
+                block = iter(chunks[start:stop])
+                name = relation.encode()
+                # Each fact is ``name + chunks + \x01``: join the facts on
+                # ``\x01 + name`` and add the outer two.
+                facts = map(b"".join, zip(*[block] * arity))
+                parts += (name, (b"\x01" + name).join(facts), b"\x01")
+                start = stop
+            self._fingerprint = hashlib.sha256(b"".join(parts)).hexdigest()
         return self._fingerprint
 
     def facts_with_value(self, relation: str, position: int, value: Any) -> tuple[Fact, ...]:
@@ -232,6 +273,23 @@ class Instance:
             if all(f.arguments[position] == value for position, value in bindings.items())
         )
 
+    def fact_positions(self, relation: str) -> Mapping[tuple[Any, ...], int]:
+        """The ``arguments -> position in facts`` index of ``relation``.
+
+        Built lazily for every relation at once, on first use (the instance is
+        immutable, so the index never goes stale); empty for a relation
+        without facts.
+        """
+        if self._positions is None:
+            positions: dict[str, dict[tuple[Any, ...], int]] = {}
+            start = 0
+            for name, group in self._by_relation.items():
+                stop = start + len(group)
+                positions[name] = dict(zip(map(_ARGUMENTS, group), range(start, stop)))
+                start = stop
+            self._positions = positions
+        return self._positions.get(relation, {})
+
     def _index_for(self, relation: str) -> dict[tuple[int, Any], tuple[Fact, ...]]:
         table = self._position_index.get(relation)
         if table is None:
@@ -255,9 +313,8 @@ class Instance:
         Raises :class:`InstanceError` if a fact is not part of this instance.
         """
         chosen = list(facts)
-        own = set(self._facts)
         for f in chosen:
-            if f not in own:
+            if f not in self:
                 raise InstanceError(f"{f} is not a fact of this instance")
         return Instance(chosen, self._signature)
 
@@ -309,13 +366,62 @@ class Instance:
         return set(self._facts) <= set(other.facts)
 
 
-def _sort_key(arguments: Sequence[Any]) -> tuple:
-    return tuple(_element_key(a) for a in arguments)
+_ARGUMENTS = attrgetter("arguments")
+_TYPE_NAME = attrgetter("__name__")
+
+
+def _checked_signature(
+    by_relation: Mapping[str, Sequence[Fact]], signature: Signature | None
+) -> Signature:
+    """The signature inferred from (or checked against) facts grouped by relation."""
+    arities = {
+        relation: dict.fromkeys(map(len, map(_ARGUMENTS, group)))
+        for relation, group in by_relation.items()
+    }
+    if signature is None:
+        for relation, used in arities.items():
+            if len(used) > 1:
+                first, second = list(used)[:2]
+                raise SignatureError(
+                    f"relation {relation!r} used with arities {first} and {second}"
+                )
+        return Signature((relation, next(iter(used))) for relation, used in arities.items())
+    for relation, used in arities.items():
+        group = by_relation[relation]
+        if relation not in signature:
+            raise SignatureError(
+                f"fact {group[0]} uses relation not in signature {signature!r}"
+            )
+        declared = signature.arity(relation)
+        if list(used) != [declared]:
+            f = next(f for f in group if f.arity != declared)
+            raise SignatureError(f"fact {f} has arity {f.arity}, signature says {declared}")
+    return signature
 
 
 def _element_key(element: Any) -> tuple[str, str]:
     """A total order on heterogeneous domain elements (by type name, then repr)."""
     return (type(element).__name__, repr(element))
+
+
+def _interned(arguments: list[Any]) -> tuple[list[Any], list[Any], list[tuple[str, str]]]:
+    """Intern argument occurrences: the key of every occurrence, the distinct
+    keys, and the :func:`_element_key` rendering of each distinct key.
+
+    The key is ``(type(element), element)``: ``1``, ``True`` and ``1.0`` are
+    equal but render differently.  When every occurrence has the same type,
+    the element itself is an equivalent and cheaper key, and ``arguments`` is
+    returned as the keys.
+    """
+    if len(set(map(type, arguments))) > 1:
+        keys = list(zip(map(type, arguments), arguments))
+        distinct = list(set(keys))
+        elements = [element for _, element in distinct]
+    else:
+        keys = arguments
+        distinct = elements = list(set(arguments))
+    renderings = list(zip(map(_TYPE_NAME, map(type, elements)), map(repr, elements)))
+    return keys, distinct, renderings
 
 
 def graph_instance(

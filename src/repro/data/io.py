@@ -39,13 +39,27 @@ def instance_from_dict(data: Mapping[str, Any]) -> Instance:
     """The inverse of :func:`instance_to_dict`."""
     try:
         signature = Signature(sorted(data["signature"].items()))
-        facts = [Fact(entry["relation"], tuple(entry["arguments"])) for entry in data["facts"]]
+        entries = list(data["facts"])
     except (KeyError, TypeError, AttributeError) as error:
         raise InstanceError(f"malformed instance description: {error}") from error
-    for f in facts:
-        if any(isinstance(argument, (list, dict)) for argument in f.arguments):
-            raise InstanceError(f"fact arguments must be scalars, not arrays or objects: {f}")
-    return Instance(facts, signature)
+    return Instance([_fact_from_entry(entry, "fact") for entry in entries], signature)
+
+
+def _fact_from_entry(entry: Any, kind: str) -> Fact:
+    """The fact of one ``{"relation": name, "arguments": [...]}`` entry."""
+    try:
+        relation, arguments = entry["relation"], entry["arguments"]
+    except (KeyError, TypeError) as error:
+        raise InstanceError(f"malformed {kind} entry {entry!r}: {error}") from error
+    if not isinstance(relation, str) or not relation:
+        raise InstanceError(f"{kind} entry {entry!r}: relation must be a non-empty string")
+    if not isinstance(arguments, list):
+        raise InstanceError(f"{kind} entry {entry!r}: arguments must be an array")
+    if any(isinstance(argument, (list, dict)) for argument in arguments):
+        raise InstanceError(
+            f"{kind} entry {entry!r}: arguments must be scalars, not arrays or objects"
+        )
+    return Fact(relation, tuple(arguments))
 
 
 def tid_to_dict(probabilistic_instance: ProbabilisticInstance) -> dict[str, Any]:
@@ -68,9 +82,11 @@ def tid_from_dict(data: Mapping[str, Any]) -> ProbabilisticInstance:
     valuation: dict[Fact, Fraction] = {}
     try:
         for entry in data.get("probabilities", []):
-            f = Fact(entry["relation"], tuple(entry["arguments"]))
+            f = _fact_from_entry(entry, "probability")
             valuation[f] = as_probability(Fraction(entry["probability"]))
-    except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as error:
+    except (
+        KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError
+    ) as error:
         raise InstanceError(f"malformed probability description: {error}") from error
     return ProbabilisticInstance(instance, valuation)
 

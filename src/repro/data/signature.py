@@ -21,8 +21,12 @@ class Relation:
     arity: int
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise SignatureError("relation name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise SignatureError(f"relation name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.arity, int) or isinstance(self.arity, bool):
+            raise SignatureError(
+                f"relation {self.name!r} must have an integer arity, got {self.arity!r}"
+            )
         if self.arity < 1:
             raise SignatureError(
                 f"relation {self.name!r} must have arity >= 1, got {self.arity}"

@@ -13,7 +13,9 @@ converted exactly.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.data.instance import Fact, Instance
@@ -23,18 +25,23 @@ ProbabilityLike = Fraction | float | int | str | tuple[int, int]
 
 
 def as_probability(value: ProbabilityLike) -> Fraction:
-    """Convert a user-supplied probability to an exact Fraction in [0, 1]."""
-    if isinstance(value, tuple):
-        prob = Fraction(value[0], value[1])
-    elif isinstance(value, Fraction):
+    """Convert a user-supplied probability to an exact Fraction in [0, 1].
+
+    The range check compares the normalized numerator and denominator as
+    integers (a ``Fraction`` always has a positive denominator), which is
+    what keeps validating an already-exact valuation cheap.
+    """
+    if isinstance(value, Fraction):
         prob = value
+    elif isinstance(value, tuple):
+        prob = Fraction(value[0], value[1])
     elif isinstance(value, (int, str)):
         prob = Fraction(value)
     elif isinstance(value, float):
         prob = Fraction(value).limit_denominator(10**12)
     else:
         raise ProbabilityError(f"cannot interpret {value!r} as a probability")
-    if not 0 <= prob <= 1:
+    if not 0 <= prob.numerator <= prob.denominator:
         raise ProbabilityError(f"probability {prob} outside [0, 1]")
     return prob
 
@@ -61,17 +68,32 @@ class ProbabilisticInstance:
         valuation: Mapping[Fact, ProbabilityLike] | None = None,
         default: ProbabilityLike = 1,
     ) -> None:
-        valuation = valuation or {}
-        unknown = set(valuation) - set(instance.facts)
-        if unknown:
-            raise ProbabilityError(
-                f"valuation mentions facts not in the instance: {sorted(map(str, unknown))[:3]}"
-            )
+        """Validate ``valuation`` against ``instance`` in one pass.
+
+        The stored valuation starts as every fact of ``instance`` (in its
+        order) at ``default``; ``valuation`` is merged over it, which reuses
+        the hashes a ``dict`` valuation already stores.  Any fact the merge
+        appends is unknown to the instance, so :class:`ProbabilityError`
+        names up to three of them; this check comes before any probability
+        is validated.  Then each given probability goes through
+        :func:`as_probability`, once.
+        """
         default_prob = as_probability(default)
+        probabilities: dict[Fact, Any] = dict.fromkeys(instance.facts, default_prob)
+        if valuation:
+            size = len(probabilities)
+            probabilities.update(valuation)
+            if len(probabilities) != size:
+                unknown = map(str, islice(probabilities, size, None))
+                raise ProbabilityError(
+                    f"valuation mentions facts not in the instance: {sorted(unknown)[:3]}"
+                )
+            for f, given in valuation.items():
+                probability = as_probability(given)
+                if probability is not given:
+                    probabilities[f] = probability
         self._instance = instance
-        self._valuation: dict[Fact, Fraction] = {
-            f: as_probability(valuation.get(f, default_prob)) for f in instance
-        }
+        self._valuation: dict[Fact, Fraction] = probabilities
         self._fingerprint: str | None = None
 
     # -- constructors ---------------------------------------------------------
@@ -114,15 +136,14 @@ class ProbabilisticInstance:
         instances share a fingerprint exactly when they have the same facts,
         signature, and probabilities.  Used by
         :class:`repro.engine.CompilationEngine` to cache probability results.
+        The probabilities are rendered as ``numerator/denominator;`` and
+        hashed after the instance fingerprint in a single update.
         """
         if self._fingerprint is None:
-            import hashlib
-
-            hasher = hashlib.sha256(self._instance.fingerprint.encode())
-            for f in self._instance:
-                p = self._valuation[f]
-                hasher.update(f"{p.numerator}/{p.denominator};".encode())
-            self._fingerprint = hasher.hexdigest()
+            rendered = "".join([f"{p.numerator}/{p.denominator};" for p in self._valuation.values()])
+            self._fingerprint = hashlib.sha256(
+                (self._instance.fingerprint + rendered).encode()
+            ).hexdigest()
         return self._fingerprint
 
     def probability_of(self, f: Fact) -> Fraction:

@@ -673,6 +673,10 @@ class CompilationEngine:
         consulting the budget.  Degraded answers
         (:class:`~repro.engine.router.ProbabilityBounds`) are never
         cached: the next call gets a fresh chance at an exact route.
+
+        A query atom whose arity disagrees with the instance signature raises
+        :class:`~repro.errors.SignatureError` before any route runs, so
+        ``auto`` neither fails over nor degrades on it.
         """
         route = ROUTES.get(method)
         if route is None:
@@ -687,6 +691,7 @@ class CompilationEngine:
         if cached is not None:
             self._probabilities.move_to_end(key)
             return cached
+        ucq.check_arities(tid.signature)
         if budget is not None:
             with activate(budget):
                 value = route.evaluate(self, ucq, tid)

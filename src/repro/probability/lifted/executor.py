@@ -13,6 +13,12 @@ matching the already-bound positions
 (:meth:`repro.data.instance.Instance.facts_matching`).  The global active
 domain is never swept, and both product rules short-circuit (a zero factor
 for joins, a certain branch for projections).
+
+A :class:`~repro.probability.lifted.plan.GroundNode` finds each ground atom
+in the instance's ``arguments -> position`` index
+(:meth:`repro.data.instance.Instance.fact_positions`) and reads the TID's
+probability of the fact at that position: no ``Fact`` is built per binding,
+and the valuation is never copied.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from fractions import Fraction
 from typing import Any, Iterator, Mapping
 
 from repro import resilience as _resilience
-from repro.data.instance import Fact, Instance
+from repro.data.instance import Instance
 from repro.data.tid import ProbabilisticInstance
 from repro.probability.lifted.plan import (
     GroundNode,
@@ -34,15 +40,14 @@ from repro.probability.lifted.plan import (
 Binding = Mapping[Any, Any]
 
 _EMPTY: tuple[tuple[PlanNode, dict[Any, Any]], ...] = ()
+_ONE = Fraction(1)
 
 
 def execute_plan(plan: LiftedPlan, tid: ProbabilisticInstance) -> Fraction:
     """The exact probability of the plan's query on ``tid``."""
-    valuation = tid.valuation()
-    instance = tid.instance
     total = Fraction(0)
     for coefficient, node in plan.root.terms:
-        total += coefficient * _evaluate(node, instance, valuation)
+        total += coefficient * _evaluate(node, tid)
     return total
 
 
@@ -72,11 +77,10 @@ class _Frame:
         return self.accumulator if self.kind == "join" else 1 - self.accumulator
 
 
-def _evaluate(
-    root: PlanNode, instance: Instance, valuation: dict[Fact, Fraction]
-) -> Fraction:
+def _evaluate(root: PlanNode, tid: ProbabilisticInstance) -> Fraction:
     if isinstance(root, GroundNode):
-        return _ground_probability(root, {}, valuation)
+        return _ground_probability(root, {}, tid)
+    instance = tid.instance
     frames = [_open_frame(root, {}, instance)]
     result = Fraction(0)
     while frames:
@@ -85,7 +89,7 @@ def _evaluate(
         if pending is not None:
             child, binding = pending
             if isinstance(child, GroundNode):
-                frame.absorb(_ground_probability(child, binding, valuation))
+                frame.absorb(_ground_probability(child, binding, tid))
             else:
                 frames.append(_open_frame(child, binding, instance))
             continue
@@ -110,24 +114,29 @@ def _open_frame(node: PlanNode, binding: dict[Any, Any], instance: Instance) -> 
 
 
 def _ground_probability(
-    node: GroundNode, binding: Binding, valuation: dict[Fact, Fraction]
+    node: GroundNode, binding: Binding, tid: ProbabilisticInstance
 ) -> Fraction:
     """Product of the fact probabilities; 0 when any fact is absent.
 
-    Duplicate facts (possible only in degenerate plans) are counted once:
+    Each atom's ground arguments are looked up in the instance's
+    ``arguments -> position`` index, and the fact's probability is read by
+    position; no :class:`~repro.data.instance.Fact` is built.  Duplicate
+    facts (possible only in degenerate plans) are counted once:
     ``P(A ∧ A) = P(A)``.
     """
-    probability = Fraction(1)
-    seen: set[Fact] = set()
+    instance = tid.instance
+    positions: dict[int, None] = {}
     for a in node.atoms:
-        ground_fact = Fact(a.relation, tuple(binding[v] for v in a.arguments))
-        if ground_fact in seen:
-            continue
-        fact_probability = valuation.get(ground_fact)
-        if fact_probability is None:
+        arguments = tuple(map(binding.__getitem__, a.arguments))
+        position = instance.fact_positions(a.relation).get(arguments)
+        if position is None:
             return Fraction(0)
-        seen.add(ground_fact)
-        probability *= fact_probability
+        positions[position] = None
+    facts = instance.facts
+    factors = (tid.probability_of(facts[position]) for position in positions)
+    probability = next(factors, _ONE)
+    for factor in factors:
+        probability *= factor
     return probability
 
 

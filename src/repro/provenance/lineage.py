@@ -91,6 +91,7 @@ def lineage_of(
     query = as_ucq(query)
     if engine is not None and minimal:
         return engine.lineage(query, instance)
+    query.check_arities(instance.signature)
     matches = minimal_matches(query, instance) if minimal else ucq_matches(query, instance)
     return MonotoneDNFLineage(instance, tuple(matches))
 

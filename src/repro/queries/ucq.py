@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.data.signature import Signature
-from repro.errors import QueryError
+from repro.errors import QueryError, SignatureError
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.atoms import Variable
 
@@ -49,6 +49,21 @@ class UnionOfConjunctiveQueries:
                 if previous != a.arity:
                     raise QueryError(f"relation {a.relation!r} used with two arities")
         return Signature(sorted(arities.items()))
+
+    def check_arities(self, signature: Signature) -> None:
+        """Reject an atom whose arity disagrees with ``signature``.
+
+        Raises :class:`~repro.errors.SignatureError` naming the atom and the
+        declared relation.  A relation missing from ``signature`` is legal:
+        its atoms match no fact, so they contribute probability 0.
+        """
+        for disjunct in self.disjuncts:
+            for atom in disjunct.atoms:
+                if atom.relation in signature and signature.arity(atom.relation) != atom.arity:
+                    raise SignatureError(
+                        f"query atom {atom} has arity {atom.arity}, but the instance "
+                        f"declares {signature[atom.relation]}"
+                    )
 
     def variables(self) -> tuple[Variable, ...]:
         seen: dict[Variable, None] = {}

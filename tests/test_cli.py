@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from repro.cli import build_parser, main
+from repro.data.instance import Instance, fact
 from repro.data.io import save_instance, save_instance_csv
+from repro.data.signature import Signature
 from repro.data.tid import ProbabilisticInstance
 from repro.generators.lines import rst_chain_instance
 from repro.probability.evaluation import probability
@@ -136,6 +138,15 @@ def test_cli_error_on_bad_query(tid_json, capsys):
     path, _ = tid_json
     assert main(["probability", str(path), "--query", "not a query !!"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_error_on_query_arity_mismatch(tmp_path, capsys):
+    path = tmp_path / "unary.json"
+    instance = Instance([fact("R", "a")], Signature.of(R=1))
+    save_instance(ProbabilisticInstance.uniform(instance, Fraction(1, 2)), path)
+    assert main(["probability", str(path), "--query", "R(x,y)"]) == 1
+    error = capsys.readouterr().err
+    assert "error:" in error and "R/1" in error
 
 
 # -- resilience flags (budgets, deadlines, degradation) --------------------------

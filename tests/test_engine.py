@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from repro.data.instance import Instance, fact
+from repro.data.signature import Signature
 from repro.data.tid import ProbabilisticInstance
-from repro.engine import CacheStats, CompilationEngine, default_engine
-from repro.errors import CompilationError, ProbabilityError
+from repro.engine import ROUTES, CacheStats, CompilationEngine, default_engine
+from repro.errors import CompilationError, ProbabilityError, SignatureError
 from repro.generators import labelled_partial_ktree_instance, rst_bipartite_instance
 from repro.probability.evaluation import probability
 from repro.provenance.compile_obdd import compile_query_to_obdd
@@ -222,3 +223,32 @@ def test_cache_stats_formatting():
 def test_default_engine_is_a_singleton():
     assert default_engine() is default_engine()
     assert isinstance(default_engine(), CompilationEngine)
+
+
+# -- query atoms against the instance signature ---------------------------------
+
+
+@pytest.fixture()
+def unary_tid():
+    instance = Instance([fact("R", "a"), fact("R", "b")], Signature.of(R=1))
+    return ProbabilisticInstance.uniform(instance, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("method", list(ROUTES))
+def test_query_arity_mismatch_is_a_signature_error_on_every_route(method, unary_tid):
+    # With the degradation tier on, ``auto`` could otherwise fail over or
+    # answer with bounds; the check runs before any route.
+    engine = CompilationEngine(degradation="karp_luby")
+    with pytest.raises(SignatureError, match=r"R\(x, y\).*R/1"):
+        engine.probability(parse_ucq("R(x, y)"), unary_tid, method)
+    assert engine.route_mix() == {}
+
+
+def test_lineage_rejects_query_arity_mismatch(unary_tid):
+    with pytest.raises(SignatureError, match="R/1"):
+        CompilationEngine().lineage(parse_ucq("R(x), R(x, y)"), unary_tid.instance)
+
+
+@pytest.mark.parametrize("method", list(ROUTES))
+def test_relations_missing_from_the_signature_contribute_zero(method, unary_tid):
+    assert CompilationEngine().probability(parse_ucq("R(x), T(x, y)"), unary_tid, method) == 0

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.booleans.circuit import BooleanCircuit
@@ -26,9 +26,9 @@ from repro.data.io import (
     tid_to_dict,
     tree_decomposition_to_dot,
 )
-from repro.data.signature import Signature
+from repro.data.signature import Relation, Signature
 from repro.data.tid import ProbabilisticInstance
-from repro.errors import InstanceError
+from repro.errors import InstanceError, ReproError, SignatureError
 from repro.generators.lines import rst_chain_instance
 from repro.generators.random_instances import random_instance, random_probabilities
 from repro.provenance.compile_obdd import compile_query_to_obdd
@@ -90,6 +90,141 @@ def test_cli_reports_non_scalar_fact_arguments_as_errors(tmp_path, capsys):
     )
     assert main(["probability", str(path), "--query", "R(x)"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Each description differs from a valid one in one field.
+MALFORMED_DESCRIPTIONS = {
+    "relation is an array": {
+        "signature": {"R": 1},
+        "facts": [{"relation": ["R"], "arguments": ["a"]}],
+    },
+    "relation is empty": {"signature": {"R": 1}, "facts": [{"relation": "", "arguments": ["a"]}]},
+    "arguments is an object": {
+        "signature": {"R": 1},
+        "facts": [{"relation": "R", "arguments": {"a": 1}}],
+    },
+    "arguments is a string": {
+        "signature": {"R": 2},
+        "facts": [{"relation": "R", "arguments": "ab"}],
+        "probabilities": [{"relation": "R", "arguments": ["a", "b"], "probability": "1/3"}],
+    },
+    "probability arguments is a string": {
+        "signature": {"R": 2},
+        "facts": [{"relation": "R", "arguments": ["a", "b"]}],
+        "probabilities": [{"relation": "R", "arguments": "ab", "probability": "1/3"}],
+    },
+    "probability relation is an array": {
+        "signature": {"R": 1},
+        "facts": [{"relation": "R", "arguments": ["a"]}],
+        "probabilities": [{"relation": ["R"], "arguments": ["a"], "probability": "1/3"}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DESCRIPTIONS))
+def test_loaders_reject_malformed_fact_entries(name):
+    data = MALFORMED_DESCRIPTIONS[name]
+    with pytest.raises(InstanceError, match="entry"):
+        tid_from_dict(data)
+    if "probabilities" not in data:
+        with pytest.raises(InstanceError, match="entry"):
+            instance_from_dict(data)
+
+
+@pytest.mark.parametrize("arity", [True, 1.0, "1", None])
+def test_loaders_reject_non_integer_arities(arity):
+    # ``R/True`` would compare equal to ``R/1`` yet fingerprint differently.
+    data = {"signature": {"R": arity}, "facts": [{"relation": "R", "arguments": ["a"]}]}
+    with pytest.raises(SignatureError, match="integer arity"):
+        instance_from_dict(data)
+
+
+@pytest.mark.parametrize("name, arity", [(["R"], 1), (1, 1), ("R", True), ("R", 1.0), ("R", "2")])
+def test_relation_rejects_non_string_names_and_non_integer_arities(name, arity):
+    with pytest.raises(SignatureError):
+        Relation(name, arity)
+
+
+def test_cli_reports_unhashable_relations_as_errors(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(MALFORMED_DESCRIPTIONS["relation is an array"]))
+    assert main(["probability", str(path), "--query", "R(x)"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+# JSON-shaped values: what ``json.loads`` can return (it accepts NaN and
+# Infinity).  Two in three are arrays or objects, the values a loader is most
+# likely to mistake for a name, a list of arguments, or a probability.
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+_nested = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+json_values = (
+    json_scalars
+    | st.lists(_nested, max_size=3)
+    | st.dictionaries(st.text(max_size=2), _nested, max_size=3)
+)
+
+
+def _or_any(strategy, one_in):
+    """``strategy``, except that one draw in ``one_in`` is any JSON value.
+
+    Containers are replaced rarely and leaves often, so that most
+    descriptions get past their outer fields into the inner ones.
+    """
+    return st.integers(1, one_in).flatmap(lambda roll: json_values if roll == 1 else strategy)
+
+
+CONTAINER, LEAF = 8, 3
+_names = st.sampled_from(["R", "S"])
+_arguments = _or_any(st.lists(st.sampled_from(["a", "b", 1, None]), min_size=1, max_size=2), LEAF)
+_fact_entries = _or_any(
+    st.fixed_dictionaries({"relation": _or_any(_names, LEAF), "arguments": _arguments}), CONTAINER
+)
+_probability_entries = _or_any(
+    st.fixed_dictionaries(
+        {
+            "relation": _or_any(_names, LEAF),
+            "arguments": _arguments,
+            "probability": _or_any(st.sampled_from(["1/2", "0", "1", 1, "3/2"]), LEAF),
+        }
+    ),
+    CONTAINER,
+)
+json_descriptions = _or_any(
+    st.fixed_dictionaries(
+        {
+            "signature": _or_any(
+                st.dictionaries(_names, _or_any(st.integers(1, 2), LEAF), max_size=2), CONTAINER
+            ),
+            "facts": _or_any(st.lists(_fact_entries, min_size=1, max_size=3), CONTAINER),
+            "probabilities": _or_any(st.lists(_probability_entries, max_size=3), CONTAINER),
+        }
+    ),
+    CONTAINER,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=json_descriptions)
+@example(data=MALFORMED_DESCRIPTIONS["relation is an array"])
+@example(
+    data={
+        "signature": {"R": 1},
+        "facts": [{"relation": "R", "arguments": ["a"]}],
+        "probabilities": [{"relation": "R", "arguments": ["a"], "probability": float("inf")}],
+    }
+)
+def test_loaders_raise_only_typed_errors(data):
+    for load in (instance_from_dict, tid_from_dict):
+        try:
+            load(data)
+        except ReproError:
+            pass
 
 
 def test_tid_dict_round_trip_preserves_fractions():
