@@ -23,7 +23,15 @@ infeasible.  This benchmark drives the whole stack end to end:
   explicit valuation).  The two sides run interleaved, each keeps its minimum
   over ``INPUT_REPEATS`` runs, their fact orders, domains and digests must be
   identical, and the interned build must be at least
-  ``MINIMUM_INPUT_SPEEDUP`` times faster at the largest size.
+  ``MINIMUM_INPUT_SPEEDUP`` times faster at the largest size;
+* the executor at the largest size: the integer executor
+  (:func:`~repro.probability.lifted.execute_plan`) against the ``Fraction``
+  reference it replaced, at both probability settings.  The two sides run
+  interleaved, each keeps its minimum over ``INPUT_REPEATS`` runs, their
+  values must be equal, and the integer executor must be at least
+  ``MINIMUM_EXECUTOR_SPEEDUP`` times faster at either setting.  The share of
+  its time spent reducing the root pair to lowest terms (one
+  ``Fraction(numerator, denominator)``) is recorded too.
 
 Results go to ``BENCH_lifted.json``; the CI step fails on any gate.
 """
@@ -39,6 +47,9 @@ from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine
 from repro.experiments import ScalingSeries, format_table, write_benchmark_json
 from repro.probability import brute_force_probability, probability, safe_plan_probability
+from repro.probability.lifted import execute_plan, lifted_plan
+from repro.probability.lifted.executor import execute_plan_unreduced
+from repro.probability.lifted.reference import execute_plan_reference
 from repro.queries import hierarchical_example
 
 # k values; each size is k + k*M facts.  The largest must clear 10^5 facts.
@@ -51,6 +62,7 @@ MINIMUM_LARGEST_FACTS = 100_000
 MAXIMUM_LARGEST_SECONDS = 60.0
 INPUT_REPEATS = 3
 MINIMUM_INPUT_SPEEDUP = 1.5
+MINIMUM_EXECUTOR_SPEEDUP = 1.5
 
 
 def _family_facts(k, m):
@@ -114,6 +126,43 @@ def run_input_stage_benchmark():
         for setting in ("p=1/2", "p=k/1000")
     }
     return list(series.values()), speedups
+
+
+def run_executor_benchmark():
+    """Integer vs ``Fraction`` executor at the largest size, per setting."""
+    k = K_SIZES[-1]
+    facts = _family_facts(k, M_PER_K)
+    instance = Instance(facts)
+    plan = lifted_plan(hierarchical_example())
+    series = []
+    summary = {}
+    for setting, (valuation, default) in _valuations(facts, k).items():
+        tid = ProbabilisticInstance(instance, valuation, default)
+        reference_best = integer_best = reduction_best = float("inf")
+        for _ in range(INPUT_REPEATS):
+            reference_seconds, expected = _seconds(execute_plan_reference, plan, tid)
+            integer_seconds, value = _seconds(execute_plan, plan, tid)
+            assert value == expected, f"executors disagree at k={k}, {setting}"
+            reference_best = min(reference_best, reference_seconds)
+            integer_best = min(integer_best, integer_seconds)
+        pair = execute_plan_unreduced(plan, tid)
+        for _ in range(INPUT_REPEATS):
+            reduction_seconds, reduced = _seconds(Fraction, *pair)
+            reduction_best = min(reduction_best, reduction_seconds)
+        assert reduced == value, f"reduced root pair differs at k={k}, {setting}"
+        for side, seconds in (("Fraction reference", reference_best), ("integer", integer_best)):
+            name = f"executor, {side}, {setting} (s)"
+            series.append(ScalingSeries(name))
+            series[-1].add(len(facts), seconds)
+        summary[setting] = {
+            "reference_seconds": reference_best,
+            "integer_seconds": integer_best,
+            "speedup": reference_best / integer_best,
+            "reduction_seconds": reduction_best,
+            "reduction_share": reduction_best / integer_best,
+        }
+        del tid, pair
+    return series, summary
 
 
 def _closed_form(k, m):
@@ -199,10 +248,11 @@ def run_benchmark():
     )
 
     input_series, input_speedups = run_input_stage_benchmark()
+    executor_series, executor = run_executor_benchmark()
     write_benchmark_json(
         RESULT_FILE,
         "Lifted inference (safe plans) at circuit-infeasible instance sizes",
-        [series, *input_series],
+        [series, *input_series, *executor_series],
         extra={
             "family": (
                 f"R(a_i) + S(a_i, b_j), m={M_PER_K} per root, k in {list(K_SIZES)}, "
@@ -227,6 +277,14 @@ def run_benchmark():
                 "largest_speedups": input_speedups,
                 "minimum_largest_speedup": MINIMUM_INPUT_SPEEDUP,
             },
+            "executor": {
+                "stage": "execute_plan on the largest family, instance and TID prebuilt",
+                "reference": "repro.probability.lifted.reference.execute_plan_reference",
+                "reduction": "Fraction(numerator, denominator) on the unreduced root pair",
+                "repeats": INPUT_REPEATS,
+                "settings": executor,
+                "minimum_speedup": MINIMUM_EXECUTOR_SPEEDUP,
+            },
         },
     )
     slow = {s: x for s, x in input_speedups.items() if x < MINIMUM_INPUT_SPEEDUP}
@@ -234,10 +292,17 @@ def run_benchmark():
         f"input stage at {largest_facts} facts only {slow} faster than the seed "
         f"reference; expected >= {MINIMUM_INPUT_SPEEDUP}x"
     )
-    return series, checks, input_speedups
+    slow = {
+        s: x["speedup"] for s, x in executor.items() if x["speedup"] < MINIMUM_EXECUTOR_SPEEDUP
+    }
+    assert not slow, (
+        f"integer executor at {largest_facts} facts only {slow} faster than the "
+        f"Fraction reference; expected >= {MINIMUM_EXECUTOR_SPEEDUP}x"
+    )
+    return series, checks, input_speedups, executor
 
 
-def report(series, checks, input_speedups):
+def report(series, checks, input_speedups, executor):
     rows = [
         (check["k"], check["facts"], round(check["seconds"], 4), check["route"])
         for check in checks
@@ -252,6 +317,13 @@ def report(series, checks, input_speedups):
     )
     for setting, ratio in input_speedups.items():
         print(f"input stage at {largest['facts']} facts, {setting}: {ratio:.2f}x over the seed")
+    for setting, result in executor.items():
+        print(
+            f"executor at {largest['facts']} facts, {setting}: "
+            f"{result['reference_seconds']:.3f}s -> {result['integer_seconds']:.3f}s "
+            f"({result['speedup']:.2f}x over the Fraction reference; reducing the root "
+            f"pair is {result['reduction_share']:.0%} of it)"
+        )
 
 
 def test_lifted_route_at_scale(benchmark):

@@ -47,13 +47,17 @@ from repro.generators.lines import rst_chain_instance
 from repro.queries import hierarchical_example, unsafe_rst
 from repro.resilience import ResourceBudget
 
-LINE_SIZES = (120, 240)
+# With the exact sweeps in scaled integers, line 120 and 240 and the ktrees
+# alone sum to ~0.04 s unguarded, under MIN_MEASURABLE_SECONDS, which would
+# waive the 5% gate.  Line 480 alone brought the sum to only 0.055-0.072 s
+# on a 2-CPU VM; with line 960 it is ~0.12 s, twice the floor.
+LINE_SIZES = (120, 240, 480, 960)
 KTREE_SIZES = (90, 150)
 WIDTH = 2
 # Timed repetitions per case per side; each side keeps its min.  With the
-# structural front-end linear, the unguarded cases sum to ~0.07 s and a
-# min over 11 runs still let one shared-VM slow burst push a run past 5%
-# about one time in five; 31 keeps the same cases and the same 5% gate.
+# structural front-end linear, a min over 11 runs still let one shared-VM
+# slow burst push a run past 5% about one time in five; 31 keeps the same
+# 5% gate.
 REPETITIONS = 31
 RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
 MAX_OVERHEAD = 0.05

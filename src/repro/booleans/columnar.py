@@ -22,9 +22,12 @@ is what makes level-at-a-time vectorized passes possible.
 
 Two arithmetic regimes, mirroring the object sweep's contract:
 
-* ``exact=True`` (default) computes probabilities as
-  :class:`~fractions.Fraction` and model counts as Python integers in plain
-  loops *over the columns* — no node objects, no recursion, exact end to end;
+* ``exact=True`` (default) computes probabilities with the integer
+  recurrence the object manager uses too
+  (:func:`repro.booleans.obdd.exact_probability`: per-level scaled integers,
+  one :class:`~fractions.Fraction` per answer), fed the columns in ascending
+  id order, and model counts as Python integers in a plain loop *over the
+  columns* — no node objects, no recursion, exact end to end;
 * ``exact=False`` runs the vectorized float fast path: one fused numpy gather
   per level, with the same degeneracy fallback (non-finite or out-of-range
   results rerun the exact kernel) and sub-tolerance clamping as
@@ -53,7 +56,7 @@ from fractions import Fraction
 from typing import Any, Hashable, Mapping, Sequence
 
 from repro import resilience as _resilience
-from repro.booleans.obdd import FALSE_NODE, OBDD, TRUE_NODE, SweepResult
+from repro.booleans.obdd import FALSE_NODE, OBDD, TRUE_NODE, SweepResult, exact_probability
 from repro.errors import CompilationError, LineageError
 
 _ITEM = "q"  # signed 64-bit entries, matching numpy int64
@@ -219,8 +222,8 @@ class ColumnarOBDD:
     ) -> SweepResult:
         """Probability, model count, size, and width over the columns.
 
-        The exact regime (`exact=True`) is Fraction/integer arithmetic in
-        ascending-id passes; the float regime is the vectorized
+        The exact regime (`exact=True`) is integer arithmetic in ascending-id
+        passes; the float regime is the vectorized
         level-at-a-time fast path with the object sweep's degeneracy fallback
         and clamping, so callers always see a float inside ``[0, 1]``.
         """
@@ -245,15 +248,12 @@ class ColumnarOBDD:
         return result
 
     def _level_probability(
-        self, probabilities: Mapping[Hashable, Fraction | float], level: int, exact: bool
-    ) -> Fraction | float:
+        self, probabilities: Mapping[Hashable, Fraction | float], level: int
+    ) -> float:
         variable = self.order[level]
         if variable not in probabilities:
             raise LineageError(f"missing probability for variable {variable!r}")
-        raw = probabilities[variable]
-        if exact:
-            return raw if isinstance(raw, Fraction) else Fraction(raw)
-        return float(raw)
+        return float(probabilities[variable])
 
     def _sweep_impl(
         self,
@@ -280,8 +280,12 @@ class ColumnarOBDD:
         probability_value: Fraction | float | None = None
         if want_probability:
             numpy_module = array_backend()
-            if exact or numpy_module is None:
-                probability_value = self._probability_pass(probabilities, exact)
+            if exact:
+                probability_value = exact_probability(
+                    self.order, probabilities, self._node_table(), range(2, n + 2), self.root
+                )
+            elif numpy_module is None:
+                probability_value = self._probability_pass(probabilities)
             else:
                 probability_value = self._probability_vectorized(numpy_module, probabilities)
 
@@ -300,15 +304,17 @@ class ColumnarOBDD:
             width=width_value,
         )
 
-    def _probability_pass(
-        self, probabilities: Mapping[Hashable, Fraction | float], exact: bool
-    ) -> Fraction | float:
-        """Ascending-id probability pass over the columns (children first)."""
+    def _node_table(self) -> list[tuple[int, int, int]]:
+        """``(level, low, high)`` by node id, terminals at 0 and 1: the
+        layout :func:`~repro.booleans.obdd.exact_probability` reads."""
+        columns = (self.var.tolist(), self.lo.tolist(), self.hi.tolist())
+        return [(-1, -1, -1), (-1, -1, -1), *zip(*columns)]
+
+    def _probability_pass(self, probabilities: Mapping[Hashable, Fraction | float]) -> float:
+        """Ascending-id float probability pass (the no-numpy fallback)."""
         var, lo, hi = self.var, self.lo, self.hi
-        one: Fraction | float = Fraction(1) if exact else 1.0
-        zero: Fraction | float = Fraction(0) if exact else 0.0
-        values: list[Fraction | float] = [zero, one] + [zero] * len(var)
-        prob_of_level: dict[int, Fraction | float] = {}
+        values: list[float] = [0.0, 1.0] + [0.0] * len(var)
+        prob_of_level: dict[int, float] = {}
         budget = _resilience.ACTIVE
         countdown = _CHECKPOINT_STRIDE
         for index in range(len(var)):
@@ -320,8 +326,7 @@ class ColumnarOBDD:
             level = var[index]
             p = prob_of_level.get(level)
             if p is None:
-                p = self._level_probability(probabilities, int(level), exact)
-                prob_of_level[level] = p
+                p = prob_of_level[level] = self._level_probability(probabilities, int(level))
             values[index + 2] = p * values[hi[index]] + (1 - p) * values[lo[index]]
         return values[self.root]
 
@@ -337,7 +342,7 @@ class ColumnarOBDD:
         for level, start, stop in self._level_slices():
             if budget is not None:
                 budget.checkpoint()
-            p = self._level_probability(probabilities, level, exact=False)
+            p = self._level_probability(probabilities, level)
             values[start + 2 : stop + 2] = p * values[self.hi[start:stop]] + (1.0 - p) * values[
                 self.lo[start:stop]
             ]
@@ -427,7 +432,9 @@ class ColumnarOBDD:
     ) -> list[Fraction | float]:
         """Probabilities under many weightings — the batch re-weighting kernel.
 
-        The exact regime (and the no-numpy fallback) runs one sweep per map.
+        The exact regime (and the no-numpy fallback) runs one sweep per map:
+        exact answers come from the same integer recurrence as
+        :meth:`probability`.
         The float regime runs *one* matrix dynamic program over a
         ``(nodes, assignments)`` value plane: all dictionary work is hoisted
         into a single ``(levels, assignments)`` weight matrix up front, and
@@ -449,7 +456,7 @@ class ColumnarOBDD:
         weight_rows = np.empty((len(slices), batch), dtype=np.float64)
         for row, (level, _, _) in enumerate(slices):
             for column, weights in enumerate(maps):
-                weight_rows[row, column] = self._level_probability(weights, level, False)
+                weight_rows[row, column] = self._level_probability(weights, level)
         values = np.empty((len(self.var) + 2, batch), dtype=np.float64)
         values[FALSE_NODE] = 0.0
         values[TRUE_NODE] = 1.0

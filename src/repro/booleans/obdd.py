@@ -18,12 +18,18 @@ operation caches are keyed by packed integers (``(left << 34) | (right << 2)
 manager level exactly like ``apply`` results.
 
 Measurements share one **fused sweep kernel** (:meth:`OBDD.sweep`): a single
-reverse-topological pass over the reachable node array computes probability,
-model count, size, and width together, with a float fast path and an exact
-:class:`~fractions.Fraction` fallback.  Monotone DNFs are compiled by a
-trie-driven bottom-up construction (:meth:`OBDD.build_from_clauses`) instead
-of a clause-by-clause ``apply`` fold; the seed fold survives as a
-differential reference in :mod:`repro.booleans.reference`.
+reverse-topological pass over the reachable node array computes model count,
+size, width and the float fast path of the probability together.  Exact
+probabilities come from :func:`exact_probability`, the integer recurrence
+that both artifact kinds (this manager and
+:class:`~repro.booleans.columnar.ColumnarOBDD`) call with their nodes in
+children-first order: each node value is an integer scaled by the product of
+the denominators of the diagram's levels at or below the node's level, and
+the answer is the one :class:`~fractions.Fraction` built at the root.
+Monotone DNFs are compiled by a trie-driven bottom-up construction
+(:meth:`OBDD.build_from_clauses`) instead of a clause-by-clause ``apply``
+fold; the seed fold survives as a differential reference in
+:mod:`repro.booleans.reference`.
 """
 
 from __future__ import annotations
@@ -51,6 +57,99 @@ _OP_AND = 0
 _OP_OR = 1
 _OP_NOT = 2
 _KEY_SHIFT = 34
+
+
+def exact_probability(
+    order: Sequence[Hashable],
+    probabilities: Mapping[Hashable, Fraction | float],
+    table: Sequence[tuple[int, int, int]],
+    nodes: Sequence[int],
+    root: int,
+) -> Fraction:
+    """The exact probability of the diagram rooted at ``root``, in integers.
+
+    ``table[node]`` is the ``(level, low, high)`` triple of a decision node
+    (ids 0 and 1 are the FALSE/TRUE terminals) and ``nodes`` lists the
+    reachable decision nodes children first.  With ``p = a/d`` the
+    probability of the variable at a level, and ``S(level)`` the product of
+    ``d`` over the diagram's levels at or below ``level`` (1 for the
+    terminals), each node holds the integer ``v(node) * S(level)``::
+
+        V(node) = a * G(level, high) * V(high) + (d - a) * G(level, low) * V(low)
+
+    where ``G`` is the product of the denominators of the levels an edge
+    skips, cached per pair of levels.  Scaling each level by its own
+    denominator keeps every value as small as the exact answer needs; a
+    common denominator for all levels would multiply the digits by the number
+    of levels whenever the denominators share few factors.  No operation
+    reduces a fraction: the answer is the one ``Fraction`` built at the root.
+    """
+    levels = sorted({table[node][0] for node in nodes})
+    numerators: list[int] = []
+    denominators: list[int] = []
+    for level in levels:
+        variable = order[level]
+        if variable not in probabilities:
+            raise LineageError(f"missing probability for variable {variable!r}")
+        raw = probabilities[variable]
+        p = raw if isinstance(raw, Fraction) else Fraction(raw)
+        numerator, denominator = p.as_integer_ratio()
+        numerators.append(numerator)
+        denominators.append(denominator)
+    # Levels are addressed by rank among the diagram's levels; the terminals
+    # sit at rank ``depth``.  scale[rank] = S(levels[rank]).
+    depth = len(levels)
+    scale = [1] * (depth + 1)
+    for rank in range(depth - 1, -1, -1):
+        scale[rank] = scale[rank + 1] * denominators[rank]
+    rank_of = {level: rank for rank, level in enumerate(levels)}
+    node_rank = {FALSE_NODE: depth, TRUE_NODE: depth}
+    values = {FALSE_NODE: 0, TRUE_NODE: 1}
+    # Edge coefficients a*G (high) and (d - a)*G (low), keyed by the packed
+    # (parent rank, child rank) pair.
+    stride = depth + 1
+    high_coefficients: dict[int, int] = {}
+    low_coefficients: dict[int, int] = {}
+
+    budget = _resilience.ACTIVE
+    if budget is not None:
+        budget.checkpoint()
+    countdown = _CHECKPOINT_STRIDE
+    for node in nodes:
+        if budget is not None:
+            countdown -= 1
+            if countdown == 0:
+                countdown = _CHECKPOINT_STRIDE
+                budget.checkpoint()
+        level, low, high = table[node]
+        rank = rank_of[level]
+        high_rank = node_rank[high]
+        key = rank * stride + high_rank
+        high_coefficient = high_coefficients.get(key)
+        if high_coefficient is None:
+            high_coefficient = high_coefficients[key] = numerators[rank] * _skipped(
+                scale, denominators, rank, high_rank
+            )
+        low_rank = node_rank[low]
+        key = rank * stride + low_rank
+        low_coefficient = low_coefficients.get(key)
+        if low_coefficient is None:
+            low_coefficient = low_coefficients[key] = (
+                denominators[rank] - numerators[rank]
+            ) * _skipped(scale, denominators, rank, low_rank)
+        values[node] = high_coefficient * values[high] + low_coefficient * values[low]
+        node_rank[node] = rank
+    return Fraction(values[root], scale[node_rank[root]])
+
+
+def _skipped(scale: list[int], denominators: list[int], rank: int, child_rank: int) -> int:
+    """Product of the denominators strictly between two ranks."""
+    if child_rank == len(denominators):
+        return scale[rank + 1]
+    product = 1
+    for skipped in range(rank + 1, child_rank):
+        product *= denominators[skipped]
+    return product
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,8 +452,10 @@ class OBDD:
         is produced by the same sweep instead of one recursive walk each.
         ``probabilities`` triggers the probability computation; ``exact=True``
         (the default, and the contract of every exact route in this library)
-        computes with :class:`~fractions.Fraction`; ``exact=False`` runs a
-        float fast path whose result is always a float in ``[0, 1]``: gross
+        runs the integer recurrence :func:`exact_probability` over the same
+        node order and returns a :class:`~fractions.Fraction`;
+        ``exact=False`` runs a float fast path whose result is always a float
+        in ``[0, 1]``: gross
         degeneracy (non-finite, or off by more than 1e-9) falls back to the
         exact kernel (then coerced to float), and sub-tolerance rounding
         excursions are clamped.
@@ -409,6 +510,14 @@ class OBDD:
         # descending is a reverse topological order of the reachable DAG.
         reachable.sort(key=lambda current: nodes[current][0], reverse=True)
 
+        probability = None
+        if want_probability and exact:
+            probability = exact_probability(self._order, probabilities, nodes, reachable, node)
+        # The float fast path and the counts share one pass.
+        want_float = want_probability and not exact
+        if not (want_float or want_count or want_width):
+            return SweepResult(size=len(reachable), probability=probability)
+
         # Wall-clock checkpoints for the fused sweep: consult the ambient
         # deadline once up front and then every _CHECKPOINT_STRIDE nodes, so
         # a sweep over millions of nodes stays interruptible.
@@ -417,24 +526,20 @@ class OBDD:
             budget.checkpoint()
         countdown = _CHECKPOINT_STRIDE
 
-        prob_of_level: dict[int, Fraction | float] = {}
+        prob_of_level: dict[int, float] = {}
 
-        def level_probability(level: int) -> Fraction | float:
+        def level_probability(level: int) -> float:
             p = prob_of_level.get(level)
             if p is None:
                 variable = self._order[level]
                 if variable not in probabilities:
                     raise LineageError(f"missing probability for variable {variable!r}")
-                raw = probabilities[variable]
-                p = (raw if isinstance(raw, Fraction) else Fraction(raw)) if exact else float(raw)
-                prob_of_level[level] = p
+                p = prob_of_level[level] = float(probabilities[variable])
             return p
 
-        prob_values: dict[int, Fraction | float] | None = None
-        if want_probability:
-            one = Fraction(1) if exact else 1.0
-            zero = Fraction(0) if exact else 0.0
-            prob_values = {FALSE_NODE: zero, TRUE_NODE: one}
+        prob_values: dict[int, float] | None = (
+            {FALSE_NODE: 0.0, TRUE_NODE: 1.0} if want_float else None
+        )
         count_values: dict[int, int] | None = {TRUE_NODE: 1, FALSE_NODE: 0} if want_count else None
         # For the width, each distinct edge target is live exactly at the cuts
         # L with min_source_level(target) < L <= landing(target); the maximum
@@ -448,7 +553,7 @@ class OBDD:
                     countdown = _CHECKPOINT_STRIDE
                     budget.checkpoint()
             level, low, high = nodes[current]
-            if want_probability:
+            if want_float:
                 p = level_probability(level)
                 prob_values[current] = (
                     p * prob_values[high] + (1 - p) * prob_values[low]
@@ -492,7 +597,7 @@ class OBDD:
 
         return SweepResult(
             size=len(reachable),
-            probability=prob_values[node] if want_probability else None,
+            probability=prob_values[node] if want_float else probability,
             model_count=model_count_value,
             width=width_value,
         )

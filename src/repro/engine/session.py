@@ -604,8 +604,14 @@ class CompilationEngine:
         route is a candidate when the query admits a lifted plan.  The
         instance side next: each circuit route is a candidate unless the
         instance exceeds ``circuit_fact_limit`` and the route's artifact is
-        not already cached.  Among the candidates, the cost model's cheapest
-        prediction wins (ties broken by the table's order).
+        not already cached.
+
+        A liftable query takes the safe-plan route by rule, as long as that
+        route has no recorded failure: the plan's cost does not depend on
+        the lineage, and the cost model's per-fact rates are averages over
+        every instance the engine has seen.  Otherwise (an unsafe query, or
+        a safe-plan route that failed) the cost model's cheapest prediction
+        wins, ties broken by the table's order.
         """
         plan = self.lifted_plan(query)
         facts = len(tid.instance)
@@ -621,7 +627,10 @@ class CompilationEngine:
                 infeasible.append(name)
         # A stable sort: equal predictions keep the table's order.
         estimates.sort(key=lambda estimate: estimate[1])
-        if estimates:
+        if plan is not None and not self.route_costs.failure_count("safe_plan"):
+            method = "safe_plan"
+            reason = "liftable query: safe_plan by rule"
+        elif estimates:
             method = estimates[0][0]
             reason = (
                 f"cheapest predicted route at {facts} facts"

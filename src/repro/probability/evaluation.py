@@ -61,11 +61,37 @@ def probability(
 
 
 def _probability_of_read_once(lineage, probabilistic_instance: ProbabilisticInstance) -> Fraction:
-    """P(OR of independent ANDs) = 1 - prod(1 - prod(p(fact)))."""
-    complement = Fraction(1)
+    """P(OR of independent ANDs) = 1 - prod(1 - prod(p(fact))), in integers.
+
+    A clause with probability ``n/d`` misses with ``(d - n)/d``; the misses
+    and the denominators multiply as balanced product trees, and the answer
+    is the one :class:`~fractions.Fraction` ``(D - M)/D``.
+    """
+    probability_of = probabilistic_instance.probability_of
+    misses: list[int] = []
+    denominators: list[int] = []
     for clause in lineage.clauses:
-        clause_probability = Fraction(1)
+        numerator = denominator = 1
         for fact in clause:
-            clause_probability *= probabilistic_instance.probability_of(fact)
-        complement *= 1 - clause_probability
-    return 1 - complement
+            fact_numerator, fact_denominator = probability_of(fact).as_integer_ratio()
+            numerator *= fact_numerator
+            denominator *= fact_denominator
+        misses.append(denominator - numerator)
+        denominators.append(denominator)
+    denominator = balanced_product(denominators)
+    return Fraction(denominator - balanced_product(misses), denominator)
+
+
+def balanced_product(factors: list[int]) -> int:
+    """The product of integers, multiplied pairwise as a balanced tree.
+
+    A left fold multiplies a growing accumulator by one small factor at a
+    time, which is quadratic in the digits of the result; merging adjacent
+    pairs keeps both operands of every multiplication about the same size.
+    """
+    while len(factors) > 1:
+        paired = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1

@@ -3,7 +3,12 @@
 One explicit frame stack, no Python recursion (the plan depth is bounded by
 the query, but the REC001 contract holds the whole lifted kernel to the
 same iterative standard as the circuit sweeps).  All arithmetic is exact
-:class:`~fractions.Fraction` (EXACT001).
+integer arithmetic (EXACT001): every value is an unnormalized
+``(numerator, denominator)`` pair, each frame multiplies its factors as
+balanced product trees, and the answer is the one
+:class:`~fractions.Fraction` built by :func:`execute_plan`.  The
+``Fraction`` form this replaced is
+:func:`repro.probability.lifted.reference.execute_plan_reference`.
 
 The executor touches the instance only through its per-relation hash
 indexes: a :class:`~repro.probability.lifted.plan.ProjectNode` enumerates
@@ -29,6 +34,7 @@ from typing import Any, Iterator, Mapping
 from repro import resilience as _resilience
 from repro.data.instance import Instance
 from repro.data.tid import ProbabilisticInstance
+from repro.probability.evaluation import balanced_product
 from repro.probability.lifted.plan import (
     GroundNode,
     JoinNode,
@@ -38,84 +44,111 @@ from repro.probability.lifted.plan import (
 )
 
 Binding = Mapping[Any, Any]
+#: An exact value ``numerator / denominator``, not reduced to lowest terms.
+Pair = tuple[int, int]
 
 _EMPTY: tuple[tuple[PlanNode, dict[Any, Any]], ...] = ()
-_ONE = Fraction(1)
 
 
 def execute_plan(plan: LiftedPlan, tid: ProbabilisticInstance) -> Fraction:
     """The exact probability of the plan's query on ``tid``."""
-    total = Fraction(0)
+    return Fraction(*execute_plan_unreduced(plan, tid))
+
+
+def execute_plan_unreduced(plan: LiftedPlan, tid: ProbabilisticInstance) -> Pair:
+    """The answer of :func:`execute_plan` as a ``(numerator, denominator)``
+    pair not yet reduced to lowest terms (at decimal probabilities, that
+    reduction is a large share of the executor's time)."""
+    numerator, denominator = 0, 1
     for coefficient, node in plan.root.terms:
-        total += coefficient * _evaluate(node, tid)
-    return total
+        term_numerator, term_denominator = _evaluate(node, tid)
+        numerator = numerator * term_denominator + coefficient * term_numerator * denominator
+        denominator *= term_denominator
+    return numerator, denominator
 
 
 class _Frame:
-    """One in-flight product node: ``kind`` is "join" (``Π v``) or
-    "project" (``1 - Π (1 - v)``); ``accumulator`` is the running product,
-    and ``children`` yields the remaining ``(node, binding)`` factors."""
+    """One in-flight product node: ``join`` is ``Π v``, a projection is
+    ``1 - Π (1 - v)``.  ``numerators`` and ``denominators`` collect the
+    factors, and ``children`` yields the remaining ``(node, binding)``
+    factors."""
 
-    __slots__ = ("kind", "accumulator", "children")
+    __slots__ = ("join", "numerators", "denominators", "children")
 
     def __init__(
-        self, kind: str, children: Iterator[tuple[PlanNode, dict[Any, Any]]]
+        self, join: bool, children: Iterator[tuple[PlanNode, dict[Any, Any]]]
     ) -> None:
-        self.kind = kind
-        self.accumulator = Fraction(1)
+        self.join = join
+        self.numerators: list[int] = []
+        self.denominators: list[int] = []
         self.children = children
 
-    def absorb(self, value: Fraction) -> None:
-        factor = value if self.kind == "join" else 1 - value
-        self.accumulator *= factor
-        if self.accumulator == 0:
+    def absorb(self, numerator: int, denominator: int) -> bool:
+        """Multiply one factor in; True when the product became final."""
+        factor = numerator if self.join else denominator - numerator
+        if factor == 0:
             # Short-circuit: a zero product is final (a zero factor for
             # joins, a certain branch for projections).
+            self.numerators = [0]
+            self.denominators = []
             self.children = iter(_EMPTY)
+            return True
+        self.numerators.append(factor)
+        self.denominators.append(denominator)
+        return False
 
-    def finalize(self) -> Fraction:
-        return self.accumulator if self.kind == "join" else 1 - self.accumulator
+    def finalize(self) -> Pair:
+        numerator = balanced_product(self.numerators)
+        denominator = balanced_product(self.denominators)
+        return (numerator, denominator) if self.join else (denominator - numerator, denominator)
 
 
-def _evaluate(root: PlanNode, tid: ProbabilisticInstance) -> Fraction:
+def _evaluate(root: PlanNode, tid: ProbabilisticInstance) -> Pair:
     if isinstance(root, GroundNode):
         return _ground_probability(root, {}, tid)
-    instance = tid.instance
-    frames = [_open_frame(root, {}, instance)]
-    result = Fraction(0)
+    frames = [_open_frame(root, {}, tid)]
+    result: Pair = (0, 1)
     while frames:
         frame = frames[-1]
         pending = next(frame.children, None)
         if pending is not None:
             child, binding = pending
             if isinstance(child, GroundNode):
-                frame.absorb(_ground_probability(child, binding, tid))
+                frame.absorb(*_ground_probability(child, binding, tid))
             else:
-                frames.append(_open_frame(child, binding, instance))
+                frames.append(_open_frame(child, binding, tid))
             continue
         value = frame.finalize()
         frames.pop()
         if frames:
-            frames[-1].absorb(value)
+            frames[-1].absorb(*value)
         else:
             result = value
     return result
 
 
-def _open_frame(node: PlanNode, binding: dict[Any, Any], instance: Instance) -> _Frame:
+def _open_frame(
+    node: PlanNode, binding: dict[Any, Any], tid: ProbabilisticInstance
+) -> _Frame:
     if isinstance(node, JoinNode):
-        return _Frame("join", ((child, binding) for child in node.children))
+        return _Frame(True, ((child, binding) for child in node.children))
     assert isinstance(node, ProjectNode)
-    values = _root_candidates(node, instance, binding)
-    return _Frame(
-        "project",
-        ((node.child, {**binding, node.variable: value}) for value in values),
-    )
+    values = _root_candidates(node, tid.instance, binding)
+    variable, child = node.variable, node.child
+    if isinstance(child, GroundNode):
+        # A projection over ground lookups needs no child frames: every
+        # factor is absorbed here, up to a short-circuit.
+        frame = _Frame(False, iter(_EMPTY))
+        for value in values:
+            if frame.absorb(*_ground_probability(child, {**binding, variable: value}, tid)):
+                break
+        return frame
+    return _Frame(False, ((child, {**binding, variable: value}) for value in values))
 
 
 def _ground_probability(
     node: GroundNode, binding: Binding, tid: ProbabilisticInstance
-) -> Fraction:
+) -> Pair:
     """Product of the fact probabilities; 0 when any fact is absent.
 
     Each atom's ground arguments are looked up in the instance's
@@ -130,14 +163,15 @@ def _ground_probability(
         arguments = tuple(map(binding.__getitem__, a.arguments))
         position = instance.fact_positions(a.relation).get(arguments)
         if position is None:
-            return Fraction(0)
+            return (0, 1)
         positions[position] = None
     facts = instance.facts
-    factors = (tid.probability_of(facts[position]) for position in positions)
-    probability = next(factors, _ONE)
-    for factor in factors:
-        probability *= factor
-    return probability
+    numerator = denominator = 1
+    for position in positions:
+        fact_numerator, fact_denominator = tid.probability_of(facts[position]).as_integer_ratio()
+        numerator *= fact_numerator
+        denominator *= fact_denominator
+    return (numerator, denominator)
 
 
 def _root_candidates(
@@ -159,17 +193,16 @@ def _root_candidates(
             facts = instance.facts_matching(spec.relation, bindings)
         else:
             facts = instance.facts_of(spec.relation)
-        first = spec.root_positions[0]
-        values: set[Any] = set()
-        rows = 0
-        for ground_fact in facts:
-            rows += 1
-            value = ground_fact.arguments[first]
-            if all(
-                ground_fact.arguments[position] == value
-                for position in spec.root_positions[1:]
-            ):
-                values.add(value)
+        first, *rest = spec.root_positions
+        if rest:
+            values = {
+                f.arguments[first]
+                for f in facts
+                if all(f.arguments[position] == f.arguments[first] for position in rest)
+            }
+        else:
+            values = {f.arguments[first] for f in facts}
+        rows = len(facts)
         if budget is not None and rows:
             # One charge per enumerated index scan: the row cap bounds the
             # total rows the executor touches, and the charge's periodic

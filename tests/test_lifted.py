@@ -15,6 +15,7 @@ from repro.data.instance import Fact, Instance, fact
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine, ParallelEngine, RouteCostModel
 from repro.errors import UnsafeQueryError
+from repro.generators.lines import rst_chain_instance
 from repro.probability.brute_force import brute_force_probability
 from repro.probability.evaluation import probability
 from repro.probability.lifted import (
@@ -288,6 +289,21 @@ def test_route_cost_model_learns():
     assert model.rate("never_seen") is None
     snapshot = model.snapshot()
     assert "safe_plan" in snapshot and "obdd" in snapshot
+
+
+def test_liftable_query_takes_safe_plan_by_rule_until_it_fails():
+    """Learned rates cannot pull a liftable query onto a circuit route; a
+    recorded safe-plan failure hands the choice back to the cost model."""
+    engine = CompilationEngine()
+    for _ in range(20):
+        engine.route_costs.observe("obdd", 1000, 1e-6)
+    tid = ProbabilisticInstance.uniform(rst_chain_instance(60), Fraction(1, 2))
+    decision = engine.choose_route(hierarchical_example(), tid)
+    assert decision.method == "safe_plan"
+    assert "rule" in decision.reason
+    engine.route_costs.record_failure("safe_plan")
+    decision = engine.choose_route(hierarchical_example(), tid)
+    assert decision.method == decision.estimates[0][0] == "obdd"
 
 
 def test_parallel_report_carries_route_mix():
