@@ -143,7 +143,14 @@ def exact_probability(
 
 
 def _skipped(scale: list[int], denominators: list[int], rank: int, child_rank: int) -> int:
-    """Product of the denominators strictly between two ranks."""
+    """Product of the denominators strictly between two ranks.
+
+    That is the exact quotient ``scale[rank + 1] // scale[child_rank]``, but
+    a long division costs time linear in the scales' digits, while an edge
+    to a decision node usually skips few levels: multiplying those out is
+    cheaper.  An edge to a terminal skips every level below, whose product
+    is ``scale[rank + 1]`` itself.
+    """
     if child_rank == len(denominators):
         return scale[rank + 1]
     product = 1

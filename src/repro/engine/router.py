@@ -99,7 +99,8 @@ class RouteCostModel:
     ``2**failures`` (capped) on the route's prediction — never as a fake
     timing observation, so blowouts steer the router away from a route
     without poisoning the EWMA rate that successful runs keep sharpening.
-    Each subsequent success halves the penalty back down.
+    Each subsequent success halves the penalty back down
+    (:meth:`decay_failures`).
     """
 
     #: Cap on the failure-penalty exponent: at most a ``2**6 = 64``-fold
@@ -134,13 +135,16 @@ class RouteCostModel:
             self._rates[route] = (
                 previous + self._smoothing * (rate - previous)
             )
+        # A success is evidence the route recovered: decay the penalty.
+        self.decay_failures(route)
+
+    def decay_failures(self, route: str) -> None:
+        """Halve a route's failure count, as one of its successes does."""
         failures = self._failures.get(route, 0)
-        if failures:
-            # A success is evidence the route recovered: decay the penalty.
-            if failures > 1:
-                self._failures[route] = failures // 2
-            else:
-                del self._failures[route]
+        if failures > 1:
+            self._failures[route] = failures // 2
+        elif failures:
+            del self._failures[route]
 
     def record_failure(self, route: str) -> None:
         """Record one failed attempt (blowout or error) on a route."""

@@ -611,7 +611,10 @@ class CompilationEngine:
         the lineage, and the cost model's per-fact rates are averages over
         every instance the engine has seen.  Otherwise (an unsafe query, or
         a safe-plan route that failed) the cost model's cheapest prediction
-        wins, ties broken by the table's order.
+        wins, ties broken by the table's order.  A failure does not switch
+        the rule off for good: each liftable query that another route
+        answers without trying the safe-plan route decays its failure count,
+        so the rule returns.
         """
         plan = self.lifted_plan(query)
         facts = len(tid.instance)
@@ -738,7 +741,9 @@ class CompilationEngine:
         feasible routes in :data:`ROUTES` order,
         resetting the active budget's usage counters between attempts
         (caps are per-attempt) and recording each failure as a cost-model
-        penalty.  A :class:`~repro.errors.DeadlineExceeded` is terminal:
+        penalty; a liftable query answered without trying ``safe_plan``
+        decays that route's penalty, so :meth:`choose_route`'s rule returns
+        after a failure.  A :class:`~repro.errors.DeadlineExceeded` is terminal:
         no remaining route can finish inside an already-elapsed wall-clock
         deadline, so it re-raises instead of failing over.  When every
         exact route fails, the opt-in ``karp_luby`` degradation tier
@@ -786,6 +791,11 @@ class CompilationEngine:
             self.route_counts[route] = self.route_counts.get(route, 0) + 1
             self.route_costs.observe(route, facts, elapsed)
             attempts.append(RouteAttempt(route, "", elapsed))
+            if decision.liftable and all(a.route != "safe_plan" for a in attempts):
+                # A liftable query answered without trying safe_plan: its
+                # failures age as its own successes would decay them, so
+                # choose_route's rule comes back after a failure.
+                self.route_costs.decay_failures("safe_plan")
             self.last_decision = replace(
                 decision, method=route, attempts=tuple(attempts)
             )

@@ -5,9 +5,9 @@ the query, but the REC001 contract holds the whole lifted kernel to the
 same iterative standard as the circuit sweeps).  All arithmetic is exact
 integer arithmetic (EXACT001): every value is an unnormalized
 ``(numerator, denominator)`` pair, each frame multiplies its factors as
-balanced product trees, and the answer is the one
-:class:`~fractions.Fraction` built by :func:`execute_plan`.  The
-``Fraction`` form this replaced is
+balanced product trees, and :func:`execute_plan` builds one
+:class:`~fractions.Fraction` per inclusion–exclusion term of the answer.
+The ``Fraction`` form this replaced is
 :func:`repro.probability.lifted.reference.execute_plan_reference`.
 
 The executor touches the instance only through its per-relation hash
@@ -51,20 +51,23 @@ _EMPTY: tuple[tuple[PlanNode, dict[Any, Any]], ...] = ()
 
 
 def execute_plan(plan: LiftedPlan, tid: ProbabilisticInstance) -> Fraction:
-    """The exact probability of the plan's query on ``tid``."""
-    return Fraction(*execute_plan_unreduced(plan, tid))
+    """The exact probability of the plan's query on ``tid``.
+
+    Each inclusion–exclusion term is reduced to lowest terms on its own and
+    the terms are added as fractions, so no reduction works on the product
+    of every term's denominator."""
+    return sum(
+        (coefficient * Fraction(*pair) for coefficient, pair in execute_plan_terms(plan, tid)),
+        Fraction(0),
+    )
 
 
-def execute_plan_unreduced(plan: LiftedPlan, tid: ProbabilisticInstance) -> Pair:
-    """The answer of :func:`execute_plan` as a ``(numerator, denominator)``
-    pair not yet reduced to lowest terms (at decimal probabilities, that
-    reduction is a large share of the executor's time)."""
-    numerator, denominator = 0, 1
-    for coefficient, node in plan.root.terms:
-        term_numerator, term_denominator = _evaluate(node, tid)
-        numerator = numerator * term_denominator + coefficient * term_numerator * denominator
-        denominator *= term_denominator
-    return numerator, denominator
+def execute_plan_terms(plan: LiftedPlan, tid: ProbabilisticInstance) -> list[tuple[int, Pair]]:
+    """The inclusion–exclusion terms of :func:`execute_plan`: each
+    coefficient with its term's ``(numerator, denominator)`` pair, not yet
+    reduced to lowest terms (at decimal probabilities, that reduction is a
+    large share of the executor's time)."""
+    return [(coefficient, _evaluate(node, tid)) for coefficient, node in plan.root.terms]
 
 
 class _Frame:
@@ -83,8 +86,7 @@ class _Frame:
         self.denominators: list[int] = []
         self.children = children
 
-    def absorb(self, numerator: int, denominator: int) -> bool:
-        """Multiply one factor in; True when the product became final."""
+    def absorb(self, numerator: int, denominator: int) -> None:
         factor = numerator if self.join else denominator - numerator
         if factor == 0:
             # Short-circuit: a zero product is final (a zero factor for
@@ -92,10 +94,9 @@ class _Frame:
             self.numerators = [0]
             self.denominators = []
             self.children = iter(_EMPTY)
-            return True
+            return
         self.numerators.append(factor)
         self.denominators.append(denominator)
-        return False
 
     def finalize(self) -> Pair:
         numerator = balanced_product(self.numerators)
@@ -106,7 +107,8 @@ class _Frame:
 def _evaluate(root: PlanNode, tid: ProbabilisticInstance) -> Pair:
     if isinstance(root, GroundNode):
         return _ground_probability(root, {}, tid)
-    frames = [_open_frame(root, {}, tid)]
+    instance = tid.instance
+    frames = [_open_frame(root, {}, instance)]
     result: Pair = (0, 1)
     while frames:
         frame = frames[-1]
@@ -116,7 +118,7 @@ def _evaluate(root: PlanNode, tid: ProbabilisticInstance) -> Pair:
             if isinstance(child, GroundNode):
                 frame.absorb(*_ground_probability(child, binding, tid))
             else:
-                frames.append(_open_frame(child, binding, tid))
+                frames.append(_open_frame(child, binding, instance))
             continue
         value = frame.finalize()
         frames.pop()
@@ -127,23 +129,14 @@ def _evaluate(root: PlanNode, tid: ProbabilisticInstance) -> Pair:
     return result
 
 
-def _open_frame(
-    node: PlanNode, binding: dict[Any, Any], tid: ProbabilisticInstance
-) -> _Frame:
+def _open_frame(node: PlanNode, binding: dict[Any, Any], instance: Instance) -> _Frame:
     if isinstance(node, JoinNode):
         return _Frame(True, ((child, binding) for child in node.children))
     assert isinstance(node, ProjectNode)
-    values = _root_candidates(node, tid.instance, binding)
-    variable, child = node.variable, node.child
-    if isinstance(child, GroundNode):
-        # A projection over ground lookups needs no child frames: every
-        # factor is absorbed here, up to a short-circuit.
-        frame = _Frame(False, iter(_EMPTY))
-        for value in values:
-            if frame.absorb(*_ground_probability(child, {**binding, variable: value}, tid)):
-                break
-        return frame
-    return _Frame(False, ((child, {**binding, variable: value}) for value in values))
+    values = _root_candidates(node, instance, binding)
+    return _Frame(
+        False, ((node.child, {**binding, node.variable: value}) for value in values)
+    )
 
 
 def _ground_probability(
@@ -193,16 +186,17 @@ def _root_candidates(
             facts = instance.facts_matching(spec.relation, bindings)
         else:
             facts = instance.facts_of(spec.relation)
-        first, *rest = spec.root_positions
-        if rest:
-            values = {
-                f.arguments[first]
-                for f in facts
-                if all(f.arguments[position] == f.arguments[first] for position in rest)
-            }
-        else:
-            values = {f.arguments[first] for f in facts}
-        rows = len(facts)
+        first = spec.root_positions[0]
+        values: set[Any] = set()
+        rows = 0
+        for ground_fact in facts:
+            rows += 1
+            value = ground_fact.arguments[first]
+            if all(
+                ground_fact.arguments[position] == value
+                for position in spec.root_positions[1:]
+            ):
+                values.add(value)
         if budget is not None and rows:
             # One charge per enumerated index scan: the row cap bounds the
             # total rows the executor touches, and the charge's periodic

@@ -36,6 +36,7 @@ from repro.probability.lifted import (
 )
 from repro.probability.safe_plans import safe_plan_probability
 from repro.queries import hierarchical_example, parse_cq, parse_ucq, unsafe_rst
+from repro.resilience import ResourceBudget
 from repro.testing import ProbabilityOracle, random_safe_workload, random_workload
 
 
@@ -304,6 +305,34 @@ def test_liftable_query_takes_safe_plan_by_rule_until_it_fails():
     engine.route_costs.record_failure("safe_plan")
     decision = engine.choose_route(hierarchical_example(), tid)
     assert decision.method == decision.estimates[0][0] == "obdd"
+
+
+def test_safe_plan_rule_returns_once_another_route_answers():
+    """A safe-plan failure hands the next liftable query to the cost model;
+    once another route has answered it, the rule picks safe_plan again."""
+    engine = CompilationEngine()
+    query = hierarchical_example()
+    first, second = (
+        ProbabilisticInstance.uniform(rst_chain_instance(n), Fraction(1, 2))
+        for n in (60, 61)
+    )
+    # A row cap fails safe_plan; obdd answers in the same call, which does
+    # not forgive the failure it just saw.
+    value = engine.probability(query, first, budget=ResourceBudget(row_limit=1))
+    assert value == safe_plan_probability(query, first)
+    assert [a.route for a in engine.last_decision.attempts] == ["safe_plan", "obdd"]
+    assert engine.route_costs.failure_count("safe_plan") == 1
+    for _ in range(20):
+        engine.route_costs.observe("obdd", 1000, 1e-6)
+    decision = engine.choose_route(query, second)
+    assert decision.method == "obdd" and "rule" not in decision.reason
+    # The cost model's pick answers the next liftable query: the failure
+    # decays and the rule is back.
+    assert engine.probability(query, second) == safe_plan_probability(query, second)
+    assert engine.last_decision.method == "obdd"
+    assert engine.route_costs.failure_count("safe_plan") == 0
+    decision = engine.choose_route(query, second)
+    assert decision.method == "safe_plan" and "rule" in decision.reason
 
 
 def test_parallel_report_carries_route_mix():
