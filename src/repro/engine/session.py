@@ -792,9 +792,9 @@ class CompilationEngine:
             self.route_costs.observe(route, facts, elapsed)
             attempts.append(RouteAttempt(route, "", elapsed))
             if decision.liftable and all(a.route != "safe_plan" for a in attempts):
-                # A liftable query answered without trying safe_plan: its
-                # failures age as its own successes would decay them, so
-                # choose_route's rule comes back after a failure.
+                # A liftable query answered without trying safe_plan: decay
+                # safe_plan's failure count as one of its own successes
+                # would, so choose_route's rule comes back after a failure.
                 self.route_costs.decay_failures("safe_plan")
             self.last_decision = replace(
                 decision, method=route, attempts=tuple(attempts)
