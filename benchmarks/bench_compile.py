@@ -12,8 +12,10 @@ reduced OBDD → probability + size + width + model count):
 
 The *seed path* uses :mod:`repro.booleans.reference`: the recursive
 apply-fold with tuple cache keys, then one recursive walk per measurement.
-The *kernel path* uses the trie-driven :meth:`OBDD.build_from_clauses` and
-one fused :meth:`OBDD.sweep`.  Both run on fresh managers per repetition and
+The *kernel path* uses the trie-driven :meth:`OBDD.build_from_clauses`, then
+flattens the diagram and runs one :meth:`ColumnarOBDD.sweep` over the columns
+(the flatten is inside the timed window).  Both run on fresh managers per
+repetition and
 must produce identical root ids and identical exact values.  The total
 speedup must be at least 3x; results go to ``BENCH_compile.json``.
 """
@@ -82,10 +84,10 @@ def seed_path(clauses, order, valuation):
 
 
 def kernel_path(clauses, order, valuation):
-    """New pipeline: trie compile, then one fused topological sweep."""
+    """New pipeline: trie compile, then one sweep over the flattened columns."""
     manager = OBDD(list(order))
     root = manager.build_from_clauses(clauses)
-    result = manager.sweep(root, valuation, model_count=True, width=True)
+    result = manager.to_columnar(root).sweep(valuation, model_count=True, width=True)
     return root, result.probability, result.size, result.width, result.model_count
 
 

@@ -244,7 +244,7 @@ def run_benchmark():
         f"router picked {largest_decision.method!r} at {largest_facts} facts; "
         "the lifted route must win unaided"
     )
-    missing = set(largest_decision.infeasible) ^ {"obdd", "columnar", "automaton"}
+    missing = set(largest_decision.infeasible) ^ {"obdd", "automaton"}
     assert not missing, (
         f"circuit routes not all gated infeasible at {largest_facts} facts: "
         f"{largest_decision.infeasible}"

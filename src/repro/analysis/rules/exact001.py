@@ -4,9 +4,9 @@ Bug class: PR 3 found Karp–Luby's union-bound scaling and the dissociation
 bounds drifting because ``Fraction`` values leaked through ``float``
 operations; the differential oracle only caught it at runtime on lucky seeds.
 Every route advertised as exact must compute with ``Fraction`` (or integers)
-end to end — the single deliberate exception is the ``obdd_float`` fast path
-of the fused sweep kernel, which is declared in configuration rather than
-discovered.
+end to end — the single deliberate exception is the float pass of the OBDD
+evaluation kernel (``obdd_float`` and the float batch re-weighting), which
+is declared in configuration rather than discovered.
 
 Inside each declared exact-route function the rule flags:
 

@@ -1,17 +1,19 @@
 """Lineage representations: circuits, formulas, OBDDs, FBDDs, d-DNNFs.
 
 The compilation and evaluation hot paths are iterative, array-oriented
-kernels: the trie-driven DNF compilation and fused topological sweep live in
-:mod:`repro.booleans.obdd` (see :meth:`~repro.booleans.obdd.OBDD.sweep`);
-the seed recursive algorithms are preserved as differential references in
-:mod:`repro.booleans.reference`.  :mod:`repro.booleans.columnar` flattens a
-reduced OBDD into structure-of-arrays ``(var, lo, hi)`` columns — the layout
-the vectorized sweeps and the shared-memory transport run on.
+kernels.  :mod:`repro.booleans.obdd` builds reduced OBDDs (trie-driven DNF
+compilation, ``apply``, restriction); :mod:`repro.booleans.columnar` flattens
+a reduced OBDD into structure-of-arrays ``(var, lo, hi)`` columns and
+evaluates it there — exact and float probability, batch re-weighting, model
+count and width — and is also the layout the store and the shared-memory
+transport carry.  The seed recursive algorithms are preserved as
+differential references in :mod:`repro.booleans.reference`.
 """
 
 from repro.booleans.circuit import BooleanCircuit, Gate, GateKind, circuit_from_function
 from repro.booleans.columnar import (
     ColumnarOBDD,
+    SweepResult,
     array_backend,
     columnar_from_buffer,
     columnar_from_obdd,
@@ -32,7 +34,7 @@ from repro.booleans.formula import (
     threshold_2_circuit,
     threshold_2_formula,
 )
-from repro.booleans.obdd import FALSE_NODE, OBDD, TRUE_NODE, SweepResult, minimal_obdd_width
+from repro.booleans.obdd import FALSE_NODE, OBDD, TRUE_NODE, minimal_obdd_width
 from repro.booleans.reference import (
     build_from_clauses_fold,
     model_count_recursive,

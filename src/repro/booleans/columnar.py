@@ -1,14 +1,13 @@
-"""Columnar (structure-of-arrays) OBDD kernels.
+"""The OBDD evaluation kernel: a reduced OBDD as flat columns.
 
-The object kernels of :mod:`repro.booleans.obdd` keep one Python tuple per
-decision node inside a manager; that representation is ideal for *building*
-diagrams (hash-consing, ``apply`` caches) but wrong for *shipping* and
-*sweeping* them: pickling a node graph across a process boundary costs a
-traversal plus one object per node on the far side, and cyclic-GC passes
-rescan every cached node forever.
-
-A :class:`ColumnarOBDD` is the compiled artifact flattened into three parallel
-``int64`` columns::
+The object manager of :mod:`repro.booleans.obdd` keeps one Python tuple per
+decision node; that representation is ideal for *building* diagrams
+(hash-consing, ``apply`` caches) but wrong for *shipping* and *evaluating*
+them: pickling a node graph across a process boundary costs a traversal plus
+one object per node on the far side, and cyclic-GC passes rescan every cached
+node forever.  So every evaluation of a compiled diagram — exact and float
+probability, batch re-weighting, model count and width — runs here, on the
+diagram flattened into three parallel ``int64`` columns::
 
     var[i]  level (index into ``order``) tested by node id ``i + 2``
     lo[i]   id of the low child of node id ``i + 2``
@@ -17,53 +16,57 @@ A :class:`ColumnarOBDD` is the compiled artifact flattened into three parallel
 Ids ``0`` and ``1`` are the FALSE/TRUE terminals, exactly as in the object
 manager.  Decision nodes are stored **sorted by level, deepest first**, so
 every child id is strictly smaller than its parent id and ascending-id order
-is a topological order; nodes at one level occupy one contiguous slice, which
-is what makes level-at-a-time vectorized passes possible.
+is a topological order; nodes at one level occupy one contiguous slice.  The
+passes read the columns as Python lists indexed by node id.
 
-Two arithmetic regimes, mirroring the object sweep's contract:
+Two arithmetic regimes:
 
-* ``exact=True`` (default) computes probabilities with the integer
-  recurrence the object manager uses too
-  (:func:`repro.booleans.obdd.exact_probability`: per-level scaled integers,
-  one :class:`~fractions.Fraction` per answer), fed the columns in ascending
-  id order, and model counts as Python integers in a plain loop *over the
-  columns* — no node objects, no recursion, exact end to end;
-* ``exact=False`` runs the vectorized float fast path: one fused numpy gather
-  per level, with the same degeneracy fallback (non-finite or out-of-range
-  results rerun the exact kernel) and sub-tolerance clamping as
-  :meth:`repro.booleans.obdd.OBDD.sweep`.
+* ``exact=True`` (default) computes probabilities with
+  :func:`exact_probability` (per-level scaled integers, one
+  :class:`~fractions.Fraction` per answer) and model counts as Python
+  integers — no node objects, no recursion, exact end to end;
+* ``exact=False`` runs a float pass whose result is always a float in
+  ``[0, 1]``: gross degeneracy (non-finite, or off by more than 1e-9) falls
+  back to the exact kernel, and sub-tolerance rounding excursions are
+  clamped.  :meth:`ColumnarOBDD.probability_many` runs the batch as one numpy
+  matrix pass over ``(nodes, assignments)``.
+
+Columns built in this process are stdlib ``array('q')``.  numpy enters only
+as zero-copy views over a packed buffer (:func:`columnar_from_buffer`: store
+entries and shared-memory segments) and in the float batch; without numpy
+(or with ``REPRO_NO_NUMPY=1``, see :func:`array_backend`) buffers are copied
+into arrays and the batch runs one scalar pass per map — same results, no
+third-party dependency.
 
 The columns round-trip losslessly to the object representation
 (:func:`columnar_from_obdd` / :meth:`ColumnarOBDD.to_obdd`) and to a single
 contiguous byte buffer (:meth:`ColumnarOBDD.write_into` /
-:func:`columnar_from_buffer`), which is how
-:mod:`repro.engine.shm` ships artifacts through
-``multiprocessing.shared_memory`` segments that workers attach to zero-copy.
-
-numpy is optional: :func:`array_backend` returns ``None`` when numpy is
-missing (or ``REPRO_NO_NUMPY=1`` forces the fallback), and every kernel then
-runs on :mod:`array`-module columns with pure-Python loops — same results,
-no third-party dependency.
+:func:`columnar_from_buffer`), which is how :mod:`repro.engine.shm` ships
+artifacts through ``multiprocessing.shared_memory`` segments that workers
+attach to zero-copy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import weakref
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Hashable, Mapping, Sequence
 
 from repro import resilience as _resilience
-from repro.booleans.obdd import FALSE_NODE, OBDD, TRUE_NODE, SweepResult, exact_probability
+from repro.booleans.obdd import FALSE_NODE, OBDD, TRUE_NODE
 from repro.errors import CompilationError, LineageError
 
 _ITEM = "q"  # signed 64-bit entries, matching numpy int64
 _ITEMSIZE = 8
 
-# Scalar-pass iterations between wall-clock checkpoints under an active
-# budget (the vectorized passes checkpoint once per level instead).
+# Pass iterations between wall-clock checkpoints under an active budget; one
+# Deadline consultation per stride keeps the checkpoint overhead under the
+# bench_resilience gate (the batch matrix pass checkpoints once per level).
 _CHECKPOINT_STRIDE = 4096
 
 
@@ -82,30 +85,163 @@ def array_backend():
     return numpy
 
 
-def _check_topology(order, var, lo, hi, numpy_module) -> None:
+def exact_probability(
+    order: Sequence[Hashable],
+    probabilities: Mapping[Hashable, Fraction | float],
+    var: list[int],
+    lo: list[int],
+    hi: list[int],
+    root: int,
+) -> Fraction:
+    """The exact probability of the diagram rooted at ``root``, in integers.
+
+    ``var``/``lo``/``hi`` are the columns as lists: the node with id
+    ``i + 2`` tests level ``var[i]`` and has children ``lo[i]`` and ``hi[i]``,
+    children first.  With ``p = a/d`` the probability of the variable at a
+    level, and ``S(level)`` the product of ``d`` over the diagram's levels at
+    or below ``level`` (1 for the terminals), each node holds the integer
+    ``v(node) * S(level)``::
+
+        V(node) = a * G(level, high) * V(high) + (d - a) * G(level, low) * V(low)
+
+    where ``G`` is the product of the denominators of the levels an edge
+    skips, cached per pair of levels.  Scaling each level by its own
+    denominator keeps every value as small as the exact answer needs; a
+    common denominator for all levels would multiply the digits by the number
+    of levels whenever the denominators share few factors.  No operation
+    reduces a fraction: the answer is the one ``Fraction`` built at the root.
+    """
+    levels = sorted(set(var))
+    numerators: list[int] = []
+    denominators: list[int] = []
+    for level in levels:
+        variable = order[level]
+        if variable not in probabilities:
+            raise LineageError(f"missing probability for variable {variable!r}")
+        raw = probabilities[variable]
+        p = raw if isinstance(raw, Fraction) else Fraction(raw)
+        numerator, denominator = p.as_integer_ratio()
+        numerators.append(numerator)
+        denominators.append(denominator)
+    # Levels are addressed by rank among the diagram's levels; the terminals
+    # sit at rank ``depth``.  scale[rank] = S(levels[rank]).
+    depth = len(levels)
+    scale = [1] * (depth + 1)
+    for rank in range(depth - 1, -1, -1):
+        scale[rank] = scale[rank + 1] * denominators[rank]
+    rank_of = {level: rank for rank, level in enumerate(levels)}
+    # Both lists are indexed by node id and grow one node at a time.
+    ranks = [depth, depth]
+    values = [0, 1]
+    # Edge coefficients a*G (high) and (d - a)*G (low), keyed by the packed
+    # (parent rank, child rank) pair.
+    stride = depth + 1
+    high_coefficients: dict[int, int] = {}
+    low_coefficients: dict[int, int] = {}
+
+    budget = _resilience.ACTIVE
+    if budget is not None:
+        budget.checkpoint()
+    countdown = _CHECKPOINT_STRIDE
+    for level, low, high in zip(var, lo, hi):
+        if budget is not None:
+            countdown -= 1
+            if countdown == 0:
+                countdown = _CHECKPOINT_STRIDE
+                budget.checkpoint()
+        rank = rank_of[level]
+        high_rank = ranks[high]
+        key = rank * stride + high_rank
+        high_coefficient = high_coefficients.get(key)
+        if high_coefficient is None:
+            high_coefficient = high_coefficients[key] = numerators[rank] * _skipped(
+                scale, denominators, rank, high_rank
+            )
+        low_rank = ranks[low]
+        key = rank * stride + low_rank
+        low_coefficient = low_coefficients.get(key)
+        if low_coefficient is None:
+            low_coefficient = low_coefficients[key] = (
+                denominators[rank] - numerators[rank]
+            ) * _skipped(scale, denominators, rank, low_rank)
+        values.append(high_coefficient * values[high] + low_coefficient * values[low])
+        ranks.append(rank)
+    return Fraction(values[root], scale[ranks[root]])
+
+
+def _skipped(scale: list[int], denominators: list[int], rank: int, child_rank: int) -> int:
+    """Product of the denominators strictly between two ranks.
+
+    That is the exact quotient ``scale[rank + 1] // scale[child_rank]``, but
+    a long division costs time linear in the scales' digits, while an edge
+    to a decision node usually skips few levels: multiplying those out is
+    cheaper.  An edge to a terminal skips every level below, whose product
+    is ``scale[rank + 1]`` itself.
+    """
+    if child_rank == len(denominators):
+        return scale[rank + 1]
+    product = 1
+    for skipped in range(rank + 1, child_rank):
+        product *= denominators[skipped]
+    return product
+
+
+def _unit_interval(value: float) -> float | None:
+    """``value`` clamped into ``[0, 1]``, or None when the float pass
+    degenerated (non-finite, or off by more than 1e-9) and the exact kernel
+    must answer instead."""
+    if not (math.isfinite(value) and -1e-9 <= value <= 1 + 1e-9):
+        return None
+    return min(max(value, 0.0), 1.0)
+
+
+@dataclass(frozen=True, slots=True)
+class SweepResult:
+    """The outputs of one :meth:`ColumnarOBDD.sweep`.
+
+    Fields not requested are ``None``; ``size`` (the number of decision
+    nodes) is always known: it is the length of the columns.
+    """
+
+    size: int
+    probability: Fraction | float | None = None
+    model_count: int | None = None
+    width: int | None = None
+
+
+def _check_topology(order, var, lo, hi) -> None:
     """Reject columns that break the sorted-layout contract.
 
-    The sweeps index ``values[lo]``/``values[hi]`` without bounds checks and
+    The passes index ``values[lo]``/``values[hi]`` without bounds checks and
     the level slicer assumes one contiguous run per level, so columns that
     arrive from an untrusted buffer (a shared-memory segment written by
-    another process) must be rejected here, not deep inside a later pass.
+    another process, a store entry) must be rejected here, not deep inside a
+    later pass.  numpy views are checked vectorized; other columns as lists,
+    which iterate fastest.
     """
     n = len(var)
     if n == 0:
         return
-    if numpy_module is not None:
-        np = numpy_module
-        ids = np.arange(2, n + 2)
+    if isinstance(var, array):
+        var, lo, hi = var.tolist(), lo.tolist(), hi.tolist()
+    if getattr(var, "dtype", None) is None:
+        ids = range(2, n + 2)
+        levels_ok = 0 <= min(var) and max(var) < len(order)
+        sorted_ok = all(map(operator.le, var[1:], var))
+        children_ok = (
+            min(lo) >= 0
+            and min(hi) >= 0
+            and all(map(operator.lt, lo, ids))
+            and all(map(operator.lt, hi, ids))
+        )
+    else:
+        import numpy as np
+
+        node_ids = np.arange(2, n + 2)
         levels_ok = bool(((var >= 0) & (var < len(order))).all())
         sorted_ok = bool((var[1:] <= var[:-1]).all())
         children_ok = bool(
-            ((lo >= 0) & (lo < ids) & (hi >= 0) & (hi < ids)).all()
-        )
-    else:
-        levels_ok = all(0 <= level < len(order) for level in var)
-        sorted_ok = all(var[i + 1] <= var[i] for i in range(n - 1))
-        children_ok = all(
-            0 <= lo[i] < i + 2 and 0 <= hi[i] < i + 2 for i in range(n)
+            ((lo >= 0) & (lo < node_ids) & (hi >= 0) & (hi < node_ids)).all()
         )
     if not levels_ok:
         raise CompilationError("columnar OBDD level column exceeds the variable order")
@@ -117,10 +253,11 @@ def _check_topology(order, var, lo, hi, numpy_module) -> None:
         )
 
 
-def _as_column(values: Sequence[int], numpy_module) -> Any:
-    if numpy_module is not None:
-        return numpy_module.asarray(values, dtype=numpy_module.int64)
+def _as_column(values: Sequence[int]) -> Any:
+    """An ``array('q')`` column; int64 numpy views pass through unchanged."""
     if isinstance(values, array) and values.typecode == _ITEM:
+        return values
+    if getattr(values, "dtype", None) == "int64":
         return values
     return array(_ITEM, values)
 
@@ -130,9 +267,9 @@ class ColumnarOBDD:
 
     Instances are immutable compiled artifacts: the columns describe exactly
     the nodes reachable from ``root`` (so ``size`` is their length), and the
-    measurement API mirrors :class:`repro.provenance.compile_obdd.CompiledOBDD`
-    — ``size``/``width`` properties, ``model_count()``, ``probability()``,
-    ``evaluate()`` — so the two artifact kinds are interchangeable downstream.
+    measurement API — ``size``/``width`` properties, ``model_count()``,
+    ``probability()``, ``evaluate()`` — is the one
+    :class:`repro.provenance.compile_obdd.CompiledOBDD` delegates to.
     """
 
     __slots__ = ("order", "var", "lo", "hi", "root", "_stats", "_retain")
@@ -150,12 +287,11 @@ class ColumnarOBDD:
             raise CompilationError("columnar OBDD columns must have equal lengths")
         if not (0 <= root < len(var) + 2):
             raise CompilationError(f"columnar OBDD root {root} out of range")
-        numpy_module = array_backend()
         self.order = tuple(order)
-        self.var = _as_column(var, numpy_module)
-        self.lo = _as_column(lo, numpy_module)
-        self.hi = _as_column(hi, numpy_module)
-        _check_topology(self.order, self.var, self.lo, self.hi, numpy_module)
+        _check_topology(self.order, var, lo, hi)
+        self.var = _as_column(var)
+        self.lo = _as_column(lo)
+        self.hi = _as_column(hi)
         self.root = int(root)
         self._stats: SweepResult | None = None
         # Keeps the memory owner (e.g. a SharedMemory mapping) alive while
@@ -172,7 +308,7 @@ class ColumnarOBDD:
         return len(self.var)
 
     def __repr__(self) -> str:
-        backend = "numpy" if array_backend() is not None else "array"
+        backend = "array" if isinstance(self.var, array) else "numpy"
         return (
             f"ColumnarOBDD({len(self.var)} nodes over {len(self.order)} variables, "
             f"root {self.root}, {backend} columns)"
@@ -184,9 +320,12 @@ class ColumnarOBDD:
         except ValueError:
             raise LineageError(f"variable {variable!r} not in the columnar order") from None
 
-    def _level_slices(self) -> list[tuple[int, int, int]]:
+    def _lists(self) -> tuple[list[int], list[int], list[int]]:
+        """The columns as Python lists, the form every pass reads."""
+        return self.var.tolist(), self.lo.tolist(), self.hi.tolist()
+
+    def _level_slices(self, var: list[int]) -> list[tuple[int, int, int]]:
         """Contiguous ``(level, start, stop)`` runs of the level-sorted columns."""
-        var = self.var
         n = len(var)
         slices: list[tuple[int, int, int]] = []
         start = 0
@@ -195,7 +334,7 @@ class ColumnarOBDD:
             stop = start + 1
             while stop < n and var[stop] == level:
                 stop += 1
-            slices.append((int(level), start, stop))
+            slices.append((level, start, stop))
             start = stop
         return slices
 
@@ -210,7 +349,7 @@ class ColumnarOBDD:
             current = int(hi[index] if valuation.get(variable, False) else lo[index])
         return current == TRUE_NODE
 
-    # -- the fused columnar sweep ----------------------------------------------
+    # -- the passes ------------------------------------------------------------
 
     def sweep(
         self,
@@ -222,30 +361,40 @@ class ColumnarOBDD:
     ) -> SweepResult:
         """Probability, model count, size, and width over the columns.
 
-        The exact regime (`exact=True`) is integer arithmetic in ascending-id
-        passes; the float regime is the vectorized
-        level-at-a-time fast path with the object sweep's degeneracy fallback
-        and clamping, so callers always see a float inside ``[0, 1]``.
+        ``probabilities`` requests the probability: an exact
+        :class:`~fractions.Fraction` by default, or with ``exact=False`` the
+        float pass, which always answers a float inside ``[0, 1]`` (see the
+        module docstring).
         """
-        result = self._sweep_impl(probabilities, model_count, width, exact)
-        if not exact and result.probability is not None:
-            value = result.probability
-            if not (math.isfinite(value) and -1e-9 <= value <= 1 + 1e-9):
-                fallback = self._sweep_impl(probabilities, model_count, width, True)
-                result = SweepResult(
-                    size=fallback.size,
-                    probability=float(fallback.probability),
-                    model_count=fallback.model_count,
-                    width=fallback.width,
-                )
-            elif not 0.0 <= value <= 1.0:
-                result = SweepResult(
-                    size=result.size,
-                    probability=min(max(value, 0.0), 1.0),
-                    model_count=result.model_count,
-                    width=result.width,
-                )
-        return result
+        var, lo, hi = self._lists()
+        n_vars = len(self.order)
+        return SweepResult(
+            size=len(var),
+            probability=(
+                None
+                if probabilities is None
+                else self._probability(probabilities, exact, var, lo, hi)
+            ),
+            model_count=self._model_count_pass(n_vars, var, lo, hi) if model_count else None,
+            width=self._width_pass(n_vars, var, lo, hi) if width else None,
+        )
+
+    def _probability(
+        self,
+        probabilities: Mapping[Hashable, Fraction | float],
+        exact: bool,
+        var: list[int],
+        lo: list[int],
+        hi: list[int],
+    ) -> Fraction | float:
+        """One map's probability: the exact kernel, or the float pass with
+        the exact kernel as its fallback."""
+        if exact:
+            return exact_probability(self.order, probabilities, var, lo, hi, self.root)
+        value = _unit_interval(self._probability_pass(probabilities, var, lo, hi))
+        if value is None:
+            value = float(exact_probability(self.order, probabilities, var, lo, hi, self.root))
+        return value
 
     def _level_probability(
         self, probabilities: Mapping[Hashable, Fraction | float], level: int
@@ -255,142 +404,71 @@ class ColumnarOBDD:
             raise LineageError(f"missing probability for variable {variable!r}")
         return float(probabilities[variable])
 
-    def _sweep_impl(
+    def _probability_pass(
         self,
-        probabilities: Mapping[Hashable, Fraction | float] | None,
-        want_count: bool,
-        want_width: bool,
-        exact: bool,
-    ) -> SweepResult:
-        n_vars = len(self.order)
-        n = len(self.var)
-        want_probability = probabilities is not None
-        if self.root <= TRUE_NODE:
-            is_true = self.root == TRUE_NODE
-            probability: Fraction | float | None = None
-            if want_probability:
-                probability = Fraction(1 if is_true else 0) if exact else float(is_true)
-            return SweepResult(
-                size=0,
-                probability=probability,
-                model_count=((1 << n_vars) if is_true else 0) if want_count else None,
-                width=1 if want_width else None,
-            )
-
-        probability_value: Fraction | float | None = None
-        if want_probability:
-            numpy_module = array_backend()
-            if exact:
-                probability_value = exact_probability(
-                    self.order, probabilities, self._node_table(), range(2, n + 2), self.root
-                )
-            elif numpy_module is None:
-                probability_value = self._probability_pass(probabilities)
-            else:
-                probability_value = self._probability_vectorized(numpy_module, probabilities)
-
-        model_count_value: int | None = None
-        if want_count:
-            model_count_value = self._model_count_pass(n_vars)
-
-        width_value: int | None = None
-        if want_width:
-            width_value = self._width_pass(n_vars)
-
-        return SweepResult(
-            size=n,
-            probability=probability_value,
-            model_count=model_count_value,
-            width=width_value,
-        )
-
-    def _node_table(self) -> list[tuple[int, int, int]]:
-        """``(level, low, high)`` by node id, terminals at 0 and 1: the
-        layout :func:`~repro.booleans.obdd.exact_probability` reads."""
-        columns = (self.var.tolist(), self.lo.tolist(), self.hi.tolist())
-        return [(-1, -1, -1), (-1, -1, -1), *zip(*columns)]
-
-    def _probability_pass(self, probabilities: Mapping[Hashable, Fraction | float]) -> float:
-        """Ascending-id float probability pass (the no-numpy fallback)."""
-        var, lo, hi = self.var, self.lo, self.hi
-        values: list[float] = [0.0, 1.0] + [0.0] * len(var)
+        probabilities: Mapping[Hashable, Fraction | float],
+        var: list[int],
+        lo: list[int],
+        hi: list[int],
+    ) -> float:
+        """Ascending-id float probability pass."""
+        values: list[float] = [0.0, 1.0]
         prob_of_level: dict[int, float] = {}
         budget = _resilience.ACTIVE
         countdown = _CHECKPOINT_STRIDE
-        for index in range(len(var)):
+        for level, low, high in zip(var, lo, hi):
             if budget is not None:
                 countdown -= 1
                 if countdown == 0:
                     countdown = _CHECKPOINT_STRIDE
                     budget.checkpoint()
-            level = var[index]
             p = prob_of_level.get(level)
             if p is None:
-                p = prob_of_level[level] = self._level_probability(probabilities, int(level))
-            values[index + 2] = p * values[hi[index]] + (1 - p) * values[lo[index]]
+                p = prob_of_level[level] = self._level_probability(probabilities, level)
+            values.append(p * values[high] + (1 - p) * values[low])
         return values[self.root]
 
-    def _probability_vectorized(
-        self, numpy_module, probabilities: Mapping[Hashable, Fraction | float]
-    ) -> float:
-        """One fused gather per level: ``v[nodes] = p*v[hi] + (1-p)*v[lo]``."""
-        np = numpy_module
-        budget = _resilience.ACTIVE
-        values = np.empty(len(self.var) + 2, dtype=np.float64)
-        values[FALSE_NODE] = 0.0
-        values[TRUE_NODE] = 1.0
-        for level, start, stop in self._level_slices():
-            if budget is not None:
-                budget.checkpoint()
-            p = self._level_probability(probabilities, level)
-            values[start + 2 : stop + 2] = p * values[self.hi[start:stop]] + (1.0 - p) * values[
-                self.lo[start:stop]
-            ]
-        return float(values[self.root])
-
-    def _model_count_pass(self, n_vars: int) -> int:
+    def _model_count_pass(
+        self, n_vars: int, var: list[int], lo: list[int], hi: list[int]
+    ) -> int:
         """Exact model count over the full order, in Python integers."""
-        var, lo, hi = self.var, self.lo, self.hi
-        counts: list[int] = [0, 1] + [0] * len(var)
-        landing: list[int] = [n_vars, n_vars] + [int(level) for level in var]
+        counts: list[int] = [0, 1]
+        landing: list[int] = [n_vars, n_vars, *var]
         budget = _resilience.ACTIVE
         countdown = _CHECKPOINT_STRIDE
-        for index in range(len(var)):
+        for level, low, high in zip(var, lo, hi):
             if budget is not None:
                 countdown -= 1
                 if countdown == 0:
                     countdown = _CHECKPOINT_STRIDE
                     budget.checkpoint()
-            # Python ints throughout: numpy int64 shift amounts would make
-            # the counts wrap.
-            level, low, high = int(var[index]), int(lo[index]), int(hi[index])
-            counts[index + 2] = (counts[low] << (landing[low] - level - 1)) + (
-                counts[high] << (landing[high] - level - 1)
+            counts.append(
+                (counts[low] << (landing[low] - level - 1))
+                + (counts[high] << (landing[high] - level - 1))
             )
         return counts[self.root] << landing[self.root]
 
-    def _width_pass(self, n_vars: int) -> int:
-        """Interval-counted width (Definition 6.4), as in the object sweep."""
-        var, lo, hi = self.var, self.lo, self.hi
+    def _width_pass(self, n_vars: int, var: list[int], lo: list[int], hi: list[int]) -> int:
+        """The width of Definition 6.4: the maximum, over cuts ``L`` of the
+        order, of the distinct subfunctions live after fixing the first ``L``
+        variables.  Each edge target is live exactly at the cuts
+        ``min_source_level(target) < L <= landing(target)`` (the root from
+        cut 1 through its own level), counted with a difference array."""
         sentinel = n_vars + 1
         min_source: list[int] = [sentinel] * (len(var) + 2)
-        for index in range(len(var)):
-            level = var[index]
-            for child in (lo[index], hi[index]):
-                if level < min_source[child]:
-                    min_source[child] = level
-        landing: list[int] = [n_vars, n_vars] + [int(level) for level in var]
+        for level, low, high in zip(var, lo, hi):
+            if level < min_source[low]:
+                min_source[low] = level
+            if level < min_source[high]:
+                min_source[high] = level
+        landing: list[int] = [n_vars, n_vars, *var]
         delta = [0] * (n_vars + 2)
-        root_level = landing[self.root]
         delta[1] += 1
-        delta[root_level + 1] -= 1
-        for target in range(len(var) + 2):
-            source_level = min_source[target]
-            if source_level == sentinel:
-                continue
-            if source_level + 1 <= landing[target]:
+        delta[landing[self.root] + 1] -= 1
+        for source_level, target_landing in zip(min_source, landing):
+            if source_level < target_landing:
                 delta[source_level + 1] += 1
-                delta[landing[target] + 1] -= 1
+                delta[target_landing + 1] -= 1
         width_value = 1
         live = 0
         for cut in range(1, n_vars + 1):
@@ -399,10 +477,10 @@ class ColumnarOBDD:
                 width_value = live
         return width_value
 
-    # -- the compiled-artifact API (CompiledOBDD-compatible) -------------------
+    # -- the compiled-artifact API ---------------------------------------------
 
     def stats(self) -> SweepResult:
-        """Size, width, and model count from one (cached) columnar sweep."""
+        """Size, width, and model count from one (cached) pass."""
         if self._stats is None:
             self._stats = self.sweep(model_count=True, width=True)
         return self._stats
@@ -421,8 +499,8 @@ class ColumnarOBDD:
     def probability(
         self, probabilities: Mapping[Hashable, Fraction | float], exact: bool = True
     ) -> Fraction | float:
-        """Exact Fraction by default; the vectorized float fast path when
-        ``exact=False`` (with the exact fallback on degeneracy)."""
+        """Exact Fraction by default; the float pass when ``exact=False``
+        (with the exact fallback on degeneracy)."""
         return self.sweep(probabilities, exact=exact).probability
 
     def probability_many(
@@ -432,27 +510,25 @@ class ColumnarOBDD:
     ) -> list[Fraction | float]:
         """Probabilities under many weightings — the batch re-weighting kernel.
 
-        The exact regime (and the no-numpy fallback) runs one sweep per map:
-        exact answers come from the same integer recurrence as
-        :meth:`probability`.
-        The float regime runs *one* matrix dynamic program over a
+        The exact regime runs :func:`exact_probability` once per map over
+        columns converted to lists once for the whole batch.  The float
+        regime runs *one* matrix dynamic program over a
         ``(nodes, assignments)`` value plane: all dictionary work is hoisted
         into a single ``(levels, assignments)`` weight matrix up front, and
-        the per-level update is one fused gather over the whole batch — this
-        is where the columnar layout beats the object kernel even on narrow
-        diagrams, because the per-level overhead amortizes across the batch.
-        Degenerate columns (non-finite or outside ``[0, 1]``) fall back to
-        the exact kernel individually, as in :meth:`sweep`.
+        the per-level update is one fused numpy gather over the whole batch,
+        so the per-level overhead amortizes across the batch.  Degenerate
+        columns (non-finite or outside ``[0, 1]``) fall back to the exact
+        kernel individually, as in :meth:`sweep`.  Without numpy the float
+        regime runs one scalar pass per map.
         """
         maps = list(probability_maps)
-        numpy_module = array_backend()
-        if exact or numpy_module is None or not maps:
-            return [self.probability(weights, exact=exact) for weights in maps]
+        numpy_module = None if exact else array_backend()
+        if numpy_module is None or not maps:
+            columns = self._lists()
+            return [self._probability(weights, exact, *columns) for weights in maps]
         np = numpy_module
         batch = len(maps)
-        if self.root <= TRUE_NODE:
-            return [1.0 if self.root == TRUE_NODE else 0.0] * batch
-        slices = self._level_slices()
+        slices = self._level_slices(self.var.tolist())
         weight_rows = np.empty((len(slices), batch), dtype=np.float64)
         for row, (level, _, _) in enumerate(slices):
             for column, weights in enumerate(maps):
@@ -460,7 +536,8 @@ class ColumnarOBDD:
         values = np.empty((len(self.var) + 2, batch), dtype=np.float64)
         values[FALSE_NODE] = 0.0
         values[TRUE_NODE] = 1.0
-        lo, hi = self.lo, self.hi
+        lo = np.frombuffer(self.lo, dtype=np.int64)
+        hi = np.frombuffer(self.hi, dtype=np.int64)
         budget = _resilience.ACTIVE
         for row, (_, start, stop) in enumerate(slices):
             if budget is not None:
@@ -469,14 +546,12 @@ class ColumnarOBDD:
             values[start + 2 : stop + 2] = (
                 p * values[hi[start:stop]] + (1.0 - p) * values[lo[start:stop]]
             )
-        out = values[self.root]
         results: list[Fraction | float] = []
-        for column in range(batch):
-            value = float(out[column])
-            if not (math.isfinite(value) and -1e-9 <= value <= 1 + 1e-9):
-                results.append(float(self.probability(maps[column], exact=True)))
-            else:
-                results.append(min(max(value, 0.0), 1.0))
+        for weights, raw in zip(maps, values[self.root].tolist()):
+            value = _unit_interval(raw)
+            results.append(
+                value if value is not None else float(self.probability(weights, exact=True))
+            )
         return results
 
     # -- lossless adapters -----------------------------------------------------
@@ -489,19 +564,15 @@ class ColumnarOBDD:
         table reproduces the same diagram (adapters are lossless both ways).
         """
         manager = OBDD(self.order)
-        mapping: list[int] = [FALSE_NODE, TRUE_NODE] + [0] * len(self.var)
-        for index in range(len(self.var)):
-            mapping[index + 2] = manager.make_node(
-                int(self.var[index]), mapping[self.lo[index]], mapping[self.hi[index]]
-            )
+        mapping: list[int] = [FALSE_NODE, TRUE_NODE]
+        for level, low, high in zip(*self._lists()):
+            mapping.append(manager.make_node(level, mapping[low], mapping[high]))
         manager.root = mapping[self.root]
         return manager, manager.root
 
     def copy(self) -> "ColumnarOBDD":
         """A deep copy owning private columns (detached from shared memory)."""
-        return ColumnarOBDD(
-            self.order, list(self.var), list(self.lo), list(self.hi), self.root
-        )
+        return ColumnarOBDD(self.order, *self._lists(), self.root)
 
     # -- flat-buffer packing ---------------------------------------------------
 
@@ -518,17 +589,11 @@ class ColumnarOBDD:
             raise CompilationError("buffer too small for the columnar OBDD")
         for position, column in enumerate((self.var, self.lo, self.hi)):
             chunk = view[position * n * _ITEMSIZE : (position + 1) * n * _ITEMSIZE]
-            chunk[:] = _column_bytes(column)
+            chunk[:] = column.tobytes()
 
     def meta(self) -> dict[str, Any]:
         """The picklable sidecar needed to reattach a packed buffer."""
         return {"node_count": len(self.var), "root": self.root, "order": self.order}
-
-
-def _column_bytes(column) -> bytes:
-    if isinstance(column, array):
-        return column.tobytes()
-    return column.tobytes()  # numpy
 
 
 #: Memory owners whose close raced a still-exported buffer.  The finalizer
@@ -601,23 +666,20 @@ def columnar_from_obdd(
 
     Only the reachable nodes are kept; they are renumbered by descending
     level (ties broken by original id, so the layout is deterministic for a
-    given manager state), which gives the contiguous level runs the
-    vectorized sweeps rely on.
+    given manager state), which gives the contiguous level runs the batch
+    pass relies on.
     """
     if order is None:
         order = manager.variable_order
-    reachable = sorted(manager.reachable_nodes(root))
-    levels = {node: manager._nodes[node][0] for node in reachable}
-    ordered = sorted(reachable, key=lambda node: (-levels[node], node))
+    nodes = manager._nodes
+    # Ascending ids, then a stable sort by descending level keeps id order
+    # among the nodes of one level.
+    ordered = sorted(manager._reachable_list(root))
+    ordered.sort(key=lambda node: nodes[node][0], reverse=True)
     mapping = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
-    for position, node in enumerate(ordered):
-        mapping[node] = position + 2
-    var: list[int] = []
-    lo: list[int] = []
-    hi: list[int] = []
-    for node in ordered:
-        level, low, high = manager._nodes[node]
-        var.append(level)
-        lo.append(mapping[low])
-        hi.append(mapping[high])
+    mapping.update(zip(ordered, range(2, len(ordered) + 2)))
+    triples = [nodes[node] for node in ordered]
+    var = [level for level, _, _ in triples]
+    lo = [mapping[low] for _, low, _ in triples]
+    hi = [mapping[high] for _, _, high in triples]
     return ColumnarOBDD(order, var, lo, hi, mapping[root])

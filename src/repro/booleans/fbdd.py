@@ -16,9 +16,9 @@ choice, probability evaluation, model counting, and structural checks
 (read-once validation, orderedness testing).
 
 Terminal nodes are the integers ``0`` (false) and ``1`` (true), as in
-:mod:`repro.booleans.obdd`.  Like the OBDD sweep kernel
-(:meth:`repro.booleans.obdd.OBDD.sweep`), every measurement here is an
-iterative pass over the reachable nodes in topological (ascending-id)
+:mod:`repro.booleans.obdd`.  Like the OBDD evaluation kernel
+(:class:`repro.booleans.columnar.ColumnarOBDD`), every measurement here is
+an iterative pass over the reachable nodes in topological (ascending-id)
 order, so diagram depth is bounded by memory, not the recursion limit.
 """
 

@@ -1,51 +1,35 @@
-"""Ordered Binary Decision Diagrams (Definition 6.4).
+"""Ordered Binary Decision Diagrams (Definition 6.4): construction.
 
 Reduced OBDDs with hash-consing over a fixed variable order, supporting the
-classical ``apply`` combination, restriction, probability evaluation, model
-counting, size and *width* measurements (the width measure of Definition 6.4:
-the maximum number of nodes at any level, a level being indexed by a prefix of
-the variable order).
+classical ``apply`` combination, restriction, and conversion to d-DNNF.  The
+OBDD manager owns the node table; OBDD nodes are integers.  Terminal nodes
+are 0 (false) and 1 (true).
 
-The OBDD manager owns the node table; OBDD nodes are integers.  Terminal
-nodes are 0 (false) and 1 (true).
+Every algorithm in this module is **iterative**: ``apply``, negation and
+restriction run on explicit-stack worklists, so the supported depth is
+bounded by memory rather than the interpreter recursion limit (a line
+instance of length 2000 compiles and evaluates fine).  The operation caches
+are keyed by packed integers (``(left << 34) | (right << 2) | op``) instead
+of tuples, and restriction results are memoized at the manager level exactly
+like ``apply`` results.  Monotone DNFs are compiled by a trie-driven
+bottom-up construction (:meth:`OBDD.build_from_clauses`) instead of a
+clause-by-clause ``apply`` fold; the seed fold survives as a differential
+reference in :mod:`repro.booleans.reference`.
 
-Every algorithm in this module is **iterative**: ``apply``, negation,
-restriction, and all measurements run on explicit-stack worklists, so the
-supported depth is bounded by memory rather than the interpreter recursion
-limit (a line instance of length 2000 compiles and evaluates fine).  The
-operation caches are keyed by packed integers (``(left << 34) | (right << 2)
-| op``) instead of tuples, and restriction results are memoized at the
-manager level exactly like ``apply`` results.
-
-Measurements share one **fused sweep kernel** (:meth:`OBDD.sweep`): a single
-reverse-topological pass over the reachable node array computes model count,
-size, width and the float fast path of the probability together.  Exact
-probabilities come from :func:`exact_probability`, the integer recurrence
-that both artifact kinds (this manager and
-:class:`~repro.booleans.columnar.ColumnarOBDD`) call with their nodes in
-children-first order: each node value is an integer scaled by the product of
-the denominators of the diagram's levels at or below the node's level, and
-the answer is the one :class:`~fractions.Fraction` built at the root.
-Monotone DNFs are compiled by a trie-driven bottom-up construction
-(:meth:`OBDD.build_from_clauses`) instead of a clause-by-clause ``apply``
-fold; the seed fold survives as a differential reference in
-:mod:`repro.booleans.reference`.
+Evaluation is not done here: probability, model count and width (the
+maximum number of distinct subfunctions over the prefixes of the variable
+order, Definition 6.4) run on the diagram flattened into columns
+(:meth:`OBDD.to_columnar`), the one OBDD evaluation kernel of
+:mod:`repro.booleans.columnar`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro import resilience as _resilience
 from repro.errors import CompilationError, LineageError
-
-# How many sweep iterations pass between wall-clock checkpoints when a
-# resource budget is active; one Deadline consultation per stride keeps the
-# checkpoint overhead under the bench_resilience gate.
-_CHECKPOINT_STRIDE = 4096
 
 FALSE_NODE = 0
 TRUE_NODE = 1
@@ -57,121 +41,6 @@ _OP_AND = 0
 _OP_OR = 1
 _OP_NOT = 2
 _KEY_SHIFT = 34
-
-
-def exact_probability(
-    order: Sequence[Hashable],
-    probabilities: Mapping[Hashable, Fraction | float],
-    table: Sequence[tuple[int, int, int]],
-    nodes: Sequence[int],
-    root: int,
-) -> Fraction:
-    """The exact probability of the diagram rooted at ``root``, in integers.
-
-    ``table[node]`` is the ``(level, low, high)`` triple of a decision node
-    (ids 0 and 1 are the FALSE/TRUE terminals) and ``nodes`` lists the
-    reachable decision nodes children first.  With ``p = a/d`` the
-    probability of the variable at a level, and ``S(level)`` the product of
-    ``d`` over the diagram's levels at or below ``level`` (1 for the
-    terminals), each node holds the integer ``v(node) * S(level)``::
-
-        V(node) = a * G(level, high) * V(high) + (d - a) * G(level, low) * V(low)
-
-    where ``G`` is the product of the denominators of the levels an edge
-    skips, cached per pair of levels.  Scaling each level by its own
-    denominator keeps every value as small as the exact answer needs; a
-    common denominator for all levels would multiply the digits by the number
-    of levels whenever the denominators share few factors.  No operation
-    reduces a fraction: the answer is the one ``Fraction`` built at the root.
-    """
-    levels = sorted({table[node][0] for node in nodes})
-    numerators: list[int] = []
-    denominators: list[int] = []
-    for level in levels:
-        variable = order[level]
-        if variable not in probabilities:
-            raise LineageError(f"missing probability for variable {variable!r}")
-        raw = probabilities[variable]
-        p = raw if isinstance(raw, Fraction) else Fraction(raw)
-        numerator, denominator = p.as_integer_ratio()
-        numerators.append(numerator)
-        denominators.append(denominator)
-    # Levels are addressed by rank among the diagram's levels; the terminals
-    # sit at rank ``depth``.  scale[rank] = S(levels[rank]).
-    depth = len(levels)
-    scale = [1] * (depth + 1)
-    for rank in range(depth - 1, -1, -1):
-        scale[rank] = scale[rank + 1] * denominators[rank]
-    rank_of = {level: rank for rank, level in enumerate(levels)}
-    node_rank = {FALSE_NODE: depth, TRUE_NODE: depth}
-    values = {FALSE_NODE: 0, TRUE_NODE: 1}
-    # Edge coefficients a*G (high) and (d - a)*G (low), keyed by the packed
-    # (parent rank, child rank) pair.
-    stride = depth + 1
-    high_coefficients: dict[int, int] = {}
-    low_coefficients: dict[int, int] = {}
-
-    budget = _resilience.ACTIVE
-    if budget is not None:
-        budget.checkpoint()
-    countdown = _CHECKPOINT_STRIDE
-    for node in nodes:
-        if budget is not None:
-            countdown -= 1
-            if countdown == 0:
-                countdown = _CHECKPOINT_STRIDE
-                budget.checkpoint()
-        level, low, high = table[node]
-        rank = rank_of[level]
-        high_rank = node_rank[high]
-        key = rank * stride + high_rank
-        high_coefficient = high_coefficients.get(key)
-        if high_coefficient is None:
-            high_coefficient = high_coefficients[key] = numerators[rank] * _skipped(
-                scale, denominators, rank, high_rank
-            )
-        low_rank = node_rank[low]
-        key = rank * stride + low_rank
-        low_coefficient = low_coefficients.get(key)
-        if low_coefficient is None:
-            low_coefficient = low_coefficients[key] = (
-                denominators[rank] - numerators[rank]
-            ) * _skipped(scale, denominators, rank, low_rank)
-        values[node] = high_coefficient * values[high] + low_coefficient * values[low]
-        node_rank[node] = rank
-    return Fraction(values[root], scale[node_rank[root]])
-
-
-def _skipped(scale: list[int], denominators: list[int], rank: int, child_rank: int) -> int:
-    """Product of the denominators strictly between two ranks.
-
-    That is the exact quotient ``scale[rank + 1] // scale[child_rank]``, but
-    a long division costs time linear in the scales' digits, while an edge
-    to a decision node usually skips few levels: multiplying those out is
-    cheaper.  An edge to a terminal skips every level below, whose product
-    is ``scale[rank + 1]`` itself.
-    """
-    if child_rank == len(denominators):
-        return scale[rank + 1]
-    product = 1
-    for skipped in range(rank + 1, child_rank):
-        product *= denominators[skipped]
-    return product
-
-
-@dataclass(frozen=True, slots=True)
-class SweepResult:
-    """The outputs of one fused topological sweep over a reachable node array.
-
-    Fields not requested from :meth:`OBDD.sweep` are ``None``; ``size`` (the
-    number of reachable decision nodes) is always computed since the sweep
-    materializes the reachable set anyway.
-    """
-
-    size: int
-    probability: Fraction | float | None = None
-    model_count: int | None = None
-    width: int | None = None
 
 
 class OBDD:
@@ -441,186 +310,6 @@ class OBDD:
             current = high if valuation.get(variable, False) else low
         return current == TRUE_NODE
 
-    # -- the fused sweep kernel ---------------------------------------------------
-
-    def sweep(
-        self,
-        node: int,
-        probabilities: Mapping[Hashable, Fraction | float] | None = None,
-        *,
-        model_count: bool = False,
-        width: bool = False,
-        exact: bool = True,
-    ) -> SweepResult:
-        """Probability, model count, size, and width in one topological pass.
-
-        The reachable nodes are collected once and processed in reverse
-        topological order (deepest level first), so every requested quantity
-        is produced by the same sweep instead of one recursive walk each.
-        ``probabilities`` triggers the probability computation; ``exact=True``
-        (the default, and the contract of every exact route in this library)
-        runs the integer recurrence :func:`exact_probability` over the same
-        node order and returns a :class:`~fractions.Fraction`;
-        ``exact=False`` runs a float fast path whose result is always a float
-        in ``[0, 1]``: gross
-        degeneracy (non-finite, or off by more than 1e-9) falls back to the
-        exact kernel (then coerced to float), and sub-tolerance rounding
-        excursions are clamped.
-        """
-        result = self._sweep_impl(node, probabilities, model_count, width, exact)
-        if not exact and result.probability is not None:
-            value = result.probability
-            if not (math.isfinite(value) and -1e-9 <= value <= 1 + 1e-9):
-                fallback = self._sweep_impl(node, probabilities, model_count, width, True)
-                result = SweepResult(
-                    size=fallback.size,
-                    probability=float(fallback.probability),
-                    model_count=fallback.model_count,
-                    width=fallback.width,
-                )
-            elif not 0.0 <= value <= 1.0:
-                # Sub-tolerance float rounding: clamp so callers always see a
-                # probability inside [0, 1].
-                result = SweepResult(
-                    size=result.size,
-                    probability=min(max(value, 0.0), 1.0),
-                    model_count=result.model_count,
-                    width=result.width,
-                )
-        return result
-
-    def _sweep_impl(
-        self,
-        node: int,
-        probabilities: Mapping[Hashable, Fraction | float] | None,
-        want_count: bool,
-        want_width: bool,
-        exact: bool,
-    ) -> SweepResult:
-        n = len(self._order)
-        nodes = self._nodes
-        want_probability = probabilities is not None
-        if node <= TRUE_NODE:
-            is_true = node == TRUE_NODE
-            probability: Fraction | float | None = None
-            if want_probability:
-                probability = Fraction(1 if is_true else 0) if exact else float(is_true)
-            return SweepResult(
-                size=0,
-                probability=probability,
-                model_count=((1 << n) if is_true else 0) if want_count else None,
-                width=1 if want_width else None,
-            )
-
-        reachable = self._reachable_list(node)
-        # Children always sit at strictly larger levels, so sorting by level
-        # descending is a reverse topological order of the reachable DAG.
-        reachable.sort(key=lambda current: nodes[current][0], reverse=True)
-
-        probability = None
-        if want_probability and exact:
-            probability = exact_probability(self._order, probabilities, nodes, reachable, node)
-        # The float fast path and the counts share one pass.
-        want_float = want_probability and not exact
-        if not (want_float or want_count or want_width):
-            return SweepResult(size=len(reachable), probability=probability)
-
-        # Wall-clock checkpoints for the fused sweep: consult the ambient
-        # deadline once up front and then every _CHECKPOINT_STRIDE nodes, so
-        # a sweep over millions of nodes stays interruptible.
-        budget = _resilience.ACTIVE
-        if budget is not None:
-            budget.checkpoint()
-        countdown = _CHECKPOINT_STRIDE
-
-        prob_of_level: dict[int, float] = {}
-
-        def level_probability(level: int) -> float:
-            p = prob_of_level.get(level)
-            if p is None:
-                variable = self._order[level]
-                if variable not in probabilities:
-                    raise LineageError(f"missing probability for variable {variable!r}")
-                p = prob_of_level[level] = float(probabilities[variable])
-            return p
-
-        prob_values: dict[int, float] | None = (
-            {FALSE_NODE: 0.0, TRUE_NODE: 1.0} if want_float else None
-        )
-        count_values: dict[int, int] | None = {TRUE_NODE: 1, FALSE_NODE: 0} if want_count else None
-        # For the width, each distinct edge target is live exactly at the cuts
-        # L with min_source_level(target) < L <= landing(target); the maximum
-        # number of simultaneously live targets over all cuts is the width.
-        min_source: dict[int, int] | None = {} if want_width else None
-
-        for current in reachable:
-            if budget is not None:
-                countdown -= 1
-                if countdown == 0:
-                    countdown = _CHECKPOINT_STRIDE
-                    budget.checkpoint()
-            level, low, high = nodes[current]
-            if want_float:
-                p = level_probability(level)
-                prob_values[current] = (
-                    p * prob_values[high] + (1 - p) * prob_values[low]
-                )
-            if want_count:
-                low_landing = nodes[low][0] if low > TRUE_NODE else n
-                high_landing = nodes[high][0] if high > TRUE_NODE else n
-                count_values[current] = (count_values[low] << (low_landing - level - 1)) + (
-                    count_values[high] << (high_landing - level - 1)
-                )
-            if want_width:
-                for child in (low, high):
-                    known = min_source.get(child)
-                    if known is None or level < known:
-                        min_source[child] = level
-
-        width_value: int | None = None
-        if want_width:
-            # Difference array over the cuts 1..n: +1 where a target becomes
-            # live, -1 one past its landing level; the root is live from cut 1
-            # through its own level.
-            delta = [0] * (n + 2)
-            root_level = nodes[node][0]
-            delta[1] += 1
-            delta[root_level + 1] -= 1
-            for target, source_level in min_source.items():
-                landing = nodes[target][0] if target > TRUE_NODE else n
-                if source_level + 1 <= landing:
-                    delta[source_level + 1] += 1
-                    delta[landing + 1] -= 1
-            width_value = 1
-            live = 0
-            for cut in range(1, n + 1):
-                live += delta[cut]
-                if live > width_value:
-                    width_value = live
-
-        model_count_value: int | None = None
-        if want_count:
-            model_count_value = count_values[node] << nodes[node][0]
-
-        return SweepResult(
-            size=len(reachable),
-            probability=prob_values[node] if want_float else probability,
-            model_count=model_count_value,
-            width=width_value,
-        )
-
-    def probability(self, node: int, probabilities: Mapping[Hashable, Fraction | float]) -> Fraction:
-        """Exact probability that the function is true under independent variables."""
-        return self.sweep(node, probabilities).probability
-
-    def probability_float(self, node: int, probabilities: Mapping[Hashable, Fraction | float]) -> float:
-        """The float fast path of the sweep kernel (exact fallback on degeneracy)."""
-        return self.sweep(node, probabilities, exact=False).probability
-
-    def model_count(self, node: int) -> int:
-        """Number of satisfying assignments over the *full* variable order."""
-        return self.sweep(node, model_count=True).model_count
-
     # -- measurements --------------------------------------------------------------
 
     def _reachable_list(self, node: int) -> list[int]:
@@ -645,18 +334,22 @@ class OBDD:
         """Number of decision nodes reachable from ``node`` (terminals excluded)."""
         return len(self._reachable_list(node))
 
-    def width(self, node: int) -> int:
-        """The width of the OBDD rooted at ``node`` (Definition 6.4).
+    # Evaluation runs on the flattened columns (repro.booleans.columnar), the
+    # one OBDD evaluation kernel; these calls flatten the diagram per call.
 
-        The level of a node is the index of its variable in the order; the
-        width is the maximum, over levels, of the number of *distinct
-        subfunctions* reachable after fixing the variables of a strict prefix
-        of the order.  For a reduced OBDD this equals, for each prefix length
-        L, the number of distinct nodes (or terminals) that are the landing
-        point of an edge crossing the cut before level L (plus the root while
-        its level >= L); the fused sweep computes it by interval counting.
-        """
-        return self.sweep(node, width=True).width
+    def probability(self, node: int, probabilities: Mapping[Hashable, Fraction | float]) -> Fraction:
+        """Exact probability that the function is true under independent variables."""
+        return self.to_columnar(node).probability(probabilities)
+
+    def model_count(self, node: int) -> int:
+        """Number of satisfying assignments over the *full* variable order."""
+        return self.to_columnar(node).model_count()
+
+    def width(self, node: int) -> int:
+        """The width of the OBDD rooted at ``node`` (Definition 6.4): the
+        maximum, over strict prefixes of the order, of the number of distinct
+        subfunctions left after fixing the prefix's variables."""
+        return self.to_columnar(node).width
 
     def node_table(self, node: int) -> list[tuple[int, Hashable, int, int]]:
         """A readable dump of the reachable nodes: (id, variable, low, high)."""

@@ -1,8 +1,9 @@
 """Seed recursive OBDD algorithms, kept as differential references.
 
 PR 4 rebuilt the knowledge-compilation core as iterative, array-oriented
-kernels (the trie-driven DNF compilation and the fused sweep of
-:mod:`repro.booleans.obdd`).  This module preserves the *seed* algorithms —
+kernels (the trie-driven DNF compilation of :mod:`repro.booleans.obdd` and
+the passes over the flattened columns of :mod:`repro.booleans.columnar`).
+This module preserves the *seed* algorithms —
 the clause-by-clause ``apply`` fold with string-tagged tuple cache keys, the
 recursive probability / model-count walks, and the per-cut width loop — in
 their original recursive form, for two purposes:
@@ -17,6 +18,11 @@ Everything here intentionally inherits the seed's limitations: recursion
 depth is bounded by the interpreter stack (deep variable orders raise
 ``RecursionError``) and the fold is quadratic on path-shaped lineages.  Do
 not use these from production code paths.
+
+:func:`probability_float_walk` is the object manager's former float loop
+(one dictionary entry per node, one pass per probability map): the per-map
+baseline ``benchmarks/bench_vector.py`` times the columnar batch kernel
+against.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "apply_binary_recursive",
     "build_from_clauses_fold",
     "model_count_recursive",
+    "probability_float_walk",
     "probability_recursive",
     "width_by_cuts",
 ]
@@ -134,6 +141,33 @@ def probability_recursive(
         return result
 
     return walk(node)
+
+
+def probability_float_walk(
+    manager: OBDD, node: int, probabilities: Mapping[Hashable, Fraction | float]
+) -> float:
+    """The float probability of one map over the object node table.
+
+    The reachable nodes are sorted deepest level first and each gets one
+    dictionary entry, ``p * v(high) + (1 - p) * v(low)``, with ``p`` read
+    once per level.
+    """
+    nodes = manager._nodes
+    order = manager.variable_order
+    reachable = manager._reachable_list(node)
+    reachable.sort(key=lambda current: nodes[current][0], reverse=True)
+    prob_of_level: dict[int, float] = {}
+    values: dict[int, float] = {FALSE_NODE: 0.0, TRUE_NODE: 1.0}
+    for current in reachable:
+        level, low, high = nodes[current]
+        p = prob_of_level.get(level)
+        if p is None:
+            variable = order[level]
+            if variable not in probabilities:
+                raise LineageError(f"missing probability for variable {variable!r}")
+            p = prob_of_level[level] = float(probabilities[variable])
+        values[current] = p * values[high] + (1 - p) * values[low]
+    return values[node]
 
 
 def model_count_recursive(manager: OBDD, node: int) -> int:

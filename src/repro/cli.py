@@ -136,7 +136,7 @@ def _command_lineage(arguments: argparse.Namespace) -> int:
     circuit = lineage.to_circuit()
     compiled = compile_query_to_obdd(query, tid.instance, engine=engine)
     dnnf = compiled.to_dnnf()
-    # One fused sweep serves size, width, and model count together.
+    # One pass over the columns serves size, width, and model count together.
     stats = compiled.stats()
     print(f"query: {query}")
     print(f"minimal matches (DNF clauses): {lineage.clause_count}")

@@ -51,7 +51,7 @@ lookup in that table, and so are the router, the failover chain, the CLI
 (:meth:`CompilationEngine.choose_route`): if the query admits a lifted plan
 (cached, instance-independent — :meth:`CompilationEngine.lifted_plan`), the
 safe-plan route runs by rule, unless it has a recorded failure; otherwise
-the feasible routes compete on measured cost (safe plan, OBDD, columnar,
+the feasible routes compete on measured cost (safe plan, OBDD,
 automaton).  Past ``circuit_fact_limit`` facts the circuit routes are gated
 infeasible (unless already compiled).  Chosen routes are counted in
 :meth:`CompilationEngine.route_mix` and surfaced by the CLI.

@@ -47,7 +47,7 @@ worker *publishes* the flat ``var|lo|hi`` buffer and ships back only a tiny
 :class:`~repro.engine.shm.SegmentHandle`; the parent *attaches* zero-copy.
 :meth:`ParallelEngine.reweight_many` runs the same plane in the other
 direction — the parent publishes one compiled artifact, every worker
-attaches to it and runs vectorized columnar sweeps for its share of the
+attaches to it and runs the columnar batch kernel over its share of the
 probability assignments, which is the batch re-weighting workload where
 per-worker cost is exactly "an attach plus a sweep".
 
@@ -680,7 +680,7 @@ class ParallelEngine:
         publishes the artifact's columns *once* into a shared-memory segment,
         and every worker attaches to that one segment and runs columnar
         sweeps for its shard of ``probability_maps`` — per-worker cost is an
-        attach plus a vectorized sweep per assignment, never a deserialize.
+        attach plus one batch pass over its assignments, never a deserialize.
         This is the re-weighting workload (same lineage, changing fact
         probabilities) that motivates separating diagram structure from
         weights.  ``workers=1`` evaluates inline without any segment.

@@ -157,9 +157,6 @@ class _InstanceArtifacts:
     compiled: OrderedDict[tuple[UnionOfConjunctiveQueries, bool], CompiledOBDD] = field(
         default_factory=OrderedDict
     )
-    columnar: OrderedDict[tuple[UnionOfConjunctiveQueries, bool], ColumnarOBDD] = field(
-        default_factory=OrderedDict
-    )
     dnnfs: OrderedDict[UnionOfConjunctiveQueries, DNNF] = field(default_factory=OrderedDict)
 
 
@@ -251,7 +248,6 @@ class CompilationEngine:
             "structure": CacheStats(),
             "lineage": CacheStats(),
             "obdd": CacheStats(),
-            "columnar": CacheStats(),
             "dnnf": CacheStats(),
             "lifted_plan": CacheStats(),
             "probability": CacheStats(),
@@ -338,13 +334,13 @@ class CompilationEngine:
         return artifact
 
     def _store_save_columnar(
-        self, query: Query, instance: Instance, use_path: bool, columnar: ColumnarOBDD
+        self, query: Query, instance: Instance, use_path: bool, compiled: CompiledOBDD
     ) -> None:
         if self.store is None:
             return
         key = columnar_key(instance.fingerprint, query, use_path)
         self.store.put_columnar(
-            key, columnar, self._store_columnar_meta(query, instance, use_path)
+            key, compiled.to_columnar(), self._store_columnar_meta(query, instance, use_path)
         )
         self._sync_store_quarantines()
 
@@ -455,38 +451,30 @@ class CompilationEngine:
         """The (cached) OBDD compilation of the query's lineage on the instance.
 
         With a persistent :attr:`store`, a memory miss first tries the
-        stored columnar form (rehydrated losslessly via
-        :meth:`CompiledOBDD.from_columnar` — no lineage enumeration, no
-        OBDD construction); a fresh build is flattened and written behind.
+        stored columns (:meth:`CompiledOBDD.from_columnar`: no lineage
+        enumeration, no OBDD construction, no object rebuild); a fresh build
+        is flattened and written behind once.
         """
-        return self._compile(query, instance, bool(use_path_decomposition), probe_store=True)
-
-    def _compile(
-        self, query: Query, instance: Instance, use_path: bool, probe_store: bool
-    ) -> CompiledOBDD:
+        use_path = bool(use_path_decomposition)
         key = (as_ucq(query), use_path)
         slot = self._slot(instance)
-        hit = key in slot.compiled
-        self.stats["obdd"].record(hit)
-        if hit:
+        compiled = slot.compiled.get(key)
+        self.stats["obdd"].record(compiled is not None)
+        if compiled is not None:
             slot.compiled.move_to_end(key)
+            return compiled
+        stored = self._store_load_columnar(query, instance, use_path)
+        if stored is not None:
+            compiled = CompiledOBDD.from_columnar(stored)
         else:
-            stored = (
-                self._store_load_columnar(query, instance, use_path) if probe_store else None
-            )
-            if stored is not None:
-                slot.compiled[key] = CompiledOBDD.from_columnar(stored)
-            else:
-                lineage = self.lineage(query, instance)
-                order = self.fact_order(instance, "path" if use_path else "default")
-                slot.compiled[key] = compile_lineage_to_obdd(lineage, order)
-                if self.store is not None:
-                    self._store_save_columnar(
-                        query, instance, use_path, slot.compiled[key].to_columnar()
-                    )
-            while len(slot.compiled) > self._max_queries_per_instance:
-                slot.compiled.popitem(last=False)
-        return slot.compiled[key]
+            lineage = self.lineage(query, instance)
+            order = self.fact_order(instance, "path" if use_path else "default")
+            compiled = compile_lineage_to_obdd(lineage, order)
+            self._store_save_columnar(query, instance, use_path, compiled)
+        slot.compiled[key] = compiled
+        while len(slot.compiled) > self._max_queries_per_instance:
+            slot.compiled.popitem(last=False)
+        return compiled
 
     def compile_many(
         self,
@@ -504,44 +492,9 @@ class CompilationEngine:
     def columnar(
         self, query: Query, instance: Instance, use_path_decomposition: bool = False
     ) -> ColumnarOBDD:
-        """The (cached) columnar form of the compiled OBDD.
-
-        Keyed exactly like :meth:`compile` (the columnar artifact is a
-        lossless flattening of the object artifact, so it shares the same
-        fingerprinted identity); built on demand from the cached
-        :class:`CompiledOBDD` and LRU-trimmed with the same per-instance
-        bound.  This is the artifact the parallel tier ships through shared
-        memory and the vectorized sweeps run on.
-        """
-        key = (as_ucq(query), bool(use_path_decomposition))
-        use_path = bool(use_path_decomposition)
-        slot = self._slot(instance)
-        hit = key in slot.columnar
-        self.stats["columnar"].record(hit)
-        if hit:
-            slot.columnar.move_to_end(key)
-            if key in slot.compiled:
-                # Keep the source object artifact's LRU slot warm too: a hot
-                # columnar view should not see its compiled source evicted.
-                self.compile(query, instance, use_path_decomposition)
-        else:
-            artifact: ColumnarOBDD | None = None
-            probed = False
-            if key not in slot.compiled:
-                # Read through the persistent tier first: a store hit is a
-                # verified memory-mapped artifact, served with no lineage
-                # enumeration and no OBDD construction at all.
-                artifact = self._store_load_columnar(query, instance, use_path)
-                probed = True
-            if artifact is None:
-                artifact = self._compile(
-                    query, instance, use_path, probe_store=not probed
-                ).to_columnar()
-                self._store_save_columnar(query, instance, use_path, artifact)
-            slot.columnar[key] = artifact
-            while len(slot.columnar) > self._max_queries_per_instance:
-                slot.columnar.popitem(last=False)
-        return slot.columnar[key]
+        """The columnar form of the (cached) compiled OBDD: what the parallel
+        tier ships through shared memory and every evaluation reads."""
+        return self.compile(query, instance, use_path_decomposition).to_columnar()
 
     def dnnf(self, query: Query, instance: Instance) -> DNNF:
         """A (cached) d-DNNF for the query's lineage, through the OBDD route."""
@@ -668,13 +621,12 @@ class CompilationEngine:
         ``method`` names a :data:`ROUTES` record: ``auto`` consults the
         dichotomy router (:meth:`choose_route`) and records the chosen route
         in :meth:`route_mix`; ``safe_plan`` executes the engine's cached
-        lifted plan (:meth:`lifted_plan`); ``read_once``/``obdd``/
-        ``columnar``/``dnnf`` run on the engine's cached lineages and
-        circuits; ``automaton`` runs the state dynamic programming over the
-        engine's cached fused tree encoding (:meth:`tree_encoding_of`).  The
-        ``*_float`` routes serve the sweeps' float fast path (a ``float``,
-        cached under its own method key, never mixed with the exact
-        entries).
+        lifted plan (:meth:`lifted_plan`); ``read_once``/``obdd``/``dnnf``
+        run on the engine's cached lineages and circuits; ``automaton`` runs
+        the state dynamic programming over the engine's cached fused tree
+        encoding (:meth:`tree_encoding_of`).  ``obdd_float`` serves the OBDD
+        kernel's float pass (a ``float``, cached under its own method key,
+        never mixed with the exact entries).
 
         ``budget`` activates a :class:`~repro.resilience.ResourceBudget`
         around the evaluation: the kernels then checkpoint against its node
@@ -745,7 +697,8 @@ class CompilationEngine:
         decays that route's penalty, so :meth:`choose_route`'s rule returns
         after a failure.  A :class:`~repro.errors.DeadlineExceeded` is terminal:
         no remaining route can finish inside an already-elapsed wall-clock
-        deadline, so it re-raises instead of failing over.  When every
+        deadline, so it re-raises instead of failing over; it is charged to
+        the route only when it expired after the route started.  When every
         exact route fails, the opt-in ``karp_luby`` degradation tier
         returns labelled bounds; without it, the last typed error is
         re-raised.  The walked chain is re-published on
@@ -763,14 +716,17 @@ class CompilationEngine:
         last_error: BaseException | None = None
         for route in chain:
             started = perf_counter()
+            running = False
             try:
                 if budget is not None:
                     # Never start a route after the deadline has passed; the
                     # kernels' own checkpoints only fire once work is underway.
                     budget.checkpoint()
+                running = True
                 value = _AUTO[route](self, query, tid)
             except DeadlineExceeded as error:
-                self.route_costs.record_failure(route)
+                if running:
+                    self.route_costs.record_failure(route)
                 attempts.append(
                     RouteAttempt(route, _describe_failure(error), perf_counter() - started)
                 )
@@ -905,23 +861,12 @@ def _obdd_or_read_once(
     return _obdd(engine, query, tid)
 
 
-def _circuit_cached(cache: str) -> ArtifactPeek:
-    def peek(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
-        slot = engine._artifacts.get(instance.fingerprint)
-        if slot is None:
-            return False
-        artifacts = getattr(slot, cache)
-        return (as_ucq(query), False) in artifacts or (as_ucq(query), True) in artifacts
-
-    return peek
-
-
-def _columnar(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
-    return engine.columnar(query, tid.instance).probability(tid.valuation())
-
-
-def _columnar_float(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> float:
-    return engine.columnar(query, tid.instance).probability(tid.valuation(), exact=False)
+def _compiled_cached(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
+    slot = engine._artifacts.get(instance.fingerprint)
+    if slot is None:
+        return False
+    ucq = as_ucq(query)
+    return (ucq, False) in slot.compiled or (ucq, True) in slot.compiled
 
 
 def _automaton(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
@@ -960,13 +905,11 @@ ROUTES: dict[str, Route] = {
         # name, exact, evaluate, auto, prior, circuit, cached
         Route("auto", True, _auto),
         Route("safe_plan", True, _safe_plan, _safe_plan, 5e-6, cached=_plan_cached),
-        Route("obdd", True, _obdd, _obdd_or_read_once, 2e-4, True, _circuit_cached("compiled")),
-        Route("columnar", True, _columnar, _columnar, 2e-4, True, _circuit_cached("columnar")),
+        Route("obdd", True, _obdd, _obdd_or_read_once, 2e-4, True, _compiled_cached),
         Route("automaton", True, _automaton, _automaton, 5e-4, True, _encoding_cached),
         Route("dnnf", True, _dnnf),
         Route("read_once", True, _read_once),
         Route("obdd_float", False, _obdd_float),
-        Route("columnar_float", False, _columnar_float),
     )
 }
 

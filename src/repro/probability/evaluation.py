@@ -3,7 +3,7 @@
 This is the user-facing entry point implementing the upper bound of
 Theorem 4.2: on treelike instances, probability evaluation runs in one pass
 over a tree encoding (the ``automaton`` route) or through a compiled lineage
-(``obdd`` / ``columnar`` / ``dnnf``); ``safe_plan`` is the query-based
+(``obdd`` / ``dnnf``); ``safe_plan`` is the query-based
 lifted-inference route of Section 9 (compiled plans,
 :mod:`repro.probability.lifted`).  The routes are the records of
 :data:`repro.engine.session.ROUTES`; this one-shot helper evaluates on a
@@ -13,9 +13,9 @@ engine's single ``auto`` policy and its failover.
 Every route advertised as exact returns an exact
 :class:`fractions.Fraction`, and the routes agree with each other — the
 test suite checks this systematically against the references in
-:mod:`repro.testing`.  The ``*_float`` routes are the deliberate exception:
-the float fast path of the sweep kernels, computed in hardware arithmetic
-(falling back to the exact kernel whenever the float pass degenerates).
+:mod:`repro.testing`.  ``obdd_float`` is the deliberate exception: the float
+pass of the OBDD evaluation kernel, computed in hardware arithmetic (falling
+back to the exact kernel whenever the float pass degenerates).
 """
 
 from __future__ import annotations

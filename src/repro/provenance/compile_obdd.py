@@ -6,7 +6,9 @@ The compilation pipeline is:
    matches, or an arbitrary lineage circuit);
 2. derive a variable order on facts from a tree or path decomposition of the
    instance (:mod:`repro.provenance.variable_orders`);
-3. compile with OBDD ``apply`` under that order.
+3. compile with OBDD ``apply`` under that order;
+4. evaluate the compiled diagram on its flattened columns
+   (:class:`CompiledOBDD`, :mod:`repro.booleans.columnar`).
 
 On bounded-treewidth instances this yields polynomial-size OBDDs; on
 bounded-pathwidth instances the OBDD width is bounded by a constant depending
@@ -16,12 +18,12 @@ Theorems 6.5 and 6.7 that the benchmark harness charts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.booleans.circuit import BooleanCircuit
+from repro.booleans.columnar import ColumnarOBDD, SweepResult
 from repro.booleans.dnnf import DNNF, dnnf_from_obdd
-from repro.booleans.obdd import OBDD, SweepResult
+from repro.booleans.obdd import OBDD
 from repro.data.instance import Fact, Instance
 from repro.errors import CompilationError
 from repro.provenance.lineage import MonotoneDNFLineage, lineage_of
@@ -34,66 +36,83 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 
 
-@dataclass
 class CompiledOBDD:
-    """The result of compiling a lineage into an OBDD.
+    """The result of compiling a lineage into an OBDD: one artifact, two forms.
 
-    Measurements are served by the fused sweep kernel of
-    :meth:`repro.booleans.obdd.OBDD.sweep`: one reverse-topological pass
-    computes size, width, and model count together, and the result is cached
-    on the compiled object (the diagram is immutable), so ``size`` and
-    ``width`` cost one shared pass instead of one walk each.
+    The object form ``(manager, root)`` is the one construction works on
+    (``to_dnnf``, DOT output, further ``apply``); the columnar form
+    (:class:`~repro.booleans.columnar.ColumnarOBDD`) is the one every
+    measurement and probability reads, and the one the store and the
+    shared-memory transport carry.  Both are lossless, and each is derived
+    from the other on first use and kept: a fresh build flattens once, on
+    its first evaluation or shipment (:meth:`to_columnar`); an artifact
+    loaded from its columns (:meth:`from_columnar`, a store hit) rebuilds the
+    object form only when ``manager``, ``root`` or :meth:`to_dnnf` is read.
     """
 
-    manager: OBDD
-    root: int
-    order: tuple[Fact, ...]
-    _stats: "SweepResult | None" = field(default=None, repr=False, compare=False)
+    __slots__ = ("order", "_object", "_columnar", "__weakref__")
 
-    def stats(self) -> "SweepResult":
-        """Size, width, and model count from one (cached) fused sweep."""
-        if self._stats is None:
-            self._stats = self.manager.sweep(self.root, model_count=True, width=True)
-        return self._stats
+    def __init__(self, manager: OBDD, root: int, order: Sequence[Fact]) -> None:
+        self.order: tuple[Fact, ...] = tuple(order)
+        self._object: tuple[OBDD, int] | None = (manager, root)
+        self._columnar: ColumnarOBDD | None = None
+
+    @classmethod
+    def from_columnar(cls, columnar: ColumnarOBDD) -> "CompiledOBDD":
+        """The artifact held in its columnar form (no object rebuild yet)."""
+        compiled = cls.__new__(cls)
+        compiled.order = tuple(columnar.order)
+        compiled._object = None
+        compiled._columnar = columnar
+        return compiled
+
+    def to_columnar(self) -> ColumnarOBDD:
+        """The artifact as a :class:`~repro.booleans.columnar.ColumnarOBDD`,
+        flattened on first use."""
+        if self._columnar is None:
+            manager, root = self._object
+            self._columnar = manager.to_columnar(root, self.order)
+        return self._columnar
+
+    def _object_form(self) -> tuple[OBDD, int]:
+        if self._object is None:
+            self._object = self._columnar.to_obdd()
+        return self._object
+
+    @property
+    def manager(self) -> OBDD:
+        return self._object_form()[0]
+
+    @property
+    def root(self) -> int:
+        return self._object_form()[1]
+
+    def stats(self) -> SweepResult:
+        """Size, width, and model count from one (cached) columnar pass."""
+        return self.to_columnar().stats()
 
     @property
     def size(self) -> int:
-        return self.stats().size
+        return self.to_columnar().size
 
     @property
     def width(self) -> int:
-        return self.stats().width
+        return self.to_columnar().width
 
     def model_count(self) -> int:
         """Satisfying assignments over the full fact order."""
-        return self.stats().model_count
+        return self.to_columnar().model_count()
 
     def probability(self, probabilities, exact: bool = True):
         """Probability under independent facts: exact :class:`~fractions.Fraction`
-        by default, the float fast path (with exact fallback) when
-        ``exact=False``."""
-        return self.manager.sweep(self.root, probabilities, exact=exact).probability
+        by default, the float pass (with exact fallback) when ``exact=False``."""
+        return self.to_columnar().probability(probabilities, exact)
 
     def evaluate(self, valuation) -> bool:
-        return self.manager.evaluate(self.root, valuation)
+        return self.to_columnar().evaluate(valuation)
 
     def to_dnnf(self) -> DNNF:
         return dnnf_from_obdd(self.manager, self.root)
-
-    def to_columnar(self):
-        """The artifact as a :class:`repro.booleans.columnar.ColumnarOBDD`.
-
-        The columnar form is the shippable one: flat int64 columns that pack
-        into a single buffer (shared-memory segments, mmap files) and sweep
-        vectorized; the conversion is lossless (:meth:`from_columnar`).
-        """
-        return self.manager.to_columnar(self.root, self.order)
-
-    @classmethod
-    def from_columnar(cls, columnar) -> "CompiledOBDD":
-        """Rebuild an object-kernel artifact from its columnar form."""
-        manager, root = columnar.to_obdd()
-        return cls(manager, root, tuple(columnar.order))
 
 
 def compile_lineage_to_obdd(

@@ -11,8 +11,8 @@ consult at cooperative checkpoints —
 * :meth:`repro.booleans.obdd.OBDD.make_node` charges one node per unique
   allocation, which covers ``build_from_clauses``, every ``apply``, and
   every restriction through the single hash-consing choke point;
-* the fused sweeps (object and columnar) tick the wall clock every few
-  thousand nodes;
+* the OBDD evaluation passes over the columns tick the wall clock every
+  few thousand nodes;
 * the lifted executor charges one row per enumerated candidate fact.
 
 Exhaustion raises the *typed* errors :class:`repro.errors.BudgetExceeded`

@@ -6,9 +6,8 @@ differentially testable.  :class:`ProbabilityOracle` evaluates one
 ``(query, TID instance)`` pair through every applicable route and checks:
 
 * **exact agreement** — brute-force world enumeration, OBDD compilation,
-  the columnar (structure-of-arrays) sweep, d-DNNF compilation, the ``auto``
-  dispatcher (and optionally the tree-automaton dynamic program) must
-  return the *same*
+  d-DNNF compilation, the ``auto`` dispatcher (and optionally the
+  tree-automaton dynamic program) must return the *same*
   :class:`~fractions.Fraction`, compared exactly, never through ``float``.
   Brute force is the fully independent reference (as are the automaton and
   lifted-inference routes when they run); the compiled routes share the
@@ -55,7 +54,7 @@ from repro.testing.workloads import WorkloadCase
 
 Query = UnionOfConjunctiveQueries | ConjunctiveQuery
 
-DEFAULT_EXACT_METHODS = ("brute_force", "obdd", "columnar", "dnnf", "auto")
+DEFAULT_EXACT_METHODS = ("brute_force", "obdd", "dnnf", "auto")
 
 #: The reference the oracle anchors on: exponential world enumeration, kept
 #: out of the production route table and called directly.
@@ -143,7 +142,7 @@ class ProbabilityOracle:
         Exact routes to run: names of :data:`repro.engine.ROUTES` records
         whose ``exact`` flag is set, plus ``"brute_force"`` for the
         reference.  Brute force is the anchor; the default adds the OBDD,
-        columnar, d-DNNF, and ``auto`` routes.  Add ``"automaton"`` for the
+        d-DNNF, and ``auto`` routes.  Add ``"automaton"`` for the
         (slower) tree-automaton dynamic program.
     include_safe_plan:
         Also check the lifted tier: on liftable queries the ``safe_plan``
@@ -201,7 +200,7 @@ class ProbabilityOracle:
     # compiled routes still share the compilation *pipeline* — the genuinely
     # independent algorithms are brute force, the automaton dynamic program,
     # and lifted inference.
-    _ENGINE_METHODS = frozenset({"auto", "obdd", "columnar", "read_once"})
+    _ENGINE_METHODS = frozenset({"auto", "obdd", "read_once"})
 
     def check(
         self, query: Query, tid: ProbabilisticInstance, name: str = "case"

@@ -689,6 +689,20 @@ class TestSelfGate:
         )
         assert result.ok, f"repro.analysis found violations:\n{details}"
 
+    def test_every_exact001_allow_pattern_names_a_function(self):
+        """A stale allow-list entry exempts nothing today but would silently
+        exempt a future function of that name: each pattern must match."""
+        from repro.analysis.callgraph import CallGraph
+        from repro.analysis.config import matches_any
+        from repro.analysis.loader import load_paths
+
+        config = load_config(REPO_ROOT / "pyproject.toml")
+        patterns = config.options_for("EXACT001").get("allow_functions", ())
+        assert patterns
+        functions = CallGraph(load_paths([SRC / "repro"])).functions
+        stale = [p for p in patterns if not any(matches_any(key, [p]) for key in functions)]
+        assert not stale, f"EXACT001 allow-functions match no function: {stale}"
+
     def test_every_repo_suppression_is_justified(self):
         result = analyze([SRC / "repro"])
         assert not [f for f in result.findings if f.rule == "SUP001"]

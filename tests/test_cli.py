@@ -82,12 +82,17 @@ def test_probability_command_exact(tid_json, capsys):
 def test_probability_command_methods_agree(tid_json, capsys):
     path, tid = tid_json
     expected = probability(unsafe_rst(), tid)
-    for method in ("obdd", "columnar", "automaton"):
+    for method in ("obdd", "automaton"):
         assert (
             main(["probability", str(path), "--query", "R(x), S(x, y), T(y)", "--method", method])
             == 0
         )
         assert str(expected) in capsys.readouterr().out
+    # The columnar form is how the obdd route evaluates, not a method.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["probability", str(path), "--query", "R(x), S(x, y), T(y)", "--method", "columnar"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
     # The RST query is the canonical unsafe query: lifted inference must refuse
     # it, and the refusal gets its own scriptable exit code.
     assert (

@@ -1,16 +1,23 @@
-"""Tests for the columnar OBDD kernels (repro.booleans.columnar).
+"""Tests for the OBDD evaluation kernel (repro.booleans.columnar).
 
 The columnar artifact is a lossless structure-of-arrays flattening of a
-reduced OBDD, so every test here is differential: whatever the object
-kernels (:meth:`repro.booleans.obdd.OBDD.sweep`,
-:class:`repro.provenance.compile_obdd.CompiledOBDD`) answer, the columns
-must answer identically — exact routes as the *same* ``Fraction``, the float
-fast path within float tolerance of it.  The no-numpy fallback (forced via
-``REPRO_NO_NUMPY=1``) runs the same contract on ``array('q')`` columns.
+reduced OBDD and the only OBDD evaluation kernel, so the tests here check it
+against the seed walks over the object node table
+(:mod:`repro.booleans.reference`): exact probabilities as the *same*
+``Fraction``, the float pass within float tolerance of it, model counts and
+widths equal.  Columns built in this process are ``array('q')``; columns
+read back from a packed buffer are numpy views, or arrays again under
+``REPRO_NO_NUMPY=1``, and must answer identically.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +28,12 @@ from repro.booleans.columnar import (
     columnar_from_buffer,
     columnar_from_obdd,
 )
+from repro.booleans.reference import (
+    model_count_recursive,
+    probability_recursive,
+    width_by_cuts,
+)
+from repro.provenance.compile_obdd import CompiledOBDD
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import ROUTES, CompilationEngine
 from repro.errors import CompilationError, LineageError
@@ -87,22 +100,31 @@ def test_columnar_requires_known_variables(compiled_cases):
             columnar.probability({})
 
 
-# -- exactness: the columns answer exactly what the objects answer --------------
+# -- exactness: the columns answer exactly what the seed walks answer -----------
+
+
+def _reference_probability(compiled, valuation):
+    manager, root = compiled.manager, compiled.root
+    if root <= 1:
+        return Fraction(root)
+    return probability_recursive(manager, root, valuation)
 
 
 def test_columnar_measures_match_object_kernels(compiled_cases):
     for case, compiled in compiled_cases:
         columnar = compiled.to_columnar()
-        assert columnar.size == compiled.size
-        assert columnar.width == compiled.width
-        assert columnar.model_count() == compiled.model_count()
+        manager, root = compiled.manager, compiled.root
+        assert columnar.size == len(manager.reachable_nodes(root))
+        assert columnar.width == width_by_cuts(manager, root)
+        assert columnar.model_count() == model_count_recursive(manager, root)
         assert columnar.order == compiled.order
-        exact = compiled.probability(case.tid.valuation())
-        assert columnar.probability(case.tid.valuation()) == exact
-        assert isinstance(columnar.probability(case.tid.valuation()), Fraction)
+        exact = columnar.probability(case.tid.valuation())
+        assert isinstance(exact, Fraction)
+        assert exact == _reference_probability(compiled, case.tid.valuation())
     # rst-line-240: 720 variables, so the model count is far past int64.
     compiled = CompilationEngine().compile(unsafe_rst(), rst_chain_instance(240))
-    assert compiled.to_columnar().model_count() == compiled.model_count() > 2**64
+    count = compiled.to_columnar().model_count()
+    assert count == model_count_recursive(compiled.manager, compiled.root) > 2**64
 
 
 def test_columnar_float_fast_path_matches_exact(compiled_cases):
@@ -115,13 +137,35 @@ def test_columnar_float_fast_path_matches_exact(compiled_cases):
         assert abs(fast - float(exact)) < 1e-9
 
 
+def test_float_pass_matches_exact_on_array_and_buffer_columns(compiled_cases):
+    """The single-map float pass on in-process ``array('q')`` columns and on
+    columns read back from a packed buffer (numpy views when numpy is
+    importable) stays within 1e-9 of the exact answer."""
+    for case, compiled in compiled_cases:
+        columnar = compiled.to_columnar()
+        assert isinstance(columnar.var, array)
+        buffer = bytearray(columnar.nbytes)
+        columnar.write_into(buffer)
+        restored = columnar_from_buffer(columnar.meta(), buffer)
+        if array_backend() is not None:
+            assert not isinstance(restored.var, array)
+        valuation = case.tid.valuation()
+        exact = _reference_probability(compiled, valuation)
+        for artifact in (columnar, restored):
+            fast = artifact.probability(valuation, exact=False)
+            assert isinstance(fast, float)
+            assert abs(fast - float(exact)) < 1e-9
+            assert artifact.probability(valuation) == exact
+
+
 def test_columnar_evaluate_matches_object_evaluate(compiled_cases):
     rng = random.Random(7)
     for _, compiled in compiled_cases:
         columnar = compiled.to_columnar()
+        manager, root = compiled.manager, compiled.root
         for _ in range(20):
             valuation = {fact: rng.random() < 0.5 for fact in compiled.order}
-            assert columnar.evaluate(valuation) == compiled.evaluate(valuation)
+            assert columnar.evaluate(valuation) == manager.evaluate(root, valuation)
 
 
 # -- losslessness ---------------------------------------------------------------
@@ -130,19 +174,24 @@ def test_columnar_evaluate_matches_object_evaluate(compiled_cases):
 def test_columnar_round_trips_through_obdd(compiled_cases):
     for case, compiled in compiled_cases:
         columnar = compiled.to_columnar()
-        rebuilt = type(compiled).from_columnar(columnar)
-        assert rebuilt.size == compiled.size
-        assert rebuilt.width == compiled.width
-        assert rebuilt.order == compiled.order
-        assert rebuilt.probability(case.tid.valuation()) == compiled.probability(
-            case.tid.valuation()
-        )
+        manager, root = columnar.to_obdd()
+        assert manager.size(root) == columnar.size
+        if root > 1:
+            assert probability_recursive(
+                manager, root, case.tid.valuation()
+            ) == columnar.probability(case.tid.valuation())
         # And back again: the second flattening produces identical columns.
-        again = rebuilt.to_columnar()
+        again = manager.to_columnar(root, columnar.order)
         assert list(again.var) == list(columnar.var)
         assert list(again.lo) == list(columnar.lo)
         assert list(again.hi) == list(columnar.hi)
         assert again.root == columnar.root
+        # An artifact loaded from its columns keeps them, and rebuilds the
+        # object form only when it is read.
+        loaded = CompiledOBDD.from_columnar(columnar)
+        assert loaded.to_columnar() is columnar
+        assert loaded.order == compiled.order
+        assert loaded.manager.size(loaded.root) == compiled.size
 
 
 def test_obdd_manager_adapters_round_trip():
@@ -205,32 +254,53 @@ def test_terminal_only_artifacts():
 
 
 def test_fallback_backend_matches_numpy(compiled_cases, monkeypatch):
+    """Buffers read back without numpy are copied into arrays; every pass
+    answers as on the numpy views."""
+    with_numpy = []
+    for _, compiled in compiled_cases:
+        columnar = compiled.to_columnar()
+        buffer = bytearray(columnar.nbytes)
+        columnar.write_into(buffer)
+        with_numpy.append((buffer, columnar_from_buffer(columnar.meta(), buffer)))
     monkeypatch.setenv("REPRO_NO_NUMPY", "1")
     assert array_backend() is None
-    for case, compiled in compiled_cases:
-        columnar = compiled.to_columnar()
-        exact = compiled.probability(case.tid.valuation())
-        assert columnar.probability(case.tid.valuation()) == exact
-        fast = columnar.probability(case.tid.valuation(), exact=False)
+    for (case, compiled), (buffer, reference) in zip(compiled_cases, with_numpy):
+        columnar = columnar_from_buffer(reference.meta(), buffer)
+        assert isinstance(columnar.var, array)
+        valuation = case.tid.valuation()
+        exact = reference.probability(valuation)
+        assert columnar.probability(valuation) == exact
+        fast = columnar.probability(valuation, exact=False)
         assert abs(fast - float(exact)) < 1e-9
-        assert columnar.model_count() == compiled.model_count()
-        assert columnar.width == compiled.width
+        maps = [valuation, {fact: Fraction(1, 3) for fact in compiled.order}]
+        batch = columnar.probability_many(maps, exact=False)
+        assert batch == pytest.approx(reference.probability_many(maps, exact=False), abs=1e-9)
+        assert columnar.model_count() == reference.model_count()
+        assert columnar.width == reference.width
 
 
 # -- engine and evaluation routes ----------------------------------------------
 
 
 def test_method_names_cover_columnar_routes():
-    assert ROUTES["columnar"].exact and ROUTES["columnar"].auto is not None
-    assert not ROUTES["columnar_float"].exact
-    assert "automaton_columnar" not in ROUTES
+    # One exact and one float route serve the OBDD artifact; its columnar
+    # form is how both evaluate, not a route of its own.
+    assert ROUTES["obdd"].exact and ROUTES["obdd"].auto is not None
+    assert not ROUTES["obdd_float"].exact
+    for name in ("columnar", "columnar_float", "automaton_columnar"):
+        assert name not in ROUTES
 
 
 def test_probability_columnar_routes_agree(cases):
+    engine = CompilationEngine()
     for case in cases[:6]:
-        exact = probability(case.query, case.tid, method="obdd")
-        assert probability(case.query, case.tid, method="columnar") == exact
-        fast = probability(case.query, case.tid, method="columnar_float")
+        exact = probability(case.query, case.tid, method="obdd", engine=engine)
+        compiled = engine.compile(case.query, case.tid.instance)
+        assert exact == _reference_probability(compiled, case.tid.valuation())
+        assert engine.columnar(case.query, case.tid.instance).probability(
+            case.tid.valuation()
+        ) == exact
+        fast = probability(case.query, case.tid, method="obdd_float", engine=engine)
         assert abs(fast - float(exact)) < 1e-9
 
 
@@ -240,13 +310,18 @@ def test_engine_columnar_cache_hits(cases):
     first = engine.columnar(case.query, case.tid.instance)
     again = engine.columnar(case.query, case.tid.instance)
     assert again is first
-    assert engine.stats["columnar"].hits == 1
-    assert engine.stats["columnar"].misses == 1
-    value = engine.probability(case.query, case.tid, method="columnar")
-    assert value == engine.probability(case.query, case.tid, method="obdd")
+    # One circuit cache: the columns belong to the cached OBDD artifact.
+    assert "columnar" not in engine.stats
+    assert engine.stats["obdd"].hits == 1
+    assert engine.stats["obdd"].misses == 1
+    assert engine.compile(case.query, case.tid.instance).to_columnar() is first
+    value = engine.probability(case.query, case.tid, method="obdd")
+    assert value == first.probability(case.tid.valuation())
 
 
 def test_columnar_vectorized_sweep_on_larger_instance():
+    """The exact pass, the float pass and the float batch agree on a larger
+    artifact."""
     tid = ProbabilisticInstance.uniform(
         labelled_partial_ktree_instance(24, 2, seed=3), Fraction(1, 3)
     )
@@ -254,6 +329,39 @@ def test_columnar_vectorized_sweep_on_larger_instance():
     for query in (unsafe_rst(), hierarchical_example()):
         columnar = engine.columnar(query, tid.instance)
         compiled = engine.compile(query, tid.instance)
-        exact = compiled.probability(tid.valuation())
+        exact = _reference_probability(compiled, tid.valuation())
         assert columnar.probability(tid.valuation()) == exact
         assert abs(columnar.probability(tid.valuation(), exact=False) - float(exact)) < 1e-9
+        batch = columnar.probability_many([tid.valuation()] * 3, exact=False)
+        assert batch == pytest.approx([float(exact)] * 3, abs=1e-9)
+
+
+def test_one_shot_exact_probability_loads_no_numpy(tmp_path):
+    """A one-shot exact evaluation builds array columns in process and
+    never imports numpy."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        from repro import ProbabilisticInstance, probability
+        from repro.generators import labelled_partial_ktree_instance
+        from repro.queries import unsafe_rst
+
+        instance = labelled_partial_ktree_instance(10, 2, seed=4)
+        tid = ProbabilisticInstance.uniform(instance, Fraction(1, 3))
+        value = probability(unsafe_rst(), tid, method="obdd")
+        assert isinstance(value, Fraction) and 0 < value < 1
+        print("numpy" in sys.modules)
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

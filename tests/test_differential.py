@@ -143,7 +143,6 @@ def test_differential_with_automaton_route():
         exact_methods=(
             "brute_force",
             "obdd",
-            "columnar",
             "dnnf",
             "auto",
             "automaton",

@@ -5,16 +5,18 @@ lineage is not read-once shaped, so with a five-node cap every circuit route
 blows its budget and the engine has to walk the whole chain.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 
+import repro.engine.session as session
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine, ProbabilityBounds
 from repro.errors import BudgetExceeded, DeadlineExceeded
-from repro.generators import labelled_partial_ktree_instance
-from repro.queries.library import unsafe_rst
-from repro.resilience import ResourceBudget
+from repro.generators import labelled_partial_ktree_instance, rst_chain_instance
+from repro.queries.library import hierarchical_example, unsafe_rst
+from repro.resilience import ResourceBudget, active_budget
 
 
 @pytest.fixture()
@@ -36,7 +38,7 @@ def test_failover_attempts_every_feasible_route_and_labels_each_failure(dense_ti
     assert decision is not None and not decision.degraded
     attempted = [attempt.route for attempt in decision.attempts]
     assert sorted(attempted) == sorted(route for route, _ in decision.estimates)
-    assert attempted == ["obdd", "columnar", "automaton"]
+    assert attempted == ["obdd", "automaton"]
     for attempt in decision.attempts:
         assert not attempt.succeeded
         assert attempt.error.startswith("BudgetExceeded")
@@ -61,7 +63,35 @@ def test_deadline_exceeded_stops_after_one_attempt(dense_tid):
     attempts = engine.last_decision.attempts
     assert len(attempts) == 1
     assert attempts[0].error.startswith("DeadlineExceeded")
-    assert engine.route_costs.failure_count(attempts[0].route) == 1
+    # The deadline expired before the route started: not the route's failure.
+    assert engine.route_costs.failure_count(attempts[0].route) == 0
+
+
+def test_deadline_expiring_inside_a_route_is_charged(dense_tid, monkeypatch):
+    def slow_obdd(engine, query, tid):
+        time.sleep(0.1)
+        active_budget().checkpoint()
+        raise AssertionError("the deadline should have expired")
+
+    engine = CompilationEngine()
+    assert engine.choose_route(unsafe_rst(), dense_tid).method == "obdd"
+    monkeypatch.setitem(session._AUTO, "obdd", slow_obdd)
+    with pytest.raises(DeadlineExceeded):
+        engine.probability(unsafe_rst(), dense_tid, budget=ResourceBudget(timeout=0.05))
+    assert [attempt.route for attempt in engine.last_decision.attempts] == ["obdd"]
+    assert engine.route_costs.failure_count("obdd") == 1
+
+
+def test_safe_plan_rule_survives_an_expired_deadline():
+    engine = CompilationEngine()
+    query = hierarchical_example()
+    tid = ProbabilisticInstance.uniform(rst_chain_instance(60), Fraction(1, 2))
+    with pytest.raises(DeadlineExceeded):
+        engine.probability(query, tid, budget=ResourceBudget(timeout=1e-9))
+    assert [attempt.route for attempt in engine.last_decision.attempts] == ["safe_plan"]
+    decision = engine.choose_route(query, tid)
+    assert decision.method == "safe_plan"
+    assert decision.reason == "liftable query: safe_plan by rule"
 
 
 def test_degraded_bounds_are_never_cached(dense_tid):

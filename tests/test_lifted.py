@@ -226,7 +226,7 @@ def test_auto_routes_unsafe_query_to_circuit():
     tid = _unsafe_tid()
     decision = engine.choose_route(unsafe_rst(), tid)
     assert not decision.liftable
-    assert decision.method in ("obdd", "columnar", "automaton")
+    assert decision.method in ("obdd", "automaton")
     value = engine.probability(unsafe_rst(), tid, "auto")
     assert value == brute_force_probability(unsafe_rst(), tid)
     assert engine.route_mix() == {decision.method: 1}
@@ -237,7 +237,7 @@ def test_circuit_routes_gated_past_fact_limit():
     tid = _small_tid()
     decision = engine.choose_route(hierarchical_example(), tid)
     assert decision.method == "safe_plan"
-    assert set(decision.infeasible) == {"obdd", "columnar", "automaton"}
+    assert set(decision.infeasible) == {"obdd", "automaton"}
     assert [route for route, _ in decision.estimates] == ["safe_plan"]
 
 
@@ -368,7 +368,7 @@ def test_lifted_scales_past_circuit_limit():
     engine = CompilationEngine(circuit_fact_limit=100)
     decision = engine.choose_route(hierarchical_example(), tid)
     assert decision.method == "safe_plan"
-    assert set(decision.infeasible) == {"obdd", "columnar", "automaton"}
+    assert set(decision.infeasible) == {"obdd", "automaton"}
     p = Fraction(1, 2)
     expected = 1 - (1 - p * (1 - (1 - p) ** m)) ** k
     assert engine.probability(hierarchical_example(), tid, "auto") == expected

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.booleans.columnar import ColumnarOBDD
 from repro.cli import main
 from repro.data.io import save_instance
 from repro.data.tid import ProbabilisticInstance
@@ -319,36 +320,63 @@ class TestEngineWiring:
     ):
         root = tmp_path / "store"
         cold = CompilationEngine(store=root)
-        value = cold.probability(unsafe_rst(), ktree_tid, method="columnar")
+        value = cold.probability(unsafe_rst(), ktree_tid, method="obdd")
         assert cold.stats["store"].misses == 1
         assert cold.store.counters.writes >= 1
 
         warm = CompilationEngine(store=root)
-        again = warm.probability(unsafe_rst(), ktree_tid, method="columnar")
+        again = warm.probability(unsafe_rst(), ktree_tid, method="obdd")
         assert again == value
+        # The restart answered without touching the compilation pipeline:
+        # the memory miss was a store hit, and no lineage was built.
         assert warm.stats["store"].hits == 1
-        # The restart answered without touching the compilation pipeline.
+        assert warm.stats["store"].misses == 0
         assert warm.stats["lineage"].misses == 0
-        assert warm.stats["obdd"].misses == 0
+
+    def test_store_hit_rebuilds_the_object_diagram_only_for_dnnf(
+        self, tmp_path, ktree_tid, monkeypatch
+    ):
+        root = tmp_path / "store"
+        value = CompilationEngine(store=root).probability(
+            unsafe_rst(), ktree_tid, method="obdd"
+        )
+        rebuilds = []
+        original = ColumnarOBDD.to_obdd
+
+        def counting_to_obdd(self):
+            rebuilds.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ColumnarOBDD, "to_obdd", counting_to_obdd)
+        warm = CompilationEngine(store=root)
+        assert warm.probability(unsafe_rst(), ktree_tid, method="obdd") == value
+        assert warm.stats["store"].hits == 1
+        assert rebuilds == []
+        # d-DNNF conversion needs the object diagram: rebuilt once, then kept.
+        assert warm.probability(unsafe_rst(), ktree_tid, method="dnnf") == value
+        assert len(rebuilds) == 1
+        compiled = warm.compile(unsafe_rst(), ktree_tid.instance)
+        assert compiled.manager is compiled.manager
+        assert len(rebuilds) == 1
 
     def test_corrupted_entry_recompiles_exactly_and_surfaces_quarantine(
         self, tmp_path, ktree_tid
     ):
         root = tmp_path / "store"
         cold = CompilationEngine(store=root)
-        value = cold.probability(unsafe_rst(), ktree_tid, method="columnar")
+        value = cold.probability(unsafe_rst(), ktree_tid, method="obdd")
         store = ArtifactStore(root)
         corrupt_last_byte(entry_files(store)[0])
 
         warm = CompilationEngine(store=root)
-        again = warm.probability(unsafe_rst(), ktree_tid, method="columnar")
+        again = warm.probability(unsafe_rst(), ktree_tid, method="obdd")
         assert again == value  # corruption costs a recompile, never exactness
         assert warm.stats["store"].misses == 1
         assert warm.stats["store"].quarantines == 1
         assert "quarantined" in str(warm.cache_info()["store"])
         # The recompiled artifact was written behind again.
         assert CompilationEngine(store=root).probability(
-            unsafe_rst(), ktree_tid, method="columnar"
+            unsafe_rst(), ktree_tid, method="obdd"
         ) == value
 
     def test_lifted_plan_and_none_verdict_round_trip(self, tmp_path):
@@ -404,7 +432,7 @@ class TestEngineWiring:
 
     def test_clear_resets_store_counters_view(self, tmp_path, ktree_tid):
         engine = CompilationEngine(store=tmp_path / "store")
-        engine.probability(unsafe_rst(), ktree_tid, method="columnar")
+        engine.probability(unsafe_rst(), ktree_tid, method="obdd")
         engine.clear()
         assert engine.stats["store"].hits == 0
         assert engine.stats["store"].misses == 0
@@ -415,16 +443,16 @@ class TestEngineWiring:
         queries = [unsafe_rst(), parse_ucq("R(x), S(x, y)"), parse_ucq("R(x)")]
         serial = CompilationEngine()
         expected = [
-            serial.probability(query, ktree_tid, method="columnar") for query in queries
+            serial.probability(query, ktree_tid, method="obdd") for query in queries
         ]
         with ParallelEngine(workers=2, store=root) as warmup:
-            values = warmup.probability_many(queries, ktree_tid, method="columnar")
+            values = warmup.probability_many(queries, ktree_tid, method="obdd")
         assert values == expected
         assert ArtifactStore(root).stats().entries >= len(queries)
 
         # A second pool (fresh worker processes) reads everything back.
         with ParallelEngine(workers=2, store=root) as pool:
-            again = pool.probability_many(queries, ktree_tid, method="columnar")
+            again = pool.probability_many(queries, ktree_tid, method="obdd")
             report = pool.last_report
         assert again == expected
         merged = report.stats
@@ -434,9 +462,9 @@ class TestEngineWiring:
     def test_parallel_store_accepts_open_store(self, tmp_path, ktree_tid):
         opened = ArtifactStore(tmp_path / "store")
         with ParallelEngine(workers=1, store=opened) as pool:
-            value = pool.probability_many([unsafe_rst()], ktree_tid, method="columnar")[0]
+            value = pool.probability_many([unsafe_rst()], ktree_tid, method="obdd")[0]
         assert value == CompilationEngine().probability(
-            unsafe_rst(), ktree_tid, method="columnar"
+            unsafe_rst(), ktree_tid, method="obdd"
         )
         assert opened.stats().entries >= 1
 
@@ -459,7 +487,7 @@ class TestCLI:
         query = "R(x), S(x, y)"
         args = [
             "batch", str(path), "--query", query,
-            "--method", "columnar", "--stats", "--store", root,
+            "--method", "obdd", "--stats", "--store", root,
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
@@ -479,10 +507,10 @@ class TestCLI:
         path, tid = chain_json
         root = tmp_path / "store"
         query = "R(x), S(x, y)"
-        expected = probability(parse_ucq(query), tid, method="columnar")
+        expected = probability(parse_ucq(query), tid, method="obdd")
         args = [
             "probability", str(path), "--query", query,
-            "--method", "columnar", "--store", str(root),
+            "--method", "obdd", "--store", str(root),
         ]
         assert main(args) == 0
         assert str(expected) in capsys.readouterr().out
@@ -496,7 +524,7 @@ class TestCLI:
         root = str(tmp_path / "store")
         main([
             "probability", str(path), "--query", "R(x)",
-            "--method", "columnar", "--store", root,
+            "--method", "obdd", "--store", root,
         ])
         capsys.readouterr()
         assert main(["store", "stats", root]) == 0
@@ -510,7 +538,7 @@ class TestCLI:
         root = str(tmp_path / "store")
         probability_args = [
             "probability", str(path), "--query", "R(x), S(x, y)",
-            "--method", "columnar", "--store", root,
+            "--method", "obdd", "--store", root,
         ]
         main(probability_args)
         capsys.readouterr()
@@ -540,7 +568,7 @@ class TestCLI:
         root = str(tmp_path / "store")
         main([
             "probability", str(path), "--query", "R(x)",
-            "--method", "columnar", "--store", root,
+            "--method", "obdd", "--store", root,
         ])
         for entry in glob.glob(os.path.join(root, "objects", "*", "*.entry")):
             corrupt_last_byte(entry)
@@ -554,7 +582,7 @@ class TestCLI:
         root = str(tmp_path / "store")
         main([
             "probability", str(path), "--query", "R(x)",
-            "--method", "columnar", "--store", root,
+            "--method", "obdd", "--store", root,
         ])
         capsys.readouterr()
         assert main(["store", "gc", root, "--max-bytes", "0"]) == 0

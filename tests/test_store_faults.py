@@ -39,7 +39,7 @@ def queries():
 @pytest.fixture(scope="module")
 def expected(tid, queries):
     engine = CompilationEngine()
-    return [engine.probability(query, tid, method="columnar") for query in queries]
+    return [engine.probability(query, tid, method="obdd") for query in queries]
 
 
 @pytest.fixture()
@@ -74,29 +74,29 @@ def test_torn_write_is_quarantined_on_next_read(tmp_path, injector, tid, expecte
     # The writer itself still answers exactly: the torn entry only exists on
     # disk, the in-memory artifact served the query.
     writer = CompilationEngine(store=ArtifactStore(root, fault_plan=injector.plan))
-    assert writer.probability(queries[0], tid, method="columnar") == expected[0]
+    assert writer.probability(queries[0], tid, method="obdd") == expected[0]
     assert injector.armed("disk_torn_write") == 0
 
     # The next process finds the torn entry, quarantines it, recompiles, and
     # heals the store by writing the good artifact behind.
     reader = CompilationEngine(store=root)
-    assert reader.probability(queries[0], tid, method="columnar") == expected[0]
+    assert reader.probability(queries[0], tid, method="obdd") == expected[0]
     assert reader.stats["store"].quarantines == 1
     assert reader.stats["store"].misses == 1
 
     healed = CompilationEngine(store=root)
-    assert healed.probability(queries[0], tid, method="columnar") == expected[0]
+    assert healed.probability(queries[0], tid, method="obdd") == expected[0]
     assert healed.stats["store"].hits == 1
     assert_consistent(root)
 
 
 def test_bit_flip_is_caught_by_the_checksum(tmp_path, injector, tid, expected, queries):
     root = tmp_path / "store"
-    CompilationEngine(store=root).probability(queries[0], tid, method="columnar")
+    CompilationEngine(store=root).probability(queries[0], tid, method="obdd")
 
     injector.arm("disk_bit_flip")
     reader = CompilationEngine(store=ArtifactStore(root, fault_plan=injector.plan))
-    assert reader.probability(queries[0], tid, method="columnar") == expected[0]
+    assert reader.probability(queries[0], tid, method="obdd") == expected[0]
     assert injector.armed("disk_bit_flip") == 0
     assert reader.stats["store"].quarantines == 1
     assert len(ArtifactStore(root).quarantine_list()) == 1
@@ -105,41 +105,22 @@ def test_bit_flip_is_caught_by_the_checksum(tmp_path, injector, tid, expected, q
 
 def test_disk_full_write_is_tolerated(tmp_path, injector, tid, expected, queries):
     root = tmp_path / "store"
-    # Two tokens: the engine write-behinds from both the compile and the
-    # columnar layer (idempotent), so a full outage needs both to fail.
-    injector.arm("disk_enospc", 2)
-    store = ArtifactStore(root, fault_plan=injector.plan)
-    engine = CompilationEngine(store=store)
-    assert engine.probability(queries[0], tid, method="columnar") == expected[0]
-    assert injector.armed("disk_enospc") == 0
-    assert store.counters.write_failures == 2
-    assert store.counters.writes == 0
-    # Nothing half-written survives the failed commits.
-    assert tmp_files(root) == []
-    # The same session still answers (memory cache), and a later run simply
-    # recompiles and persists successfully.
-    assert engine.probability(queries[0], tid, method="columnar") == expected[0]
-    retry = CompilationEngine(store=root)
-    assert retry.probability(queries[0], tid, method="columnar") == expected[0]
-    assert retry.store.counters.writes == 1
-    assert_consistent(root)
-
-
-def test_transient_disk_full_heals_within_the_request(
-    tmp_path, injector, tid, expected, queries
-):
-    # One token: the first write-behind fails, the duplicate (idempotent)
-    # save from the columnar layer retries and persists the artifact anyway.
-    root = tmp_path / "store"
+    # One token: a fresh build writes behind once, and that write fails.
     injector.arm("disk_enospc")
     store = ArtifactStore(root, fault_plan=injector.plan)
     engine = CompilationEngine(store=store)
-    assert engine.probability(queries[0], tid, method="columnar") == expected[0]
+    assert engine.probability(queries[0], tid, method="obdd") == expected[0]
+    assert injector.armed("disk_enospc") == 0
     assert store.counters.write_failures == 1
-    assert store.counters.writes == 1
-    warm = CompilationEngine(store=root)
-    assert warm.probability(queries[0], tid, method="columnar") == expected[0]
-    assert warm.stats["store"].hits == 1
+    assert store.counters.writes == 0
+    # Nothing half-written survives the failed commit.
+    assert tmp_files(root) == []
+    # The same session still answers (memory cache), and a later run simply
+    # recompiles and persists successfully.
+    assert engine.probability(queries[0], tid, method="obdd") == expected[0]
+    retry = CompilationEngine(store=root)
+    assert retry.probability(queries[0], tid, method="obdd") == expected[0]
+    assert retry.store.counters.writes == 1
     assert_consistent(root)
 
 
@@ -149,7 +130,7 @@ def test_lock_steal_is_detected_and_reacquired(tmp_path, injector, tid, expected
     store = ArtifactStore(root, fault_plan=injector.plan)
     engine = CompilationEngine(store=store)
     for query, value in zip(queries, expected):
-        assert engine.probability(query, tid, method="columnar") == value
+        assert engine.probability(query, tid, method="obdd") == value
     assert injector.armed("lock_steal") == 0
     assert_consistent(root)
 
@@ -164,11 +145,11 @@ def test_chaos_sweep_every_fault_still_exact(tmp_path, injector, tid, expected, 
 
     cold = CompilationEngine(store=ArtifactStore(root, fault_plan=injector.plan))
     for query, value in zip(queries, expected):
-        assert cold.probability(query, tid, method="columnar") == value
+        assert cold.probability(query, tid, method="obdd") == value
 
     warm = CompilationEngine(store=ArtifactStore(root, fault_plan=injector.plan))
     for query, value in zip(queries, expected):
-        assert warm.probability(query, tid, method="columnar") == value
+        assert warm.probability(query, tid, method="obdd") == value
 
     for kind in DISK_FAULT_KINDS:
         assert injector.armed(kind) == 0, kind
@@ -178,7 +159,7 @@ def test_chaos_sweep_every_fault_still_exact(tmp_path, injector, tid, expected, 
     # re-verifies, and the quarantine holds whatever the faults tore.
     final = CompilationEngine(store=root)
     for query, value in zip(queries, expected):
-        assert final.probability(query, tid, method="columnar") == value
+        assert final.probability(query, tid, method="obdd") == value
 
 
 def test_oracle_checked_probabilities_with_store_faults(tmp_path, injector, tid):
@@ -198,7 +179,7 @@ def test_parallel_workers_with_disk_faults(tmp_path, injector, tid, expected, qu
     injector.arm("disk_torn_write")
     injector.arm("disk_enospc")
     with ParallelEngine(workers=2, store=root, fault_plan=injector.plan) as pool:
-        values = pool.probability_many(queries, tid, method="columnar")
+        values = pool.probability_many(queries, tid, method="obdd")
     assert values == expected
     assert injector.armed("disk_torn_write") == 0
     assert injector.armed("disk_enospc") == 0
@@ -206,5 +187,5 @@ def test_parallel_workers_with_disk_faults(tmp_path, injector, tid, expected, qu
 
     # A fresh pool reads the surviving entries back and stays exact.
     with ParallelEngine(workers=2, store=root) as pool:
-        assert pool.probability_many(queries, tid, method="columnar") == expected
+        assert pool.probability_many(queries, tid, method="obdd") == expected
     assert_consistent(root)

@@ -4,20 +4,22 @@ Three layers of cross-checking for the PR-4 rewrite:
 
 * **property-based** (hypothesis): on random monotone DNFs, the trie-driven
   construction and the seed apply-fold produce the *same reduced root id* in
-  the same manager, and the fused sweep agrees with the seed recursive walks
+  the same manager, and the OBDD evaluation kernel (the columnar passes of
+  :mod:`repro.booleans.columnar`) agrees with the seed recursive walks
   (probability, model count, width) on random dyadic probabilities;
 * **workload-based**: the same equivalences on real lineages from the seeded
   ``random_workload`` families, plus a full :class:`ProbabilityOracle` sweep
   (brute force / OBDD / d-DNNF / auto / safe plans / bounds) running on the
   new kernels;
 * **unit**: the manager-level restrict cache, the balanced n-ary combine,
-  and the float fast path with its exact fallback.
+  and the float pass with its exact fallback.
 
-The exact kernels compute in scaled integers (the OBDD recurrence shared by
-the object and columnar artifacts, the read-once product and the lifted
-executor); the last group checks them against ``Fraction`` references on
-mixed denominators, probabilities 0 and 1, float inputs, levels the diagram
-skips and variables it never tests.
+The exact kernels compute in scaled integers (the OBDD recurrence over the
+columns, the read-once product and the lifted executor); the last group
+checks them against ``Fraction`` references on mixed denominators,
+probabilities 0 and 1, float inputs, levels the diagram skips and variables
+it never tests, on in-process ``array('q')`` columns and on columns read back
+from a packed buffer with and without numpy.
 """
 
 import os
@@ -29,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.booleans.columnar import columnar_from_buffer
 from repro.booleans.obdd import FALSE_NODE, TRUE_NODE, OBDD
 from repro.booleans.reference import (
     build_from_clauses_fold,
@@ -74,7 +77,7 @@ def test_trie_and_fold_build_the_same_reduced_root(clauses):
 def test_sweep_agrees_with_seed_recursive_walks(clauses, probabilities):
     manager = OBDD(VARIABLES)
     root = manager.build_from_clauses(clauses)
-    result = manager.sweep(root, probabilities, model_count=True, width=True)
+    result = manager.to_columnar(root).sweep(probabilities, model_count=True, width=True)
     if root > TRUE_NODE:
         assert result.probability == probability_recursive(manager, root, probabilities)
     else:
@@ -89,8 +92,14 @@ def test_sweep_agrees_with_seed_recursive_walks(clauses, probabilities):
 def test_float_fast_path_tracks_the_exact_kernel(clauses, probabilities):
     manager = OBDD(VARIABLES)
     root = manager.build_from_clauses(clauses)
-    exact = manager.sweep(root, probabilities).probability
-    fast = manager.sweep(root, probabilities, exact=False).probability
+    columnar = manager.to_columnar(root)
+    exact = (
+        probability_recursive(manager, root, probabilities)
+        if root > TRUE_NODE
+        else Fraction(root)
+    )
+    assert columnar.probability(probabilities) == exact
+    fast = columnar.probability(probabilities, exact=False)
     assert isinstance(fast, float)
     assert abs(fast - float(exact)) < 1e-9
 
@@ -107,7 +116,7 @@ def test_trie_matches_fold_on_workload_lineages():
         trie_root = manager.build_from_clauses(lineage.clauses)
         assert trie_root == fold_root
         valuation = case.tid.valuation()
-        result = manager.sweep(trie_root, valuation, model_count=True, width=True)
+        result = manager.to_columnar(trie_root).sweep(valuation, model_count=True, width=True)
         if trie_root > TRUE_NODE:
             assert result.probability == probability_recursive(manager, trie_root, valuation)
         assert result.model_count == model_count_recursive(manager, trie_root)
@@ -220,24 +229,22 @@ mixed_map = st.fixed_dictionaries({v: mixed_probability for v in MIXED_VARIABLES
 def test_integer_sweep_agrees_across_artifacts_and_backends(clauses, order, maps):
     manager = OBDD(order)
     root = manager.build_from_clauses(clauses)
-    numpy_columns = manager.to_columnar(root)
+    in_process = manager.to_columnar(root)
+    buffer = bytearray(in_process.nbytes)
+    in_process.write_into(buffer)
+    # Numpy views over the buffer where numpy is importable, arrays otherwise.
+    from_buffer = columnar_from_buffer(in_process.meta(), buffer)
     with mock.patch.dict(os.environ, {"REPRO_NO_NUMPY": "1"}):
-        array_columns = manager.to_columnar(root)
-        array_values = [array_columns.probability(weights) for weights in maps]
-        array_batch = array_columns.probability_many(maps, exact=True)
-    for weights, array_value in zip(maps, array_values):
-        value = manager.sweep(root, weights).probability
-        assert isinstance(value, Fraction)
-        if root > TRUE_NODE:
-            assert value == probability_recursive(manager, root, weights)
-        else:
-            assert value == Fraction(root)
-        assert numpy_columns.probability(weights) == value
-        assert array_value == value
-    assert numpy_columns.probability_many(maps, exact=True) == [
-        numpy_columns.probability(weights) for weights in maps
+        copied = columnar_from_buffer(in_process.meta(), buffer)
+    expected = [
+        probability_recursive(manager, root, weights) if root > TRUE_NODE else Fraction(root)
+        for weights in maps
     ]
-    assert array_batch == array_values
+    for artifact in (in_process, from_buffer, copied):
+        values = [artifact.probability(weights) for weights in maps]
+        assert all(isinstance(value, Fraction) for value in values)
+        assert values == expected
+        assert artifact.probability_many(maps, exact=True) == expected
 
 
 def _thousandths(tid, generator):
