@@ -24,15 +24,16 @@ infeasible.  This benchmark drives the whole stack end to end:
   over ``INPUT_REPEATS`` runs, their fact orders, domains and digests must be
   identical, and the interned build must be at least
   ``MINIMUM_INPUT_SPEEDUP`` times faster at the largest size;
-* the executor at the largest size: the integer executor
-  (:func:`~repro.probability.lifted.execute_plan`) against the ``Fraction``
-  reference it replaced, at both probability settings.  The two sides run
-  interleaved, each keeps its minimum over ``INPUT_REPEATS`` runs, their
-  values must be equal, and the integer executor must be at least
-  ``MINIMUM_EXECUTOR_SPEEDUP`` times faster at either setting.  The share of
-  its time spent reducing the root pair to lowest terms (one
-  ``Fraction(numerator, denominator)`` per inclusion–exclusion term; the
-  query has one) is recorded too.
+* the executor at the largest size: the set-at-a-time integer executor
+  (:func:`~repro.probability.lifted.execute_plan`) against the
+  tuple-at-a-time ``Fraction`` reference executor, at both probability
+  settings.  The two sides run interleaved, each keeps its minimum over
+  ``INPUT_REPEATS`` runs, their values must be equal, and the executor must
+  be at least ``MINIMUM_EXECUTOR_SPEEDUP[setting]`` times faster: 4x at
+  p=1/2, where a walk per binding measured 1.7–2.0x, and 1.5x at p=k/1000,
+  where reducing the answer to lowest terms bounds the ratio.  That share
+  of its time (one ``Fraction(numerator, denominator)`` per
+  inclusion–exclusion term; the query has one) is recorded too.
 
 Results go to ``BENCH_lifted.json``; the CI step fails on any gate.
 """
@@ -63,7 +64,7 @@ MINIMUM_LARGEST_FACTS = 100_000
 MAXIMUM_LARGEST_SECONDS = 60.0
 INPUT_REPEATS = 3
 MINIMUM_INPUT_SPEEDUP = 1.5
-MINIMUM_EXECUTOR_SPEEDUP = 1.5
+MINIMUM_EXECUTOR_SPEEDUP = {"p=1/2": 4.0, "p=k/1000": 1.5}
 
 
 def _family_facts(k, m):
@@ -130,7 +131,8 @@ def run_input_stage_benchmark():
 
 
 def run_executor_benchmark():
-    """Integer vs ``Fraction`` executor at the largest size, per setting."""
+    """Set-at-a-time integer vs tuple-at-a-time ``Fraction`` executor at the
+    largest size, per setting."""
     k = K_SIZES[-1]
     facts = _family_facts(k, M_PER_K)
     instance = Instance(facts)
@@ -139,18 +141,19 @@ def run_executor_benchmark():
     summary = {}
     for setting, (valuation, default) in _valuations(facts, k).items():
         tid = ProbabilisticInstance(instance, valuation, default)
+        terms = execute_plan_terms(plan, tid)
         reference_best = integer_best = reduction_best = float("inf")
+        # Interleaved, so the reduction's share compares minima taken under
+        # the same load.
         for _ in range(INPUT_REPEATS):
             reference_seconds, expected = _seconds(execute_plan_reference, plan, tid)
             integer_seconds, value = _seconds(execute_plan, plan, tid)
+            reduction_seconds, reduced = _seconds(_reduce_terms, terms)
             assert value == expected, f"executors disagree at k={k}, {setting}"
+            assert reduced == value, f"reduced root pair differs at k={k}, {setting}"
             reference_best = min(reference_best, reference_seconds)
             integer_best = min(integer_best, integer_seconds)
-        terms = execute_plan_terms(plan, tid)
-        for _ in range(INPUT_REPEATS):
-            reduction_seconds, reduced = _seconds(_reduce_terms, terms)
             reduction_best = min(reduction_best, reduction_seconds)
-        assert reduced == value, f"reduced root pair differs at k={k}, {setting}"
         for side, seconds in (("Fraction reference", reference_best), ("integer", integer_best)):
             name = f"executor, {side}, {setting} (s)"
             series.append(ScalingSeries(name))
@@ -300,11 +303,13 @@ def run_benchmark():
         f"reference; expected >= {MINIMUM_INPUT_SPEEDUP}x"
     )
     slow = {
-        s: x["speedup"] for s, x in executor.items() if x["speedup"] < MINIMUM_EXECUTOR_SPEEDUP
+        s: x["speedup"]
+        for s, x in executor.items()
+        if x["speedup"] < MINIMUM_EXECUTOR_SPEEDUP[s]
     }
     assert not slow, (
-        f"integer executor at {largest_facts} facts only {slow} faster than the "
-        f"Fraction reference; expected >= {MINIMUM_EXECUTOR_SPEEDUP}x"
+        f"executor at {largest_facts} facts only {slow} faster than the "
+        f"Fraction reference; expected at least {MINIMUM_EXECUTOR_SPEEDUP}"
     )
     return series, checks, input_speedups, executor
 

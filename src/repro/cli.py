@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="cap lifted-executor row enumerations per route attempt",
+        help="cap lifted-executor rows (facts scanned by a ground atom) per route attempt",
     )
     prob.add_argument(
         "--degrade",

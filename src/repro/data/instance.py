@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import add, attrgetter, mul
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -184,6 +184,20 @@ class Instance:
         """All facts of the given relation (empty tuple if none)."""
         return self._by_relation.get(relation, ())
 
+    def block_start(self, relation: str) -> int:
+        """Where the facts of ``relation`` start in :attr:`facts`.
+
+        Facts are stored relation by relation, so ``facts_of(relation)`` is
+        ``facts[start : start + len(facts_of(relation))]``; a relation without
+        facts has the empty block at the end.
+        """
+        start = 0
+        for name, group in self._by_relation.items():
+            if name == relation:
+                break
+            start += len(group)
+        return start
+
     def facts_containing(self, element: Any) -> tuple[Fact, ...]:
         """All facts in which ``element`` occurs."""
         return tuple(f for f in self._facts if element in f.arguments)
@@ -281,13 +295,10 @@ class Instance:
         without facts.
         """
         if self._positions is None:
-            positions: dict[str, dict[tuple[Any, ...], int]] = {}
-            start = 0
-            for name, group in self._by_relation.items():
-                stop = start + len(group)
-                positions[name] = dict(zip(map(_ARGUMENTS, group), range(start, stop)))
-                start = stop
-            self._positions = positions
+            self._positions = {
+                name: dict(zip(map(_ARGUMENTS, group), count(self.block_start(name))))
+                for name, group in self._by_relation.items()
+            }
         return self._positions.get(relation, {})
 
     def _index_for(self, relation: str) -> dict[tuple[int, Any], tuple[Fact, ...]]:

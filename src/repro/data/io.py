@@ -77,13 +77,27 @@ def tid_to_dict(probabilistic_instance: ProbabilisticInstance) -> dict[str, Any]
 
 
 def tid_from_dict(data: Mapping[str, Any]) -> ProbabilisticInstance:
-    """The inverse of :func:`tid_to_dict`."""
+    """The inverse of :func:`tid_to_dict`.
+
+    A probability cell follows :func:`~repro.data.tid.as_probability`: a
+    string parses exactly (``"1/10"``, ``"0.1"``), a JSON number is an int or
+    a float (read as the nearest fraction with a denominator of at most
+    ``10**12``, so ``0.1`` is ``1/10``, as in a CSV cell).  A boolean or any
+    other JSON value raises :class:`InstanceError` naming the entry.
+    """
     instance = instance_from_dict(data)
     valuation: dict[Fact, Fraction] = {}
     try:
         for entry in data.get("probabilities", []):
             f = _fact_from_entry(entry, "probability")
-            valuation[f] = as_probability(Fraction(entry["probability"]))
+            cell = entry["probability"]
+            if isinstance(cell, str):
+                cell = Fraction(cell)
+            elif isinstance(cell, bool) or not isinstance(cell, (int, float)):
+                raise InstanceError(
+                    f"probability entry {entry!r}: probability must be a number or a string"
+                )
+            valuation[f] = as_probability(cell)
     except (
         KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError
     ) as error:

@@ -7,8 +7,10 @@ kept independently with its probability.
 
 Probabilities are stored as :class:`fractions.Fraction` so that all
 computations in the library are exact, matching the paper's "ra-linear"
-cost model (rational arithmetic of polynomial size).  Floats are accepted and
-converted exactly.
+cost model (rational arithmetic of polynomial size).  Floats are accepted as
+the nearest fraction with a denominator of at most ``10**12``
+(:func:`as_probability`), so ``0.1`` is ``1/10``; every later operation is
+exact.
 """
 
 from __future__ import annotations
@@ -151,6 +153,17 @@ class ProbabilisticInstance:
             return self._valuation[f]
         except KeyError:
             raise ProbabilityError(f"{f} is not a fact of this instance") from None
+
+    def probabilities_of(self, relation: str) -> tuple[Fraction, ...]:
+        """The probabilities of ``instance.facts_of(relation)``, in that order.
+
+        The valuation holds one entry per fact in ``instance.facts`` order, so
+        this is a slice of its values at the relation's block: no fact is
+        hashed and no dict is copied.
+        """
+        start = self._instance.block_start(relation)
+        stop = start + len(self._instance.facts_of(relation))
+        return tuple(islice(self._valuation.values(), start, stop))
 
     def valuation(self) -> dict[Fact, Fraction]:
         """A copy of the full fact-to-probability mapping."""

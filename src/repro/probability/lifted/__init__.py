@@ -11,9 +11,9 @@ redundant disjuncts, Möbius-cancelled inclusion–exclusion terms — see
 :mod:`~repro.probability.lifted.minimize`) and compiles each surviving term
 into an explicit plan of independent-project / independent-join /
 ground-lookup nodes (:mod:`~repro.probability.lifted.plan`); the plan is
-instance-independent and is executed iteratively against the per-relation
-hash indexes of any instance (:mod:`~repro.probability.lifted.executor`),
-always returning an exact :class:`~fractions.Fraction`.
+instance-independent and is executed set-at-a-time on any instance, one
+table per plan node (:mod:`~repro.probability.lifted.executor`), always
+returning an exact :class:`~fractions.Fraction`.
 
 The library's query language is constant-free by definition
 (:mod:`repro.queries.atoms`), so the shattering/ranking preprocessing of the

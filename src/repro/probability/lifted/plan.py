@@ -1,9 +1,9 @@
 """Safe-plan representation and construction for the lifted tier.
 
 A :class:`LiftedPlan` is compiled once per query — independently of any
-instance — and then executed by :mod:`repro.probability.lifted.executor`
-against the per-relation hash indexes of any TID instance.  The plan tree
-mirrors the Dalvi–Suciu independence rules:
+instance — and then executed set-at-a-time by
+:mod:`repro.probability.lifted.executor` on any TID instance, one table per
+plan node.  The plan tree mirrors the Dalvi–Suciu independence rules:
 
 * :class:`GroundNode` — a conjunction whose variables are all bound by
   enclosing projections; its probability is the product of the fact
@@ -57,8 +57,11 @@ class AtomSpec:
     ``root_positions`` are the argument positions holding the root variable
     (several when the root repeats inside the atom); ``bound_positions``
     pairs each position holding an ancestor-bound variable with that
-    variable, ready to become a ``facts_matching`` binding at execution
-    time.
+    variable, ready to become a ``facts_matching`` binding.  The
+    tuple-at-a-time reference executor
+    (:mod:`repro.probability.lifted.reference`) enumerates root candidates
+    from them; the set-at-a-time executor reads the atoms of the ground
+    nodes instead.
     """
 
     relation: str

@@ -1,24 +1,27 @@
-"""The ``Fraction`` form of the safe-plan executor, kept as a reference.
+"""The tuple-at-a-time ``Fraction`` form of the safe-plan executor, kept as
+a reference.
 
-:mod:`repro.probability.lifted.executor` multiplies unnormalized integer
-``(numerator, denominator)`` pairs and builds one
-:class:`~fractions.Fraction` per answer.  This module keeps the form it
-replaced: the same frame stack and the same candidate enumeration
-(:func:`~repro.probability.lifted.executor._root_candidates`), but every
-product is a ``Fraction`` operation that reduces to lowest terms.  It serves
-as the differential baseline (``tests/test_sweep_kernel.py``) and as the
-baseline side of ``benchmarks/bench_lifted.py``.  Do not use it from
-production code paths.
+:mod:`repro.probability.lifted.executor` evaluates a plan set-at-a-time: one
+table per plan node, integer ``(numerator, denominator)`` pairs, one
+:class:`~fractions.Fraction` per inclusion–exclusion term.  This module keeps
+an independent algorithm for the same answer: one explicit frame stack walks
+the plan once per binding, a projection enumerates its candidate root values
+from the instance's hash indexes (:func:`_root_candidates`), a ground atom is
+looked up in the ``arguments -> position`` index, and every product is a
+``Fraction`` operation that reduces to lowest terms.  It serves as the
+differential baseline (``tests/test_sweep_kernel.py``,
+``tests/test_lifted.py``) and as the baseline side of
+``benchmarks/bench_lifted.py``.  Do not use it from production code paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
+from repro import resilience as _resilience
 from repro.data.instance import Instance
 from repro.data.tid import ProbabilisticInstance
-from repro.probability.lifted.executor import Binding, _root_candidates
 from repro.probability.lifted.plan import (
     GroundNode,
     JoinNode,
@@ -29,6 +32,7 @@ from repro.probability.lifted.plan import (
 
 __all__ = ["execute_plan_reference"]
 
+Binding = Mapping[Any, Any]
 _EMPTY: tuple[tuple[PlanNode, dict[Any, Any]], ...] = ()
 _ONE = Fraction(1)
 
@@ -119,3 +123,47 @@ def _ground_probability(
     for factor in factors:
         probability *= factor
     return probability
+
+
+def _root_candidates(
+    node: ProjectNode, instance: Instance, binding: Binding
+) -> list[Any]:
+    """Values of the root variable that can match *every* atom of the
+    component: per atom, the root-column values among the facts matching
+    the bound positions (via the instance's hash indexes), intersected
+    across atoms.  Values outside the intersection contribute probability
+    zero, so skipping them is exact."""
+    candidates: set[Any] | None = None
+    budget = _resilience.ACTIVE
+    for spec in node.atom_specs:
+        if spec.bound_positions:
+            bindings = {
+                position: binding[variable]
+                for position, variable in spec.bound_positions
+            }
+            facts = instance.facts_matching(spec.relation, bindings)
+        else:
+            facts = instance.facts_of(spec.relation)
+        first = spec.root_positions[0]
+        values: set[Any] = set()
+        rows = 0
+        for ground_fact in facts:
+            rows += 1
+            value = ground_fact.arguments[first]
+            if all(
+                ground_fact.arguments[position] == value
+                for position in spec.root_positions[1:]
+            ):
+                values.add(value)
+        if budget is not None and rows:
+            budget.charge_rows(rows)
+        candidates = values if candidates is None else candidates & values
+        if not candidates:
+            return []
+    assert candidates is not None
+    return sorted(candidates, key=_value_key)
+
+
+def _value_key(value: Any) -> tuple[str, str]:
+    """The library's structural total order on domain elements."""
+    return (type(value).__name__, repr(value))

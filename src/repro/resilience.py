@@ -13,7 +13,9 @@ consult at cooperative checkpoints —
   every restriction through the single hash-consing choke point;
 * the OBDD evaluation passes over the columns tick the wall clock every
   few thousand nodes;
-* the lifted executor charges one row per enumerated candidate fact.
+* the lifted executor charges one row per fact a ground atom scans (the
+  whole relation, before the scan) and polls the wall clock once per plan
+  node.
 
 Exhaustion raises the *typed* errors :class:`repro.errors.BudgetExceeded`
 and :class:`repro.errors.DeadlineExceeded` — an aborted evaluation never
@@ -92,9 +94,9 @@ class ResourceBudget:
 
     ``node_limit`` bounds OBDD node *allocations* (unique-table inserts:
     reduced and hash-consed, so re-derived nodes are free); ``row_limit``
-    bounds the rows the lifted executor enumerates; ``deadline`` bounds
-    wall-clock time, consulted every :data:`CHECK_INTERVAL` charged units
-    and at every explicit :meth:`checkpoint`.  Any subset may be ``None``
+    bounds the facts the lifted executor's ground atoms scan; ``deadline``
+    bounds wall-clock time, consulted every :data:`CHECK_INTERVAL` charged
+    units and at every explicit :meth:`checkpoint`.  Any subset may be ``None``
     (uncapped).  ``timeout`` is a convenience spelling for
     ``deadline=Deadline.after(timeout)``.
     """
@@ -140,7 +142,10 @@ class ResourceBudget:
                 self.deadline.check()
 
     def charge_rows(self, count: int = 1) -> None:
-        """Account for ``count`` lifted-executor rows; raise when over cap."""
+        """Account for ``count`` lifted-executor rows; raise when over cap.
+
+        A row is one fact scanned by a ground atom of a safe plan: each scan
+        charges its relation's fact count once, before it reads a fact."""
         self.rows_used += count
         if self.row_limit is not None and self.rows_used > self.row_limit:
             raise BudgetExceeded(

@@ -266,9 +266,10 @@ def decode_columnar_sidecar(payload: bytes | memoryview) -> tuple[dict[str, Any]
     """The pickled sidecar and the columns' offset within the payload.
 
     Only called after :func:`verify_entry` passed, so the pickle bytes are
-    exactly what the writer produced; residual surprises (a truncated
-    sidecar in a yet-unseen writer bug) still surface as
-    :class:`EntryDamage`, never as an unpickling crash propagating upward.
+    what some writer packed; a sidecar that does not unpickle, or whose
+    ``node_count`` and ``root`` are not non-negative ints or whose ``order``
+    is not a list or tuple, surfaces as :class:`EntryDamage`, never as an
+    unpickling crash or a ``KeyError`` propagating upward.
     """
     if len(payload) < _SIDECAR_LEN.size:
         raise EntryDamage("columnar payload too short for its sidecar length")
@@ -283,9 +284,15 @@ def decode_columnar_sidecar(payload: bytes | memoryview) -> tuple[dict[str, Any]
     # repro-analysis: allow(EXCEPT001): unpickling attacker-shaped corrupt bytes can raise nearly anything; every failure is converted to EntryDamage and quarantined, never swallowed
     except Exception as error:
         raise EntryDamage(f"corrupt columnar sidecar: {error}") from error
-    if not isinstance(sidecar, dict) or "node_count" not in sidecar:
+    if not isinstance(sidecar, dict):
         raise EntryDamage("corrupt columnar sidecar: not a meta mapping")
-    expected = columns_offset + 3 * int(sidecar["node_count"]) * 8
+    for field in ("node_count", "root"):
+        value = sidecar.get(field)
+        if type(value) is not int or value < 0:
+            raise EntryDamage(f"corrupt columnar sidecar: {field} is {value!r}")
+    if not isinstance(sidecar.get("order"), (list, tuple)):
+        raise EntryDamage("corrupt columnar sidecar: order is not a list")
+    expected = columns_offset + 3 * sidecar["node_count"] * 8
     if len(payload) < expected:
         raise EntryDamage(
             f"columnar payload too short for {sidecar['node_count']} nodes"

@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.booleans.columnar import ColumnarOBDD, columnar_from_buffer
-from repro.errors import StoreError
+from repro.errors import CompilationError, StoreError
 from repro.store.format import (
     CODEC_COLUMNAR,
     CODEC_PICKLE,
@@ -372,9 +372,7 @@ class ArtifactStore:
                     payload = buffer[
                         header.payload_offset : header.payload_offset + header.payload_len
                     ]
-                    sidecar, columns_offset = decode_columnar_sidecar(payload)
-                    columns = payload[columns_offset:]
-                    artifact = columnar_from_buffer(sidecar, columns, retain=mapping)
+                    artifact = _decode_columnar(payload, retain=mapping)
                 finally:
                     # Drop the locals' buffer exports so the mapping's only
                     # keepalive is the artifact itself (numpy backend) —
@@ -558,7 +556,7 @@ class ArtifactStore:
                     blob = path.read_bytes()
                     header, meta = verify_entry(blob, expected_key=key)
                     if header.codec == CODEC_COLUMNAR:
-                        decode_columnar_sidecar(
+                        _decode_columnar(
                             memoryview(blob)[
                                 header.payload_offset : header.payload_offset
                                 + header.payload_len
@@ -690,6 +688,21 @@ def _unlock_close(fd: int) -> None:
             # repro-analysis: allow(EXCEPT001): unlocking a descriptor whose file was unlinked can fail on some kernels; close() releases the lock anyway
             pass
     os.close(fd)
+
+
+def _decode_columnar(payload: memoryview, retain: Any = None) -> ColumnarOBDD:
+    """The columnar artifact of a verified payload.
+
+    A checksum only proves the bytes are the ones some writer packed: a
+    sidecar or columns that break the artifact's contract (a level past the
+    variable order, a child id out of range) raise :class:`EntryDamage`, so
+    the entry is quarantined and the read is a miss, like any other damage.
+    """
+    sidecar, columns_offset = decode_columnar_sidecar(payload)
+    try:
+        return columnar_from_buffer(sidecar, payload[columns_offset:], retain=retain)
+    except CompilationError as error:
+        raise EntryDamage(f"corrupt columnar columns: {error}") from error
 
 
 def _close_mapping(mapping: mmap.mmap) -> None:

@@ -27,7 +27,7 @@ from repro.data.io import (
     tree_decomposition_to_dot,
 )
 from repro.data.signature import Relation, Signature
-from repro.data.tid import ProbabilisticInstance
+from repro.data.tid import ProbabilisticInstance, as_probability
 from repro.errors import InstanceError, ReproError, SignatureError
 from repro.generators.lines import rst_chain_instance
 from repro.generators.random_instances import random_instance, random_probabilities
@@ -68,6 +68,34 @@ def test_tid_from_dict_rejects_malformed_probabilities():
     data["probabilities"] = {"R": 1}
     with pytest.raises(InstanceError):
         tid_from_dict(data)
+
+
+def _one_probability(cell):
+    return {
+        "signature": {"R": 1},
+        "facts": [{"relation": "R", "arguments": ["a"]}],
+        "probabilities": [{"relation": "R", "arguments": ["a"], "probability": cell}],
+    }
+
+
+def test_json_float_probability_reads_like_the_api_and_csv():
+    # A JSON float goes through as_probability, as a float given to the API
+    # does: 0.1 is 1/10, not the float's exact binary value.
+    probability = tid_from_dict(_one_probability(0.1)).probability_of(fact("R", "a"))
+    assert probability == as_probability(0.1) == Fraction(1, 10)
+    _, csv_cells = instance_from_csv("relation,arg1,probability\nR,a,0.1\n")
+    assert list(csv_cells.values()) == [probability]
+
+
+@pytest.mark.parametrize("cell", ["0.1", "1/10"])
+def test_json_string_probabilities_parse_exactly(cell):
+    assert tid_from_dict(_one_probability(cell)).probability_of(fact("R", "a")) == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("cell", [True, False, None, [1], {"p": 1}], ids=repr)
+def test_json_probability_cells_reject_booleans_and_non_numbers(cell):
+    with pytest.raises(InstanceError, match="probability entry"):
+        tid_from_dict(_one_probability(cell))
 
 
 def test_cli_reports_malformed_probabilities_as_errors(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Tests for the compiled lifted-inference tier and the dichotomy router.
 
 Covers UCQ minimization (cores, redundant disjuncts, Möbius cancellation),
-plan construction and the is_liftable iff-contract, the iterative executor
-against brute force and the recursive reference, and the engine's routing:
-``method="auto"`` picking the lifted plan on safe queries (including past
-the circuit fact limit) and a circuit route on unsafe ones.
+plan construction and the is_liftable iff-contract, the set-at-a-time
+executor against brute force and the recursive reference, and the engine's
+routing: ``method="auto"`` picking the lifted plan on safe queries
+(including past the circuit fact limit) and a circuit route on unsafe ones.
+Past brute force, the executor is checked against a closed form,
+metamorphic relations, the tuple-at-a-time reference executor and the OBDD
+route.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +29,7 @@ from repro.probability.lifted import (
     ProjectNode,
     are_equivalent,
     core,
+    execute_plan,
     homomorphism_exists,
     implies,
     inclusion_exclusion_terms,
@@ -34,6 +39,7 @@ from repro.probability.lifted import (
     minimize_disjuncts,
     try_lifted_plan,
 )
+from repro.probability.lifted.reference import execute_plan_reference
 from repro.probability.safe_plans import safe_plan_probability
 from repro.queries import hierarchical_example, parse_cq, parse_ucq, unsafe_rst
 from repro.resilience import ResourceBudget
@@ -373,3 +379,164 @@ def test_lifted_scales_past_circuit_limit():
     expected = 1 - (1 - p * (1 - (1 - p) ** m)) ** k
     assert engine.probability(hierarchical_example(), tid, "auto") == expected
     assert engine.route_mix() == {"safe_plan": 1}
+
+
+# -- the safe-plan route past brute force ---------------------------------------
+#
+# Sizes no oracle reaches: checked against a closed form, metamorphic
+# relations, the tuple-at-a-time reference executor and the OBDD route.  The
+# lifted family is R(a_i) for i < k plus S(a_i, b_j) for j < m, one seeded
+# k/1000 probability per fact; tier-1 runs 3,060 facts, --runslow 100,400.
+
+LIFTED_FAMILY = [
+    pytest.param(60, 50, id="3060-facts"),
+    pytest.param(400, 250, id="100400-facts", marks=pytest.mark.slow),
+]
+
+
+def _lifted_family(k, m, seed=0):
+    generator = random.Random(seed)
+    facts = [fact("R", f"a{i}") for i in range(k)]
+    facts += [fact("S", f"a{i}", f"b{j}") for i in range(k) for j in range(m)]
+    valuation = {f: Fraction(generator.randint(1, 999), 1000) for f in facts}
+    return facts, valuation
+
+
+def _safe_plan(tid):
+    return probability(hierarchical_example(), tid, method="safe_plan")
+
+
+@pytest.mark.parametrize("k, m", LIFTED_FAMILY)
+def test_safe_plan_matches_the_closed_form(k, m):
+    """1 - Π_i (1 - p_R(a_i) · (1 - Π_j (1 - p_S(a_i, b_j)))), in integers:
+    each factor's numerator and denominator multiplied separately."""
+    facts, valuation = _lifted_family(k, m)
+    outer_numerators, outer_denominators = [], []
+    for i in range(k):
+        none_numerator = none_denominator = 1
+        for j in range(m):
+            p = valuation[fact("S", f"a{i}", f"b{j}")]
+            none_numerator *= p.denominator - p.numerator
+            none_denominator *= p.denominator
+        r = valuation[fact("R", f"a{i}")]
+        # 1 - r · (1 - none) over the denominator r.denominator · none_denominator.
+        denominator = r.denominator * none_denominator
+        outer_numerators.append(denominator - r.numerator * (none_denominator - none_numerator))
+        outer_denominators.append(denominator)
+    numerator = denominator = 1
+    for factor_numerator, factor_denominator in zip(outer_numerators, outer_denominators):
+        numerator *= factor_numerator
+        denominator *= factor_denominator
+    value = _safe_plan(ProbabilisticInstance(Instance(facts), valuation))
+    assert value.numerator * denominator == (denominator - numerator) * value.denominator
+
+
+@pytest.mark.parametrize("k, m", LIFTED_FAMILY)
+def test_safe_plan_satisfies_shannon_conditioning(k, m):
+    facts, valuation = _lifted_family(k, m, seed=1)
+    tid = ProbabilisticInstance(Instance(facts), valuation)
+    value = _safe_plan(tid)
+    for f in (fact("R", f"a{k // 3}"), fact("S", f"a{k // 2}", f"b{m // 2}")):
+        p = tid.probability_of(f)
+        kept = _safe_plan(tid.condition([f]))
+        removed = _safe_plan(tid.condition([], [f]))
+        assert value == p * kept + (1 - p) * removed
+
+
+@pytest.mark.parametrize("k, m", LIFTED_FAMILY)
+def test_safe_plan_is_invariant_under_renaming_and_fact_order(k, m):
+    """Renaming reorders each relation's facts, so the probabilities are
+    read at new positions; a shuffled fact list with a reversed valuation
+    dict builds the same TID from differently ordered inputs."""
+    facts, valuation = _lifted_family(k, m, seed=2)
+    tid = ProbabilisticInstance(Instance(facts), valuation)
+    value = _safe_plan(tid)
+
+    generator = random.Random(3)
+    elements = list(tid.instance.domain)
+    names = [f"e{n}" for n in range(len(elements))]
+    generator.shuffle(names)
+    mapping = dict(zip(elements, names))
+    renamed = ProbabilisticInstance(
+        tid.instance.rename(mapping), {f.rename(mapping): p for f, p in valuation.items()}
+    )
+    assert renamed.fingerprint != tid.fingerprint
+    assert renamed.instance.facts != tuple(f.rename(mapping) for f in tid.instance.facts)
+    assert _safe_plan(renamed) == value
+
+    shuffled = list(facts)
+    generator.shuffle(shuffled)
+    reordered = ProbabilisticInstance(Instance(shuffled), dict(reversed(valuation.items())))
+    assert reordered.fingerprint == tid.fingerprint
+    assert _safe_plan(reordered) == value
+
+
+HAND_SHAPED = (
+    "R(x), S(y, x)",
+    "S(x, x)",
+    "U(x, y, x), S(x, y)",
+    "R(x), S(x, y) | T(z)",
+    "R(x) | S(x, y)",
+    "R(x), T(y)",
+)
+
+
+@pytest.mark.parametrize("text", HAND_SHAPED)
+def test_executor_matches_the_reference_on_hand_shaped_queries(text):
+    """About 1,000 facts over 30 elements, a third of them at probability 0
+    and a third at 1: repeated variables, swapped argument order, joins of
+    disconnected components and inclusion–exclusion."""
+    generator = random.Random(text)
+    elements = [f"c{n}" for n in range(30)]
+    facts = {fact("R", element) for element in elements[::2]}
+    facts |= {fact("T", element) for element in elements[1::3]}
+    facts |= {fact("S", *generator.sample(elements, 2)) for _ in range(500)}
+    facts |= {fact("S", element, element) for element in elements[::4]}
+    facts |= {fact("U", a, b, a) for a, b in (generator.sample(elements, 2) for _ in range(300))}
+    facts |= {fact("U", *generator.sample(elements, 3)) for _ in range(200)}
+    tid = ProbabilisticInstance(
+        Instance(facts),
+        {
+            f: Fraction(generator.choice((0, 1000, generator.randint(1, 999))), 1000)
+            for f in facts
+        },
+    )
+    plan = lifted_plan(parse_ucq(text))
+    assert execute_plan(plan, tid) == execute_plan_reference(plan, tid)
+
+
+def test_executor_matches_the_reference_on_a_skewed_instance():
+    """Ten R facts beside 20,000 S facts over 400 roots: the sideways
+    filter keeps the S facts of the ten roots only."""
+    generator = random.Random(10)
+    facts = [fact("R", f"a{i}") for i in range(0, 400, 40)]
+    facts += [fact("S", f"a{i}", f"b{j}") for i in range(400) for j in range(50)]
+    tid = ProbabilisticInstance(
+        Instance(facts), {f: Fraction(generator.randint(1, 999), 1000) for f in facts}
+    )
+    plan = lifted_plan(hierarchical_example())
+    assert execute_plan(plan, tid) == execute_plan_reference(plan, tid)
+
+
+def test_safe_plan_matches_the_obdd_route_on_a_long_rst_line():
+    instance = rst_chain_instance(480)
+    generator = random.Random(480)
+    tid = ProbabilisticInstance(
+        instance, {f: Fraction(generator.randint(1, 999), 1000) for f in instance.facts}
+    )
+    engine = CompilationEngine()
+    query = hierarchical_example()
+    assert engine.probability(query, tid, method="safe_plan") == engine.probability(
+        query, tid, method="obdd"
+    )
+
+
+def test_executor_charges_one_row_per_scanned_fact():
+    """A ground atom's scan charges its relation's facts once: R and S here,
+    whatever the number of roots."""
+    facts, valuation = _lifted_family(20, 5)
+    tid = ProbabilisticInstance(Instance(facts), valuation)
+    budget = ResourceBudget()
+    with budget.activate():
+        execute_plan(lifted_plan(hierarchical_example()), tid)
+    assert budget.usage()["rows"] == len(facts)

@@ -14,11 +14,17 @@ Four layers, matching the store's contracts:
 """
 
 import glob
+import hashlib
 import json
 import os
+import pickle
+import struct
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.booleans.columnar import ColumnarOBDD
 from repro.cli import main
@@ -26,10 +32,10 @@ from repro.data.io import save_instance
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine, ParallelEngine
 from repro.errors import StoreError
-from repro.generators import labelled_partial_ktree_instance
+from repro.generators import directed_path_instance, labelled_partial_ktree_instance
 from repro.generators.lines import rst_chain_instance
 from repro.provenance.compile_obdd import CompiledOBDD
-from repro.queries import parse_ucq, unsafe_rst
+from repro.queries import parse_ucq, two_incident_same_direction, unsafe_rst
 from repro.store import (
     CODEC_COLUMNAR,
     CODEC_PICKLE,
@@ -42,6 +48,7 @@ from repro.store import (
 from repro.store.format import (
     EntryDamage,
     best_effort_meta,
+    encode_columnar,
     pack_entry,
     parse_header,
     verify_entry,
@@ -49,6 +56,9 @@ from repro.store.format import (
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
+# The payload checksum's place in the header: after magic, version, codec
+# and payload length.
+CHECKSUM_OFFSET = 24
 
 
 @pytest.fixture(scope="module")
@@ -467,6 +477,116 @@ class TestEngineWiring:
             unsafe_rst(), ktree_tid, method="obdd"
         )
         assert opened.stats().entries >= 1
+
+
+# -- checksum-valid entries with malformed contents ------------------------------
+
+
+def columnar_payload(sidecar: dict, columns: list[int]) -> bytes:
+    """A columnar payload laid out as the writer lays it out: the sidecar's
+    length, the pickled sidecar, padding to 8 bytes, the int64 columns."""
+    pickled = pickle.dumps(sidecar)
+    offset = (8 + len(pickled) + 7) // 8 * 8
+    head = bytearray(offset)
+    struct.pack_into("<Q", head, 0, len(pickled))
+    head[8 : 8 + len(pickled)] = pickled
+    return bytes(head) + struct.pack(f"<{len(columns)}q", *columns)
+
+
+# Each is packed with pack_entry, so its checksum passes: only the contents
+# are malformed.
+MALFORMED_COLUMNAR = {
+    "level past the order": ({"node_count": 1, "root": 2, "order": ["x"]}, [5, 0, 1]),
+    "no root": ({"node_count": 1, "order": ["x"]}, [0, 0, 1]),
+    "node_count is None": ({"node_count": None, "root": 2, "order": ["x"]}, [0, 0, 1]),
+}
+
+
+def plant(path: str, key: str, name: str) -> None:
+    """Overwrite the entry file at ``path`` with a malformed columnar entry."""
+    sidecar, columns = MALFORMED_COLUMNAR[name]
+    blob = pack_entry(key, CODEC_COLUMNAR, {"kind": "columnar"}, columnar_payload(sidecar, columns))
+    with open(path, "wb") as handle:
+        handle.write(blob)
+
+
+class TestMalformedColumnarEntries:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_COLUMNAR))
+    def test_store_quarantines_and_misses(self, tmp_path, artifact, name):
+        store = ArtifactStore(tmp_path / "store")
+        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
+        plant(entry_files(store)[0], KEY_A, name)
+        assert store.get_columnar(KEY_A) is None
+        assert store.counters.misses == 1
+        assert store.counters.quarantines == 1
+        assert not entry_files(store)
+        assert "columnar" in store.quarantine_list()[0].reason
+
+    @pytest.mark.parametrize("method", ["obdd", "auto"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_COLUMNAR))
+    def test_engine_recompiles_exactly(self, tmp_path, name, method):
+        # A lineage that is not read-once, so auto compiles the OBDD too.
+        query = two_incident_same_direction()
+        tid = ProbabilisticInstance.uniform(directed_path_instance(12), Fraction(1, 3))
+        root = tmp_path / "store"
+        value = CompilationEngine(store=root).probability(query, tid, method=method)
+        (path,) = [
+            path
+            for path in entry_files(ArtifactStore(root))
+            if parse_header(open(path, "rb").read()).codec == CODEC_COLUMNAR
+        ]
+        plant(path, os.path.basename(path).split(".")[0], name)
+        for _ in range(2):
+            engine = CompilationEngine(store=root)
+            assert engine.probability(query, tid, method=method) == value
+            if method == "auto":
+                assert [a.route for a in engine.last_decision.attempts] == ["obdd"]
+        # The first engine quarantined the entry and wrote the recompiled
+        # artifact behind; the second read it back.
+        assert ArtifactStore(root).stats().quarantined == 1
+        assert engine.stats["store"].misses == engine.stats["store"].quarantines == 0
+
+
+def _region(blob: bytes, name: str) -> tuple[int, int]:
+    header = parse_header(blob)
+    if name == "header":
+        return 0, header.meta_offset
+    if name == "meta":
+        return header.meta_offset, header.meta_offset + header.meta_len
+    (sidecar_len,) = struct.unpack_from("<Q", blob, header.payload_offset)
+    return header.payload_offset, header.payload_offset + 8 + sidecar_len
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    region=st.sampled_from(["header", "meta", "sidecar"]),
+    edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)), min_size=1, max_size=8),
+    repack=st.booleans(),
+)
+def test_get_columnar_never_raises_on_overwritten_bytes(artifact, region, edits, repack):
+    """Random bytes over a valid entry's header, meta region or columnar
+    sidecar, with the payload checksum left as it was or recomputed: the read
+    returns an artifact or a miss, and a miss quarantines the entry."""
+    blob = bytearray(pack_entry(KEY_A, CODEC_COLUMNAR, {"kind": "columnar"}, encode_columnar(artifact)))
+    header = parse_header(blob)
+    start, stop = _region(bytes(blob), region)
+    for where, value in edits:
+        blob[start + int(where * (stop - start))] = value
+    if repack:
+        payload = blob[header.payload_offset : header.payload_offset + header.payload_len]
+        blob[CHECKSUM_OFFSET : CHECKSUM_OFFSET + 32] = hashlib.sha256(payload).digest()
+    with tempfile.TemporaryDirectory() as directory:
+        store = ArtifactStore(directory)
+        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
+        with open(entry_files(store)[0], "wb") as handle:
+            handle.write(blob)
+        loaded = store.get_columnar(KEY_A)
+        if loaded is None:
+            assert store.counters.quarantines == 1
+            assert not entry_files(store)
+        else:
+            assert isinstance(loaded, ColumnarOBDD)
+        del loaded
 
 
 # -- CLI ------------------------------------------------------------------------
