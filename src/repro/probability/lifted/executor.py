@@ -17,8 +17,7 @@ term's root), so every table below a node is keyed the same way:
   children's tables and multiplies the values of each common key;
 * a :class:`~repro.probability.lifted.plan.ProjectNode` groups its child's
   table by the key minus its last value and takes ``1 - Π (1 - v)`` per
-  group.  Over a ground node of one atom, it groups that atom's scan as the
-  scan runs, without building the child's table.
+  group.
 
 Tables hold only nonzero values: a fact at probability 0 is skipped, and a
 key missing from a table means 0.  The global active domain is never swept.
@@ -122,9 +121,7 @@ def _evaluate(root: PlanNode, tid: ProbabilisticInstance) -> Pair:
     variables: tuple[Variable, ...] = ()
     keep: Filter | None = None
     while True:
-        # Descend along first children to a table that needs no children:
-        # a ground node, or a projection of a one-atom ground node, whose
-        # scan is grouped as it runs.
+        # Descend along first children to a ground node.
         while True:
             if budget is not None:
                 budget.checkpoint()
@@ -132,19 +129,9 @@ def _evaluate(root: PlanNode, tid: ProbabilisticInstance) -> Pair:
                 table = _ground_table(node, variables, keep, tid, budget)
                 break
             if isinstance(node, ProjectNode):
-                child = node.child
-                if isinstance(child, GroundNode) and len(set(child.atoms)) == 1:
-                    if budget is not None:
-                        budget.checkpoint()
-                    scope = (*variables, node.variable)
-                    keys, fractions = _scan(
-                        child.atoms[0], scope, keep, tid, budget, len(variables)
-                    )
-                    table = _project(zip(keys, map(_RATIO, fractions)))
-                    break
                 frames.append(_Frame(node, variables))
                 variables = (*variables, node.variable)
-                node = child
+                node = node.child
             else:
                 frames.append(_Frame(node, variables))
                 node = node.children[0]
@@ -225,7 +212,7 @@ def _ground_table(
     table: Table | None = None
     scanned: dict[str, list[tuple[int, ...]]] = {}
     for atom in dict.fromkeys(node.atoms):
-        keys, fractions = _scan(atom, variables, keep, tid, budget, len(variables))
+        keys, fractions = _scan(atom, variables, keep, tid, budget)
         pairs = list(map(_RATIO, fractions))
         rows = dict(compress(zip(keys, pairs), map(_FIRST, pairs)))
         layout = tuple(map(variables.index, atom.arguments))
@@ -248,14 +235,12 @@ def _scan(
     keep: Filter | None,
     tid: ProbabilisticInstance,
     budget: ResourceBudget | None,
-    width: int,
 ) -> tuple[Iterable[Key], Iterable[Fraction]]:
     """One pass over the facts of ``atom``'s relation.
 
     Keeps each fact that matches the atom's repeated variables and whose
-    key starts with a ``keep`` key, and returns, in fact order, the first
-    ``width`` values of each kept fact's key with its probability (zero
-    probabilities included)."""
+    key starts with a ``keep`` key, and returns, in fact order, each kept
+    fact's key with its probability (zero probabilities included)."""
     facts = tid.instance.facts_of(atom.relation)
     if not facts:
         return (), ()
@@ -272,7 +257,7 @@ def _scan(
         columns = list(compress(columns, equal))
         fractions = compress(fractions, equal)
     positions = list(map(arguments.index, variables))
-    keys = _picked(columns, positions[:width], arity)
+    keys = _picked(columns, positions, arity)
     if keep is not None:
         kept, length = keep
         mask = list(map(kept.__contains__, _picked(columns, positions[:length], arity)))

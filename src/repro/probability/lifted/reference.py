@@ -29,6 +29,7 @@ from repro.probability.lifted.plan import (
     PlanNode,
     ProjectNode,
 )
+from repro.probability.safe_plans import _value_key
 
 __all__ = ["execute_plan_reference"]
 
@@ -162,8 +163,3 @@ def _root_candidates(
             return []
     assert candidates is not None
     return sorted(candidates, key=_value_key)
-
-
-def _value_key(value: Any) -> tuple[str, str]:
-    """The library's structural total order on domain elements."""
-    return (type(value).__name__, repr(value))

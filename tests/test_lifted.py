@@ -10,6 +10,7 @@ metamorphic relations, the tuple-at-a-time reference executor and the OBDD
 route.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,9 +24,11 @@ from repro.generators.lines import rst_chain_instance
 from repro.probability.brute_force import brute_force_probability
 from repro.probability.evaluation import probability
 from repro.probability.lifted import (
+    AtomSpec,
     GroundNode,
     InclusionExclusionNode,
     JoinNode,
+    LiftedPlan,
     ProjectNode,
     are_equivalent,
     core,
@@ -41,7 +44,7 @@ from repro.probability.lifted import (
 )
 from repro.probability.lifted.reference import execute_plan_reference
 from repro.probability.safe_plans import safe_plan_probability
-from repro.queries import hierarchical_example, parse_cq, parse_ucq, unsafe_rst
+from repro.queries import as_ucq, hierarchical_example, parse_cq, parse_ucq, unsafe_rst
 from repro.resilience import ResourceBudget
 from repro.testing import ProbabilityOracle, random_safe_workload, random_workload
 
@@ -517,6 +520,37 @@ def test_executor_matches_the_reference_on_a_skewed_instance():
     plan = lifted_plan(hierarchical_example())
     assert execute_plan(plan, tid) == execute_plan_reference(plan, tid)
 
+
+
+def test_executor_counts_a_fact_two_ground_atoms_share_once():
+    """A hand-built plan ``∃x ∃y [S(x, y) ∧ S(y, x)]`` whose ground node
+    holds two atoms of one relation (``build_cq_plan`` keeps a ground node's
+    relations distinct): at ``x = y`` both atoms name the fact ``S(a, a)``,
+    which contributes its probability once, ``P(A ∧ A) = P(A)``."""
+    generator = random.Random(5)
+    elements = [f"c{n}" for n in range(12)]
+    pairs = [generator.sample(elements, 2) for _ in range(40)]
+    facts = {fact("S", a, b) for a, b in pairs}
+    facts |= {fact("S", b, a) for a, b in pairs[:15]}
+    loops = {fact("S", element, element) for element in elements[::2]}
+    valuation = {f: Fraction(generator.randint(1, 999), 1000) for f in facts | loops}
+    tid = ProbabilisticInstance(Instance(facts | loops), valuation)
+    query = parse_cq("S(x, y), S(y, x)")
+    forward, backward = query.atoms
+    x, y = forward.arguments
+    node = ProjectNode(
+        x,
+        (AtomSpec("S", (0,), ()), AtomSpec("S", (1,), ())),
+        ProjectNode(
+            y,
+            (AtomSpec("S", (1,), ((0, x),)), AtomSpec("S", (0,), ((1, x),))),
+            GroundNode((forward, backward)),
+        ),
+    )
+    plan = LiftedPlan(as_ucq(query), (query,), InclusionExclusionNode(((1, node),)))
+    assert execute_plan(plan, tid) == execute_plan_reference(plan, tid)
+    only_loops = ProbabilisticInstance(Instance(loops), {f: valuation[f] for f in loops})
+    assert execute_plan(plan, only_loops) == 1 - math.prod(1 - valuation[f] for f in loops)
 
 def test_safe_plan_matches_the_obdd_route_on_a_long_rst_line():
     instance = rst_chain_instance(480)
