@@ -7,7 +7,7 @@ PYTHON ?= python
 PYTHONPATH_PREFIX = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 TIER1_WALL_CLOCK ?= 300
 
-.PHONY: test tier1 test-slow test-differential test-chaos test-chaos-disk analyze typecheck bench-engine bench-parallel bench-compile bench-structure bench-vector bench-lifted bench-resilience bench-store bench
+.PHONY: test tier1 test-slow test-differential test-chaos test-chaos-disk analyze typecheck bench-engine bench-parallel bench-compile bench-structure bench-vector bench-lifted bench-resilience bench-store bench-lineage bench
 
 # Static invariant checker (see README "Static invariants"): AST/call-graph
 # rules gating the kernel contracts. Fails on any finding.
@@ -65,6 +65,9 @@ bench-resilience:
 
 bench-store:
 	$(PYTHONPATH_PREFIX) $(PYTHON) benchmarks/bench_store.py
+
+bench-lineage:
+	$(PYTHONPATH_PREFIX) $(PYTHON) benchmarks/bench_lineage.py
 
 bench:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -q benchmarks

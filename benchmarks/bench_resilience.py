@@ -50,8 +50,10 @@ from repro.resilience import ResourceBudget
 # With the exact sweeps in scaled integers, line 120 and 240 and the ktrees
 # alone sum to ~0.04 s unguarded, under MIN_MEASURABLE_SECONDS, which would
 # waive the 5% gate.  Line 480 alone brought the sum to only 0.055-0.072 s
-# on a 2-CPU VM; with line 960 it is ~0.12 s, twice the floor.
-LINE_SIZES = (120, 240, 480, 960)
+# on a 2-CPU VM; with line 960 it was ~0.12 s, twice the floor.  Linear-time
+# lineage took the sizes up to 960 down to ~0.04 s again; lines 1920, 3840
+# and 7680 bring the sum back above twice the floor.
+LINE_SIZES = (120, 240, 480, 960, 1920, 3840, 7680)
 KTREE_SIZES = (90, 150)
 WIDTH = 2
 # Timed repetitions per case per side; each side keeps its min.  With the

@@ -60,13 +60,16 @@ from repro.generators import (
     rst_chain_instance,
     unary_instance,
 )
+# ``probability`` is the subpackage itself, which is callable as
+# :func:`repro.probability.evaluation.probability`; importing the function
+# here would hide the subpackage (``import repro.probability.lifted``).
+from repro import probability
 from repro.probability import (
     dissociation_bounds,
     is_liftable,
     karp_luby_probability,
     lifted_probability,
     monte_carlo_probability,
-    probability,
     safe_plan_probability,
 )
 from repro.provenance import (

@@ -48,8 +48,7 @@ class Fact:
         return Fact(self.relation, tuple(mapping.get(a, a) for a in self.arguments))
 
     def __str__(self) -> str:
-        args = ", ".join(str(a) for a in self.arguments)
-        return f"{self.relation}({args})"
+        return f"{self.relation}({', '.join(map(str, self.arguments))})"
 
 
 def fact(relation: str, *arguments: Any) -> Fact:

@@ -1,4 +1,14 @@
-"""Exact and approximate probability evaluation on tuple-independent databases."""
+"""Exact and approximate probability evaluation on tuple-independent databases.
+
+The package is callable: ``repro.probability(query, tid, ...)`` is
+:func:`repro.probability.evaluation.probability`.  :mod:`repro` exports the
+package itself under that name, so ``from repro import probability`` gives a
+callable and ``import repro.probability.lifted.reference`` still resolves the
+subpackages.
+"""
+
+import sys
+from types import ModuleType
 
 from repro.probability.approximation import (
     ApproximationResult,
@@ -25,6 +35,16 @@ from repro.probability.lifted import (
 )
 from repro.probability.model_counting import model_count_via_probability, property_model_count
 from repro.probability.safe_plans import UnsafeQueryError, is_liftable, safe_plan_probability
+
+
+class _CallablePackage(ModuleType):
+    """A module type whose call evaluates :func:`probability`."""
+
+    def __call__(self, *args, **kwargs):
+        return probability(*args, **kwargs)
+
+
+sys.modules[__name__].__class__ = _CallablePackage
 
 __all__ = [
     "ApproximationResult",

@@ -126,7 +126,7 @@ def compile_lineage_to_obdd(
     if missing:
         raise CompilationError("fact order does not cover all lineage variables")
     manager = OBDD(order)
-    root = manager.build_from_clauses(sorted(lineage.clauses, key=_clause_key))
+    root = manager.build_from_clauses(lineage.clauses)
     return CompiledOBDD(manager, root, tuple(order))
 
 
@@ -194,6 +194,3 @@ def compile_query_to_dnnf(
     """
     return compile_query_to_obdd(query, instance).to_dnnf()
 
-
-def _clause_key(clause: frozenset[Fact]) -> tuple:
-    return tuple(sorted((f.relation, tuple(repr(a) for a in f.arguments)) for f in clause))

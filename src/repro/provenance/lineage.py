@@ -7,8 +7,14 @@ disjunction, over all matches, of the conjunction of the facts of the match —
 which we materialize both as a monotone DNF object and as a monotone
 :class:`BooleanCircuit` (a *lineage circuit*, Definition 6.2).
 
-Data complexity is polynomial for a fixed query: the number of matches is at
-most ``|I|^{|vars(q)|}``.
+The matches come from :func:`repro.queries.matching.minimal_matches`: one
+hash join per atom over positions in ``instance.facts``, then a match of k
+facts is kept when none of its at most 2^k - 2 proper non-empty subsets is a
+match.  For a fixed query that is linear in |I| plus the number of matches,
+which is at most ``|I|^{|vars(q)|}``.  Clauses hold the instance's own facts,
+ordered by size and then by their facts' ``str`` renderings, an order that
+does not depend on how the matches were enumerated (seeded sampling picks
+clauses by index).
 """
 
 from __future__ import annotations
@@ -91,7 +97,6 @@ def lineage_of(
     query = as_ucq(query)
     if engine is not None and minimal:
         return engine.lineage(query, instance)
-    query.check_arities(instance.signature)
     matches = minimal_matches(query, instance) if minimal else ucq_matches(query, instance)
     return MonotoneDNFLineage(instance, tuple(matches))
 

@@ -538,12 +538,23 @@ def c2rpq_minimal_matches(
     instance: Instance,
     max_facts_per_atom: int | None = None,
 ) -> list[frozenset[Fact]]:
-    """The inclusion-minimal witness fact sets of the query on the instance."""
+    """The inclusion-minimal witness fact sets of the query on the instance.
+
+    Witness sets have no size bound, so minimality is not a subset probe:
+    each minimal set is indexed by one of its facts, and a candidate is
+    compared only with the minimal sets indexed by one of its own facts.
+    The matches come smallest first, so every proper subset of a candidate
+    has been seen; if the empty set is a witness, it absorbs every other.
+    """
     matches = c2rpq_matches(query, instance, max_facts_per_atom=max_facts_per_atom)
+    if matches and not matches[0]:
+        return matches[:1]
     minimal: list[frozenset[Fact]] = []
+    indexed: dict[Fact, list[frozenset[Fact]]] = {}
     for candidate in matches:
-        if not any(other < candidate for other in matches):
+        if not any(other < candidate for f in candidate for other in indexed.get(f, ())):
             minimal.append(candidate)
+            indexed.setdefault(next(iter(candidate)), []).append(candidate)
     return minimal
 
 

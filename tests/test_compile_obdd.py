@@ -13,12 +13,14 @@ from repro.generators import (
 )
 from repro.provenance.compile_obdd import (
     compile_circuit_to_obdd,
+    compile_lineage_to_obdd,
     compile_query_to_dnnf,
     compile_query_to_obdd,
     obdd_width_of_query,
 )
-from repro.provenance.lineage import brute_force_lineage_table
-from repro.queries import parse_cq, qp, unsafe_rst
+from repro.provenance.lineage import MonotoneDNFLineage, brute_force_lineage_table, lineage_of
+from repro.provenance.variable_orders import default_fact_order
+from repro.queries import parse_cq, qp, two_incident_same_direction, unsafe_rst
 from repro.booleans.formula import threshold_2_circuit
 
 
@@ -90,3 +92,23 @@ def test_empty_lineage_compiles_to_false():
     compiled = compile_query_to_obdd(unsafe_rst(), instance)
     assert compiled.size == 0
     assert not compiled.evaluate({f: True for f in instance})
+
+
+def test_clause_order_does_not_reach_the_diagram():
+    # The clauses become a set of level tuples, sorted before the build, so
+    # compiling them in any order gives the same columns.
+    cases = [
+        (two_incident_same_direction(), directed_path_instance(40)),
+        (unsafe_rst(), rst_chain_instance(30)),
+        (qp(), grid_instance(3, 3)),
+    ]
+    for query, instance in cases:
+        lineage = lineage_of(query, instance)
+        order = default_fact_order(instance)
+        forward = compile_lineage_to_obdd(lineage, order).to_columnar()
+        shuffled = MonotoneDNFLineage(instance, lineage.clauses[1::2] + lineage.clauses[0::2][::-1])
+        assert set(shuffled.clauses) == set(lineage.clauses)
+        backward = compile_lineage_to_obdd(shuffled, order).to_columnar()
+        assert forward.root == backward.root
+        for column in ("var", "lo", "hi"):
+            assert list(getattr(forward, column)) == list(getattr(backward, column))

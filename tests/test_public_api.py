@@ -5,7 +5,11 @@ name advertised in ``__all__`` must resolve, and the headline workflow of the
 README quickstart must run end to end through the top-level imports alone.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import repro
 
@@ -56,3 +60,29 @@ def test_extension_entry_points_are_wired():
     document = repro.random_pxml_document(depth=1, seed=0)
     assert 0 <= repro.pattern_probability(document, repro.pattern("a")) <= 1
     assert repro.clique_expression(3).width == 2
+
+
+def test_probability_import_forms_in_a_fresh_interpreter():
+    # ``repro.probability`` is both the callable the quickstart uses and the
+    # subpackage; a fresh interpreter has imported neither form yet.
+    code = (
+        "import repro.probability.lifted.reference as r\n"
+        "from fractions import Fraction\n"
+        "from repro import probability, parse_cq, rst_chain_instance, ProbabilisticInstance\n"
+        "import repro\n"
+        "tid = ProbabilisticInstance.uniform(rst_chain_instance(2), Fraction(1, 2))\n"
+        "query = parse_cq('R(x), S(x, y), T(y)')\n"
+        "assert probability(query, tid) == repro.probability(query, tid) == Fraction(15, 64)\n"
+        "assert repro.probability.lifted.reference is r\n"
+        "print(r.__name__)\n"
+    )
+    source = Path(repro.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(source)),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "repro.probability.lifted.reference"

@@ -10,10 +10,12 @@ from repro.data.instance import Fact, Instance, fact
 from repro.data.signature import Signature
 from repro.data.tid import ProbabilisticInstance
 from repro.errors import QueryError
+from repro.generators.graphs import subdivided_instance
 from repro.generators.grids import grid_instance
 from repro.generators.lines import directed_path_instance
 from repro.probability.brute_force import brute_force_property_probability
 from repro.queries.atoms import Disequality, var
+from repro.queries.reference import c2rpq_minimal_matches_reference
 from repro.queries.rpq import (
     NFA,
     c2rpq,
@@ -37,6 +39,7 @@ from repro.queries.rpq import (
     two_incident_paths_query,
     union,
 )
+from repro.structure.graph import Graph
 
 
 # -- regular expressions and parsing -------------------------------------------------
@@ -229,6 +232,37 @@ def test_c2rpq_matches_and_minimal_matches():
     assert all(any(m <= match for m in minimal) for match in matches)
     # The two-edge witness a1 -> a3 is *not* minimal: it strictly contains a single edge witness.
     assert frozenset({fact("E", "a1", "a2"), fact("E", "a2", "a3")}) not in minimal
+
+
+def test_c2rpq_minimal_matches_equal_the_reference():
+    # The cases of this file, plus a subdivided triangle with a pendant edge,
+    # where most witness sets strictly contain a smaller one.
+    graph = Graph()
+    for u, v in [(0, 1), (1, 2), (2, 0), (2, 3)]:
+        graph.add_edge(u, v)
+    cycle = Instance([fact("E", "a", "b"), fact("E", "b", "a")], Signature([("E", 2)]))
+    cases = [
+        (_path(3), reachability_query(), None),
+        (_path(4), reachability_query(), None),
+        (_path(4), two_incident_paths_query(), None),
+        (_path(4), c2rpq([path_atom("E*", "x", "y")]), None),
+        (cycle, c2rpq([path_atom("E+", "x", "x")]), None),
+        (grid_instance(2, 3), reachability_query(), None),
+        (subdivided_instance(graph, 2), reachability_query(), None),
+        (subdivided_instance(graph, 1), two_incident_paths_query(), 4),
+    ]
+    for instance, query, bound in cases:
+        minimal = c2rpq_minimal_matches(query, instance, max_facts_per_atom=bound)
+        assert minimal == c2rpq_minimal_matches_reference(
+            query, instance, max_facts_per_atom=bound
+        ), str(query)
+    assert len(c2rpq_matches(two_incident_paths_query(), subdivided_instance(graph, 1), 4)) > len(minimal)
+
+
+def test_c2rpq_empty_witness_absorbs_every_other():
+    query = c2rpq([path_atom("E*", "x", "y")])
+    assert len(c2rpq_matches(query, _path(4))) > 1
+    assert c2rpq_minimal_matches(query, _path(4)) == [frozenset()]
 
 
 def test_two_incident_paths_query_detects_incident_edges():
