@@ -47,7 +47,7 @@ FAMILIES = {
     "rst chain": (lambda facts: rst_chain_instance(facts // 3), unsafe_rst()),
     "directed path": (directed_path_instance, two_incident_same_direction()),
 }
-REPEATS = 21
+REPEATS = 41
 REFERENCE_REPEATS = 3
 REFERENCE_MAX_FACTS = 4_800
 MAXIMUM_SLOPE = 1.15
