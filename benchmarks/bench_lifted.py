@@ -13,6 +13,9 @@ infeasible.  This benchmark drives the whole stack end to end:
   — ``method="auto"``, no hints — with every circuit route gated infeasible;
 * the value must equal the independently computed closed form
   ``1 - (1 - p*(1 - (1-p)^m))^k`` exactly, as a Fraction;
+* at every size that evaluation, on a fresh engine, must leave both content
+  fingerprints (instance and TID) uncomputed: the safe-plan route reads no
+  content hash, so its cost stays the plan's linear pass;
 * at a small size the lifted value must also agree with the OBDD route and
   with the brute-force and recursive safe-plan references (self-validation
   of the family's closed form);
@@ -224,6 +227,9 @@ def run_benchmark():
         assert engine.route_mix() == {"safe_plan": 1}, (
             f"auto did not route through the lifted plan at k={k}: "
             f"{engine.route_mix()}"
+        )
+        assert tid._fingerprint is None and tid.instance._fingerprint is None, (
+            f"the safe-plan route computed a content fingerprint at k={k}"
         )
         checks.append(
             {

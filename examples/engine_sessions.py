@@ -6,12 +6,12 @@ Run with::
 
 A :class:`repro.engine.CompilationEngine` is a memoizing session: structural
 artifacts (Gaifman graph, tree/path decompositions, fact orders) are computed
-once per instance (keyed by content fingerprint), and lineages / OBDDs /
-probabilities once per (query, instance).  This example runs a workload of
-several queries against a bounded-treewidth instance, batched through
-``probability_many`` and ``compile_many``, then shows that editing the
-instance (a new fact) changes its fingerprint and transparently invalidates
-the cache.
+once per instance (keyed by content fingerprint), lineages / OBDDs once per
+(query, instance), and probabilities once per (query, TID object).  This
+example runs a workload of several queries against a bounded-treewidth
+instance, batched through ``probability_many`` and ``compile_many``, then
+shows that editing the instance (a new fact) changes its fingerprint and
+transparently invalidates the cache.
 """
 
 import sys

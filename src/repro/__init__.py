@@ -11,13 +11,14 @@ the unfolding technique for inversion-free (safe) queries.
 For repeated workloads, :mod:`repro.engine` provides the
 :class:`CompilationEngine` session object: per-instance structural artifacts
 (Gaifman graph, decompositions, fact orders) and per-(query, instance)
-lineages/OBDDs/probabilities are memoized behind content fingerprints, with
-batched entry points ``compile_many`` and ``probability_many`` (see the
-``repro.engine`` package docstring for the caching keys and invalidation
-rules).  :class:`ParallelEngine` shards those batched workloads across
-``multiprocessing`` workers, :mod:`repro.store` persists compiled artifacts
-to a crash-safe checksummed disk tier shared across processes
-(:class:`ArtifactStore`, accepted by both engines as ``store=``), and
+lineages/OBDDs are memoized behind content fingerprints, and probabilities
+per TID object, with batched entry points ``compile_many`` and
+``probability_many`` (see the ``repro.engine`` package docstring for the
+caching keys and invalidation rules).  :class:`ParallelEngine` shards those
+batched workloads across ``multiprocessing`` workers, :mod:`repro.store`
+persists compiled artifacts to a crash-safe checksummed disk tier shared
+across processes (:class:`ArtifactStore`, accepted by both engines as
+``store=``), and
 :mod:`repro.testing` provides the
 differential oracle (:class:`~repro.testing.ProbabilityOracle`) that
 cross-checks every probability backend on seeded random workloads.

@@ -154,6 +154,18 @@ class Instance:
     def __hash__(self) -> int:
         return hash((self._facts, self._signature))
 
+    def __getstate__(self) -> tuple:
+        # The hash indexes are rebuilt lazily, so a pickle leaves them out and
+        # does not grow with what ran before it.  The fingerprint is
+        # content-derived and process-stable: it travels, and saves the
+        # receiving process the re-hash.
+        return (self._facts, self._signature, self._domain, self._by_relation, self._fingerprint)
+
+    def __setstate__(self, state: tuple) -> None:
+        self._facts, self._signature, self._domain, self._by_relation, self._fingerprint = state
+        self._position_index = {}
+        self._positions = None
+
     def __repr__(self) -> str:
         return f"Instance({len(self)} facts, domain size {len(self._domain)})"
 

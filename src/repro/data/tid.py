@@ -62,7 +62,8 @@ class ProbabilisticInstance:
         Probability assigned to unmentioned facts.
     """
 
-    __slots__ = ("_instance", "_valuation", "_fingerprint")
+    # ``__weakref__``: the engine's probability cache holds TIDs weakly.
+    __slots__ = ("_instance", "_valuation", "_fingerprint", "__weakref__")
 
     def __init__(
         self,
@@ -136,10 +137,14 @@ class ProbabilisticInstance:
         Extends the underlying instance's fingerprint with the probability
         valuation (in the instance's deterministic fact order), so two TID
         instances share a fingerprint exactly when they have the same facts,
-        signature, and probabilities.  Used by
-        :class:`repro.engine.CompilationEngine` to cache probability results.
-        The probabilities are rendered as ``numerator/denominator;`` and
-        hashed after the instance fingerprint in a single update.
+        signature, and probabilities.  It is computed on first use only:
+        :class:`repro.engine.CompilationEngine` keys probability results on
+        the TID object, not on this digest, so a content-equal TID built
+        elsewhere recomputes its answer (on the instance's cached lineages
+        and circuits).  :func:`repro.engine.shard_workload` groups parallel
+        work by it.  The probabilities are rendered as
+        ``numerator/denominator;`` and hashed after the instance fingerprint
+        in a single update.
         """
         if self._fingerprint is None:
             rendered = "".join([f"{p.numerator}/{p.denominator};" for p in self._valuation.values()])

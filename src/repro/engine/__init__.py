@@ -9,27 +9,34 @@ and serves batched workloads.
 
 Caching keys
 ------------
-Every cache is keyed on *content fingerprints*, never on object identity:
+Per-instance artifacts are keyed on *content fingerprints*; probability
+results are keyed on the TID object:
 
 * per-instance structural artifacts (Gaifman graph, tree and path
   decompositions, fact orders) are keyed on
   :attr:`repro.data.instance.Instance.fingerprint` — a SHA-256 digest of the
-  signature and the sorted fact list;
+  signature and the sorted fact list, computed once per ``Instance`` object
+  and only when a circuit route or the store needs it;
 * per-(query, instance) lineages and compiled OBDDs are keyed on the
   (hashable) query together with the instance fingerprint and the compilation
   options;
-* probability results are keyed on the query, the evaluation method, and
-  :attr:`repro.data.tid.ProbabilisticInstance.fingerprint`, which extends the
-  instance fingerprint with the probability valuation.
+* lifted plans are instance-independent and keyed on the query alone;
+* probability results are keyed on the query, the evaluation method, and a
+  weak reference to the :class:`~repro.data.tid.ProbabilisticInstance`.  An
+  entry serves that very object, and leaves the cache once the object is
+  garbage-collected.  A content-equal TID built elsewhere recomputes its
+  answer, on the instance's cached lineages, circuits and plans.  So a
+  safe-plan request on a fresh engine computes no fingerprint at all.
 
 Invalidation
 ------------
 Instances are immutable: every mutation-like operation (``with_facts``,
 ``subinstance``, ``rename``, ``condition`` ...) builds a new object whose
 fingerprint differs, so stale entries are never *served* — they are merely
-unreachable, and are eventually dropped by the engine's LRU bound
-(``max_instances`` live instances; oldest evicted first).  ``clear()`` resets
-everything, including the hit/miss statistics.
+unreachable, and are eventually dropped by the engine's LRU bounds
+(``max_instances`` live instances; oldest evicted first) or, for probability
+entries, with their TID.  ``clear()`` resets everything, including the
+hit/miss statistics.
 
 Batching
 --------
@@ -60,13 +67,16 @@ Parallelism
 -----------
 :class:`repro.engine.parallel.ParallelEngine` scales the same batched entry
 points past one core: ``(query, instance)`` workloads are partitioned into
-shards (grouped by instance fingerprint for cache affinity, split when a
-single instance dominates), each shard runs in a worker of a
-:class:`concurrent.futures.ProcessPoolExecutor` owning a private
+shards (grouped by the fingerprint of each pair's second element for cache
+affinity, split when a single group dominates), each shard runs in a
+worker of a :class:`concurrent.futures.ProcessPoolExecutor` owning a private
 :class:`CompilationEngine`, and the values plus per-worker ``CacheStats``
 are merged back into one :class:`ParallelReport`.  The CLI
 ``batch --workers N`` flag and ``benchmarks/bench_parallel.py`` go through
-it.
+it.  A compile workload groups by instance; a probability workload groups
+by TID, whose fingerprint covers the probabilities, so fresh valuations of
+one instance form separate groups (the ROADMAP's item 4 weighs grouping
+them by instance).
 
 Data plane
 ----------

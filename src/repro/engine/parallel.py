@@ -4,9 +4,11 @@ The single-process engine memoizes structural artifacts per instance, so the
 natural unit of parallelism is not the individual ``(query, instance)`` pair
 but the *instance group*: all items touching one instance should land in the
 same worker, where they share that worker's cached Gaifman graph,
-decompositions, fact orders, and lineages.  :func:`shard_workload` partitions
-a workload accordingly (greedy least-loaded assignment of instance groups),
-and :class:`ParallelEngine` runs each shard in a worker process that owns a
+decompositions, fact orders, and lineages.  :func:`shard_workload` groups a
+workload by the fingerprint of each item's second element (the instance for
+compile workloads; the TID, probabilities included, for probability
+workloads) and assigns the groups greedily to the least-loaded shard.
+:class:`ParallelEngine` runs each shard in a worker process that owns a
 private :class:`CompilationEngine`, then merges the values (in the original
 workload order) and the per-worker :class:`CacheStats` into a single
 :class:`ParallelReport`.
@@ -58,9 +60,13 @@ rescanning millions of cached nodes were a measured ~2x drag on
 allocation-heavy shards.  The calling process's collector is never touched.
 
 Everything else crossing the process boundary is plain picklable data:
-instances and TID instances (content-fingerprinted, so worker-side caching
-behaves exactly as in-process caching), queries (frozen dataclasses),
-``Fraction`` results, segment handles, and ``CacheStats`` counters.
+instances and TID instances, queries (frozen dataclasses), ``Fraction``
+results, segment handles, and ``CacheStats`` counters.  A worker keys its
+per-instance artifacts on the instance's content fingerprint, which an
+instance pickles along once computed, so they behave as in-process caching
+does.  Its probability cache is keyed on the TID object: a TID that reaches
+a worker in a later task is a new object there, and recomputes its answer
+on the cached artifacts.
 """
 
 from __future__ import annotations
@@ -124,9 +130,13 @@ def shard_workload(
 ) -> list[list[tuple[int, tuple]]]:
     """Partition indexed work items into at most ``shard_count`` shards.
 
-    Items are grouped by the fingerprint of their instance (the second
-    element of each pair by default) so that one instance's structural
-    artifacts are computed by as few workers as possible; a group larger than
+    By default, items are grouped by the ``fingerprint`` of the second
+    element of each pair.  For :meth:`ParallelEngine.map_compile` that is the
+    instance, so one instance's structural artifacts are computed by as few
+    workers as possible.  For :meth:`ParallelEngine.map_probability` it is
+    the TID, whose fingerprint covers the probabilities too: pairs of one
+    TID share a group, but fresh valuations of one instance do not (the
+    ROADMAP's item 4 weighs grouping them by instance).  A group larger than
     the balanced shard size ``ceil(len(items) / shard_count)`` is split into
     chunks of that size, so a batch against a *single* instance still spreads
     over all shards (each worker then recomputes that instance's artifacts

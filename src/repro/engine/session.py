@@ -1,8 +1,9 @@
 """The :class:`CompilationEngine` session object (see the package docstring).
 
 The engine is deliberately a plain in-process object: it owns ordinary
-dictionaries behind content fingerprints, so a web worker, a benchmark, or a
-CLI invocation can hold one engine per process (or one per tenant) and get
+dictionaries, keyed on content fingerprints for per-instance artifacts and
+on the TID object for probability results, so a web worker, a benchmark, or
+a CLI invocation can hold one engine per process (or one per tenant) and get
 memoization without any global state.  A module-level :func:`default_engine`
 is provided for the common single-session case.
 
@@ -14,6 +15,7 @@ all read.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -172,7 +174,12 @@ class CompilationEngine:
         How many distinct (query, options) lineages/OBDDs to keep per
         instance; least recently used entries are evicted beyond this bound.
     max_probability_entries:
-        Bound on the (query, TID fingerprint, method) -> probability cache.
+        Bound on the (query, TID object, method) -> probability cache, and
+        separately on the query -> lifted plan cache.  A probability entry
+        holds its TID through a weak reference: it serves that object only,
+        and it leaves the cache once the TID is garbage-collected.  A
+        content-equal TID built elsewhere recomputes its answer, but on the
+        same instance's cached lineages, circuits and plans.
     circuit_fact_limit:
         Instance size (fact count) beyond which the dichotomy router
         (:meth:`choose_route`) treats the circuit-building routes as
@@ -232,6 +239,9 @@ class CompilationEngine:
         self.last_decision: RouteDecision | None = None
         self._artifacts: OrderedDict[str, _InstanceArtifacts] = OrderedDict()
         self._probabilities: OrderedDict[tuple, Fraction] = OrderedDict()
+        # Keys of probability entries whose TID was collected, queued by a
+        # weakref callback and dropped by the next probability() call.
+        self._collected: list[tuple] = []
         # Safe plans are instance-independent, so the plan cache is keyed by
         # the (frozen, content-hashed) query alone; None records "unsafe" so
         # repeated routing of an unsafe query never re-runs minimization.
@@ -272,6 +282,7 @@ class CompilationEngine:
         """Drop every cached artifact and reset the statistics."""
         self._artifacts.clear()
         self._probabilities.clear()
+        self._collected.clear()
         self._lifted_plans.clear()
         self.route_counts.clear()
         self.last_decision = None
@@ -628,6 +639,12 @@ class CompilationEngine:
         kernel's float pass (a ``float``, cached under its own method key,
         never mixed with the exact entries).
 
+        The answer is cached for this ``tid`` object, held weakly: the entry
+        leaves the cache once the TID is garbage-collected, and a
+        content-equal TID recomputes its answer on the cached artifacts.
+        No content fingerprint is computed here; the circuit routes key
+        their artifacts on the instance's.
+
         ``budget`` activates a :class:`~repro.resilience.ResourceBudget`
         around the evaluation: the kernels then checkpoint against its node
         and row caps and its wall-clock deadline, raising
@@ -649,11 +666,16 @@ class CompilationEngine:
                 f" use one of {', '.join(ROUTES)}"
             )
         ucq = as_ucq(query)
-        key = (ucq, tid.fingerprint, method)
-        cached = self._probabilities.get(key)
+        collected = self._collected
+        while collected:
+            self._probabilities.pop(collected.pop(), None)
+        # While the TID lives, a plain reference to it equals (and hashes
+        # like) the one the stored key holds.
+        probe = (ucq, weakref.ref(tid), method)
+        cached = self._probabilities.get(probe)
         self.stats["probability"].record(cached is not None)
         if cached is not None:
-            self._probabilities.move_to_end(key)
+            self._probabilities.move_to_end(probe)
             return cached
         ucq.check_arities(tid.signature)
         if budget is not None:
@@ -663,7 +685,13 @@ class CompilationEngine:
             value = route.evaluate(self, ucq, tid)
         if isinstance(value, ProbabilityBounds):
             return value
-        self._probabilities[key] = value
+
+        def forget(ref: weakref.ref) -> None:
+            # The callback can run inside a lookup of this cache (a query's
+            # __eq__ runs Python code), so it only queues the key.
+            collected.append((ucq, ref, method))
+
+        self._probabilities[(ucq, weakref.ref(tid, forget), method)] = value
         while len(self._probabilities) > self._max_probability_entries:
             self._probabilities.popitem(last=False)
         return value
@@ -862,7 +890,8 @@ def _obdd_or_read_once(
 
 
 def _compiled_cached(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
-    slot = engine._artifacts.get(instance.fingerprint)
+    # An engine without artifacts answers without hashing the instance.
+    slot = engine._artifacts.get(instance.fingerprint) if engine._artifacts else None
     if slot is None:
         return False
     ucq = as_ucq(query)
@@ -880,7 +909,7 @@ def _automaton(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance
 
 
 def _encoding_cached(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
-    slot = engine._artifacts.get(instance.fingerprint)
+    slot = engine._artifacts.get(instance.fingerprint) if engine._artifacts else None
     return slot is not None and slot.encoding is not None
 
 

@@ -43,9 +43,9 @@ def probability(
 
     ``method`` names a route of :data:`repro.engine.session.ROUTES`.
     Passing a :class:`repro.engine.CompilationEngine` routes the evaluation
-    through the engine's caches (lineages, OBDDs, and probability results are
-    memoized across calls by content fingerprint); without one, a throwaway
-    engine recomputes everything from scratch.
+    through the engine's caches (lineages and OBDDs are memoized across calls
+    by instance content fingerprint, probability results per TID object);
+    without one, a throwaway engine recomputes everything from scratch.
 
     Passing a :class:`repro.resilience.ResourceBudget` activates its node/row
     caps and wall-clock deadline around the evaluation (the kernels

@@ -14,6 +14,7 @@ from repro.probability.evaluation import probability
 from repro.provenance.compile_obdd import compile_query_to_obdd
 from repro.provenance.lineage import lineage_of
 from repro.queries import parse_ucq, qp, unsafe_rst
+from repro.queries.library import hierarchical_example
 
 
 @pytest.fixture()
@@ -188,6 +189,73 @@ def test_clear_mid_batch_keeps_results_correct(ktree_tid):
     # ...and the caches warmed back up.
     assert engine.probability_many(queries, ktree_tid) == before
     assert engine.stats["probability"].hits == len(queries)
+
+
+# -- the probability cache holds the TID object, weakly ------------------------
+
+
+def _lifted_tid(k: int = 6, width: int = 4) -> ProbabilisticInstance:
+    facts = [fact("R", f"a{i}") for i in range(k)]
+    facts += [fact("S", f"a{i}", f"b{j}") for i in range(k) for j in range(width)]
+    return ProbabilisticInstance(
+        Instance(facts), {f: Fraction(n % 9 + 1, 10) for n, f in enumerate(facts)}
+    )
+
+
+@pytest.mark.parametrize("method", ["auto", "safe_plan"])
+@pytest.mark.parametrize("circuit_fact_limit", [20000, 1])
+def test_safe_plan_request_computes_no_fingerprint(method, circuit_fact_limit):
+    tid = _lifted_tid()
+    engine = CompilationEngine(circuit_fact_limit=circuit_fact_limit)
+    value = engine.probability(hierarchical_example(), tid, method)
+    assert value == probability(hierarchical_example(), _lifted_tid(), "obdd")
+    assert tid._fingerprint is None
+    assert tid.instance._fingerprint is None
+    if method == "auto":
+        assert engine.route_mix() == {"safe_plan": 1}
+        expected = ("obdd", "automaton") if circuit_fact_limit == 1 else ()
+        assert engine.last_decision.infeasible == expected
+
+
+def test_probability_cache_hits_the_same_tid_object_only(ktree_tid):
+    engine = CompilationEngine()
+    first = engine.probability(unsafe_rst(), ktree_tid)
+    assert engine.probability(unsafe_rst(), ktree_tid) is first
+    assert engine.stats["probability"].hits == 1
+    twin = ProbabilisticInstance.uniform(ktree_tid.instance, Fraction(1, 2))
+    assert twin.fingerprint == ktree_tid.fingerprint
+    again = engine.probability(unsafe_rst(), twin)
+    assert isinstance(again, Fraction) and again == first
+    assert engine.stats["probability"].misses == 2
+    # The twin recomputed its answer on the instance's cached circuit...
+    assert engine.stats["obdd"].misses == 1
+    # ...and so does a TID over a separately built, content-equal instance.
+    rebuilt = labelled_partial_ktree_instance(12, 2, seed=3)
+    assert rebuilt is not ktree_tid.instance
+    assert engine.probability(unsafe_rst(), ProbabilisticInstance.uniform(rebuilt)) == first
+    assert engine.stats["probability"].misses == 3
+    assert engine.stats["obdd"].misses == 1
+    # The rebuilt TID is gone; the next call drops its entry.
+    assert engine.probability(unsafe_rst(), ktree_tid) is first
+    assert len(engine._probabilities) == 2
+
+
+def test_probability_entries_leave_with_their_tid(ktree_tid):
+    import gc
+    import weakref
+
+    engine = CompilationEngine()
+    tid = ProbabilisticInstance.uniform(ktree_tid.instance, Fraction(1, 3))
+    engine.probability(unsafe_rst(), tid)
+    engine.probability(unsafe_rst(), tid, "obdd")
+    assert len(engine._probabilities) == 2
+    dead = weakref.ref(tid)
+    del tid
+    gc.collect()
+    assert dead() is None  # no cache entry kept it alive
+    engine.probability(unsafe_rst(), ktree_tid)
+    assert len(engine._probabilities) == 1
+    assert engine._collected == []
 
 
 def test_merged_parallel_stats_equal_sum_of_worker_stats(ktree_tid):

@@ -154,3 +154,40 @@ def test_facts_matching_joins_on_bound_positions():
     assert instance.facts_matching("S", {0: "a", 1: "c"}) == (fact("S", "a", "c"),)
     assert instance.facts_matching("S", {0: "a", 1: "z"}) == ()
     assert instance.facts_matching("missing", {0: "a"}) == ()
+
+
+def test_pickle_leaves_out_the_lazy_indexes_and_keeps_the_fingerprint():
+    import pickle
+
+    from repro.generators import labelled_partial_ktree_instance
+
+    instance = labelled_partial_ktree_instance(120, 2)
+    fingerprint = instance.fingerprint
+    for f in instance.facts:
+        assert instance.fact_positions(f.relation)[f.arguments] == instance.facts.index(f)
+        assert f in instance.facts_with_value(f.relation, 0, f.arguments[0])
+    # The indexes built above do not reach the pickle: it is byte for byte
+    # that of a fresh instance whose fingerprint was computed.
+    other = labelled_partial_ktree_instance(120, 2)
+    assert other.fingerprint == fingerprint
+    fresh = pickle.dumps(other)
+    assert pickle.dumps(instance) == fresh
+    copy = pickle.loads(fresh)
+    assert copy.facts == instance.facts and copy.signature == instance.signature
+    assert copy.domain == instance.domain
+    assert copy._fingerprint == fingerprint  # carried over, not recomputed
+    assert copy._positions is None and copy._position_index == {}
+    for f in instance.facts[:: max(1, len(instance) // 40)]:
+        relation, first = f.relation, f.arguments[0]
+        assert copy.fact_positions(relation) == instance.fact_positions(relation)
+        assert copy.facts_with_value(relation, 0, first) == instance.facts_with_value(
+            relation, 0, first
+        )
+        assert copy.facts_matching(relation, {0: first}) == instance.facts_matching(
+            relation, {0: first}
+        )
+    assert copy.block_start("S") == instance.block_start("S")
+    # An instance whose fingerprint never ran pickles it as unset.
+    unhashed = pickle.loads(pickle.dumps(labelled_partial_ktree_instance(12, 2)))
+    assert unhashed._fingerprint is None
+    assert unhashed.fingerprint == labelled_partial_ktree_instance(12, 2).fingerprint
