@@ -13,9 +13,11 @@ infeasible.  This benchmark drives the whole stack end to end:
   — ``method="auto"``, no hints — with every circuit route gated infeasible;
 * the value must equal the independently computed closed form
   ``1 - (1 - p*(1 - (1-p)^m))^k`` exactly, as a Fraction;
-* at every size that evaluation, on a fresh engine, must leave both content
-  fingerprints (instance and TID) uncomputed: the safe-plan route reads no
-  content hash, so its cost stays the plan's linear pass;
+* at every size that evaluation must leave both content fingerprints
+  (instance and TID) uncomputed: the safe-plan route reads no content hash,
+  so its cost stays the plan's linear pass.  Each size keeps the minimum
+  over ``INPUT_REPEATS`` evaluations, each on a fresh engine, and every one
+  of them is checked;
 * at a small size the lifted value must also agree with the OBDD route and
   with the brute-force and recursive safe-plan references (self-validation
   of the family's closed form);
@@ -214,23 +216,25 @@ def run_benchmark():
     for k in K_SIZES:
         tid = _family_tid(k, M_PER_K)
         facts = len(tid.instance)
-        engine = CompilationEngine()
-        decision = engine.choose_route(query, tid)
-        start = time.perf_counter()
-        value = engine.probability(query, tid, "auto")
-        elapsed = time.perf_counter() - start
-        series.add(facts, elapsed)
         expected = _closed_form(k, M_PER_K)
-        assert value == expected, (
-            f"auto route returned a wrong value at k={k}: {value} != closed form"
-        )
-        assert engine.route_mix() == {"safe_plan": 1}, (
-            f"auto did not route through the lifted plan at k={k}: "
-            f"{engine.route_mix()}"
-        )
-        assert tid._fingerprint is None and tid.instance._fingerprint is None, (
-            f"the safe-plan route computed a content fingerprint at k={k}"
-        )
+        elapsed = float("inf")
+        for _ in range(INPUT_REPEATS):
+            engine = CompilationEngine()
+            decision = engine.choose_route(query, tid)
+            start = time.perf_counter()
+            value = engine.probability(query, tid, "auto")
+            elapsed = min(elapsed, time.perf_counter() - start)
+            assert value == expected, (
+                f"auto route returned a wrong value at k={k}: {value} != closed form"
+            )
+            assert engine.route_mix() == {"safe_plan": 1}, (
+                f"auto did not route through the lifted plan at k={k}: "
+                f"{engine.route_mix()}"
+            )
+            assert tid._fingerprint is None and tid.instance._fingerprint is None, (
+                f"the safe-plan route computed a content fingerprint at k={k}"
+            )
+        series.add(facts, elapsed)
         checks.append(
             {
                 "k": k,
@@ -276,6 +280,7 @@ def run_benchmark():
             ),
             "query": str(hierarchical_example()),
             "closed_form": "1 - (1 - p*(1 - (1-p)^m))^k",
+            "auto_repeats": INPUT_REPEATS,
             "checks": checks,
             "largest_facts": largest_facts,
             "largest_seconds": largest_seconds,

@@ -192,8 +192,9 @@ def _command_probability(arguments: argparse.Namespace) -> int:
         decision = engine.choose_route(query, tid)
         print(f"route: {decision.method} ({decision.reason})")
         print(f"liftable: {decision.liftable}  facts: {decision.instance_facts}")
-        for route, seconds in decision.estimates:
-            print(f"estimate[{route}]: {seconds:.6f}s")
+        # The failover chain: the head, then the other feasible routes.
+        chain = sorted(decision.feasible, key=lambda route: route != decision.method)
+        print(f"feasible: {', '.join(chain) or 'none'}")
         if decision.infeasible:
             print(f"infeasible: {', '.join(decision.infeasible)}")
     value = probability(query, tid, method=arguments.method, engine=engine, budget=budget)
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     prob.add_argument(
         "--explain",
         action="store_true",
-        help="print the dichotomy router's decision (liftability, cost estimates, gated routes)",
+        help="print the dichotomy router's decision (liftability, feasible and gated routes)",
     )
     prob.add_argument("--approximate", action="store_true", help="use Karp-Luby sampling")
     prob.add_argument("--epsilon", type=float, default=0.05)

@@ -50,17 +50,18 @@ these entry points.
 Routes and dichotomy routing
 ----------------------------
 Every evaluation route is one :class:`Route` record in :data:`ROUTES`: its
-name, whether it is exact, its evaluator, whether ``auto`` may pick it, its
-cost prior, and its artifact peek.  ``probability(..., method=name)`` is a
-lookup in that table, and so are the router, the failover chain, the CLI
-``--method`` choices, and the differential oracle's name check.
-``probability(..., method="auto")`` consults the dichotomy router
-(:meth:`CompilationEngine.choose_route`): if the query admits a lifted plan
-(cached, instance-independent — :meth:`CompilationEngine.lifted_plan`), the
-safe-plan route runs by rule, unless it has a recorded failure; otherwise
-the feasible routes compete on measured cost (safe plan, OBDD,
-automaton).  Past ``circuit_fact_limit`` facts the circuit routes are gated
-infeasible (unless already compiled).  Chosen routes are counted in
+name, whether it is exact, its evaluator, whether ``auto`` may pick it,
+whether it builds a circuit, and its artifact peek.
+``probability(..., method=name)`` is a lookup in that table, and so are the
+router, the failover chain, the CLI ``--method`` choices, and the
+differential oracle's name check.  ``probability(..., method="auto")``
+consults the dichotomy router (:meth:`CompilationEngine.choose_route`): the
+safe-plan route is feasible when the query admits a lifted plan (cached,
+instance-independent — :meth:`CompilationEngine.lifted_plan`), and past
+``circuit_fact_limit`` facts the circuit routes are gated infeasible
+(unless already compiled).  The first feasible route in table order (safe
+plan, OBDD, automaton) without a recorded failure runs; no timing enters
+the choice.  Chosen routes are counted in
 :meth:`CompilationEngine.route_mix` and surfaced by the CLI.
 
 Parallelism
@@ -93,7 +94,8 @@ A :class:`~repro.resilience.ResourceBudget` (node/row caps plus a
 wall-clock :class:`~repro.resilience.Deadline`) threads through
 ``probability(..., budget=...)`` into the kernels' cooperative
 checkpoints; ``method="auto"`` fails over along the :data:`ROUTES` order
-on blowouts, recording failures as cost-model penalties; an engine
+on blowouts, counting failures per route in
+:attr:`CompilationEngine.route_failures`; an engine
 constructed with ``degradation="karp_luby"`` returns labelled
 :class:`~repro.engine.router.ProbabilityBounds` when every exact route
 fails.  When a worker crashes, :class:`ParallelEngine` restarts its whole
@@ -110,7 +112,6 @@ from repro.engine.router import (
     DEGRADED_ROUTE,
     ProbabilityBounds,
     RouteAttempt,
-    RouteCostModel,
     RouteDecision,
     degraded_probability_bounds,
 )
@@ -134,7 +135,6 @@ __all__ = [
     "ROUTES",
     "Route",
     "RouteAttempt",
-    "RouteCostModel",
     "RouteDecision",
     "SegmentHandle",
     "SegmentPlane",

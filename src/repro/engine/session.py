@@ -32,7 +32,6 @@ from repro.engine.router import (
     DEGRADED_ROUTE,
     ProbabilityBounds,
     RouteAttempt,
-    RouteCostModel,
     RouteDecision,
     degraded_probability_bounds,
 )
@@ -144,9 +143,13 @@ class _InstanceArtifacts:
 
     The per-query maps are LRU-trimmed by the engine (``max_queries_per_instance``)
     so a long-lived session evaluating many distinct queries against one hot
-    instance cannot accumulate lineages and OBDDs without bound.
+    instance cannot accumulate lineages and OBDDs without bound.  ``facts``
+    is the instance's fact count: content-equal instances have equal counts,
+    so the router's artifact peeks skip the fingerprint of an instance whose
+    count no slot holds.
     """
 
+    facts: int
     graph: Graph | None = None
     sweep: EliminationSweep | None = None
     tree: TreeDecomposition | None = None
@@ -248,7 +251,10 @@ class CompilationEngine:
         self._lifted_plans: OrderedDict[UnionOfConjunctiveQueries, LiftedPlan | None] = (
             OrderedDict()
         )
-        self.route_costs = RouteCostModel()
+        #: Failed ``method="auto"`` attempts per route, halved by successes
+        #: (see :meth:`_evaluate_auto`); :meth:`choose_route` passes over a
+        #: route with a recorded failure.
+        self.route_failures: dict[str, int] = {}
         self.route_counts: dict[str, int] = {}
         if isinstance(store, (str, Path)):
             store = ArtifactStore(store)
@@ -270,7 +276,7 @@ class CompilationEngine:
         key = instance.fingerprint
         slot = self._artifacts.get(key)
         if slot is None:
-            slot = _InstanceArtifacts()
+            slot = _InstanceArtifacts(len(instance))
             self._artifacts[key] = slot
             while len(self._artifacts) > self._max_instances:
                 self._artifacts.popitem(last=False)
@@ -279,11 +285,13 @@ class CompilationEngine:
         return slot
 
     def clear(self) -> None:
-        """Drop every cached artifact and reset the statistics."""
+        """Drop every cached artifact and reset the statistics and the
+        recorded route failures, so the engine routes like a fresh one."""
         self._artifacts.clear()
         self._probabilities.clear()
         self._collected.clear()
         self._lifted_plans.clear()
+        self.route_failures.clear()
         self.route_counts.clear()
         self.last_decision = None
         for stats in self.stats.values():
@@ -564,46 +572,46 @@ class CompilationEngine:
         """The dichotomy router: pick the ``method="auto"`` evaluation route.
 
         The candidates are the :data:`ROUTES` records with an ``auto``
-        evaluator.  The query side of the dichotomy first: the safe-plan
-        route is a candidate when the query admits a lifted plan.  The
-        instance side next: each circuit route is a candidate unless the
-        instance exceeds ``circuit_fact_limit`` and the route's artifact is
-        not already cached.
+        evaluator, in table order: ``safe_plan``, ``obdd``, ``automaton``.
+        The query side of the dichotomy first: the safe-plan route is
+        feasible when the query admits a lifted plan.  The instance side
+        next: each circuit route is feasible unless the instance exceeds
+        ``circuit_fact_limit`` and the route's artifact is not already
+        cached.
 
-        A liftable query takes the safe-plan route by rule, as long as that
-        route has no recorded failure: the plan's cost does not depend on
-        the lineage, and the cost model's per-fact rates are averages over
-        every instance the engine has seen.  Otherwise (an unsafe query, or
-        a safe-plan route that failed) the cost model's cheapest prediction
-        wins, ties broken by the table's order.  A failure does not switch
-        the rule off for good: each liftable query that another route
-        answers without trying the safe-plan route decays its failure count,
-        so the rule returns.
+        One rule picks the head of the failover chain: the first feasible
+        route without a recorded failure (:attr:`route_failures`), else the
+        first feasible route, else the OBDD route best-effort.  So a
+        liftable query takes ``safe_plan``, an unsafe one ``obdd``, and
+        ``automaton`` runs after an ``obdd`` failure or when only its
+        artifact is cached past the limit.  No clock is read: equal inputs
+        and failure counts give equal decisions on any engine.
         """
         plan = self.lifted_plan(query)
         facts = len(tid.instance)
-        estimates: list[tuple[str, float]] = []
+        feasible: list[str] = []
         infeasible: list[str] = []
         for name in _AUTO:
             route = ROUTES[name]
             if (route.circuit and facts <= self.circuit_fact_limit) or route.cached(
                 self, query, tid.instance
             ):
-                estimates.append((name, self.route_costs.predict(name, facts)))
+                feasible.append(name)
             elif route.circuit:
                 infeasible.append(name)
-        # A stable sort: equal predictions keep the table's order.
-        estimates.sort(key=lambda estimate: estimate[1])
-        if plan is not None and not self.route_costs.failure_count("safe_plan"):
-            method = "safe_plan"
-            reason = "liftable query: safe_plan by rule"
-        elif estimates:
-            method = estimates[0][0]
-            reason = (
-                f"cheapest predicted route at {facts} facts"
-                if len(estimates) > 1
-                else "only feasible route"
-            )
+        clean = [name for name in feasible if not self.route_failures.get(name)]
+        if clean:
+            method = clean[0]
+            passed = feasible[: feasible.index(method)]
+            if passed:
+                reason = f"recorded failure on {', '.join(passed)}: {method} by rule"
+            elif plan is not None:
+                reason = "liftable query: safe_plan by rule"
+            else:
+                reason = f"unsafe query: {method} by rule"
+        elif feasible:
+            method = feasible[0]
+            reason = f"every feasible route has a recorded failure: {method} by rule"
         else:
             # Nothing feasible (unsafe query on a huge instance): fall back to
             # the OBDD route best-effort rather than refusing to answer.
@@ -613,7 +621,7 @@ class CompilationEngine:
             method=method,
             liftable=plan is not None,
             instance_facts=facts,
-            estimates=tuple(estimates),
+            feasible=tuple(feasible),
             infeasible=tuple(infeasible),
             reason=reason,
         )
@@ -718,28 +726,28 @@ class CompilationEngine:
 
         The router's pick runs first; on a budget blowout or a
         route-specific failure the engine advances through the remaining
-        feasible routes in :data:`ROUTES` order,
-        resetting the active budget's usage counters between attempts
-        (caps are per-attempt) and recording each failure as a cost-model
-        penalty; a liftable query answered without trying ``safe_plan``
-        decays that route's penalty, so :meth:`choose_route`'s rule returns
-        after a failure.  A :class:`~repro.errors.DeadlineExceeded` is terminal:
-        no remaining route can finish inside an already-elapsed wall-clock
-        deadline, so it re-raises instead of failing over; it is charged to
-        the route only when it expired after the route started.  When every
-        exact route fails, the opt-in ``karp_luby`` degradation tier
-        returns labelled bounds; without it, the last typed error is
-        re-raised.  The walked chain is re-published on
-        :attr:`last_decision` as :class:`~repro.engine.router.RouteAttempt`
-        records.
+        feasible routes in :data:`ROUTES` order, resetting the active
+        budget's usage counters between attempts (caps are per-attempt) and
+        adding one to the route's :attr:`route_failures` entry.  A success
+        halves the count of the route that answered and of every route the
+        head passed over that this call did not try, so
+        :meth:`choose_route` returns to a route after its failures.  A
+        :class:`~repro.errors.DeadlineExceeded` is terminal: no remaining
+        route can finish inside an already-elapsed wall-clock deadline, so
+        it re-raises instead of failing over; it is charged to the route
+        only when it expired after the route started.  When every exact
+        route fails, the opt-in ``karp_luby`` degradation tier returns
+        labelled bounds; without it, the last typed error is re-raised.  The
+        walked chain is re-published on :attr:`last_decision` as
+        :class:`~repro.engine.router.RouteAttempt` records, with their
+        timings; no timing steers a route.
         """
         decision = self.choose_route(query, tid)
-        feasible = {route for route, _ in decision.estimates}
-        chain = [decision.method] + [
-            name for name in _AUTO if name in feasible and name != decision.method
-        ]
+        feasible = decision.feasible
+        chain = [decision.method] + [name for name in feasible if name != decision.method]
+        # The feasible routes ahead of the head: each has a recorded failure.
+        passed = feasible[: feasible.index(decision.method)] if feasible else ()
         budget = active_budget()
-        facts = len(tid.instance)
         attempts: list[RouteAttempt] = []
         last_error: BaseException | None = None
         for route in chain:
@@ -754,14 +762,14 @@ class CompilationEngine:
                 value = _AUTO[route](self, query, tid)
             except DeadlineExceeded as error:
                 if running:
-                    self.route_costs.record_failure(route)
+                    self.route_failures[route] = self.route_failures.get(route, 0) + 1
                 attempts.append(
                     RouteAttempt(route, _describe_failure(error), perf_counter() - started)
                 )
                 self.last_decision = replace(decision, attempts=tuple(attempts))
                 raise
             except (ReproError, MemoryError) as error:
-                self.route_costs.record_failure(route)
+                self.route_failures[route] = self.route_failures.get(route, 0) + 1
                 attempts.append(
                     RouteAttempt(route, _describe_failure(error), perf_counter() - started)
                 )
@@ -773,13 +781,13 @@ class CompilationEngine:
                 continue
             elapsed = perf_counter() - started
             self.route_counts[route] = self.route_counts.get(route, 0) + 1
-            self.route_costs.observe(route, facts, elapsed)
+            # Forgive the route that answered and the routes the head passed
+            # over, but not a failure this call has just seen.
+            for name in {route, *passed} - {attempt.route for attempt in attempts}:
+                failures = self.route_failures.pop(name, 0) // 2
+                if failures:
+                    self.route_failures[name] = failures
             attempts.append(RouteAttempt(route, "", elapsed))
-            if decision.liftable and all(a.route != "safe_plan" for a in attempts):
-                # A liftable query answered without trying safe_plan: decay
-                # safe_plan's failure count as one of its own successes
-                # would, so choose_route's rule comes back after a failure.
-                self.route_costs.decay_failures("safe_plan")
             self.last_decision = replace(
                 decision, method=route, attempts=tuple(attempts)
             )
@@ -831,7 +839,6 @@ class Route:
     :class:`~fractions.Fraction` when ``exact``, else a ``float``.  ``auto``
     is what ``method="auto"`` and its failover chain run for this route
     (usually ``evaluate`` itself); ``None`` keeps the route explicit-only.
-    ``prior`` seeds the router's cost model, in seconds per fact.
     ``circuit`` routes build a per-instance artifact, so past the engine's
     ``circuit_fact_limit`` they are candidates only when ``cached`` finds
     that artifact in memory; any other route is a candidate exactly when
@@ -843,7 +850,6 @@ class Route:
     exact: bool
     evaluate: RouteEvaluator
     auto: ExactEvaluator | None = None
-    prior: float = 0.0
     circuit: bool = False
     cached: ArtifactPeek = _never_cached
 
@@ -889,9 +895,19 @@ def _obdd_or_read_once(
     return _obdd(engine, query, tid)
 
 
+def _held_slot(engine: CompilationEngine, instance: Instance) -> _InstanceArtifacts | None:
+    """The instance's artifact slot, if the engine holds one (no LRU touch).
+
+    The instance is hashed only when a slot holds an instance of its size.
+    """
+    facts = len(instance)
+    if not any(slot.facts == facts for slot in engine._artifacts.values()):
+        return None
+    return engine._artifacts.get(instance.fingerprint)
+
+
 def _compiled_cached(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
-    # An engine without artifacts answers without hashing the instance.
-    slot = engine._artifacts.get(instance.fingerprint) if engine._artifacts else None
+    slot = _held_slot(engine, instance)
     if slot is None:
         return False
     ucq = as_ucq(query)
@@ -909,7 +925,7 @@ def _automaton(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance
 
 
 def _encoding_cached(engine: CompilationEngine, query: Query, instance: Instance) -> bool:
-    slot = engine._artifacts.get(instance.fingerprint) if engine._artifacts else None
+    slot = _held_slot(engine, instance)
     return slot is not None and slot.encoding is not None
 
 
@@ -925,17 +941,17 @@ def _auto(
 
 
 #: Every evaluation route by name, in presentation order.  The routes with
-#: an ``auto`` evaluator appear in tie-break order, which is also the
+#: an ``auto`` evaluator appear in preference order, which is also the
 #: failover order.  The d-DNNF route is derived from the OBDD, so it is
 #: never cheaper and stays explicit-only.
 ROUTES: dict[str, Route] = {
     route.name: route
     for route in (
-        # name, exact, evaluate, auto, prior, circuit, cached
+        # name, exact, evaluate, auto, circuit, cached
         Route("auto", True, _auto),
-        Route("safe_plan", True, _safe_plan, _safe_plan, 5e-6, cached=_plan_cached),
-        Route("obdd", True, _obdd, _obdd_or_read_once, 2e-4, True, _compiled_cached),
-        Route("automaton", True, _automaton, _automaton, 5e-4, True, _encoding_cached),
+        Route("safe_plan", True, _safe_plan, _safe_plan, cached=_plan_cached),
+        Route("obdd", True, _obdd, _obdd_or_read_once, True, _compiled_cached),
+        Route("automaton", True, _automaton, _automaton, True, _encoding_cached),
         Route("dnnf", True, _dnnf),
         Route("read_once", True, _read_once),
         Route("obdd_float", False, _obdd_float),

@@ -1,9 +1,9 @@
 """Cooperative deadlines and resource budgets for the exact kernels.
 
-The tractability guarantees of the dichotomy hold only on the safe /
-bounded-treewidth side; a route chosen by the router can still blow up on a
-real workload (an OBDD explodes past the cost model's estimate, a lifted
-plan enumerates far more rows than predicted).  This module is the *leaf*
+The tractability guarantees of the dichotomy bound the growth of a route's
+cost, not one run of it: a route the router picks by rule can still blow up
+on a real workload (an OBDD of large width, a lifted plan that scans far
+more rows than the caller can wait for).  This module is the *leaf*
 layer of the resilience subsystem: a :class:`Deadline` (wall clock) and a
 :class:`ResourceBudget` (node / row caps around a deadline) that the kernels
 consult at cooperative checkpoints —

@@ -254,3 +254,8 @@ def test_probability_explain_reports_failover_attempts(dense_tid_json, capsys):
     output = capsys.readouterr().out
     # Every exact route was attempted and each failure is labelled.
     assert "attempt[" in output and "BudgetExceeded" in output
+    # The decision names its rule and the feasible routes in chain order,
+    # with no timing estimate.
+    assert "route: obdd (unsafe query: obdd by rule)" in output
+    assert "feasible: obdd, automaton\n" in output
+    assert "estimate[" not in output

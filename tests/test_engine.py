@@ -9,7 +9,11 @@ from repro.data.signature import Signature
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import ROUTES, CacheStats, CompilationEngine, default_engine
 from repro.errors import CompilationError, ProbabilityError, SignatureError
-from repro.generators import labelled_partial_ktree_instance, rst_bipartite_instance
+from repro.generators import (
+    directed_path_instance,
+    labelled_partial_ktree_instance,
+    rst_bipartite_instance,
+)
 from repro.probability.evaluation import probability
 from repro.provenance.compile_obdd import compile_query_to_obdd
 from repro.provenance.lineage import lineage_of
@@ -215,6 +219,15 @@ def test_safe_plan_request_computes_no_fingerprint(method, circuit_fact_limit):
         assert engine.route_mix() == {"safe_plan": 1}
         expected = ("obdd", "automaton") if circuit_fact_limit == 1 else ()
         assert engine.last_decision.infeasible == expected
+    # An engine that already holds a compiled path: past the limit, its
+    # circuit peeks tell the two instances apart by fact count.
+    engine = CompilationEngine(circuit_fact_limit=circuit_fact_limit)
+    path = directed_path_instance(20)
+    engine.compile(parse_ucq("E(x, y), E(y, z)"), path)
+    assert len(path) != len(tid.instance)
+    assert engine.probability(hierarchical_example(), tid, method) == value
+    assert tid._fingerprint is None
+    assert tid.instance._fingerprint is None
 
 
 def test_probability_cache_hits_the_same_tid_object_only(ktree_tid):

@@ -37,22 +37,22 @@ def test_failover_attempts_every_feasible_route_and_labels_each_failure(dense_ti
     decision = engine.last_decision
     assert decision is not None and not decision.degraded
     attempted = [attempt.route for attempt in decision.attempts]
-    assert sorted(attempted) == sorted(route for route, _ in decision.estimates)
+    assert sorted(attempted) == sorted(decision.feasible)
     assert attempted == ["obdd", "automaton"]
     for attempt in decision.attempts:
         assert not attempt.succeeded
         assert attempt.error.startswith("BudgetExceeded")
 
 
-def test_each_failed_attempt_adds_a_cost_model_penalty(dense_tid):
+def test_each_failed_attempt_adds_a_route_failure(dense_tid):
     engine = CompilationEngine()
     with pytest.raises(BudgetExceeded):
         engine.probability(unsafe_rst(), dense_tid, budget=_tight_budget())
     attempted = [attempt.route for attempt in engine.last_decision.attempts]
     assert attempted
     for route in attempted:
-        assert engine.route_costs.failure_count(route) == 1
-    assert engine.route_costs.failure_counts() == {route: 1 for route in attempted}
+        assert engine.route_failures.get(route, 0) == 1
+    assert engine.route_failures == {route: 1 for route in attempted}
     assert engine.route_mix() == {}
 
 
@@ -64,7 +64,7 @@ def test_deadline_exceeded_stops_after_one_attempt(dense_tid):
     assert len(attempts) == 1
     assert attempts[0].error.startswith("DeadlineExceeded")
     # The deadline expired before the route started: not the route's failure.
-    assert engine.route_costs.failure_count(attempts[0].route) == 0
+    assert engine.route_failures.get(attempts[0].route, 0) == 0
 
 
 def test_deadline_expiring_inside_a_route_is_charged(dense_tid, monkeypatch):
@@ -79,7 +79,7 @@ def test_deadline_expiring_inside_a_route_is_charged(dense_tid, monkeypatch):
     with pytest.raises(DeadlineExceeded):
         engine.probability(unsafe_rst(), dense_tid, budget=ResourceBudget(timeout=0.05))
     assert [attempt.route for attempt in engine.last_decision.attempts] == ["obdd"]
-    assert engine.route_costs.failure_count("obdd") == 1
+    assert engine.route_failures.get("obdd", 0) == 1
 
 
 def test_safe_plan_rule_survives_an_expired_deadline():

@@ -10,6 +10,7 @@ metamorphic relations, the tuple-at-a-time reference executor and the OBDD
 route.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,8 @@ import pytest
 
 from repro.data.instance import Fact, Instance, fact
 from repro.data.tid import ProbabilisticInstance
-from repro.engine import CompilationEngine, ParallelEngine, RouteCostModel
+import repro.engine.session as session
+from repro.engine import CompilationEngine, ParallelEngine
 from repro.errors import UnsafeQueryError
 from repro.generators.lines import rst_chain_instance
 from repro.probability.brute_force import brute_force_probability
@@ -247,7 +249,7 @@ def test_circuit_routes_gated_past_fact_limit():
     decision = engine.choose_route(hierarchical_example(), tid)
     assert decision.method == "safe_plan"
     assert set(decision.infeasible) == {"obdd", "automaton"}
-    assert [route for route, _ in decision.estimates] == ["safe_plan"]
+    assert decision.feasible == ("safe_plan",)
 
 
 def test_cached_artifact_unlocks_gated_circuit_route():
@@ -256,12 +258,12 @@ def test_cached_artifact_unlocks_gated_circuit_route():
     # Unsafe query on a too-big instance: nothing feasible, best-effort OBDD.
     decision = engine.choose_route(unsafe_rst(), tid)
     assert decision.method == "obdd"
-    assert decision.estimates == ()
+    assert decision.feasible == ()
     # Once the OBDD is compiled and cached, the route becomes feasible.
     engine.compile(unsafe_rst(), tid.instance)
     decision = engine.choose_route(unsafe_rst(), tid)
     assert "obdd" not in decision.infeasible
-    assert any(route == "obdd" for route, _ in decision.estimates)
+    assert "obdd" in decision.feasible
 
 
 def test_engine_safe_plan_method_and_plan_cache():
@@ -288,37 +290,35 @@ def test_engine_clear_resets_router_state():
     engine.clear()
     assert engine.route_mix() == {}
     assert engine.stats["lifted_plan"].total == 0
-
-
-def test_route_cost_model_learns():
-    model = RouteCostModel()
-    before = model.predict("safe_plan", 1000)
-    model.observe("safe_plan", 1000, 10.0)
-    after = model.predict("safe_plan", 1000)
-    assert after > before
-    assert model.rate("never_seen") is None
-    snapshot = model.snapshot()
-    assert "safe_plan" in snapshot and "obdd" in snapshot
+    # A recorded failure goes too: the cleared engine routes like a fresh one.
+    query = hierarchical_example()
+    tid = ProbabilisticInstance.uniform(rst_chain_instance(60), Fraction(1, 2))
+    engine.probability(query, tid, budget=ResourceBudget(row_limit=1))
+    assert engine.route_failures == {"safe_plan": 1}
+    engine.clear()
+    assert engine.route_failures == {}
+    decision = engine.choose_route(query, tid)
+    assert decision == CompilationEngine().choose_route(query, tid)
+    assert decision.reason == "liftable query: safe_plan by rule"
 
 
 def test_liftable_query_takes_safe_plan_by_rule_until_it_fails():
-    """Learned rates cannot pull a liftable query onto a circuit route; a
-    recorded safe-plan failure hands the choice back to the cost model."""
+    """A liftable query takes safe_plan by rule; a recorded safe-plan failure
+    passes the head of the chain to the next feasible route."""
     engine = CompilationEngine()
-    for _ in range(20):
-        engine.route_costs.observe("obdd", 1000, 1e-6)
     tid = ProbabilisticInstance.uniform(rst_chain_instance(60), Fraction(1, 2))
     decision = engine.choose_route(hierarchical_example(), tid)
     assert decision.method == "safe_plan"
     assert "rule" in decision.reason
-    engine.route_costs.record_failure("safe_plan")
+    engine.route_failures["safe_plan"] = 1
     decision = engine.choose_route(hierarchical_example(), tid)
-    assert decision.method == decision.estimates[0][0] == "obdd"
+    assert decision.method == "obdd"
+    assert decision.feasible == ("safe_plan", "obdd", "automaton")
 
 
 def test_safe_plan_rule_returns_once_another_route_answers():
-    """A safe-plan failure hands the next liftable query to the cost model;
-    once another route has answered it, the rule picks safe_plan again."""
+    """A safe-plan failure hands the next liftable query to the next feasible
+    route; once that route has answered it, the rule picks safe_plan again."""
     engine = CompilationEngine()
     query = hierarchical_example()
     first, second = (
@@ -330,18 +330,84 @@ def test_safe_plan_rule_returns_once_another_route_answers():
     value = engine.probability(query, first, budget=ResourceBudget(row_limit=1))
     assert value == safe_plan_probability(query, first)
     assert [a.route for a in engine.last_decision.attempts] == ["safe_plan", "obdd"]
-    assert engine.route_costs.failure_count("safe_plan") == 1
-    for _ in range(20):
-        engine.route_costs.observe("obdd", 1000, 1e-6)
+    assert engine.route_failures.get("safe_plan", 0) == 1
     decision = engine.choose_route(query, second)
-    assert decision.method == "obdd" and "rule" not in decision.reason
-    # The cost model's pick answers the next liftable query: the failure
-    # decays and the rule is back.
+    assert decision.method == "obdd"
+    assert decision.reason == "recorded failure on safe_plan: obdd by rule"
+    # The next route answers the next liftable query: the failure decays and
+    # the rule is back.
     assert engine.probability(query, second) == safe_plan_probability(query, second)
     assert engine.last_decision.method == "obdd"
-    assert engine.route_costs.failure_count("safe_plan") == 0
+    assert engine.route_failures.get("safe_plan", 0) == 0
     decision = engine.choose_route(query, second)
-    assert decision.method == "safe_plan" and "rule" in decision.reason
+    assert decision.reason == "liftable query: safe_plan by rule"
+
+
+def _routing_cases():
+    """One liftable, one unsafe, one past the fact limit, one cached artifact,
+    for an engine with ``circuit_fact_limit=100``."""
+    small, cached = (
+        ProbabilisticInstance.uniform(rst_chain_instance(n), Fraction(1, 2)) for n in (20, 40)
+    )
+    large = ProbabilisticInstance.uniform(rst_chain_instance(60), Fraction(1, 2))
+    return [
+        (hierarchical_example(), small),
+        (unsafe_rst(), small),
+        (hierarchical_example(), large),
+        (unsafe_rst(), cached),
+    ]
+
+
+def _routing_engine(cases):
+    engine = CompilationEngine(circuit_fact_limit=100)
+    # Past the limit, the OBDD route is feasible on the last case because its
+    # circuit is cached.
+    query, tid = cases[-1]
+    engine.compile(query, tid.instance)
+    return engine
+
+
+def test_auto_routes_by_rule_whatever_the_clock(monkeypatch):
+    """A clock that jumps one second per reading steers no route: after auto
+    ran every case, and a row cap failed safe_plan, the engine decides as a
+    fresh engine holding the same failure counts."""
+    monkeypatch.setattr(session, "perf_counter", itertools.count(0.0).__next__)
+    cases = _routing_cases()
+    engine = _routing_engine(cases)
+    for query, tid in cases:
+        engine.probability(query, tid)
+    query, tid = cases[0]
+    capped = ProbabilisticInstance.uniform(tid.instance, Fraction(1, 3))
+    engine.probability(query, capped, budget=ResourceBudget(row_limit=1))
+    assert engine.route_failures == {"safe_plan": 1}
+    assert [attempt.seconds for attempt in engine.last_decision.attempts] == [1.0, 1.0]
+
+    fresh = _routing_engine(cases)
+    fresh.route_failures.update(engine.route_failures)
+
+    def routing(engine):
+        return [
+            (d.method, d.feasible, d.infeasible, d.reason)
+            for d in (engine.choose_route(query, tid) for query, tid in cases)
+        ]
+
+    assert routing(engine) == routing(fresh)
+    assert [method for method, *_ in routing(engine)] == ["obdd", "obdd", "safe_plan", "obdd"]
+
+
+def test_pool_workers_route_like_one_engine(monkeypatch):
+    monkeypatch.setattr(session, "perf_counter", itertools.count(0.0).__next__)
+    # A fresh TID per pair: every pair is evaluated, none is a cache hit.
+    pairs = [
+        (query, ProbabilisticInstance.uniform(tid.instance, Fraction(1, n)))
+        for query, tid in _routing_cases()[:3]
+        for n in (2, 3, 4)
+    ]
+    mixes = []
+    for workers in (1, 2):
+        with ParallelEngine(workers=workers) as parallel:
+            mixes.append(parallel.map_probability(pairs).route_mix)
+    assert mixes[0] == mixes[1] == {"safe_plan": 6, "obdd": 3}
 
 
 def test_parallel_report_carries_route_mix():
