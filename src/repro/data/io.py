@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from operator import is_
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -37,12 +38,18 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
 
 def instance_from_dict(data: Mapping[str, Any]) -> Instance:
     """The inverse of :func:`instance_to_dict`."""
+    return _read_instance(data)[0]
+
+
+def _read_instance(data: Mapping[str, Any]) -> tuple[Instance, list[Any], list[Fact]]:
+    """The instance, its fact entries and their facts, in file order."""
     try:
         signature = Signature(sorted(data["signature"].items()))
         entries = list(data["facts"])
     except (KeyError, TypeError, AttributeError) as error:
         raise InstanceError(f"malformed instance description: {error}") from error
-    return Instance([_fact_from_entry(entry, "fact") for entry in entries], signature)
+    facts = [_fact_from_entry(entry, "fact") for entry in entries]
+    return Instance(facts, signature), entries, facts
 
 
 def _fact_from_entry(entry: Any, kind: str) -> Fact:
@@ -84,25 +91,61 @@ def tid_from_dict(data: Mapping[str, Any]) -> ProbabilisticInstance:
     a float (read as the nearest fraction with a denominator of at most
     ``10**12``, so ``0.1`` is ``1/10``, as in a CSV cell).  A boolean or any
     other JSON value raises :class:`InstanceError` naming the entry.
+
+    One pass over the entries: entry ``i`` of ``probabilities`` reuses the
+    fact of entry ``i`` of ``facts`` when both name the same relation and
+    arguments (as :func:`save_instance` writes them), and a cell of ASCII
+    ``digits/digits`` is split into two ints instead of going through the
+    ``Fraction`` string parser.  When the entries list exactly
+    ``instance.facts`` in order, the TID is built from the column.
     """
-    instance = instance_from_dict(data)
-    valuation: dict[Fact, Fraction] = {}
+    instance, fact_entries, facts = _read_instance(data)
+    listed: list[Fact] = []
+    column: list[Fraction] = []
     try:
-        for entry in data.get("probabilities", []):
-            f = _fact_from_entry(entry, "probability")
-            cell = entry["probability"]
-            if isinstance(cell, str):
-                cell = Fraction(cell)
-            elif isinstance(cell, bool) or not isinstance(cell, (int, float)):
-                raise InstanceError(
-                    f"probability entry {entry!r}: probability must be a number or a string"
-                )
-            valuation[f] = as_probability(cell)
+        for position, entry in enumerate(data.get("probabilities", [])):
+            if position < len(facts) and _names_same_fact(entry, fact_entries[position]):
+                listed.append(facts[position])
+            else:
+                listed.append(_fact_from_entry(entry, "probability"))
+            column.append(as_probability(_probability_cell(entry)))
     except (
         KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError
     ) as error:
         raise InstanceError(f"malformed probability description: {error}") from error
-    return ProbabilisticInstance(instance, valuation)
+    if len(listed) == len(instance.facts) and all(map(is_, listed, instance.facts)):
+        return ProbabilisticInstance.from_column(instance, column)
+    return ProbabilisticInstance(instance, dict(zip(listed, column)))
+
+
+def _names_same_fact(entry: Any, fact_entry: Any) -> bool:
+    """Whether a probability entry names the fact of an (already checked)
+    fact entry."""
+    return (
+        type(entry) is dict
+        and type(fact_entry) is dict
+        and entry.get("relation") == fact_entry["relation"]
+        and entry.get("arguments") == fact_entry["arguments"]
+    )
+
+
+def _probability_cell(entry: Any) -> Fraction | int | float:
+    """The probability cell of an entry, a string parsed exactly."""
+    cell = entry["probability"]
+    if isinstance(cell, str):
+        numerator, slash, denominator = cell.partition("/")
+        if slash and _is_ascii_digits(numerator) and _is_ascii_digits(denominator):
+            return Fraction(int(numerator), int(denominator))
+        return Fraction(cell)
+    if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+        raise InstanceError(
+            f"probability entry {entry!r}: probability must be a number or a string"
+        )
+    return cell
+
+
+def _is_ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 def save_instance(instance: Instance | ProbabilisticInstance, path: str | Path) -> None:

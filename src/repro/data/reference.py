@@ -18,6 +18,10 @@ check — for two purposes:
   the lifted family against :func:`input_stage_seed` and gates CI on the
   speedup.
 
+:func:`tid_from_dict_seed` keeps the two-pass JSON TID loader (each fact
+built from both lists, each string cell through the ``Fraction`` parser) that
+``tests/test_io.py`` checks :func:`repro.data.io.tid_from_dict` against.
+
 Do not use these from production code paths.
 """
 
@@ -29,8 +33,9 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.data.instance import Fact
+from repro.data.io import _fact_from_entry, instance_from_dict
 from repro.data.signature import Signature
-from repro.data.tid import ProbabilityLike
+from repro.data.tid import ProbabilisticInstance, ProbabilityLike, as_probability
 from repro.errors import InstanceError, ProbabilityError, SignatureError
 
 __all__ = [
@@ -42,6 +47,7 @@ __all__ = [
     "instance_fingerprint_seed",
     "signature_seed",
     "tid_fingerprint_seed",
+    "tid_from_dict_seed",
     "valuation_seed",
 ]
 
@@ -189,3 +195,27 @@ def input_stage_seed(
         valuation=probabilities,
         tid_fingerprint=tid_fingerprint_seed(fingerprint, ordered, probabilities),
     )
+
+
+def tid_from_dict_seed(data: Mapping[str, Any]) -> ProbabilisticInstance:
+    """The two-pass :func:`repro.data.io.tid_from_dict`: every probability
+    entry builds its fact anew, every string cell goes through
+    ``Fraction(cell)``, and the valuation is merged as a dict."""
+    instance = instance_from_dict(data)
+    valuation: dict[Fact, Fraction] = {}
+    try:
+        for entry in data.get("probabilities", []):
+            f = _fact_from_entry(entry, "probability")
+            cell = entry["probability"]
+            if isinstance(cell, str):
+                cell = Fraction(cell)
+            elif isinstance(cell, bool) or not isinstance(cell, (int, float)):
+                raise InstanceError(
+                    f"probability entry {entry!r}: probability must be a number or a string"
+                )
+            valuation[f] = as_probability(cell)
+    except (
+        KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError
+    ) as error:
+        raise InstanceError(f"malformed probability description: {error}") from error
+    return ProbabilisticInstance(instance, valuation)

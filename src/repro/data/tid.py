@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.data.instance import Fact, Instance
 from repro.errors import ProbabilityError
@@ -120,6 +120,30 @@ class ProbabilisticInstance:
         instance = Instance([f for f, _ in pair_list], signature)
         return cls(instance, dict(pair_list))
 
+    @classmethod
+    def from_column(
+        cls, instance: Instance, probabilities: Sequence[ProbabilityLike]
+    ) -> "ProbabilisticInstance":
+        """The TID in which ``instance.facts[i]`` has ``probabilities[i]``.
+
+        The inverse of :meth:`column`, for callers that already hold the
+        probabilities in fact order (a pool worker, a file that lists its
+        facts in that order): no valuation is merged and no fact is looked
+        up.  A column whose length differs from the instance's raises
+        :class:`ProbabilityError`; then each value goes through
+        :func:`as_probability`, as in ``__init__``.
+        """
+        facts = instance.facts
+        if len(probabilities) != len(facts):
+            raise ProbabilityError(
+                f"{len(probabilities)} probabilities for {len(facts)} facts"
+            )
+        tid = cls.__new__(cls)
+        tid._instance = instance
+        tid._valuation = dict(zip(facts, map(as_probability, probabilities)))
+        tid._fingerprint = None
+        return tid
+
     # -- accessors ------------------------------------------------------------
 
     @property
@@ -141,8 +165,8 @@ class ProbabilisticInstance:
         :class:`repro.engine.CompilationEngine` keys probability results on
         the TID object, not on this digest, so a content-equal TID built
         elsewhere recomputes its answer (on the instance's cached lineages
-        and circuits).  :func:`repro.engine.shard_workload` groups parallel
-        work by it.  The probabilities are rendered as
+        and circuits), and a parallel batch groups and ships its TIDs
+        without it.  The probabilities are rendered as
         ``numerator/denominator;`` and hashed after the instance fingerprint
         in a single update.
         """
@@ -169,6 +193,11 @@ class ProbabilisticInstance:
         start = self._instance.block_start(relation)
         stop = start + len(self._instance.facts_of(relation))
         return tuple(islice(self._valuation.values(), start, stop))
+
+    def column(self) -> tuple[Fraction, ...]:
+        """The probabilities of ``instance.facts``, in that order (what
+        :meth:`from_column` takes)."""
+        return tuple(self._valuation.values())
 
     def valuation(self) -> dict[Fact, Fraction]:
         """A copy of the full fact-to-probability mapping."""

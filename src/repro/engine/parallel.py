@@ -5,9 +5,9 @@ natural unit of parallelism is not the individual ``(query, instance)`` pair
 but the *instance group*: all items touching one instance should land in the
 same worker, where they share that worker's cached Gaifman graph,
 decompositions, fact orders, and lineages.  :func:`shard_workload` groups a
-workload by the fingerprint of each item's second element (the instance for
-compile workloads; the TID, probabilities included, for probability
-workloads) and assigns the groups greedily to the least-loaded shard.
+workload by the fingerprint of each item's second element (the instance of a
+compile workload) or by the TID object of a probability workload, and assigns
+the groups greedily to the least-loaded shard.
 :class:`ParallelEngine` runs each shard in a worker process that owns a
 private :class:`CompilationEngine`, then merges the values (in the original
 workload order) and the per-worker :class:`CacheStats` into a single
@@ -48,10 +48,11 @@ as :class:`repro.booleans.columnar.ColumnarOBDD` columns inside
 worker *publishes* the flat ``var|lo|hi`` buffer and ships back only a tiny
 :class:`~repro.engine.shm.SegmentHandle`; the parent *attaches* zero-copy.
 :meth:`ParallelEngine.reweight_many` runs the same plane in the other
-direction — the parent publishes one compiled artifact, every worker
-attaches to it and runs the columnar batch kernel over its share of the
-probability assignments, which is the batch re-weighting workload where
-per-worker cost is exactly "an attach plus a sweep".
+direction — the parent publishes one compiled artifact (once per engine:
+later calls on the same artifact reuse its segment), every worker attaches
+to it and runs the columnar batch kernel over its share of the probability
+assignments, which is the batch re-weighting workload where per-worker cost
+is exactly "an attach plus a sweep".
 
 Because the hot artifacts are acyclic int arrays rather than node-object
 graphs, workers run with the cyclic garbage collector frozen and disabled
@@ -59,14 +60,24 @@ graphs, workers run with the cyclic garbage collector frozen and disabled
 rescanning millions of cached nodes were a measured ~2x drag on
 allocation-heavy shards.  The calling process's collector is never touched.
 
+A probability batch ships the instance and the valuations apart, because
+the artifacts depend on the instance alone.  Each distinct instance of a
+shard crosses as pickle bytes, keyed by its fingerprint; the parent pickles
+an instance once and keeps the last batch's bytes, so a batch over known
+instances pickles none.  A worker unpickles an instance only the first time
+it sees the fingerprint and keeps it, as many as its engine keeps instances.
+Each TID crosses as two columns of Python ints, the numerators and the
+denominators of its probabilities in ``instance.facts`` order, and the
+worker rebuilds it once per shard with
+:meth:`ProbabilisticInstance.from_column`.  No TID is hashed on either side.
+A worker keys its per-instance artifacts on the instance fingerprint, which
+the pickle carries, so they behave as in-process caching does.  Its
+probability cache is keyed on the TID object: a TID rebuilt in a later task
+is a new object, and recomputes its answer on the cached artifacts.
+
 Everything else crossing the process boundary is plain picklable data:
-instances and TID instances, queries (frozen dataclasses), ``Fraction``
-results, segment handles, and ``CacheStats`` counters.  A worker keys its
-per-instance artifacts on the instance's content fingerprint, which an
-instance pickles along once computed, so they behave as in-process caching
-does.  Its probability cache is keyed on the TID object: a TID that reaches
-a worker in a later task is a new object there, and recomputes its answer
-on the cached artifacts.
+queries (frozen dataclasses), ``Fraction`` results, segment handles, and
+``CacheStats`` counters.
 """
 
 from __future__ import annotations
@@ -75,11 +86,12 @@ import gc
 import itertools
 import multiprocessing
 import os
+import pickle
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.booleans.columnar import ColumnarOBDD
 from repro.data.instance import Instance
@@ -108,7 +120,13 @@ ProbabilityItem = tuple[Query, ProbabilisticInstance]
 CompileItem = tuple[Query, Instance]
 Shard = list[tuple[int, tuple]]
 ShardOutcome = tuple[list[tuple[int, Any]], dict[str, CacheStats], dict[str, int]]
-ShardRunner = Callable[[Shard, Any], ShardOutcome]
+ShardRunner = Callable[[Any, Any], ShardOutcome]
+# A probability shard as the pool ships it: the pickled instances by
+# fingerprint; one (fingerprint, numerators, denominators) column per TID;
+# one (index, query, column slot) per pair.
+ShippedShard = tuple[
+    dict[str, bytes], list[tuple[str, list[int], list[int]]], list[tuple[int, Query, int]]
+]
 
 
 def available_workers() -> int:
@@ -126,17 +144,18 @@ def available_workers() -> int:
 def shard_workload(
     items: Sequence[tuple],
     shard_count: int,
-    group_key: Callable[[tuple], str] | None = None,
+    group_key: Callable[[tuple], Hashable] | None = None,
 ) -> list[list[tuple[int, tuple]]]:
     """Partition indexed work items into at most ``shard_count`` shards.
 
-    By default, items are grouped by the ``fingerprint`` of the second
-    element of each pair.  For :meth:`ParallelEngine.map_compile` that is the
-    instance, so one instance's structural artifacts are computed by as few
-    workers as possible.  For :meth:`ParallelEngine.map_probability` it is
-    the TID, whose fingerprint covers the probabilities too: pairs of one
-    TID share a group, but fresh valuations of one instance do not (the
-    ROADMAP's item 4 weighs grouping them by instance).  A group larger than
+    Items with equal ``group_key`` share a group.  By default that is the
+    ``fingerprint`` of the second element of each pair, which
+    :meth:`ParallelEngine.map_compile` uses: the instance, so one instance's
+    structural artifacts are computed by as few workers as possible.
+    :meth:`ParallelEngine.map_probability` groups by the TID object instead,
+    so no TID is hashed: pairs of one TID share a group, but fresh
+    valuations of one instance do not, and a batch of them spreads evenly
+    while every worker keeps the instance's artifacts.  A group larger than
     the balanced shard size ``ceil(len(items) / shard_count)`` is split into
     chunks of that size, so a batch against a *single* instance still spreads
     over all shards (each worker then recomputes that instance's artifacts
@@ -149,7 +168,7 @@ def shard_workload(
         raise CompilationError("shard_count must be at least 1")
     if group_key is None:
         group_key = lambda item: item[1].fingerprint  # noqa: E731
-    groups: dict[str, list[tuple[int, tuple]]] = {}
+    groups: dict[Hashable, list[tuple[int, tuple]]] = {}
     for index, item in enumerate(items):
         groups.setdefault(group_key(item), []).append((index, item))
     target = -(-len(items) // shard_count)  # ceil division
@@ -210,8 +229,8 @@ class ParallelReport:
 # method the workload shards themselves are the only data pickled per task.
 # Workers also carry the plane prefix (for naming the segments they publish;
 # the inline regime has none and publishes nothing), the fault hooks of the
-# chaos tests, and a small LRU of attached shared artifacts for the reweight
-# runner.
+# chaos tests, a small LRU of attached shared artifacts for the reweight
+# runner, and an LRU of the instances that probability shards shipped.
 
 _WORKER_ENGINE: CompilationEngine | None = None
 _WORKER_PLANE_PREFIX: str | None = None
@@ -219,6 +238,7 @@ _WORKER_FAULTS: WorkerFaults | None = None
 _WORKER_SEGMENT_SERIAL = itertools.count(1)
 _WORKER_ATTACHMENTS: dict[str, ColumnarOBDD] = {}
 _WORKER_ATTACHMENT_LIMIT = 8
+_WORKER_INSTANCES: OrderedDict[str, Instance] = OrderedDict()
 
 
 def _init_worker(store: str | None, plane_prefix: str, fault_plan: Any) -> None:
@@ -226,6 +246,7 @@ def _init_worker(store: str | None, plane_prefix: str, fault_plan: Any) -> None:
     _WORKER_ENGINE = CompilationEngine(store=store)
     _WORKER_PLANE_PREFIX = plane_prefix
     _WORKER_ATTACHMENTS.clear()
+    _WORKER_INSTANCES.clear()
     if fault_plan is not None:
         from repro.testing.faults import WorkerFaults
 
@@ -271,6 +292,19 @@ def _worker_attachment(handle: SegmentHandle) -> ColumnarOBDD:
     return artifact
 
 
+def _worker_instance(fingerprint: str, pickled: bytes) -> Instance:
+    """The shipped instance, unpickled only the first time this worker sees
+    its fingerprint; the LRU keeps as many instances as the engine does."""
+    instance = _WORKER_INSTANCES.get(fingerprint)
+    if instance is None:
+        instance = _WORKER_INSTANCES[fingerprint] = pickle.loads(pickled)
+        while len(_WORKER_INSTANCES) > _worker_engine()._max_instances:
+            _WORKER_INSTANCES.popitem(last=False)
+    else:
+        _WORKER_INSTANCES.move_to_end(fingerprint)
+    return instance
+
+
 def _stats_snapshot(engine: CompilationEngine) -> dict[str, CacheStats]:
     return {name: stats.copy() for name, stats in engine.stats.items()}
 
@@ -298,6 +332,21 @@ def _run_probability_shard(shard: Shard, method: str) -> ShardOutcome:
     _reset_stats(engine)
     results = [(index, engine.probability(query, tid, method)) for index, (query, tid) in shard]
     return _outcome(engine, results)
+
+
+def _run_shipped_probability_shard(shard: ShippedShard, method: str) -> ShardOutcome:
+    """Rebuild a shipped shard's TIDs, each once, then run it as inline."""
+    instances, columns, pairs = shard
+    tids = [
+        ProbabilisticInstance.from_column(
+            _worker_instance(fingerprint, instances[fingerprint]),
+            list(map(Fraction, numerators, denominators)),
+        )
+        for fingerprint, numerators, denominators in columns
+    ]
+    return _run_probability_shard(
+        [(index, (query, tids[slot])) for index, query, slot in pairs], method
+    )
 
 
 def _run_compile_shard(shard: Shard, use_path_decomposition: bool) -> ShardOutcome:
@@ -402,6 +451,11 @@ class ParallelEngine:
         self._pool: ProcessPoolExecutor | None = None
         self._plane: SegmentPlane | None = None
         self._inline_engine: CompilationEngine | None = None
+        # The last pool batch's pickled instances, by fingerprint.
+        self._instance_pickles: dict[str, bytes] = {}
+        # Reweight artifacts published into the plane, least recently used
+        # first, keyed by the artifact object (identity hash).
+        self._published: dict[ColumnarOBDD, SegmentHandle] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -433,6 +487,8 @@ class ParallelEngine:
                     self._plane.close()
             finally:
                 self._plane = None
+                self._published.clear()
+                self._instance_pickles = {}
                 if self._inline_engine is not None:
                     self._inline_engine.clear()
                     self._inline_engine = None
@@ -456,15 +512,21 @@ class ParallelEngine:
         items: Sequence[tuple],
         runner: ShardRunner,
         extra: Any,
-        group_key: Callable[[tuple], str] | None = None,
+        group_key: Callable[[tuple], Hashable] | None = None,
         recover: Callable[[], Any] | None = None,
+        ship: Callable[[list[Shard]], tuple[ShardRunner, list[Any]]] | None = None,
     ) -> ParallelReport:
         """Shard ``items`` and execute: on the pool when there are several
-        shards, else inline.  ``recover`` rebuilds ``extra`` after a
-        retryable segment failure in the pool regime."""
+        shards, else inline.  In the pool regime, ``ship`` turns the shards
+        into the tasks that cross the process boundary and names the runner
+        that reads them, and ``recover`` rebuilds ``extra`` after a
+        retryable segment failure."""
         shards = shard_workload(items, self.workers, group_key)
         if len(shards) > 1:
-            report = self._run_pool(shards, runner, extra, recover)
+            tasks: list[Any] = shards
+            if ship is not None:
+                runner, tasks = ship(shards)
+            report = self._run_pool(shards, tasks, runner, extra, recover)
         elif shards:
             report = self._run_inline(shards, runner, extra)
         else:
@@ -511,16 +573,18 @@ class ParallelEngine:
     def _run_pool(
         self,
         shards: list[Shard],
+        tasks: list[Any],
         runner: ShardRunner,
         extra: Any,
         recover: Callable[[], Any] | None = None,
     ) -> ParallelReport:
         """Execute every shard on the pool, retrying around failures.
 
-        Outcomes are keyed by shard index, so each shard is merged exactly
-        once.  A failure that ends the run (a non-retryable worker error, or
-        a shard out of retries) is raised only after every running shard
-        has settled.
+        ``tasks[i]`` is what shard ``i`` ships, and what a retry ships
+        again.  Outcomes are keyed by shard index, so each shard is merged
+        exactly once.  A failure that ends the run (a non-retryable worker
+        error, or a shard out of retries) is raised only after every running
+        shard has settled.
         """
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
@@ -536,7 +600,7 @@ class ParallelEngine:
                 pool = self._executor()
                 try:
                     while pending:
-                        future = pool.submit(_run_task, runner, shards[pending[0]], extra)
+                        future = pool.submit(_run_task, runner, tasks[pending[0]], extra)
                         running[future] = pending.popleft()
                 except BrokenProcessPool:
                     broken = True  # a worker died while shards were queued
@@ -617,8 +681,60 @@ class ParallelEngine:
     def map_probability(
         self, pairs: Sequence[ProbabilityItem], method: str = "auto"
     ) -> ParallelReport:
-        """Evaluate a workload of ``(query, tid)`` pairs; full report."""
-        return self._run(pairs, _run_probability_shard, method)
+        """Evaluate a workload of ``(query, tid)`` pairs; full report.
+
+        Pairs are grouped by TID object, so no TID is hashed and fresh
+        valuations of one instance spread over the shards.  In the pool
+        regime each shard ships its distinct instances as pickle bytes and
+        each of its TIDs once, as probability columns (see the module
+        docstring); the inline regime evaluates the pairs as given.
+        """
+        return self._run(
+            pairs,
+            _run_probability_shard,
+            method,
+            group_key=_tid_object,
+            ship=self._ship_probability_shards,
+        )
+
+    def _ship_probability_shards(
+        self, shards: list[Shard]
+    ) -> tuple[ShardRunner, list[ShippedShard]]:
+        """Each shard's instances as pickle bytes, its TIDs as columns.
+
+        An instance is pickled once, and its bytes are kept until the next
+        batch, so a batch over known instances pickles none of them.
+        """
+        previous, pickled = self._instance_pickles, {}
+        shipped: list[ShippedShard] = []
+        for shard in shards:
+            instances: dict[str, bytes] = {}
+            slots: dict[ProbabilisticInstance, int] = {}
+            columns: list[tuple[str, list[int], list[int]]] = []
+            pairs: list[tuple[int, Query, int]] = []
+            for index, (query, tid) in shard:
+                slot = slots.get(tid)
+                if slot is None:
+                    instance = tid.instance
+                    fingerprint = instance.fingerprint
+                    if fingerprint not in instances:
+                        data = pickled.get(fingerprint) or previous.get(fingerprint)
+                        if data is None:
+                            data = pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
+                        instances[fingerprint] = pickled[fingerprint] = data
+                    column = tid.column()
+                    slot = slots[tid] = len(columns)
+                    columns.append(
+                        (
+                            fingerprint,
+                            [p.numerator for p in column],
+                            [p.denominator for p in column],
+                        )
+                    )
+                pairs.append((index, query, slot))
+            shipped.append((instances, columns, pairs))
+        self._instance_pickles = pickled
+        return _run_shipped_probability_shard, shipped
 
     def probability_many(
         self,
@@ -694,6 +810,11 @@ class ParallelEngine:
         This is the re-weighting workload (same lineage, changing fact
         probabilities) that motivates separating diagram structure from
         weights.  ``workers=1`` evaluates inline without any segment.
+
+        The segment outlives the call: a later call on the same artifact
+        object reuses it, and workers keep it attached.  The engine keeps as
+        many published artifacts as a worker keeps attachments, and unlinks
+        the least recently used one beyond that.
         """
         columnar = (
             compiled if isinstance(compiled, ColumnarOBDD) else compiled.to_columnar()
@@ -715,7 +836,7 @@ class ParallelEngine:
                 worker_routes=(engine.route_mix(),),
             )
             return values
-        handle = self._publish_reweight_artifact(columnar)
+        handle = self._published_handle(columnar)
         report = self._run(
             items,
             _run_reweight_shard,
@@ -724,16 +845,27 @@ class ParallelEngine:
             # A worker that cannot attach (absent/corrupt segment) reports a
             # retryable SegmentError; republishing under a fresh name is the
             # recovery — retried shards then attach to the new segment.
-            recover=lambda: (self._publish_reweight_artifact(columnar), exact),
+            # The replaced segment stays owned until close(): within one run
+            # it may be the one another failed shard's recovery just
+            # published, which retried shards are attaching to.
+            recover=lambda: (self._published_handle(columnar, republish=True), exact),
         )
         return list(report.values)
 
-    def _publish_reweight_artifact(self, columnar: ColumnarOBDD) -> SegmentHandle:
-        handle = self.segment_plane().publish(columnar)
-        if self.fault_plan is not None:
-            from repro.testing.faults import apply_parent_segment_faults
+    def _published_handle(self, columnar: ColumnarOBDD, republish: bool = False) -> SegmentHandle:
+        """The segment holding ``columnar``, published on first use, or
+        under a fresh name when ``republish`` is set."""
+        plane = self.segment_plane()
+        handle = self._published.pop(columnar, None)
+        if handle is None or republish:
+            handle = plane.publish(columnar)
+            if self.fault_plan is not None:
+                from repro.testing.faults import apply_parent_segment_faults
 
-            apply_parent_segment_faults(self.fault_plan, handle)
+                apply_parent_segment_faults(self.fault_plan, handle)
+        self._published[columnar] = handle
+        if len(self._published) > _WORKER_ATTACHMENT_LIMIT:
+            plane.unlink(self._published.pop(next(iter(self._published))))
         return handle
 
 
@@ -743,3 +875,8 @@ _REWEIGHT_COUNTER = itertools.count()
 def _reweight_group_key(item: tuple) -> str:
     """Reweight items share one artifact; spread them evenly over shards."""
     return str(next(_REWEIGHT_COUNTER))
+
+
+def _tid_object(item: tuple) -> ProbabilisticInstance:
+    """A probability pair's TID, which hashes by identity, not content."""
+    return item[1]

@@ -217,6 +217,16 @@ class SegmentPlane:
             self._owned.add(handle.name)
         return handle
 
+    def unlink(self, handle: SegmentHandle) -> None:
+        """Unlink a segment this plane published, before :meth:`close`.
+
+        Processes that attached it keep their mappings; nothing can attach
+        it afterwards.
+        """
+        if handle.name is not None and handle.name in self._owned:
+            self._owned.discard(handle.name)
+            _unlink_quietly(handle.name)
+
     def adopt(self, handle: SegmentHandle) -> ColumnarOBDD:
         """Attach to a worker-published segment and take ownership of it."""
         artifact = attach_segment(handle)

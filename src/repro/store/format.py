@@ -22,9 +22,14 @@ Two payload codecs:
   layout, so a verified entry can be memory-mapped and attached zero-copy
   (numpy views straight into the mapping), mirroring the shared-memory
   transport of :mod:`repro.engine.shm`.
-* :data:`CODEC_PICKLE` — an arbitrary picklable artifact (lifted plans —
-  including the ``None`` verdict for unsafe queries — and tree-encoding
-  node tables).
+* :data:`CODEC_PICKLE` — a picklable artifact built from the library's
+  stored data classes (lifted plans — including the ``None`` verdict for
+  unsafe queries — and tree-encoding node tables).
+
+Both codecs read their pickles with an unpickler that resolves only the
+stored data classes (:data:`STORED_CLASSES`): a checksum proves which bytes
+a writer packed, not what they name, so a pickle that names any other
+global (``print``, ``os.system``) is damage, and reading it calls nothing.
 
 Keys are SHA-256 hex digests over a canonical description that chains the
 artifact kind, the instance content fingerprint, and the query's canonical
@@ -36,6 +41,8 @@ can never alias a different artifact.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import io
 import json
 import pickle
 import struct
@@ -249,6 +256,42 @@ def best_effort_meta(buffer: bytes | memoryview) -> dict[str, Any]:
 
 _SIDECAR_LEN = struct.Struct("<Q")
 
+#: The classes a stored pickle may name, by module: the facts of a columnar
+#: variable order, lifted plans and tree encodings, what they hold, and the
+#: exact ``Fraction`` (whose pickle calls ``Fraction(str)``).
+STORED_CLASSES: dict[str, frozenset[str]] = {
+    "fractions": frozenset({"Fraction"}),
+    "repro.data.instance": frozenset({"Fact", "Instance"}),
+    "repro.data.signature": frozenset({"Signature", "Relation"}),
+    "repro.queries.atoms": frozenset({"Variable", "Atom", "Disequality"}),
+    "repro.queries.cq": frozenset({"ConjunctiveQuery"}),
+    "repro.queries.ucq": frozenset({"UnionOfConjunctiveQueries"}),
+    "repro.probability.lifted.plan": frozenset(
+        {
+            "AtomSpec",
+            "GroundNode",
+            "JoinNode",
+            "ProjectNode",
+            "InclusionExclusionNode",
+            "LiftedPlan",
+        }
+    ),
+    "repro.provenance.tree_encoding": frozenset({"EncodingNode", "TreeEncoding"}),
+}
+
+
+class _StoredDataUnpickler(pickle.Unpickler):
+    """An unpickler that resolves only :data:`STORED_CLASSES`."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if name not in STORED_CLASSES.get(module, ()):
+            raise EntryDamage(f"pickle names {module}.{name}, not a stored data class")
+        return getattr(importlib.import_module(module), name)
+
+
+def _load_stored(data: bytes) -> Any:
+    return _StoredDataUnpickler(io.BytesIO(data)).load()
+
 
 def encode_columnar(columnar: ColumnarOBDD) -> bytes:
     """Pack a columnar artifact: pickled sidecar, then aligned columns."""
@@ -266,10 +309,11 @@ def decode_columnar_sidecar(payload: bytes | memoryview) -> tuple[dict[str, Any]
     """The pickled sidecar and the columns' offset within the payload.
 
     Only called after :func:`verify_entry` passed, so the pickle bytes are
-    what some writer packed; a sidecar that does not unpickle, or whose
-    ``node_count`` and ``root`` are not non-negative ints or whose ``order``
-    is not a list or tuple, surfaces as :class:`EntryDamage`, never as an
-    unpickling crash or a ``KeyError`` propagating upward.
+    what some writer packed; a sidecar that does not unpickle, names a class
+    outside :data:`STORED_CLASSES`, or whose ``node_count`` and ``root`` are
+    not non-negative ints or whose ``order`` is not a list or tuple,
+    surfaces as :class:`EntryDamage`, never as an unpickling crash, a call
+    the pickle asked for, or a ``KeyError`` propagating upward.
     """
     if len(payload) < _SIDECAR_LEN.size:
         raise EntryDamage("columnar payload too short for its sidecar length")
@@ -278,7 +322,7 @@ def decode_columnar_sidecar(payload: bytes | memoryview) -> tuple[dict[str, Any]
     if len(payload) < columns_offset:
         raise EntryDamage("columnar payload too short for its sidecar")
     try:
-        sidecar = pickle.loads(
+        sidecar = _load_stored(
             bytes(payload[_SIDECAR_LEN.size : _SIDECAR_LEN.size + sidecar_len])
         )
     # repro-analysis: allow(EXCEPT001): unpickling attacker-shaped corrupt bytes can raise nearly anything; every failure is converted to EntryDamage and quarantined, never swallowed
@@ -301,14 +345,15 @@ def decode_columnar_sidecar(payload: bytes | memoryview) -> tuple[dict[str, Any]
 
 
 def encode_pickle(value: Any) -> bytes:
-    """Pack an arbitrary picklable artifact (lifted plans, tree encodings)."""
+    """Pack a picklable artifact (lifted plans, tree encodings)."""
     return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_pickle(payload: bytes | memoryview) -> Any:
-    """Unpickle a verified :data:`CODEC_PICKLE` payload."""
+    """Unpickle a verified :data:`CODEC_PICKLE` payload, resolving only the
+    stored data classes."""
     try:
-        return pickle.loads(bytes(payload))
+        return _load_stored(bytes(payload))
     # repro-analysis: allow(EXCEPT001): unpickling corrupt bytes can raise nearly anything; the failure becomes EntryDamage and a quarantine, never a silent pass
     except Exception as error:
         raise EntryDamage(f"corrupt pickle payload: {error}") from error

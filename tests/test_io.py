@@ -26,6 +26,7 @@ from repro.data.io import (
     tid_to_dict,
     tree_decomposition_to_dot,
 )
+from repro.data.reference import tid_from_dict_seed
 from repro.data.signature import Relation, Signature
 from repro.data.tid import ProbabilisticInstance, as_probability
 from repro.errors import InstanceError, ReproError, SignatureError
@@ -348,6 +349,64 @@ def test_json_round_trip_on_random_tids(seed):
     restored = tid_from_dict(tid_to_dict(tid))
     assert restored.instance == instance
     assert restored.valuation() == tid.valuation()
+
+
+def _loaded(load, data):
+    """What a loader makes of ``data``: the TID's facts, valuation and both
+    fingerprints, or the typed error it raised."""
+    try:
+        tid = load(data)
+    except ReproError as error:
+        return type(error), str(error)
+    return tid.instance.facts, tid.valuation(), tid.instance.fingerprint, tid.fingerprint
+
+
+_CELLS = ["0.1", " 1/2 ", "1e-3", 1, 0.25, "1/0", "007/010", "3/2", "٣/٤"]
+
+
+@st.composite
+def tid_descriptions(draw):
+    """A saved TID description, its probability list laid out as saved,
+    reordered, partial or with duplicates, and some of its cells replaced."""
+    seed = draw(st.integers(min_value=0, max_value=1000))
+    instance = random_instance(Signature([("R", 1), ("S", 2)]), 4, 8, seed=seed)
+    data = tid_to_dict(random_probabilities(instance, seed=seed))
+    entries = [dict(entry) for entry in data["probabilities"]]
+    layout = draw(st.sampled_from(["saved", "reordered", "both reordered", "partial", "duplicated"]))
+    if layout in ("reordered", "both reordered"):
+        order = draw(st.permutations(range(len(entries))))
+        entries = [entries[i] for i in order]
+        if layout == "both reordered":
+            data["facts"] = [data["facts"][i] for i in order]
+    elif layout == "partial":
+        entries = entries[draw(st.integers(0, len(entries))) :]
+    elif layout == "duplicated":
+        extra = draw(st.lists(st.sampled_from(entries), min_size=1, max_size=3))
+        entries += [dict(entry) for entry in extra]
+    for entry in entries:
+        if draw(st.integers(1, 4)) == 1:
+            entry["probability"] = draw(st.sampled_from(_CELLS))
+    data["probabilities"] = entries
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=tid_descriptions())
+def test_one_pass_loader_equals_the_reference_loader(data):
+    assert _loaded(tid_from_dict, data) == _loaded(tid_from_dict_seed, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=json_descriptions)
+def test_one_pass_loader_equals_the_reference_loader_on_any_json(data):
+    assert _loaded(tid_from_dict, data) == _loaded(tid_from_dict_seed, data)
+
+
+@pytest.mark.parametrize("cell", _CELLS, ids=repr)
+def test_each_cell_loads_as_the_reference_loads_it(cell):
+    assert _loaded(tid_from_dict, _one_probability(cell)) == _loaded(
+        tid_from_dict_seed, _one_probability(cell)
+    )
 
 
 # -- DOT exports -------------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from repro.cli import main
+from repro.data.instance import Instance
 from repro.data.io import save_instance
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import (
@@ -95,6 +96,104 @@ def test_map_probability_matches_serial_engine(workers, workload, expected):
     assert report.shard_count <= workers
     assert report.items == len(workload)
     assert report.stats["probability"].total == len(workload)
+
+
+def _extreme_tids(instances):
+    """Two TIDs per instance whose probabilities cycle through 0, 1, a
+    denominator above 2**64, floats and an exact binary float."""
+    cells = [0, 1, Fraction(3, 2**64 + 13), 0.1, 1 / 3, Fraction(0.3), Fraction(1, 2)]
+    return [
+        ProbabilisticInstance(
+            instance,
+            {f: cells[(i + shift) % len(cells)] for i, f in enumerate(instance.facts)},
+        )
+        for shift in range(2)
+        for instance in instances
+    ]
+
+
+def test_pool_map_is_exact_on_extreme_probabilities():
+    instances = [labelled_partial_ktree_instance(8, 2, seed=seed) for seed in range(3)]
+    tids = _extreme_tids(instances)
+    queries = [unsafe_rst(), hierarchical_example()]
+    # TID objects repeat across pairs, and within one shard.
+    pairs = [(query, tid) for tid in tids for query in queries] + [
+        (unsafe_rst(), tids[0]),
+        (hierarchical_example(), tids[4]),
+    ]
+    serial = CompilationEngine()
+    expected = [serial.probability(query, tid) for query, tid in pairs]
+    assert any(value.denominator > 2**64 for value in expected)
+    with ParallelEngine(workers=2) as parallel:
+        report = parallel.map_probability(pairs)
+        again = parallel.map_probability(pairs)
+    assert report.shard_count == 2
+    assert list(report.values) == list(again.values) == expected
+    assert all(type(value) is Fraction for value in report.values)
+
+
+def test_pool_map_hashes_no_tid():
+    instances = [labelled_partial_ktree_instance(8, 2, seed=seed) for seed in range(3)]
+    tids = _extreme_tids(instances)
+    pairs = [(unsafe_rst(), tid) for tid in tids]
+    with ParallelEngine(workers=2) as parallel:
+        report = parallel.map_probability(pairs)
+    assert report.shard_count == 2
+    assert all(tid._fingerprint is None for tid in tids)
+
+
+def test_pool_map_groups_fresh_valuations_by_tid_object():
+    # Three instances, four fresh valuations each: twelve groups of one,
+    # split 6/6 as grouping by TID fingerprint split them.
+    instances = [labelled_partial_ktree_instance(8, 2, seed=seed) for seed in range(3)]
+    pairs = [
+        (unsafe_rst(), ProbabilisticInstance.uniform(instance, Fraction(k, 5)))
+        for k in range(1, 5)
+        for instance in instances
+    ]
+    with ParallelEngine(workers=2) as parallel:
+        assert parallel.map_probability(pairs).shard_sizes == (6, 6)
+
+
+def test_pool_unpickles_each_instance_once_per_worker(tmp_path, monkeypatch):
+    """Workers keep the instances they were shipped: an instance is
+    unpickled the first time a worker sees it, and never again there."""
+    log = tmp_path / "unpickled"
+    restore = Instance.__setstate__
+
+    def logged(self, state):
+        restore(self, state)
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {self.fingerprint}\n")
+
+    # Patched before the pool forks, so the workers inherit it.
+    monkeypatch.setattr(Instance, "__setstate__", logged)
+    instances = [labelled_partial_ktree_instance(8, 2, seed=seed) for seed in range(3)]
+    serial = CompilationEngine()
+
+    def unpickles() -> list[tuple[str, str]]:
+        return [tuple(line.split()) for line in log.read_text().splitlines()]
+
+    with ParallelEngine(workers=2) as parallel:
+        seen: list[tuple[str, str]] = []
+        for round_ in range(4):
+            # Interleaved, so each of the two shards holds every instance.
+            pairs = [
+                (unsafe_rst(), ProbabilisticInstance.uniform(instance, Fraction(round_ + 1, k + 6)))
+                for k in range(4)
+                for instance in instances
+            ]
+            report = parallel.map_probability(pairs)
+            assert list(report.values) == [serial.probability(q, t) for q, t in pairs]
+            now = unpickles()
+            # A worker that ran an earlier shard holds every instance, so
+            # this batch unpickles nothing on it.
+            ran_before = {pid for pid, _ in seen}
+            assert not [pid for pid, _ in now[len(seen) :] if pid in ran_before]
+            seen = now
+    assert seen, "the pool shipped no instance"
+    assert len(seen) == len(set(seen)) <= 2 * len(instances)
+    assert all(instance._fingerprint is not None for instance in instances)
 
 
 def test_probability_many_single_instance(workload, expected):

@@ -17,6 +17,7 @@ import pytest
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine, ParallelEngine
 from repro.engine import shm as shm_module
+from repro.engine.parallel import _WORKER_ATTACHMENT_LIMIT
 from repro.engine.shm import (
     SegmentHandle,
     SegmentPlane,
@@ -253,6 +254,37 @@ def test_pool_reweight_segments_reclaimed_after_context_exit(workload):
         assert len(live_segments(prefix)) == 1
     assert values == [compiled.probability(m) for m in maps]
     assert live_segments(prefix) == []
+
+
+def test_reweight_many_publishes_an_artifact_once(workload):
+    queries, tids = workload
+    compiled = CompilationEngine().compile(queries[0], tids[0].instance)
+    maps = [
+        {fact: Fraction(i + 1, i + 5) for fact in compiled.order} for i in range(8)
+    ]
+    expected = [compiled.probability(m) for m in maps]
+    with ParallelEngine(workers=2) as engine:
+        for _ in range(20):
+            assert engine.reweight_many(compiled, maps) == expected
+        plane = engine.segment_plane()
+        assert len(plane.owned_segments()) == 1
+        assert live_segments(plane.prefix) == list(plane.owned_segments())
+    assert live_segments(plane.prefix) == []
+
+
+def test_reweight_many_keeps_as_many_artifacts_as_a_worker_attaches(workload):
+    queries, tids = workload
+    compiled = CompilationEngine().compile(queries[0], tids[0].instance)
+    artifacts = [compiled.to_columnar().copy() for _ in range(_WORKER_ATTACHMENT_LIMIT + 2)]
+    maps = [{fact: Fraction(1, i + 2) for fact in compiled.order} for i in range(4)]
+    expected = [compiled.probability(m) for m in maps]
+    with ParallelEngine(workers=2) as engine:
+        for artifact in artifacts + artifacts[:1]:
+            assert engine.reweight_many(artifact, maps) == expected
+        plane = engine.segment_plane()
+        assert len(plane.owned_segments()) == _WORKER_ATTACHMENT_LIMIT
+        assert live_segments(plane.prefix) == list(plane.owned_segments())
+    assert live_segments(plane.prefix) == []
 
 
 def test_inline_regime_never_creates_segments(workload, monkeypatch):

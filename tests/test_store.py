@@ -18,9 +18,11 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import struct
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,12 @@ from repro.errors import StoreError
 from repro.generators import directed_path_instance, labelled_partial_ktree_instance
 from repro.generators.lines import rst_chain_instance
 from repro.provenance.compile_obdd import CompiledOBDD
-from repro.queries import parse_ucq, two_incident_same_direction, unsafe_rst
+from repro.queries import (
+    hierarchical_example,
+    parse_ucq,
+    two_incident_same_direction,
+    unsafe_rst,
+)
 from repro.store import (
     CODEC_COLUMNAR,
     CODEC_PICKLE,
@@ -545,6 +552,71 @@ class TestMalformedColumnarEntries:
         # artifact behind; the second read it back.
         assert ArtifactStore(root).stats().quarantined == 1
         assert engine.stats["store"].misses == engine.stats["store"].quarantines == 0
+
+
+class _Announce:
+    """Unpickles by calling ``print``: a store read must never run it."""
+
+    def __reduce__(self):
+        return (print, ("a store read ran code",))
+
+
+# Entries written by an earlier version of the library (format version 1,
+# unpickled with plain ``pickle.loads``): a columnar artifact, a lifted plan,
+# the unsafe verdict of a query with a disequality, and a tree encoding.
+FORMAT_V1_STORE = Path(__file__).parent / "data" / "store_format_v1"
+
+
+class TestStoreReadsRunNoCode:
+    def test_crafted_sidecar_is_a_quarantined_miss_that_prints_nothing(
+        self, tmp_path, artifact, capsys
+    ):
+        store = ArtifactStore(tmp_path / "store")
+        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
+        sidecar = {"node_count": 1, "root": 2, "order": [_Announce()]}
+        blob = pack_entry(
+            KEY_A, CODEC_COLUMNAR, {"kind": "columnar"}, columnar_payload(sidecar, [0, 0, 1])
+        )
+        with open(entry_files(store)[0], "wb") as handle:
+            handle.write(blob)
+        assert store.get_columnar(KEY_A) is None
+        assert capsys.readouterr().out == ""
+        assert store.counters.quarantines == 1
+        assert not entry_files(store)
+        assert "builtins.print" in store.quarantine_list()[0].reason
+
+    def test_crafted_object_entry_is_a_quarantined_miss(self, tmp_path, capsys):
+        store = ArtifactStore(tmp_path / "store")
+        store.put_object(KEY_A, _Announce(), {"kind": "lifted_plan"})
+        assert store.get_object(KEY_A) == (False, None)
+        assert capsys.readouterr().out == ""
+        assert store.counters.quarantines == 1
+
+    def test_verify_quarantines_a_crafted_entry(self, tmp_path, capsys):
+        store = ArtifactStore(tmp_path / "store")
+        store.put_object(KEY_A, _Announce(), {"kind": "lifted_plan"})
+        report = store.verify()
+        assert report.quarantined == [KEY_A]
+        assert capsys.readouterr().out == ""
+
+    def test_format_v1_entries_still_hit(self, tmp_path):
+        shutil.copytree(FORMAT_V1_STORE, tmp_path / "store")
+        instance = labelled_partial_ktree_instance(6, 2, seed=3)
+        tid = ProbabilisticInstance.uniform(instance, Fraction(1, 3))
+        fresh = CompilationEngine()
+        engine = CompilationEngine(store=tmp_path / "store")
+        assert engine.probability(unsafe_rst(), tid, "obdd") == fresh.probability(
+            unsafe_rst(), tid, "obdd"
+        )
+        assert engine.lifted_plan(hierarchical_example()) == fresh.lifted_plan(
+            hierarchical_example()
+        )
+        assert engine.lifted_plan(parse_ucq("R(x), S(x, y), x != y")) is None
+        assert engine.tree_encoding_of(instance).nodes == fresh.tree_encoding_of(instance).nodes
+        assert engine.stats["store"].hits == 4
+        assert engine.stats["store"].misses == 0
+        assert engine.store.counters.quarantines == 0
+        assert engine.stats["lineage"].total == 0
 
 
 def _region(blob: bytes, name: str) -> tuple[int, int]:

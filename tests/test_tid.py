@@ -72,3 +72,28 @@ def test_from_pairs():
     tid = ProbabilisticInstance.from_pairs([(fact("R", "a"), Fraction(1, 3))])
     assert len(tid) == 1
     assert tid.probability_of(fact("R", "a")) == Fraction(1, 3)
+
+
+def test_from_column_equals_the_valuation_build():
+    tid = make_tid()
+    rebuilt = ProbabilisticInstance.from_column(tid.instance, tid.column())
+    assert rebuilt.valuation() == tid.valuation()
+    assert rebuilt.fingerprint == tid.fingerprint
+    assert rebuilt.column() == (Fraction(1, 2), Fraction(1, 4))
+
+
+def test_from_column_converts_each_value_like_init():
+    instance = make_tid().instance
+    rebuilt = ProbabilisticInstance.from_column(instance, [0.1, (1, 3)])
+    assert rebuilt.column() == (Fraction(1, 10), Fraction(1, 3))
+    assert rebuilt.valuation() == ProbabilisticInstance(
+        instance, dict(zip(instance.facts, [0.1, (1, 3)]))
+    ).valuation()
+    with pytest.raises(ProbabilityError, match="outside"):
+        ProbabilisticInstance.from_column(instance, [Fraction(1, 2), Fraction(3, 2)])
+
+
+@pytest.mark.parametrize("column", [[], [Fraction(1, 2)], [1, 1, 1]])
+def test_from_column_rejects_a_column_of_the_wrong_length(column):
+    with pytest.raises(ProbabilityError, match="facts"):
+        ProbabilisticInstance.from_column(make_tid().instance, column)
