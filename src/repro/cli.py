@@ -280,16 +280,14 @@ def _command_show(arguments: argparse.Namespace) -> int:
 def _build_repair_hook(instance_paths: Sequence[str]):
     """The ``store verify --repair`` recompile hook.
 
-    Damaged entries are re-derived from the given source instance files when
-    the entry's metadata names one of their fingerprints (columnar artifacts
-    and tree encodings) or needs no instance at all (lifted plans); anything
-    else returns ``None`` and the sweep deletes the entry with a logged
-    reason.  The repair engine is deliberately store-less: the sweep holds
-    the store's exclusive lock, and re-derivation must not re-enter it.
+    A damaged columnar entry is re-derived when its metadata names the
+    fingerprint of one of the given source instance files; anything else
+    returns ``None`` and the sweep deletes the entry with a logged reason.
+    The repair engine is deliberately store-less: the sweep holds the
+    store's exclusive lock, and re-derivation must not re-enter it.
     """
     from repro.engine import CompilationEngine
     from repro.queries.parser import parse_ucq
-    from repro.store import CODEC_COLUMNAR, CODEC_PICKLE
 
     engine = CompilationEngine()
     instances = {}
@@ -297,30 +295,20 @@ def _build_repair_hook(instance_paths: Sequence[str]):
         tid = _load(path)
         instances[tid.instance.fingerprint] = tid.instance
 
-    def recompile(meta: dict) -> "tuple[int, object] | None":
-        kind = meta.get("kind")
+    def recompile(meta: dict) -> "tuple[object, object] | None":
+        fingerprint, query = meta.get("instance"), meta.get("query")
+        if meta.get("kind") != "columnar" or not isinstance(query, str):
+            return None
+        instance = instances.get(fingerprint) if isinstance(fingerprint, str) else None
+        if instance is None:
+            return None
         try:
-            if kind == "columnar":
-                instance = instances.get(meta.get("instance"))
-                if instance is None:
-                    return None
-                query = parse_ucq(str(meta["query"]))
-                artifact = engine.columnar(
-                    query, instance, use_path_decomposition=bool(meta.get("use_path"))
-                )
-                return CODEC_COLUMNAR, artifact
-            if kind == "lifted_plan":
-                query = parse_ucq(str(meta["query"]))
-                return CODEC_PICKLE, engine.lifted_plan(query)
-            if kind == "tree_encoding":
-                instance = instances.get(meta.get("instance"))
-                if instance is None:
-                    return None
-                encoding = engine.tree_encoding_of(instance)
-                return CODEC_PICKLE, (encoding.nodes, encoding.root)
+            artifact = engine.columnar(
+                parse_ucq(query), instance, use_path_decomposition=bool(meta.get("use_path"))
+            )
         except ReproError:
             return None
-        return None
+        return artifact, instance
 
     return recompile
 

@@ -67,17 +67,18 @@ the choice.  Chosen routes are counted in
 Parallelism
 -----------
 :class:`repro.engine.parallel.ParallelEngine` scales the same batched entry
-points past one core: ``(query, instance)`` workloads are partitioned into
-shards (grouped by the fingerprint of each pair's second element for cache
-affinity, split when a single group dominates), each shard runs in a
-worker of a :class:`concurrent.futures.ProcessPoolExecutor` owning a private
+points past one core: workloads are partitioned into shards (split when a
+single group dominates), each shard runs in a worker of a
+:class:`concurrent.futures.ProcessPoolExecutor` owning a private
 :class:`CompilationEngine`, and the values plus per-worker ``CacheStats``
-are merged back into one :class:`ParallelReport`.  The CLI
-``batch --workers N`` flag and ``benchmarks/bench_parallel.py`` go through
-it.  A compile workload groups by instance; a probability workload groups
-by TID, whose fingerprint covers the probabilities, so fresh valuations of
-one instance form separate groups (the ROADMAP's item 4 weighs grouping
-them by instance).
+are merged back into one :class:`ParallelReport` that counts that batch's
+work only.  The CLI ``batch --workers N`` flag and
+``benchmarks/bench_parallel.py`` go through it.  A compile workload groups
+its ``(query, instance)`` pairs by instance fingerprint, for cache
+affinity.  A probability workload groups its ``(query, tid)`` pairs by TID
+object, so no TID is hashed, and ships each distinct instance once as
+pickle bytes and each TID as columns of its probabilities' numerators and
+denominators; a worker unpickles an instance once and keeps it.
 
 Data plane
 ----------

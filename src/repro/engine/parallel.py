@@ -305,25 +305,23 @@ def _worker_instance(fingerprint: str, pickled: bytes) -> Instance:
     return instance
 
 
-def _stats_snapshot(engine: CompilationEngine) -> dict[str, CacheStats]:
-    return {name: stats.copy() for name, stats in engine.stats.items()}
-
-
 def _outcome(engine: CompilationEngine, results: list[tuple[int, Any]]) -> ShardOutcome:
     """A shard's indexed results plus the counters of the work it did."""
-    return results, _stats_snapshot(engine), engine.route_mix()
+    stats = {name: stats.copy() for name, stats in engine.stats.items()}
+    return results, stats, engine.route_mix()
 
 
 def _reset_stats(engine: CompilationEngine) -> None:
     """Zero the counters (keeping the caches) so a shard reports its own work.
 
     One pool process may execute several shards; without the reset, a later
-    shard's snapshot would re-count the earlier shards' hits and misses and
-    the merged report would no longer be the exact sum over the workload.
-    The router's route counts are reset with the cache counters.
+    shard's snapshot would re-count the earlier shards' hits, misses and
+    store quarantines, and the merged report would no longer be the exact
+    sum over the workload.  The router's route counts are reset with the
+    cache counters.
     """
     for stats in engine.stats.values():
-        stats.hits = stats.misses = 0
+        stats.hits = stats.misses = stats.quarantines = 0
     engine.route_counts.clear()
 
 
@@ -364,12 +362,15 @@ def _run_compile_shard(shard: Shard, use_path_decomposition: bool) -> ShardOutco
     return _outcome(engine, results)
 
 
-def _run_reweight_shard(shard: Shard, extra: tuple[SegmentHandle, bool]) -> ShardOutcome:
-    """Sweep one shared artifact under this shard's probability assignments."""
+def _run_reweight_shard(
+    shard: Shard, extra: tuple[SegmentHandle | ColumnarOBDD, bool]
+) -> ShardOutcome:
+    """Sweep one artifact under this shard's probability assignments: the
+    artifact itself inline, a shared one attached through its handle."""
     handle, exact = extra
     engine = _worker_engine()
     _reset_stats(engine)
-    artifact = _worker_attachment(handle)
+    artifact = handle if isinstance(handle, ColumnarOBDD) else _worker_attachment(handle)
     # One matrix sweep over the whole shard: in the float regime the batch
     # kernel amortizes per-level overhead across every assignment at once.
     values = artifact.probability_many(
@@ -820,27 +821,15 @@ class ParallelEngine:
             compiled if isinstance(compiled, ColumnarOBDD) else compiled.to_columnar()
         )
         items = [(probabilities,) for probabilities in probability_maps]
-        if not items:
-            self._run(items, _run_reweight_shard, None)
-            return []
-        if self.workers == 1:
-            engine = self._ensure_inline_engine()
-            values = columnar.probability_many(
-                [probabilities for (probabilities,) in items], exact=exact
-            )
-            self.last_report = ParallelReport(
-                values=tuple(values),
-                workers=self.workers,
-                shard_sizes=(len(items),),
-                worker_stats=(_stats_snapshot(engine),),
-                worker_routes=(engine.route_mix(),),
-            )
-            return values
-        handle = self._published_handle(columnar)
+        # Each item is its own group, so a batch runs inline exactly when one
+        # worker or one item leaves a single shard: it then sweeps the
+        # artifact itself, and no segment is published.
+        inline = self.workers == 1 or len(items) < 2
+        shared = columnar if inline else self._published_handle(columnar)
         report = self._run(
             items,
             _run_reweight_shard,
-            (handle, exact),
+            (shared, exact),
             group_key=_reweight_group_key,
             # A worker that cannot attach (absent/corrupt segment) reports a
             # retryable SegmentError; republishing under a fresh name is the

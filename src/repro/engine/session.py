@@ -54,13 +54,7 @@ from repro.provenance.variable_orders import (
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
 from repro.resilience import ResourceBudget, activate, active_budget
-from repro.store import (
-    ArtifactStore,
-    canonical_query_text,
-    columnar_key,
-    encoding_key,
-    plan_key,
-)
+from repro.store import ArtifactStore, canonical_query_text, columnar_key
 from repro.structure.elimination import EliminationSweep, best_heuristic_sweep
 from repro.structure.graph import Graph
 from repro.structure.path_decomposition import PathDecomposition, path_decomposition
@@ -200,14 +194,16 @@ class CompilationEngine:
     store:
         A persistent tier below the in-memory LRU caches: an opened
         :class:`~repro.store.ArtifactStore`, or a directory path (string or
-        ``Path``) to open one at.  Compiled columnar artifacts, lifted
-        plans, and tree encodings are then *read through* the store on a
-        memory miss (every lookup counted in ``stats["store"]``) and
-        *written behind* on a fresh build, so they survive process restarts
-        and are shared by every engine pointed at the same directory.  A
-        store entry that fails integrity verification is quarantined and
-        recompiled (counted in ``stats["store"].quarantines``) — the store
-        can never change an answer, only the time to produce it.
+        ``Path``) to open one at.  Compiled OBDDs are then *read through*
+        the store as columns on a memory miss (every lookup counted in
+        ``stats["store"]``) and *written behind* on a fresh build, so they
+        survive process restarts and are shared by every engine pointed at
+        the same directory.  Lineages, lifted plans and tree encodings are
+        rebuilt by each engine.  A store entry that fails integrity
+        verification, or was written in another format version, is
+        quarantined and recompiled (counted in
+        ``stats["store"].quarantines``) — the store can never change an
+        answer, only the time to produce it.
     """
 
     def __init__(
@@ -347,7 +343,7 @@ class CompilationEngine:
         if self.store is None:
             return None
         key = columnar_key(instance.fingerprint, query, use_path)
-        artifact = self.store.get_columnar(key)
+        artifact = self.store.get_columnar(key, instance)
         self.stats["store"].record(artifact is not None)
         self._sync_store_quarantines()
         return artifact
@@ -359,7 +355,10 @@ class CompilationEngine:
             return
         key = columnar_key(instance.fingerprint, query, use_path)
         self.store.put_columnar(
-            key, compiled.to_columnar(), self._store_columnar_meta(query, instance, use_path)
+            key,
+            compiled.to_columnar(),
+            instance,
+            self._store_columnar_meta(query, instance, use_path),
         )
         self._sync_store_quarantines()
 
@@ -404,24 +403,8 @@ class CompilationEngine:
         fused_tree_encoding`), reusing the cached Gaifman graph."""
         slot = self._slot(instance)
         self.stats["structure"].record(slot.encoding is not None)
-        if slot.encoding is None and self.store is not None:
-            found, value = self.store.get_object(encoding_key(instance.fingerprint))
-            self.stats["store"].record(found)
-            self._sync_store_quarantines()
-            if found:
-                nodes, root = value
-                slot.encoding = TreeEncoding(instance, nodes, root)
         if slot.encoding is None:
             slot.encoding = fused_tree_encoding(instance, sweep=self._sweep_of(instance))
-            if self.store is not None:
-                # Persist only the instance-independent node table: the
-                # loading engine reattaches its own Instance object.
-                self.store.put_object(
-                    encoding_key(instance.fingerprint),
-                    (slot.encoding.nodes, slot.encoding.root),
-                    {"kind": "tree_encoding", "instance": instance.fingerprint},
-                )
-                self._sync_store_quarantines()
         return slot.encoding
 
     def fact_order(self, instance: Instance, kind: str = "default") -> tuple[Fact, ...]:
@@ -544,26 +527,7 @@ class CompilationEngine:
         if hit:
             self._lifted_plans.move_to_end(key)
         else:
-            plan: LiftedPlan | None = None
-            found = False
-            if self.store is not None:
-                # The pickle codec round-trips the None verdict for unsafe
-                # queries too, so minimization never re-runs after a restart.
-                found, value = self.store.get_object(plan_key(key))
-                self.stats["store"].record(found)
-                self._sync_store_quarantines()
-                if found:
-                    plan = value
-            if not found:
-                plan = try_lifted_plan(key)
-                if self.store is not None:
-                    self.store.put_object(
-                        plan_key(key),
-                        plan,
-                        {"kind": "lifted_plan", "query": canonical_query_text(key)},
-                    )
-                    self._sync_store_quarantines()
-            self._lifted_plans[key] = plan
+            self._lifted_plans[key] = try_lifted_plan(key)
             while len(self._lifted_plans) > self._max_probability_entries:
                 self._lifted_plans.popitem(last=False)
         return self._lifted_plans[key]

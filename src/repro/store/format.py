@@ -11,25 +11,27 @@ payload, and an echo of the content-fingerprint key the entry was written
 under.  A reader validates in that order — magic, version, lengths,
 key echo, checksum — and every mismatch raises :class:`EntryDamage` with a
 machine-readable reason, which the store turns into a quarantine (never an
-answer).
+answer).  An entry of another format version is damage like any other: the
+engine quarantines it, recompiles, and writes the current version behind.
 
-Two payload codecs:
+Two payload codecs, and neither deserializes a Python object:
 
 * :data:`CODEC_COLUMNAR` — a :class:`~repro.booleans.columnar.ColumnarOBDD`
-  as a small pickled sidecar (variable order, root) followed by the packed
-  ``var|lo|hi`` int64 columns at an 8-byte-aligned offset.  The columns are
-  the exact :meth:`~repro.booleans.columnar.ColumnarOBDD.write_into` buffer
-  layout, so a verified entry can be memory-mapped and attached zero-copy
-  (numpy views straight into the mapping), mirroring the shared-memory
-  transport of :mod:`repro.engine.shm`.
-* :data:`CODEC_PICKLE` — a picklable artifact built from the library's
-  stored data classes (lifted plans — including the ``None`` verdict for
-  unsafe queries — and tree-encoding node tables).
+  as a JSON sidecar ``{"node_count": n, "root": r}``, the packed
+  ``var|lo|hi`` int64 columns at an 8-byte-aligned offset, and then the
+  variable order as an int64 column of positions in ``instance.facts``
+  (it fills the rest of the payload).  The entry key names the instance,
+  so a reader holding that instance maps the positions back to its own
+  facts.  The columns are the exact
+  :meth:`~repro.booleans.columnar.ColumnarOBDD.write_into` buffer layout,
+  so a verified entry can be memory-mapped and attached zero-copy (numpy
+  views straight into the mapping), mirroring the shared-memory transport
+  of :mod:`repro.engine.shm`.
+* :data:`CODEC_JSON` — one JSON value.
 
-Both codecs read their pickles with an unpickler that resolves only the
-stored data classes (:data:`STORED_CLASSES`): a checksum proves which bytes
-a writer packed, not what they name, so a pickle that names any other
-global (``print``, ``os.system``) is damage, and reading it calls nothing.
+A checksum proves which bytes a writer packed, not that they make sense:
+the decoders check every shape, count and position against what the reader
+holds, and a mismatch is damage too.
 
 Keys are SHA-256 hex digests over a canonical description that chains the
 artifact kind, the instance content fingerprint, and the query's canonical
@@ -41,27 +43,28 @@ can never alias a different artifact.
 from __future__ import annotations
 
 import hashlib
-import importlib
-import io
 import json
-import pickle
 import struct
+from array import array
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from repro.booleans.columnar import ColumnarOBDD
-from repro.errors import StoreError
+from repro.booleans.columnar import ColumnarOBDD, columnar_from_buffer
+from repro.data.instance import Fact, Instance
+from repro.errors import CompilationError, StoreError
 
-#: First (and current) version of the entry format.
-FORMAT_VERSION = 1
+#: The current version of the entry format; an entry of any other version is
+#: damage.  Stored positions index ``instance.facts``, so a change to the fact
+#: order an instance fingerprint stands for needs a new version.
+FORMAT_VERSION = 2
 
 MAGIC = b"RPROART1"
 
 #: Payload codecs (the ``codec`` header field).
 CODEC_COLUMNAR = 1
-CODEC_PICKLE = 2
+CODEC_JSON = 2
 
-_CODEC_NAMES = {CODEC_COLUMNAR: "columnar", CODEC_PICKLE: "pickle"}
+_CODEC_NAMES = {CODEC_COLUMNAR: "columnar", CODEC_JSON: "json"}
 
 # magic | version | codec | payload_len | sha256(payload) | key echo |
 # meta_len | reserved — 128 bytes, little-endian, no implicit padding.
@@ -141,16 +144,6 @@ def columnar_key(instance_fingerprint: str, query: Any, use_path: bool) -> str:
     )
 
 
-def plan_key(query: Any) -> str:
-    """Key of a lifted plan (instance-independent, like the engine cache)."""
-    return derive_key("lifted_plan", canonical_query_text(query))
-
-
-def encoding_key(instance_fingerprint: str) -> str:
-    """Key of a fused tree encoding (per-instance structural artifact)."""
-    return derive_key("tree_encoding", instance_fingerprint)
-
-
 def pack_entry(key: str, codec: int, meta: Mapping[str, Any], payload: bytes) -> bytes:
     """Serialize one complete entry file: header, meta JSON, padded payload."""
     if codec not in _CODEC_NAMES:
@@ -210,11 +203,9 @@ def verify_entry(
         raise EntryDamage(
             f"truncated entry: {len(buffer)} bytes < {header.total_size} expected"
         )
-    meta_raw = bytes(buffer[header.meta_offset : header.meta_offset + header.meta_len])
-    try:
-        meta = json.loads(meta_raw.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
-        raise EntryDamage(f"corrupt meta JSON: {error}") from error
+    meta = _json_value(
+        bytes(buffer[header.meta_offset : header.meta_offset + header.meta_len]), "meta JSON"
+    )
     if not isinstance(meta, dict):
         raise EntryDamage("corrupt meta JSON: not an object")
     # hashlib accepts any contiguous buffer, so a memory-mapped entry is
@@ -244,116 +235,129 @@ def best_effort_meta(buffer: bytes | memoryview) -> dict[str, Any]:
     """
     try:
         header = parse_header(buffer)
-        meta_raw = bytes(buffer[header.meta_offset : header.meta_offset + header.meta_len])
-        meta = json.loads(meta_raw.decode("utf-8"))
-    # repro-analysis: allow(EXCEPT001): this is the tolerant path for entries already known to be damaged; any parse failure simply means "no metadata survives", which the repair sweep reports as not re-derivable
-    except Exception:
+        meta = _json_value(
+            bytes(buffer[header.meta_offset : header.meta_offset + header.meta_len]), "meta JSON"
+        )
+    except EntryDamage:
         return {}
     return meta if isinstance(meta, dict) else {}
+
+
+def _json_value(data: bytes, what: str) -> Any:
+    """The JSON value in ``data``; any decoding failure is damage.
+
+    ``json.loads`` raises ``ValueError`` (``UnicodeDecodeError`` included)
+    on malformed bytes and ``RecursionError`` on deeply nested ones.
+    """
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as error:
+        raise EntryDamage(f"corrupt {what}: {error}") from error
 
 
 # -- columnar payload ----------------------------------------------------------
 
 _SIDECAR_LEN = struct.Struct("<Q")
-
-#: The classes a stored pickle may name, by module: the facts of a columnar
-#: variable order, lifted plans and tree encodings, what they hold, and the
-#: exact ``Fraction`` (whose pickle calls ``Fraction(str)``).
-STORED_CLASSES: dict[str, frozenset[str]] = {
-    "fractions": frozenset({"Fraction"}),
-    "repro.data.instance": frozenset({"Fact", "Instance"}),
-    "repro.data.signature": frozenset({"Signature", "Relation"}),
-    "repro.queries.atoms": frozenset({"Variable", "Atom", "Disequality"}),
-    "repro.queries.cq": frozenset({"ConjunctiveQuery"}),
-    "repro.queries.ucq": frozenset({"UnionOfConjunctiveQueries"}),
-    "repro.probability.lifted.plan": frozenset(
-        {
-            "AtomSpec",
-            "GroundNode",
-            "JoinNode",
-            "ProjectNode",
-            "InclusionExclusionNode",
-            "LiftedPlan",
-        }
-    ),
-    "repro.provenance.tree_encoding": frozenset({"EncodingNode", "TreeEncoding"}),
-}
+_POSITION = struct.calcsize("q")
 
 
-class _StoredDataUnpickler(pickle.Unpickler):
-    """An unpickler that resolves only :data:`STORED_CLASSES`."""
+def encode_columnar(columnar: ColumnarOBDD, instance: Instance) -> bytes:
+    """Pack a columnar artifact: JSON sidecar, aligned columns, then the
+    variable order as positions in ``instance.facts``.
 
-    def find_class(self, module: str, name: str) -> Any:
-        if name not in STORED_CLASSES.get(module, ()):
-            raise EntryDamage(f"pickle names {module}.{name}, not a stored data class")
-        return getattr(importlib.import_module(module), name)
-
-
-def _load_stored(data: bytes) -> Any:
-    return _StoredDataUnpickler(io.BytesIO(data)).load()
-
-
-def encode_columnar(columnar: ColumnarOBDD) -> bytes:
-    """Pack a columnar artifact: pickled sidecar, then aligned columns."""
-    sidecar = pickle.dumps(columnar.meta(), protocol=pickle.HIGHEST_PROTOCOL)
+    Raises :class:`~repro.errors.StoreError` when a variable is not a fact
+    of ``instance``.
+    """
+    positions = array("q")
+    for variable in columnar.order:
+        position = None
+        if isinstance(variable, Fact):
+            position = instance.fact_positions(variable.relation).get(variable.arguments)
+        if position is None:
+            raise StoreError(f"variable {variable!r} is not a fact of the instance")
+        positions.append(position)
+    sidecar = json.dumps({"node_count": len(columnar), "root": columnar.root}).encode("ascii")
     columns_offset = _aligned(_SIDECAR_LEN.size + len(sidecar))
-    payload = bytearray(columns_offset + columnar.nbytes)
+    order_offset = columns_offset + columnar.nbytes
+    payload = bytearray(order_offset + _POSITION * len(positions))
     _SIDECAR_LEN.pack_into(payload, 0, len(sidecar))
     payload[_SIDECAR_LEN.size : _SIDECAR_LEN.size + len(sidecar)] = sidecar
     if columnar.nbytes:
-        columnar.write_into(memoryview(payload)[columns_offset:])
+        columnar.write_into(memoryview(payload)[columns_offset:order_offset])
+    payload[order_offset:] = positions.tobytes()
     return bytes(payload)
 
 
-def decode_columnar_sidecar(payload: bytes | memoryview) -> tuple[dict[str, Any], int]:
-    """The pickled sidecar and the columns' offset within the payload.
+def decode_columnar(
+    payload: bytes | memoryview, facts: Sequence[Any] | None = None, retain: Any = None
+) -> ColumnarOBDD:
+    """The columnar artifact of a verified payload, its order read in ``facts``.
 
-    Only called after :func:`verify_entry` passed, so the pickle bytes are
-    what some writer packed; a sidecar that does not unpickle, names a class
-    outside :data:`STORED_CLASSES`, or whose ``node_count`` and ``root`` are
-    not non-negative ints or whose ``order`` is not a list or tuple,
-    surfaces as :class:`EntryDamage`, never as an unpickling crash, a call
-    the pickle asked for, or a ``KeyError`` propagating upward.
+    ``facts`` is the ``instance.facts`` of the instance the entry key names;
+    the order then holds that instance's own facts.  Without it (the verify
+    sweep, which holds no instance) the order stays positions, which still
+    checks every column's shape.  ``retain`` keeps the buffer's owner (a
+    file mapping) alive as long as the columns view it.
+
+    Only called after :func:`verify_entry` passed, so these are the bytes
+    some writer packed; a sidecar that is not a JSON object with
+    non-negative int ``node_count`` and ``root``, a payload that does not
+    hold that many nodes plus whole positions, a position outside ``facts``
+    or repeated, or columns that break the artifact's contract (a level
+    past the order, a child id out of range) raise :class:`EntryDamage`.
     """
     if len(payload) < _SIDECAR_LEN.size:
         raise EntryDamage("columnar payload too short for its sidecar length")
-    (sidecar_len,) = _SIDECAR_LEN.unpack_from(bytes(payload[: _SIDECAR_LEN.size]))
+    (sidecar_len,) = _SIDECAR_LEN.unpack_from(payload)
     columns_offset = _aligned(_SIDECAR_LEN.size + sidecar_len)
     if len(payload) < columns_offset:
         raise EntryDamage("columnar payload too short for its sidecar")
-    try:
-        sidecar = _load_stored(
-            bytes(payload[_SIDECAR_LEN.size : _SIDECAR_LEN.size + sidecar_len])
-        )
-    # repro-analysis: allow(EXCEPT001): unpickling attacker-shaped corrupt bytes can raise nearly anything; every failure is converted to EntryDamage and quarantined, never swallowed
-    except Exception as error:
-        raise EntryDamage(f"corrupt columnar sidecar: {error}") from error
+    sidecar = _json_value(
+        bytes(payload[_SIDECAR_LEN.size : _SIDECAR_LEN.size + sidecar_len]), "columnar sidecar"
+    )
     if not isinstance(sidecar, dict):
-        raise EntryDamage("corrupt columnar sidecar: not a meta mapping")
-    for field in ("node_count", "root"):
-        value = sidecar.get(field)
+        raise EntryDamage("corrupt columnar sidecar: not an object")
+    node_count, root = sidecar.get("node_count"), sidecar.get("root")
+    for field, value in (("node_count", node_count), ("root", root)):
         if type(value) is not int or value < 0:
             raise EntryDamage(f"corrupt columnar sidecar: {field} is {value!r}")
-    if not isinstance(sidecar.get("order"), (list, tuple)):
-        raise EntryDamage("corrupt columnar sidecar: order is not a list")
-    expected = columns_offset + 3 * sidecar["node_count"] * 8
-    if len(payload) < expected:
-        raise EntryDamage(
-            f"columnar payload too short for {sidecar['node_count']} nodes"
-        )
-    return sidecar, columns_offset
-
-
-def encode_pickle(value: Any) -> bytes:
-    """Pack a picklable artifact (lifted plans, tree encodings)."""
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_pickle(payload: bytes | memoryview) -> Any:
-    """Unpickle a verified :data:`CODEC_PICKLE` payload, resolving only the
-    stored data classes."""
+    order_offset = columns_offset + 3 * _POSITION * node_count
+    if len(payload) < order_offset or (len(payload) - order_offset) % _POSITION:
+        raise EntryDamage(f"columnar payload does not hold {node_count} nodes and whole positions")
+    column = array("q")
+    column.frombytes(payload[order_offset:])
+    positions = column.tolist()
+    order: list[Any] = positions
+    if facts is not None:
+        if positions and not (0 <= min(positions) and max(positions) < len(facts)):
+            raise EntryDamage(
+                f"columnar order has a position outside the instance's {len(facts)} facts"
+            )
+        if len(set(positions)) != len(positions):
+            raise EntryDamage("columnar order repeats a position")
+        order = list(map(facts.__getitem__, positions))
     try:
-        return _load_stored(bytes(payload))
-    # repro-analysis: allow(EXCEPT001): unpickling corrupt bytes can raise nearly anything; the failure becomes EntryDamage and a quarantine, never a silent pass
-    except Exception as error:
-        raise EntryDamage(f"corrupt pickle payload: {error}") from error
+        return columnar_from_buffer(
+            {"node_count": node_count, "root": root, "order": order},
+            payload[columns_offset:order_offset],
+            retain=retain,
+        )
+    except CompilationError as error:
+        raise EntryDamage(f"corrupt columnar columns: {error}") from error
+
+
+# -- JSON payload --------------------------------------------------------------
+
+
+def encode_json(value: Any) -> bytes:
+    """Pack one JSON value (raises :class:`~repro.errors.StoreError` when
+    ``value`` is not one)."""
+    try:
+        return json.dumps(value, sort_keys=True).encode("utf-8")
+    except (TypeError, ValueError) as error:
+        raise StoreError(f"not a JSON value: {error}") from error
+
+
+def decode_json(payload: bytes | memoryview) -> Any:
+    """The JSON value of a verified :data:`CODEC_JSON` payload."""
+    return _json_value(bytes(payload), "JSON payload")

@@ -45,7 +45,9 @@ With numpy available, a verified columnar entry is memory-mapped and the
 same :func:`~repro.booleans.columnar.columnar_from_buffer` path the
 shared-memory transport uses); the mapping is released when the last view
 dies.  The stdlib ``array`` fallback copies the columns out and closes the
-mapping immediately.
+mapping immediately.  The variable order is stored as positions in
+``instance.facts``, so :meth:`ArtifactStore.get_columnar` takes the
+instance and returns an artifact over that instance's own facts.
 """
 
 from __future__ import annotations
@@ -60,17 +62,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.booleans.columnar import ColumnarOBDD, columnar_from_buffer
-from repro.errors import CompilationError, StoreError
+from repro.booleans.columnar import ColumnarOBDD
+from repro.data.instance import Instance
+from repro.errors import StoreError
 from repro.store.format import (
     CODEC_COLUMNAR,
-    CODEC_PICKLE,
+    CODEC_JSON,
     EntryDamage,
     best_effort_meta,
-    decode_columnar_sidecar,
-    decode_pickle,
+    decode_columnar,
+    decode_json,
     encode_columnar,
-    encode_pickle,
+    encode_json,
     pack_entry,
     verify_entry,
 )
@@ -86,11 +89,11 @@ _REASON_SUFFIX = ".reason.json"
 _LOCK_RETRIES = 16
 
 #: Signature of the ``verify(recompile=...)`` callback: given a damaged
-#: entry's meta mapping, return the replacement artifact as
-#: ``(codec, value)`` — a :class:`ColumnarOBDD` under ``CODEC_COLUMNAR``, any
-#: picklable value under ``CODEC_PICKLE`` — or ``None`` when the artifact
-#: cannot be re-derived (the entry is then deleted with a logged reason).
-RecompileHook = Callable[[dict[str, Any]], "tuple[int, Any] | None"]
+#: entry's meta mapping, return the replacement columnar artifact with the
+#: instance its variable order is a fact order of, or ``None`` when the
+#: artifact cannot be re-derived (the entry is then deleted with a logged
+#: reason).
+RecompileHook = Callable[[dict[str, Any]], "tuple[ColumnarOBDD, Instance] | None"]
 
 
 @dataclass
@@ -306,21 +309,24 @@ class ArtifactStore:
         self.counters.writes += 1
         return True
 
-    def put_columnar(self, key: str, columnar: ColumnarOBDD, meta: dict[str, Any]) -> bool:
-        """Persist a columnar artifact under ``key`` (idempotent)."""
+    def put_columnar(
+        self, key: str, columnar: ColumnarOBDD, instance: Instance, meta: dict[str, Any]
+    ) -> bool:
+        """Persist a columnar artifact over ``instance``'s facts under ``key``
+        (idempotent); its variable order is stored as fact positions."""
         meta = dict(meta, kind=meta.get("kind", "columnar"))
         with self._lock(exclusive=False):
             if self._entry_path(key).exists():
                 return True
-            blob = pack_entry(key, CODEC_COLUMNAR, meta, encode_columnar(columnar))
+            blob = pack_entry(key, CODEC_COLUMNAR, meta, encode_columnar(columnar, instance))
             return self._commit_entry(key, blob)
 
     def put_object(self, key: str, value: Any, meta: dict[str, Any]) -> bool:
-        """Persist any picklable artifact under ``key`` (idempotent)."""
+        """Persist a JSON value under ``key`` (idempotent)."""
         with self._lock(exclusive=False):
             if self._entry_path(key).exists():
                 return True
-            blob = pack_entry(key, CODEC_PICKLE, meta, encode_pickle(value))
+            blob = pack_entry(key, CODEC_JSON, meta, encode_json(value))
             return self._commit_entry(key, blob)
 
     # -- read path -------------------------------------------------------------
@@ -341,12 +347,14 @@ class ArtifactStore:
                 # repro-analysis: allow(EXCEPT001): the sabotage helper itself must not crash the read it is trying to sabotage
                 pass
 
-    def get_columnar(self, key: str) -> ColumnarOBDD | None:
-        """Load a columnar artifact, or None on miss / quarantined damage.
+    def get_columnar(self, key: str, instance: Instance) -> ColumnarOBDD | None:
+        """Load a columnar artifact over ``instance``, or None on miss /
+        quarantined damage.
 
         The entry is fully verified, then attached zero-copy: the returned
         artifact's columns are views into the file mapping (numpy backend),
-        released when the artifact dies.  The artifact stays valid after
+        released when the artifact dies, and its variable order holds
+        ``instance``'s own facts.  The artifact stays valid after
         :meth:`close` — it owns its mapping.
         """
         path = self._entry_path(key)
@@ -372,7 +380,7 @@ class ArtifactStore:
                     payload = buffer[
                         header.payload_offset : header.payload_offset + header.payload_len
                     ]
-                    artifact = _decode_columnar(payload, retain=mapping)
+                    artifact = decode_columnar(payload, instance.facts, retain=mapping)
                 finally:
                     # Drop the locals' buffer exports so the mapping's only
                     # keepalive is the artifact itself (numpy backend) —
@@ -398,11 +406,10 @@ class ArtifactStore:
             return artifact
 
     def get_object(self, key: str) -> tuple[bool, Any]:
-        """Load a pickled artifact: ``(found, value)``.
+        """Load a JSON value: ``(found, value)``.
 
-        The pair (rather than ``value | None``) lets a legitimate ``None``
-        artifact — the cached "query is unsafe" verdict of the lifted-plan
-        tier — round-trip unambiguously.
+        The pair (rather than ``value | None``) lets a stored ``null``
+        round-trip unambiguously.
         """
         path = self._entry_path(key)
         if not path.exists():
@@ -413,11 +420,9 @@ class ArtifactStore:
             try:
                 blob = path.read_bytes()
                 header, _ = verify_entry(blob, expected_key=key)
-                if header.codec != CODEC_PICKLE:
-                    raise EntryDamage(
-                        f"expected a pickle entry, found {header.codec_name}"
-                    )
-                value = decode_pickle(
+                if header.codec != CODEC_JSON:
+                    raise EntryDamage(f"expected a json entry, found {header.codec_name}")
+                value = decode_json(
                     memoryview(blob)[
                         header.payload_offset : header.payload_offset + header.payload_len
                     ]
@@ -555,20 +560,15 @@ class ArtifactStore:
                 try:
                     blob = path.read_bytes()
                     header, meta = verify_entry(blob, expected_key=key)
+                    payload = memoryview(blob)[
+                        header.payload_offset : header.payload_offset + header.payload_len
+                    ]
                     if header.codec == CODEC_COLUMNAR:
-                        _decode_columnar(
-                            memoryview(blob)[
-                                header.payload_offset : header.payload_offset
-                                + header.payload_len
-                            ]
-                        )
+                        # No instance here: the order is checked as positions,
+                        # and read against its instance on a load.
+                        decode_columnar(payload)
                     else:
-                        decode_pickle(
-                            memoryview(blob)[
-                                header.payload_offset : header.payload_offset
-                                + header.payload_len
-                            ]
-                        )
+                        decode_json(payload)
                 except EntryDamage as damage:
                     if not meta:
                         # A payload-checksum failure raises before verify_entry
@@ -599,11 +599,8 @@ class ArtifactStore:
         if recompile is not None:
             replacement = recompile(meta) if meta else None
             if replacement is not None:
-                codec, value = replacement
-                if codec == CODEC_COLUMNAR:
-                    blob = pack_entry(key, codec, meta, encode_columnar(value))
-                else:
-                    blob = pack_entry(key, codec, meta, encode_pickle(value))
+                columnar, instance = replacement
+                blob = pack_entry(key, CODEC_COLUMNAR, meta, encode_columnar(columnar, instance))
                 _unlink_quietly(path)
                 if self._commit_entry(key, blob):
                     report.repaired.append(key)
@@ -688,21 +685,6 @@ def _unlock_close(fd: int) -> None:
             # repro-analysis: allow(EXCEPT001): unlocking a descriptor whose file was unlinked can fail on some kernels; close() releases the lock anyway
             pass
     os.close(fd)
-
-
-def _decode_columnar(payload: memoryview, retain: Any = None) -> ColumnarOBDD:
-    """The columnar artifact of a verified payload.
-
-    A checksum only proves the bytes are the ones some writer packed: a
-    sidecar or columns that break the artifact's contract (a level past the
-    variable order, a child id out of range) raise :class:`EntryDamage`, so
-    the entry is quarantined and the read is a miss, like any other damage.
-    """
-    sidecar, columns_offset = decode_columnar_sidecar(payload)
-    try:
-        return columnar_from_buffer(sidecar, payload[columns_offset:], retain=retain)
-    except CompilationError as error:
-        raise EntryDamage(f"corrupt columnar columns: {error}") from error
 
 
 def _close_mapping(mapping: mmap.mmap) -> None:

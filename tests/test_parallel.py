@@ -411,6 +411,30 @@ def test_reweight_many_matches_direct_evaluation(workload):
     assert ParallelEngine(workers=2).reweight_many(compiled, []) == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reweight_report_counts_only_its_own_batch(workers, workload):
+    _, tid = workload[0]
+    compiled = CompilationEngine().compile(unsafe_rst(), tid.instance)
+    maps = [{fact: Fraction(1, i + 2) for fact in compiled.order} for i in range(4)]
+    with ParallelEngine(workers=workers) as parallel:
+        parallel.map_probability(workload[:3])
+        assert parallel.last_report.stats["structure"].total > 0
+        values = parallel.reweight_many(compiled, maps)
+        report = parallel.last_report
+        assert values == [compiled.probability(m) for m in maps]
+        assert report.items == len(maps)
+        # A sweep over a given artifact touches no cache and routes nothing.
+        assert all(str(stats) == "0 hits / 0 misses" for stats in report.stats.values())
+        assert report.route_mix == {}
+        if workers == 1:
+            # Inline, the artifact itself is swept: no segment is published.
+            assert parallel._plane is None
+    with ParallelEngine(workers=workers) as parallel:
+        # One item is one shard, which runs inline at any worker count.
+        assert parallel.reweight_many(compiled, maps[:1]) == values[:1]
+        assert parallel._plane is None
+
+
 def test_inline_regime_leaves_gc_enabled(workload):
     import gc
 

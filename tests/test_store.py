@@ -3,7 +3,8 @@
 Four layers, matching the store's contracts:
 
 * the on-disk entry format — pack/verify round trips, every corruption an
-  :class:`EntryDamage`, canonical query text that re-parses;
+  :class:`EntryDamage`, canonical query text that re-parses, and no module
+  of the package that imports ``pickle``;
 * the store itself — atomic commits, quarantine-on-damage, crash recovery,
   gc, verify/repair sweeps, lifecycle;
 * the engine wiring — a *fresh* engine (a process restart, as far as the
@@ -13,6 +14,7 @@ Four layers, matching the store's contracts:
   subcommand, exit codes included.
 """
 
+import ast
 import glob
 import hashlib
 import json
@@ -28,9 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.store
 from repro.booleans.columnar import ColumnarOBDD
 from repro.cli import main
-from repro.data.io import save_instance
+from repro.data.io import save_instance, tid_from_dict, tid_to_dict
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine, ParallelEngine
 from repro.errors import StoreError
@@ -45,12 +48,11 @@ from repro.queries import (
 )
 from repro.store import (
     CODEC_COLUMNAR,
-    CODEC_PICKLE,
+    CODEC_JSON,
+    FORMAT_VERSION,
     ArtifactStore,
     canonical_query_text,
     columnar_key,
-    encoding_key,
-    plan_key,
 )
 from repro.store.format import (
     EntryDamage,
@@ -75,6 +77,11 @@ def ktree_tid():
 
 
 @pytest.fixture(scope="module")
+def instance(ktree_tid):
+    return ktree_tid.instance
+
+
+@pytest.fixture(scope="module")
 def artifact(ktree_tid):
     engine = CompilationEngine()
     return engine.columnar(unsafe_rst(), ktree_tid.instance)
@@ -86,6 +93,12 @@ def corrupt_last_byte(path: str) -> None:
         last = handle.read(1)
         handle.seek(-1, os.SEEK_END)
         handle.write(bytes((last[0] ^ 0xFF,)))
+
+
+def entry_kinds(root: Path) -> list[str]:
+    """The meta ``kind`` of every entry under a store directory."""
+    paths = glob.glob(str(root / "objects" / "*" / "*.entry"))
+    return sorted(verify_entry(Path(path).read_bytes())[1]["kind"] for path in paths)
 
 
 def entry_files(store: ArtifactStore) -> list[str]:
@@ -101,9 +114,9 @@ def tmp_files(store: ArtifactStore) -> list[str]:
 
 class TestEntryFormat:
     def test_pack_verify_round_trip(self):
-        blob = pack_entry(KEY_A, CODEC_PICKLE, {"kind": "x"}, b"payload")
+        blob = pack_entry(KEY_A, CODEC_JSON, {"kind": "x"}, b"payload")
         header, meta = verify_entry(blob, expected_key=KEY_A)
-        assert header.codec == CODEC_PICKLE
+        assert header.codec == CODEC_JSON
         assert header.key == KEY_A
         assert meta == {"kind": "x"}
         assert blob[header.payload_offset : header.payload_offset + header.payload_len] == (
@@ -112,11 +125,11 @@ class TestEntryFormat:
 
     def test_payload_is_eight_byte_aligned(self):
         for meta in ({}, {"kind": "columnar", "query": "R(x)"}):
-            blob = pack_entry(KEY_A, CODEC_PICKLE, meta, b"p")
+            blob = pack_entry(KEY_A, CODEC_JSON, meta, b"p")
             assert parse_header(blob).payload_offset % 8 == 0
 
     def test_bad_magic_version_key_and_truncation_all_damage(self):
-        blob = bytearray(pack_entry(KEY_A, CODEC_PICKLE, {}, b"payload"))
+        blob = bytearray(pack_entry(KEY_A, CODEC_JSON, {}, b"payload"))
         with pytest.raises(EntryDamage, match="magic"):
             verify_entry(b"XXXXXXXX" + bytes(blob[8:]))
         versioned = bytearray(blob)
@@ -129,14 +142,14 @@ class TestEntryFormat:
             verify_entry(bytes(blob[:-3]))
 
     def test_flipped_payload_byte_fails_checksum(self):
-        blob = bytearray(pack_entry(KEY_A, CODEC_PICKLE, {}, b"payload"))
+        blob = bytearray(pack_entry(KEY_A, CODEC_JSON, {}, b"payload"))
         blob[-1] ^= 0x01
         with pytest.raises(EntryDamage, match="checksum"):
             verify_entry(bytes(blob))
 
     def test_best_effort_meta_survives_payload_damage(self):
         blob = bytearray(
-            pack_entry(KEY_A, CODEC_PICKLE, {"kind": "columnar", "query": "R(x)"}, b"payload")
+            pack_entry(KEY_A, CODEC_JSON, {"kind": "columnar", "query": "R(x)"}, b"payload")
         )
         blob[-1] ^= 0x01
         assert best_effort_meta(bytes(blob)) == {"kind": "columnar", "query": "R(x)"}
@@ -153,24 +166,47 @@ class TestEntryFormat:
         assert columnar_key("f1", query, False) == columnar_key("f1", query, False)
         assert columnar_key("f1", query, False) != columnar_key("f1", query, True)
         assert columnar_key("f1", query, False) != columnar_key("f2", query, False)
-        assert plan_key(query) != columnar_key("f1", query, False)
-        assert encoding_key("f1") != encoding_key("f2")
+        assert columnar_key("f1", query, False) != columnar_key("f1", parse_ucq("R(x)"), False)
+
+    def test_format_version_is_2(self):
+        assert FORMAT_VERSION == 2
+
+    def test_no_store_module_imports_pickle(self):
+        # Reading an entry must never deserialize a Python object, so the
+        # package has no use for pickle at all.
+        modules = sorted(Path(repro.store.__file__).parent.glob("*.py"))
+        assert modules
+        for module in modules:
+            tree = ast.parse(module.read_text(), filename=str(module))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(
+                    name.split(".")[0] in ("pickle", "_pickle") for name in names
+                ), f"{module} imports {names}"
 
 
 # -- the store ------------------------------------------------------------------
 
 
 class TestArtifactStore:
-    def test_columnar_round_trip(self, tmp_path, artifact, ktree_tid):
+    def test_columnar_round_trip(self, tmp_path, artifact, instance, ktree_tid):
         store = ArtifactStore(tmp_path / "store")
-        assert store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
-        loaded = store.get_columnar(KEY_A)
+        assert store.put_columnar(KEY_A, artifact, instance, {"kind": "columnar"})
+        loaded = store.get_columnar(KEY_A, instance)
         assert loaded is not None
         assert list(loaded.var) == list(artifact.var)
         assert list(loaded.lo) == list(artifact.lo)
         assert list(loaded.hi) == list(artifact.hi)
         assert loaded.root == artifact.root
         assert loaded.order == artifact.order
+        # The order is read back as positions in the instance's own facts.
+        facts = {id(fact) for fact in instance.facts}
+        assert all(id(fact) in facts for fact in loaded.order)
         valuation = ktree_tid.valuation()
         assert loaded.probability(valuation) == artifact.probability(valuation)
         assert store.counters.writes == 1
@@ -178,24 +214,37 @@ class TestArtifactStore:
 
     def test_object_round_trip_preserves_none(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        store.put_object(KEY_A, None, {"kind": "lifted_plan"})
-        store.put_object(KEY_B, {"answer": Fraction(3, 7)}, {"kind": "misc"})
+        store.put_object(KEY_A, None, {"kind": "misc"})
+        store.put_object(KEY_B, {"answer": [3, 7]}, {"kind": "misc"})
         assert store.get_object(KEY_A) == (True, None)
-        assert store.get_object(KEY_B) == (True, {"answer": Fraction(3, 7)})
+        assert store.get_object(KEY_B) == (True, {"answer": [3, 7]})
         assert store.get_object("c" * 64) == (False, None)
+        # Objects are JSON values: anything else is refused before a write.
+        with pytest.raises(StoreError, match="JSON"):
+            store.put_object("c" * 64, Fraction(3, 7), {"kind": "misc"})
+        assert store.counters.writes == 2
 
-    def test_put_is_idempotent(self, tmp_path, artifact):
+    def test_columnar_put_refuses_an_order_outside_the_instance(
+        self, tmp_path, artifact, instance
+    ):
         store = ArtifactStore(tmp_path / "store")
-        assert store.put_columnar(KEY_A, artifact, {})
-        assert store.put_columnar(KEY_A, artifact, {})
+        other = directed_path_instance(3)
+        with pytest.raises(StoreError, match="not a fact of the instance"):
+            store.put_columnar(KEY_A, artifact, other, {"kind": "columnar"})
+        assert not entry_files(store)
+
+    def test_put_is_idempotent(self, tmp_path, artifact, instance):
+        store = ArtifactStore(tmp_path / "store")
+        assert store.put_columnar(KEY_A, artifact, instance, {})
+        assert store.put_columnar(KEY_A, artifact, instance, {})
         assert store.counters.writes == 1
         assert len(entry_files(store)) == 1
 
-    def test_corrupted_entry_quarantined_and_reported_as_miss(self, tmp_path, artifact):
+    def test_corrupted_entry_quarantined_and_reported_as_miss(self, tmp_path, artifact, instance):
         store = ArtifactStore(tmp_path / "store")
-        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
+        store.put_columnar(KEY_A, artifact, instance, {"kind": "columnar"})
         corrupt_last_byte(entry_files(store)[0])
-        assert store.get_columnar(KEY_A) is None
+        assert store.get_columnar(KEY_A, instance) is None
         assert store.counters.quarantines == 1
         assert not entry_files(store)
         records = store.quarantine_list()
@@ -207,11 +256,27 @@ class TestArtifactStore:
         assert len(reason_files) == 1
         assert json.loads(reason_files[0].read_text())["key"] == KEY_A
 
-    def test_wrong_codec_is_damage_not_crash(self, tmp_path, artifact):
+    def test_deeply_nested_meta_is_a_quarantined_miss(self, tmp_path, artifact, instance):
         store = ArtifactStore(tmp_path / "store")
-        store.put_object(KEY_A, ("not", "columnar"), {"kind": "lifted_plan"})
-        assert store.get_columnar(KEY_A) is None
+        store.put_columnar(KEY_A, artifact, instance, {"kind": "columnar"})
+        # A meta region of 100,000 bytes, then overwritten with as many "[".
+        meta = {"kind": "x" * (100_000 - len('{"kind": ""}'))}
+        blob = bytearray(pack_entry(KEY_A, CODEC_COLUMNAR, meta, encode_columnar(artifact, instance)))
+        start = parse_header(blob).meta_offset
+        blob[start : start + 100_000] = b"[" * 100_000
+        overwrite(entry_files(store)[0], bytes(blob))
+        assert best_effort_meta(bytes(blob)) == {}
+        assert store.get_columnar(KEY_A, instance) is None
         assert store.counters.quarantines == 1
+        assert "corrupt meta JSON" in store.quarantine_list()[0].reason
+
+    def test_wrong_codec_is_damage_not_crash(self, tmp_path, artifact, instance):
+        store = ArtifactStore(tmp_path / "store")
+        store.put_object(KEY_A, ["not", "columnar"], {"kind": "misc"})
+        assert store.get_columnar(KEY_A, instance) is None
+        store.put_columnar(KEY_B, artifact, instance, {"kind": "columnar"})
+        assert store.get_object(KEY_B) == (False, None)
+        assert store.counters.quarantines == 2
 
     def test_recover_sweeps_dead_pid_temp_files(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
@@ -241,9 +306,9 @@ class TestArtifactStore:
         assert reopened.counters.recovered == 1
         assert not tmp_files(reopened)
 
-    def test_stats_snapshot(self, tmp_path, artifact):
+    def test_stats_snapshot(self, tmp_path, artifact, instance):
         store = ArtifactStore(tmp_path / "store")
-        store.put_columnar(KEY_A, artifact, {})
+        store.put_columnar(KEY_A, artifact, instance, {})
         store.put_object(KEY_B, [1, 2, 3], {})
         snapshot = store.stats()
         assert snapshot.entries == 2
@@ -251,9 +316,9 @@ class TestArtifactStore:
         assert snapshot.quarantined == 0
         assert snapshot.as_dict()["writes"] == 2
 
-    def test_gc_by_age_size_and_quarantine(self, tmp_path, artifact):
+    def test_gc_by_age_size_and_quarantine(self, tmp_path, artifact, instance):
         store = ArtifactStore(tmp_path / "store")
-        store.put_columnar(KEY_A, artifact, {})
+        store.put_columnar(KEY_A, artifact, instance, {})
         store.put_object(KEY_B, list(range(100)), {})
         # Age: nothing is older than an hour.
         assert store.gc(max_age_seconds=3600.0) == []
@@ -270,9 +335,9 @@ class TestArtifactStore:
         assert store.stats().quarantined == 0
         assert store.quarantine_list() == []
 
-    def test_verify_clean_and_damaged(self, tmp_path, artifact):
+    def test_verify_clean_and_damaged(self, tmp_path, artifact, instance):
         store = ArtifactStore(tmp_path / "store")
-        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
+        store.put_columnar(KEY_A, artifact, instance, {"kind": "columnar"})
         report = store.verify()
         assert report.checked == 1 and report.ok == 1 and report.clean
         corrupt_last_byte(entry_files(store)[0])
@@ -282,38 +347,38 @@ class TestArtifactStore:
         assert report.quarantined == [KEY_A]
         assert report.clean  # quarantining handled the damage
 
-    def test_verify_repair_rewrites_in_place(self, tmp_path, artifact):
+    def test_verify_repair_rewrites_in_place(self, tmp_path, artifact, instance):
         store = ArtifactStore(tmp_path / "store")
-        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
+        store.put_columnar(KEY_A, artifact, instance, {"kind": "columnar"})
         corrupt_last_byte(entry_files(store)[0])
-        report = store.verify(recompile=lambda meta: (CODEC_COLUMNAR, artifact))
+        report = store.verify(recompile=lambda meta: (artifact, instance))
         assert report.repaired == [KEY_A]
         assert store.verify().ok == 1
-        loaded = store.get_columnar(KEY_A)
+        loaded = store.get_columnar(KEY_A, instance)
         assert loaded is not None and list(loaded.var) == list(artifact.var)
 
-    def test_verify_repair_deletes_underivable(self, tmp_path, artifact):
+    def test_verify_repair_deletes_underivable(self, tmp_path, artifact, instance):
         store = ArtifactStore(tmp_path / "store")
-        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
+        store.put_columnar(KEY_A, artifact, instance, {"kind": "columnar"})
         corrupt_last_byte(entry_files(store)[0])
         report = store.verify(recompile=lambda meta: None)
         assert [key for key, _ in report.deleted] == [KEY_A]
         assert report.clean
         assert not entry_files(store)
 
-    def test_close_marks_store_but_keeps_loaded_artifacts(self, tmp_path, artifact):
+    def test_close_marks_store_but_keeps_loaded_artifacts(self, tmp_path, artifact, instance):
         store = ArtifactStore(tmp_path / "store")
-        store.put_columnar(KEY_A, artifact, {})
-        loaded = store.get_columnar(KEY_A)
+        store.put_columnar(KEY_A, artifact, instance, {})
+        loaded = store.get_columnar(KEY_A, instance)
         store.close()
         with pytest.raises(StoreError):
-            store.get_columnar(KEY_A)
+            store.get_columnar(KEY_A, instance)
         # The artifact owns its mapping: still readable after close.
         assert list(loaded.var) == list(artifact.var)
 
-    def test_context_manager_and_contains(self, tmp_path, artifact):
+    def test_context_manager_and_contains(self, tmp_path, artifact, instance):
         with ArtifactStore(tmp_path / "store") as store:
-            store.put_columnar(KEY_A, artifact, {})
+            store.put_columnar(KEY_A, artifact, instance, {})
             assert store.contains(KEY_A)
             assert not store.contains(KEY_B)
         with pytest.raises(StoreError):
@@ -396,30 +461,46 @@ class TestEngineWiring:
             unsafe_rst(), ktree_tid, method="obdd"
         ) == value
 
-    def test_lifted_plan_and_none_verdict_round_trip(self, tmp_path):
+    def test_store_holds_only_columnar_entries(self, tmp_path, ktree_tid):
+        # Lifted plans and tree encodings are rebuilt by every engine: the
+        # safe-plan route, the OBDD route and the automaton route leave only
+        # compiled columns behind, and never read the store for a plan or an
+        # encoding.
         root = tmp_path / "store"
-        safe = parse_ucq("R(x), S(x, y)")
-        first = CompilationEngine(store=root)
-        assert first.lifted_plan(safe) is not None
-        assert first.lifted_plan(unsafe_rst()) is None
+        engine = CompilationEngine(store=root)
+        engine.probability(hierarchical_example(), ktree_tid)
+        engine.probability(unsafe_rst(), ktree_tid)
+        engine.probability(unsafe_rst(), ktree_tid, method="automaton")
+        path_tid = ProbabilisticInstance.uniform(directed_path_instance(12), Fraction(1, 3))
+        engine.probability(two_incident_same_direction(), path_tid)
+        assert entry_kinds(root) == ["columnar"]
+        assert engine.stats["store"].total == 1
 
-        second = CompilationEngine(store=root)
-        assert second.lifted_plan(safe) is not None
-        assert second.lifted_plan(unsafe_rst()) is None
-        assert second.stats["store"].hits == 2
-        assert second.stats["lifted_plan"].misses == 2  # memory misses, store hits
+        restarted = CompilationEngine(store=root)
+        assert restarted.lifted_plan(hierarchical_example()) is not None
+        assert restarted.lifted_plan(unsafe_rst()) is None
+        restarted.tree_encoding_of(ktree_tid.instance)
+        assert restarted.stats["store"].total == 0
+        assert restarted.stats["lifted_plan"].misses == 2
 
-    def test_tree_encoding_round_trip(self, tmp_path, ktree_tid):
+    def test_store_hit_reads_the_order_in_the_callers_facts(self, tmp_path):
+        query = two_incident_same_direction()
+        tid = ProbabilisticInstance.uniform(directed_path_instance(12), Fraction(1, 3))
         root = tmp_path / "store"
-        instance = ktree_tid.instance
-        first = CompilationEngine(store=root)
-        encoding = first.tree_encoding_of(instance)
-        second = CompilationEngine(store=root)
-        loaded = second.tree_encoding_of(instance)
-        assert second.stats["store"].hits == 1
-        assert loaded.instance is instance
-        assert loaded.root == encoding.root
-        assert loaded.nodes == encoding.nodes
+        CompilationEngine(store=root).compile(query, tid.instance)
+        # A restarted process loads its own, content-equal instance.
+        loaded = tid_from_dict(tid_to_dict(tid))
+        assert loaded.instance is not tid.instance
+        warm = CompilationEngine(store=root)
+        order = warm.compile(query, loaded.instance).order
+        assert warm.stats["store"].hits == 1
+        facts = {id(fact) for fact in loaded.instance.facts}
+        assert order and all(id(fact) in facts for fact in order)
+        fresh = CompilationEngine()
+        for method in ("obdd", "dnnf", "auto"):
+            assert warm.probability(query, loaded, method) == fresh.probability(
+                query, tid, method
+            )
 
     def test_only_store_backed_compiles_flatten(self, tmp_path, ktree_tid, monkeypatch):
         flattened = []
@@ -485,45 +566,76 @@ class TestEngineWiring:
         )
         assert opened.stats().entries >= 1
 
+    def test_a_later_parallel_batch_reports_no_earlier_quarantine(self, tmp_path, ktree_tid):
+        root = tmp_path / "store"
+        CompilationEngine(store=root).probability(unsafe_rst(), ktree_tid, method="obdd")
+        corrupt_last_byte(entry_files(ArtifactStore(root))[0])
+        with ParallelEngine(workers=1, store=root) as parallel:
+            parallel.probability_many([unsafe_rst()], ktree_tid, method="obdd")
+            assert str(parallel.last_report.stats["store"]) == "0 hits / 1 misses / 1 quarantined"
+            # The probability cache answers: this batch never reads the store.
+            parallel.probability_many([unsafe_rst()], ktree_tid, method="obdd")
+            assert str(parallel.last_report.stats["store"]) == "0 hits / 0 misses"
+
 
 # -- checksum-valid entries with malformed contents ------------------------------
 
 
-def columnar_payload(sidecar: dict, columns: list[int]) -> bytes:
+def columnar_payload(sidecar: bytes, columns: list[int], positions: list[int] | bytes) -> bytes:
     """A columnar payload laid out as the writer lays it out: the sidecar's
-    length, the pickled sidecar, padding to 8 bytes, the int64 columns."""
-    pickled = pickle.dumps(sidecar)
-    offset = (8 + len(pickled) + 7) // 8 * 8
+    length, the sidecar, padding to 8 bytes, the int64 ``var|lo|hi``
+    columns, then the order's positions (raw bytes pass through)."""
+    offset = (8 + len(sidecar) + 7) // 8 * 8
     head = bytearray(offset)
-    struct.pack_into("<Q", head, 0, len(pickled))
-    head[8 : 8 + len(pickled)] = pickled
-    return bytes(head) + struct.pack(f"<{len(columns)}q", *columns)
+    struct.pack_into("<Q", head, 0, len(sidecar))
+    head[8 : 8 + len(sidecar)] = sidecar
+    if not isinstance(positions, bytes):
+        positions = struct.pack(f"<{len(positions)}q", *positions)
+    return bytes(head) + struct.pack(f"<{len(columns)}q", *columns) + positions
 
+
+def sidecar(**fields) -> bytes:
+    return json.dumps(fields).encode()
+
+
+ONE_NODE = sidecar(node_count=1, root=2)
 
 # Each is packed with pack_entry, so its checksum passes: only the contents
 # are malformed.
 MALFORMED_COLUMNAR = {
-    "level past the order": ({"node_count": 1, "root": 2, "order": ["x"]}, [5, 0, 1]),
-    "no root": ({"node_count": 1, "order": ["x"]}, [0, 0, 1]),
-    "node_count is None": ({"node_count": None, "root": 2, "order": ["x"]}, [0, 0, 1]),
+    "level past the order": (ONE_NODE, [5, 0, 1], [0]),
+    "no root": (sidecar(node_count=1), [0, 0, 1], [0]),
+    "node_count is None": (sidecar(node_count=None, root=2), [0, 0, 1], [0]),
+    "root past the columns": (sidecar(node_count=1, root=9), [0, 0, 1], [0]),
+    "position past the instance": (ONE_NODE, [0, 0, 1], [10**6]),
+    "negative position": (ONE_NODE, [0, 0, 1], [-1]),
+    "repeated position": (ONE_NODE, [0, 0, 1], [3, 3]),
+    "ragged position column": (ONE_NODE, [0, 0, 1], struct.pack("<q", 0) + b"\0\0\0"),
+    "malformed JSON sidecar": (b'{"node_count": 1, "root"', [0, 0, 1], [0]),
+    "deeply nested JSON sidecar": (b"[" * 100_000 + b"]" * 100_000, [0, 0, 1], [0]),
+    "sidecar is not an object": (b"[1, 2]", [0, 0, 1], [0]),
+    "pickle bytes as the sidecar": (pickle.dumps({"node_count": 1, "root": 2}), [0, 0, 1], [0]),
 }
 
 
-def plant(path: str, key: str, name: str) -> None:
-    """Overwrite the entry file at ``path`` with a malformed columnar entry."""
-    sidecar, columns = MALFORMED_COLUMNAR[name]
-    blob = pack_entry(key, CODEC_COLUMNAR, {"kind": "columnar"}, columnar_payload(sidecar, columns))
+def overwrite(path: str, blob: bytes) -> None:
     with open(path, "wb") as handle:
         handle.write(blob)
 
 
+def plant(path: str, key: str, name: str) -> None:
+    """Overwrite the entry file at ``path`` with a malformed columnar entry."""
+    payload = columnar_payload(*MALFORMED_COLUMNAR[name])
+    overwrite(path, pack_entry(key, CODEC_COLUMNAR, {"kind": "columnar"}, payload))
+
+
 class TestMalformedColumnarEntries:
     @pytest.mark.parametrize("name", sorted(MALFORMED_COLUMNAR))
-    def test_store_quarantines_and_misses(self, tmp_path, artifact, name):
+    def test_store_quarantines_and_misses(self, tmp_path, artifact, instance, name):
         store = ArtifactStore(tmp_path / "store")
-        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
+        store.put_columnar(KEY_A, artifact, instance, {"kind": "columnar"})
         plant(entry_files(store)[0], KEY_A, name)
-        assert store.get_columnar(KEY_A) is None
+        assert store.get_columnar(KEY_A, instance) is None
         assert store.counters.misses == 1
         assert store.counters.quarantines == 1
         assert not entry_files(store)
@@ -561,87 +673,95 @@ class _Announce:
         return (print, ("a store read ran code",))
 
 
-# Entries written by an earlier version of the library (format version 1,
-# unpickled with plain ``pickle.loads``): a columnar artifact, a lifted plan,
-# the unsafe verdict of a query with a disequality, and a tree encoding.
+# An entry written by an earlier version of the library (format version 1,
+# whose sidecar pickled the variable order as Fact objects): the columnar
+# artifact of unsafe_rst() on labelled_partial_ktree_instance(6, 2, seed=3).
 FORMAT_V1_STORE = Path(__file__).parent / "data" / "store_format_v1"
 
 
 class TestStoreReadsRunNoCode:
     def test_crafted_sidecar_is_a_quarantined_miss_that_prints_nothing(
-        self, tmp_path, artifact, capsys
+        self, tmp_path, artifact, instance, capsys
     ):
         store = ArtifactStore(tmp_path / "store")
-        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
-        sidecar = {"node_count": 1, "root": 2, "order": [_Announce()]}
-        blob = pack_entry(
-            KEY_A, CODEC_COLUMNAR, {"kind": "columnar"}, columnar_payload(sidecar, [0, 0, 1])
-        )
-        with open(entry_files(store)[0], "wb") as handle:
-            handle.write(blob)
-        assert store.get_columnar(KEY_A) is None
+        store.put_columnar(KEY_A, artifact, instance, {"kind": "columnar"})
+        pickled = pickle.dumps({"node_count": 1, "root": 2, "order": [_Announce()]})
+        payload = columnar_payload(pickled, [0, 0, 1], [0])
+        overwrite(entry_files(store)[0], pack_entry(KEY_A, CODEC_COLUMNAR, {}, payload))
+        assert store.get_columnar(KEY_A, instance) is None
         assert capsys.readouterr().out == ""
         assert store.counters.quarantines == 1
         assert not entry_files(store)
-        assert "builtins.print" in store.quarantine_list()[0].reason
+        assert "corrupt columnar sidecar" in store.quarantine_list()[0].reason
 
     def test_crafted_object_entry_is_a_quarantined_miss(self, tmp_path, capsys):
         store = ArtifactStore(tmp_path / "store")
-        store.put_object(KEY_A, _Announce(), {"kind": "lifted_plan"})
+        store.put_object(KEY_A, "placeholder", {"kind": "misc"})
+        blob = pack_entry(KEY_A, CODEC_JSON, {"kind": "misc"}, pickle.dumps(_Announce()))
+        overwrite(entry_files(store)[0], blob)
         assert store.get_object(KEY_A) == (False, None)
         assert capsys.readouterr().out == ""
         assert store.counters.quarantines == 1
 
     def test_verify_quarantines_a_crafted_entry(self, tmp_path, capsys):
         store = ArtifactStore(tmp_path / "store")
-        store.put_object(KEY_A, _Announce(), {"kind": "lifted_plan"})
+        store.put_object(KEY_A, "placeholder", {"kind": "misc"})
+        blob = pack_entry(KEY_A, CODEC_JSON, {"kind": "misc"}, pickle.dumps(_Announce()))
+        overwrite(entry_files(store)[0], blob)
         report = store.verify()
         assert report.quarantined == [KEY_A]
         assert capsys.readouterr().out == ""
 
-    def test_format_v1_entries_still_hit(self, tmp_path):
-        shutil.copytree(FORMAT_V1_STORE, tmp_path / "store")
+    def test_format_v1_columnar_entry_is_quarantined_then_rewritten(self, tmp_path):
+        root = tmp_path / "store"
+        shutil.copytree(FORMAT_V1_STORE, root)
         instance = labelled_partial_ktree_instance(6, 2, seed=3)
         tid = ProbabilisticInstance.uniform(instance, Fraction(1, 3))
-        fresh = CompilationEngine()
-        engine = CompilationEngine(store=tmp_path / "store")
-        assert engine.probability(unsafe_rst(), tid, "obdd") == fresh.probability(
-            unsafe_rst(), tid, "obdd"
-        )
-        assert engine.lifted_plan(hierarchical_example()) == fresh.lifted_plan(
-            hierarchical_example()
-        )
-        assert engine.lifted_plan(parse_ucq("R(x), S(x, y), x != y")) is None
-        assert engine.tree_encoding_of(instance).nodes == fresh.tree_encoding_of(instance).nodes
-        assert engine.stats["store"].hits == 4
-        assert engine.stats["store"].misses == 0
-        assert engine.store.counters.quarantines == 0
-        assert engine.stats["lineage"].total == 0
+        expected = CompilationEngine().probability(unsafe_rst(), tid, "obdd")
+        engine = CompilationEngine(store=root)
+        assert engine.probability(unsafe_rst(), tid, "obdd") == expected
+        assert engine.stats["store"].misses == engine.stats["store"].quarantines == 1
+        (record,) = engine.store.quarantine_list()
+        assert "format version 1" in record.reason
+        # The recompiled artifact was written behind in the current format.
+        restarted = CompilationEngine(store=root)
+        assert restarted.probability(unsafe_rst(), tid, "obdd") == expected
+        assert restarted.stats["store"].hits == 1
+        assert restarted.stats["store"].misses == restarted.stats["store"].quarantines == 0
+        assert restarted.stats["lineage"].total == 0
+        assert entry_kinds(root) == ["columnar"]
 
 
-def _region(blob: bytes, name: str) -> tuple[int, int]:
+def _region(blob: bytes, name: str, node_count: int) -> tuple[int, int]:
     header = parse_header(blob)
     if name == "header":
         return 0, header.meta_offset
     if name == "meta":
         return header.meta_offset, header.meta_offset + header.meta_len
     (sidecar_len,) = struct.unpack_from("<Q", blob, header.payload_offset)
-    return header.payload_offset, header.payload_offset + 8 + sidecar_len
+    if name == "sidecar":
+        return header.payload_offset, header.payload_offset + 8 + sidecar_len
+    # The positions fill the payload after the aligned var|lo|hi columns.
+    columns = header.payload_offset + (8 + sidecar_len + 7) // 8 * 8
+    return columns + 3 * 8 * node_count, header.payload_offset + header.payload_len
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    region=st.sampled_from(["header", "meta", "sidecar"]),
+    region=st.sampled_from(["header", "meta", "sidecar", "positions"]),
     edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)), min_size=1, max_size=8),
     repack=st.booleans(),
 )
-def test_get_columnar_never_raises_on_overwritten_bytes(artifact, region, edits, repack):
-    """Random bytes over a valid entry's header, meta region or columnar
-    sidecar, with the payload checksum left as it was or recomputed: the read
-    returns an artifact or a miss, and a miss quarantines the entry."""
-    blob = bytearray(pack_entry(KEY_A, CODEC_COLUMNAR, {"kind": "columnar"}, encode_columnar(artifact)))
+def test_get_columnar_never_raises_on_overwritten_bytes(artifact, instance, region, edits, repack):
+    """Random bytes over a valid entry's header, meta region, JSON sidecar
+    or position column, with the payload checksum left as it was or
+    recomputed: the read returns an artifact whose order is distinct facts
+    of the instance, or a miss that quarantines the entry."""
+    payload = encode_columnar(artifact, instance)
+    blob = bytearray(pack_entry(KEY_A, CODEC_COLUMNAR, {"kind": "columnar"}, payload))
     header = parse_header(blob)
-    start, stop = _region(bytes(blob), region)
+    start, stop = _region(bytes(blob), region, len(artifact))
+    assert stop > start
     for where, value in edits:
         blob[start + int(where * (stop - start))] = value
     if repack:
@@ -649,15 +769,18 @@ def test_get_columnar_never_raises_on_overwritten_bytes(artifact, region, edits,
         blob[CHECKSUM_OFFSET : CHECKSUM_OFFSET + 32] = hashlib.sha256(payload).digest()
     with tempfile.TemporaryDirectory() as directory:
         store = ArtifactStore(directory)
-        store.put_columnar(KEY_A, artifact, {"kind": "columnar"})
+        store.put_columnar(KEY_A, artifact, instance, {"kind": "columnar"})
         with open(entry_files(store)[0], "wb") as handle:
             handle.write(blob)
-        loaded = store.get_columnar(KEY_A)
+        loaded = store.get_columnar(KEY_A, instance)
         if loaded is None:
             assert store.counters.quarantines == 1
             assert not entry_files(store)
         else:
             assert isinstance(loaded, ColumnarOBDD)
+            facts = {id(fact) for fact in instance.facts}
+            order = [id(fact) for fact in loaded.order]
+            assert set(order) <= facts and len(set(order)) == len(order)
         del loaded
 
 
