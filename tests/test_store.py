@@ -476,12 +476,37 @@ class TestEngineWiring:
         assert entry_kinds(root) == ["columnar"]
         assert engine.stats["store"].total == 1
 
-        restarted = CompilationEngine(store=root)
-        assert restarted.lifted_plan(hierarchical_example()) is not None
-        assert restarted.lifted_plan(unsafe_rst()) is None
-        restarted.tree_encoding_of(ktree_tid.instance)
-        assert restarted.stats["store"].total == 0
-        assert restarted.stats["lifted_plan"].misses == 2
+    def test_lifted_plan_and_none_verdict_round_trip(self, tmp_path):
+        # Plans are not persisted: a restarted engine on the same store
+        # rebuilds an equal plan and the same None verdict without a lookup.
+        root = tmp_path / "store"
+        safe = parse_ucq("R(x), S(x, y)")
+        first = CompilationEngine(store=root)
+        plan = first.lifted_plan(safe)
+        assert plan is not None
+        assert first.lifted_plan(unsafe_rst()) is None
+        assert entry_kinds(root) == []
+
+        second = CompilationEngine(store=root)
+        assert second.lifted_plan(safe) == plan
+        assert second.lifted_plan(unsafe_rst()) is None
+        assert second.stats["store"].total == 0
+        assert second.stats["lifted_plan"].misses == 2
+
+    def test_tree_encoding_round_trip(self, tmp_path, ktree_tid):
+        # Encodings are not persisted: a restarted engine rebuilds an equal
+        # encoding over the caller's instance without a lookup.
+        root = tmp_path / "store"
+        instance = ktree_tid.instance
+        encoding = CompilationEngine(store=root).tree_encoding_of(instance)
+        assert entry_kinds(root) == []
+
+        second = CompilationEngine(store=root)
+        rebuilt = second.tree_encoding_of(instance)
+        assert second.stats["store"].total == 0
+        assert rebuilt.instance is instance
+        assert rebuilt.root == encoding.root
+        assert rebuilt.nodes == encoding.nodes
 
     def test_store_hit_reads_the_order_in_the_callers_facts(self, tmp_path):
         query = two_incident_same_direction()
