@@ -24,7 +24,16 @@ Two arithmetic regimes:
 * ``exact=True`` (default) computes probabilities with
   :func:`exact_probability` (per-level scaled integers, one
   :class:`~fractions.Fraction` per answer) and model counts as Python
-  integers — no node objects, no recursion, exact end to end;
+  integers — no node objects, no recursion, exact end to end.  What the
+  exact sweep needs of the columns alone (each level's rank, and each
+  node's two edges as slots in a list of distinct edges) is an
+  :class:`ExactPlan`, built in pure Python on an artifact's first exact
+  evaluation and kept beside its cached statistics; every exact
+  probability — single, batch, re-weighting shard, float fallback — is then
+  one coefficient per distinct edge and one multiply-add per node.  A TID
+  is read by position: each level's fact is located in
+  ``instance.facts`` once per artifact (again only for another fact tuple),
+  and its probability is read from the TID's column;
 * ``exact=False`` runs a float pass whose result is always a float in
   ``[0, 1]``: gross degeneracy (non-finite, or off by more than 1e-9) falls
   back to the exact kernel, and sub-tolerance rounding excursions are
@@ -55,11 +64,18 @@ import weakref
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, Hashable, Mapping, Sequence
 
 from repro import resilience as _resilience
 from repro.booleans.obdd import FALSE_NODE, OBDD, TRUE_NODE
+from repro.data.instance import Fact, Instance
+from repro.data.tid import ProbabilisticInstance
 from repro.errors import CompilationError, LineageError
+
+#: What a probability pass reads: a map from variables to probabilities, or
+#: a TID, whose probabilities the exact kernel reads by fact position.
+Probabilities = Mapping[Hashable, Fraction | float] | ProbabilisticInstance
 
 _ITEM = "q"  # signed 64-bit entries, matching numpy int64
 _ITEMSIZE = 8
@@ -85,105 +101,152 @@ def array_backend():
     return numpy
 
 
-def exact_probability(
-    order: Sequence[Hashable],
-    probabilities: Mapping[Hashable, Fraction | float],
-    var: list[int],
-    lo: list[int],
-    hi: list[int],
-    root: int,
-) -> Fraction:
-    """The exact probability of the diagram rooted at ``root``, in integers.
+class ExactPlan:
+    """What the exact sweep reads of the columns, derived once per artifact.
 
-    ``var``/``lo``/``hi`` are the columns as lists: the node with id
-    ``i + 2`` tests level ``var[i]`` and has children ``lo[i]`` and ``hi[i]``,
-    children first.  With ``p = a/d`` the probability of the variable at a
-    level, and ``S(level)`` the product of ``d`` over the diagram's levels at
-    or below ``level`` (1 for the terminals), each node holds the integer
-    ``v(node) * S(level)``::
+    Ranks number the diagram's distinct levels from the top: the root sits
+    at rank 0 and the terminals at rank ``depth``.  Every edge is one of the
+    distinct ``(rank, child rank, side)`` edges, and a node names each of its
+    two edges by its slot in the coefficient list an evaluation builds::
 
-        V(node) = a * G(level, high) * V(high) + (d - a) * G(level, low) * V(low)
+        0                        every edge into FALSE (its value is 0: dropped)
+        1 + rank                 the high edge from ``rank`` to ``rank + 1``
+        1 + depth + rank         the low edge from ``rank`` to ``rank + 1``
+        1 + 2 * depth + k        ``long_edges[k]``: any other edge, which
+                                 skips ranks or ends in TRUE above rank
+                                 ``depth - 1``
 
-    where ``G`` is the product of the denominators of the levels an edge
-    skips, cached per pair of levels.  Scaling each level by its own
-    denominator keeps every value as small as the exact answer needs; a
-    common denominator for all levels would multiply the digits by the number
-    of levels whenever the denominators share few factors.  No operation
-    reduces a fraction: the answer is the one ``Fraction`` built at the root.
+    ``levels[rank]`` is the level of each rank.  ``chunks`` holds the nodes
+    in ascending id order, at most ``_CHECKPOINT_STRIDE`` per chunk, as four
+    lists: each node's high edge slot, high child, low edge slot and low
+    child.  A plan is built in pure Python, never stored and never shipped.
     """
-    levels = sorted(set(var))
-    numerators: list[int] = []
-    denominators: list[int] = []
+
+    __slots__ = ("levels", "long_edges", "chunks", "root")
+
+    def __init__(self, var: list[int], lo: list[int], hi: list[int], root: int) -> None:
+        # Nodes are sorted deepest level first, so the distinct levels in
+        # node order run from the bottom rank up.
+        levels = list(dict.fromkeys(var))
+        levels.reverse()
+        depth = len(levels)
+        rank_of = dict(zip(levels, range(depth)))
+        node_ranks = list(map(rank_of.__getitem__, var))
+        # Rank by node id; FALSE's -1 is never one rank below a node.
+        ranks = [-1, depth, *node_ranks]
+        long_edges: list[tuple[int, int, bool]] = []
+        high_slots = _edge_slots(ranks, node_ranks, hi, depth, True, long_edges)
+        low_slots = _edge_slots(ranks, node_ranks, lo, depth, False, long_edges)
+        stride = _CHECKPOINT_STRIDE
+        self.levels = levels
+        self.long_edges = long_edges
+        self.chunks = [
+            (
+                high_slots[start : start + stride],
+                hi[start : start + stride],
+                low_slots[start : start + stride],
+                lo[start : start + stride],
+            )
+            for start in range(0, len(var), stride)
+        ]
+        self.root = root
+
+
+def _edge_slots(
+    ranks: list[int],
+    node_ranks: list[int],
+    children: list[int],
+    depth: int,
+    high: bool,
+    long_edges: list[tuple[int, int, bool]],
+) -> list[int]:
+    """The coefficient slot of one side's edge of every node (see
+    :class:`ExactPlan`); each distinct long edge is appended once."""
+    first = 1 if high else 1 + depth
+    long_base = 1 + 2 * depth
+    stride = depth + 1
+    seen: dict[int, int] = {}
+    slots: list[int] = []
+    append = slots.append
+    for rank, child in zip(node_ranks, children):
+        child_rank = ranks[child]
+        if child_rank == rank + 1:
+            append(first + rank)
+        elif child == FALSE_NODE:
+            append(0)
+        else:
+            key = rank * stride + child_rank
+            slot = seen.get(key)
+            if slot is None:
+                slot = seen[key] = long_base + len(long_edges)
+                long_edges.append((rank, child_rank, high))
+            append(slot)
+    return slots
+
+
+def exact_probability(plan: ExactPlan, ratios: Sequence[tuple[int, int]]) -> Fraction:
+    """The exact probability of a planned diagram, in integers.
+
+    ``ratios[rank]`` is the ``(a, d)`` pair of ``p = a/d``, the probability
+    of the variable at rank ``rank``.  With ``S(rank)`` the product of ``d``
+    over the ranks at or below ``rank`` (1 for the terminals), each node
+    holds the integer ``v(node) * S(rank)``::
+
+        V(node) = a * G(rank, high) * V(high) + (d - a) * G(rank, low) * V(low)
+
+    where ``G`` is the product of the denominators of the ranks an edge
+    skips.  Each call computes one coefficient ``a * G`` or ``(d - a) * G``
+    per distinct edge of the plan (no product at all for an edge to the
+    next rank), then one multiply-add per node.  Scaling each rank by its
+    own denominator keeps every value as small as the exact answer needs; a
+    common denominator for all levels would multiply the digits by the
+    number of levels whenever the denominators share few factors.  No
+    operation reduces a fraction: the answer is the one ``Fraction`` built
+    at the root.  An active budget is checkpointed before every chunk of
+    the plan's nodes.
+    """
+    numerators, denominators = zip(*ratios)
+    depth = len(denominators)
+    lows = list(map(operator.sub, denominators, numerators))
+    # scale[rank] = S(rank): the suffix products, bottom up.
+    scale = list(accumulate(reversed(denominators), operator.mul, initial=1))
+    scale.reverse()
+    coefficients = [0, *numerators, *lows]
+    for rank, child_rank, high in plan.long_edges:
+        coefficient = numerators[rank] if high else lows[rank]
+        if child_rank == depth:
+            coefficient *= scale[rank + 1]
+        else:
+            for skipped in range(rank + 1, child_rank):
+                coefficient *= denominators[skipped]
+        coefficients.append(coefficient)
+    values = [0, 1]
+    append = values.append
+    budget = _resilience.ACTIVE
+    for chunk in plan.chunks:
+        if budget is not None:
+            budget.checkpoint()
+        for high_slot, high, low_slot, low in zip(*chunk):
+            append(coefficients[high_slot] * values[high] + coefficients[low_slot] * values[low])
+    # The root is the one node at rank 0.
+    return Fraction(values[plan.root], scale[0])
+
+
+def _mapping_ratios(
+    order: Sequence[Hashable],
+    levels: list[int],
+    probabilities: Mapping[Hashable, Fraction | float],
+) -> list[tuple[int, int]]:
+    """The ``(a, d)`` pair of each level's probability, one lookup per level."""
+    ratios = []
     for level in levels:
         variable = order[level]
-        if variable not in probabilities:
-            raise LineageError(f"missing probability for variable {variable!r}")
-        raw = probabilities[variable]
-        p = raw if isinstance(raw, Fraction) else Fraction(raw)
-        numerator, denominator = p.as_integer_ratio()
-        numerators.append(numerator)
-        denominators.append(denominator)
-    # Levels are addressed by rank among the diagram's levels; the terminals
-    # sit at rank ``depth``.  scale[rank] = S(levels[rank]).
-    depth = len(levels)
-    scale = [1] * (depth + 1)
-    for rank in range(depth - 1, -1, -1):
-        scale[rank] = scale[rank + 1] * denominators[rank]
-    rank_of = {level: rank for rank, level in enumerate(levels)}
-    # Both lists are indexed by node id and grow one node at a time.
-    ranks = [depth, depth]
-    values = [0, 1]
-    # Edge coefficients a*G (high) and (d - a)*G (low), keyed by the packed
-    # (parent rank, child rank) pair.
-    stride = depth + 1
-    high_coefficients: dict[int, int] = {}
-    low_coefficients: dict[int, int] = {}
-
-    budget = _resilience.ACTIVE
-    if budget is not None:
-        budget.checkpoint()
-    countdown = _CHECKPOINT_STRIDE
-    for level, low, high in zip(var, lo, hi):
-        if budget is not None:
-            countdown -= 1
-            if countdown == 0:
-                countdown = _CHECKPOINT_STRIDE
-                budget.checkpoint()
-        rank = rank_of[level]
-        high_rank = ranks[high]
-        key = rank * stride + high_rank
-        high_coefficient = high_coefficients.get(key)
-        if high_coefficient is None:
-            high_coefficient = high_coefficients[key] = numerators[rank] * _skipped(
-                scale, denominators, rank, high_rank
-            )
-        low_rank = ranks[low]
-        key = rank * stride + low_rank
-        low_coefficient = low_coefficients.get(key)
-        if low_coefficient is None:
-            low_coefficient = low_coefficients[key] = (
-                denominators[rank] - numerators[rank]
-            ) * _skipped(scale, denominators, rank, low_rank)
-        values.append(high_coefficient * values[high] + low_coefficient * values[low])
-        ranks.append(rank)
-    return Fraction(values[root], scale[ranks[root]])
-
-
-def _skipped(scale: list[int], denominators: list[int], rank: int, child_rank: int) -> int:
-    """Product of the denominators strictly between two ranks.
-
-    That is the exact quotient ``scale[rank + 1] // scale[child_rank]``, but
-    a long division costs time linear in the scales' digits, while an edge
-    to a decision node usually skips few levels: multiplying those out is
-    cheaper.  An edge to a terminal skips every level below, whose product
-    is ``scale[rank + 1]`` itself.
-    """
-    if child_rank == len(denominators):
-        return scale[rank + 1]
-    product = 1
-    for skipped in range(rank + 1, child_rank):
-        product *= denominators[skipped]
-    return product
+        try:
+            raw = probabilities[variable]
+        except KeyError:
+            raise LineageError(f"missing probability for variable {variable!r}") from None
+        ratios.append((raw if isinstance(raw, Fraction) else Fraction(raw)).as_integer_ratio())
+    return ratios
 
 
 def _unit_interval(value: float) -> float | None:
@@ -272,7 +335,7 @@ class ColumnarOBDD:
     :class:`repro.provenance.compile_obdd.CompiledOBDD` delegates to.
     """
 
-    __slots__ = ("order", "var", "lo", "hi", "root", "_stats", "_retain")
+    __slots__ = ("order", "var", "lo", "hi", "root", "_stats", "_plan", "_positions", "_retain")
 
     def __init__(
         self,
@@ -294,6 +357,10 @@ class ColumnarOBDD:
         self.hi = _as_column(hi)
         self.root = int(root)
         self._stats: SweepResult | None = None
+        # The exact kernel's plan, built on the first exact evaluation, and
+        # the fact positions of its ranks with the fact tuple they index.
+        self._plan: ExactPlan | None = None
+        self._positions: tuple[tuple[Fact, ...], list[int]] | None = None
         # Keeps the memory owner (e.g. a SharedMemory mapping) alive while
         # numpy views into it exist.
         self._retain = retain
@@ -353,7 +420,7 @@ class ColumnarOBDD:
 
     def sweep(
         self,
-        probabilities: Mapping[Hashable, Fraction | float] | None = None,
+        probabilities: Probabilities | None = None,
         *,
         model_count: bool = False,
         width: bool = False,
@@ -361,39 +428,69 @@ class ColumnarOBDD:
     ) -> SweepResult:
         """Probability, model count, size, and width over the columns.
 
-        ``probabilities`` requests the probability: an exact
-        :class:`~fractions.Fraction` by default, or with ``exact=False`` the
-        float pass, which always answers a float inside ``[0, 1]`` (see the
-        module docstring).
+        ``probabilities`` requests the probability, as :meth:`probability`
+        computes it.
         """
-        var, lo, hi = self._lists()
+        columns = self._lists() if model_count or width else None
         n_vars = len(self.order)
         return SweepResult(
-            size=len(var),
+            size=len(self.var),
             probability=(
-                None
-                if probabilities is None
-                else self._probability(probabilities, exact, var, lo, hi)
+                None if probabilities is None else self.probability(probabilities, exact)
             ),
-            model_count=self._model_count_pass(n_vars, var, lo, hi) if model_count else None,
-            width=self._width_pass(n_vars, var, lo, hi) if width else None,
+            model_count=self._model_count_pass(n_vars, *columns) if model_count else None,
+            width=self._width_pass(n_vars, *columns) if width else None,
         )
 
-    def _probability(
-        self,
-        probabilities: Mapping[Hashable, Fraction | float],
-        exact: bool,
-        var: list[int],
-        lo: list[int],
-        hi: list[int],
-    ) -> Fraction | float:
-        """One map's probability: the exact kernel, or the float pass with
-        the exact kernel as its fallback."""
-        if exact:
-            return exact_probability(self.order, probabilities, var, lo, hi, self.root)
-        value = _unit_interval(self._probability_pass(probabilities, var, lo, hi))
+    def _exact(self, probabilities: Probabilities) -> Fraction:
+        """One map's exact probability: the planned kernel, with the plan
+        built on the first call."""
+        if self.root <= TRUE_NODE:
+            return Fraction(self.root)
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = ExactPlan(*self._lists(), self.root)
+        if isinstance(probabilities, ProbabilisticInstance):
+            column = probabilities.column()
+            positions = self._fact_positions(probabilities.instance, plan.levels)
+            ratios = list(map(Fraction.as_integer_ratio, map(column.__getitem__, positions)))
+        else:
+            ratios = _mapping_ratios(self.order, plan.levels, probabilities)
+        return exact_probability(plan, ratios)
+
+    def _fact_positions(self, instance: Instance, levels: list[int]) -> list[int]:
+        """Where the variable of each level sits in ``instance.facts``.
+
+        Cached with the fact tuple it indexes, and reused only while a TID
+        brings that same tuple; a variable that is no fact of the instance
+        has no probability."""
+        facts = instance.facts
+        cached = self._positions
+        if cached is not None and cached[0] is facts:
+            return cached[1]
+        positions = []
+        for level in levels:
+            variable = self.order[level]
+            position = None
+            if isinstance(variable, Fact):
+                position = instance.fact_positions(variable.relation).get(variable.arguments)
+            if position is None:
+                raise LineageError(f"missing probability for variable {variable!r}")
+            positions.append(position)
+        self._positions = (facts, positions)
+        return positions
+
+    def _probability(self, probabilities: Probabilities) -> float:
+        """One map's float probability: the float pass, with the exact
+        kernel as its fallback.  A TID is read as its valuation."""
+        mapping = (
+            probabilities.valuation()
+            if isinstance(probabilities, ProbabilisticInstance)
+            else probabilities
+        )
+        value = _unit_interval(self._probability_pass(mapping, *self._lists()))
         if value is None:
-            value = float(exact_probability(self.order, probabilities, var, lo, hi, self.root))
+            value = float(self._exact(probabilities))
         return value
 
     def _level_probability(
@@ -496,12 +593,22 @@ class ColumnarOBDD:
     def model_count(self) -> int:
         return self.stats().model_count
 
-    def probability(
-        self, probabilities: Mapping[Hashable, Fraction | float], exact: bool = True
-    ) -> Fraction | float:
-        """Exact Fraction by default; the float pass when ``exact=False``
-        (with the exact fallback on degeneracy)."""
-        return self.sweep(probabilities, exact=exact).probability
+    def probability(self, probabilities: Probabilities, exact: bool = True) -> Fraction | float:
+        """The probability of the diagram under independent variables.
+
+        ``probabilities`` maps each variable to its probability, or is a
+        :class:`~repro.data.tid.ProbabilisticInstance` whose facts are the
+        variables.  The default answer is an exact
+        :class:`~fractions.Fraction` from :func:`exact_probability`, which
+        reads a TID's probabilities by fact position and a mapping with one
+        lookup per level; a variable without a probability raises
+        :class:`~repro.errors.LineageError`.  ``exact=False`` runs the float
+        pass instead, which always answers a float inside ``[0, 1]`` (see
+        the module docstring).
+        """
+        if exact:
+            return self._exact(probabilities)
+        return self._probability(probabilities)
 
     def probability_many(
         self,
@@ -510,9 +617,8 @@ class ColumnarOBDD:
     ) -> list[Fraction | float]:
         """Probabilities under many weightings — the batch re-weighting kernel.
 
-        The exact regime runs :func:`exact_probability` once per map over
-        columns converted to lists once for the whole batch.  The float
-        regime runs *one* matrix dynamic program over a
+        The exact regime runs :func:`exact_probability` once per map, on
+        the artifact's one plan.  The float regime runs *one* matrix dynamic program over a
         ``(nodes, assignments)`` value plane: all dictionary work is hoisted
         into a single ``(levels, assignments)`` weight matrix up front, and
         the per-level update is one fused numpy gather over the whole batch,
@@ -522,10 +628,11 @@ class ColumnarOBDD:
         regime runs one scalar pass per map.
         """
         maps = list(probability_maps)
-        numpy_module = None if exact else array_backend()
+        if exact:
+            return [self._exact(weights) for weights in maps]
+        numpy_module = array_backend()
         if numpy_module is None or not maps:
-            columns = self._lists()
-            return [self._probability(weights, exact, *columns) for weights in maps]
+            return [self._probability(weights) for weights in maps]
         np = numpy_module
         batch = len(maps)
         slices = self._level_slices(self.var.tolist())
@@ -549,9 +656,7 @@ class ColumnarOBDD:
         results: list[Fraction | float] = []
         for weights, raw in zip(maps, values[self.root].tolist()):
             value = _unit_interval(raw)
-            results.append(
-                value if value is not None else float(self.probability(weights, exact=True))
-            )
+            results.append(value if value is not None else float(self._exact(weights)))
         return results
 
     # -- lossless adapters -----------------------------------------------------

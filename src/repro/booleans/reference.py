@@ -23,12 +23,19 @@ not use these from production code paths.
 (one dictionary entry per node, one pass per probability map): the per-map
 baseline ``benchmarks/bench_vector.py`` times the columnar batch kernel
 against.
+
+:func:`exact_probability_per_node` is the columnar exact kernel before it was
+planned: per node it looks the level's rank up in a dictionary, packs the
+keys of both edges and probes a coefficient cache for each.  It is the
+oracle the planned kernel (:func:`repro.booleans.columnar.exact_probability`)
+must equal, and the per-map baseline ``benchmarks/bench_vector.py`` gates it
+against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.booleans.obdd import FALSE_NODE, TRUE_NODE, OBDD
 from repro.errors import LineageError
@@ -36,6 +43,7 @@ from repro.errors import LineageError
 __all__ = [
     "apply_binary_recursive",
     "build_from_clauses_fold",
+    "exact_probability_per_node",
     "model_count_recursive",
     "probability_float_walk",
     "probability_recursive",
@@ -168,6 +176,87 @@ def probability_float_walk(
             p = prob_of_level[level] = float(probabilities[variable])
         values[current] = p * values[high] + (1 - p) * values[low]
     return values[node]
+
+
+def exact_probability_per_node(
+    order: Sequence[Hashable],
+    probabilities: Mapping[Hashable, Fraction | float],
+    var: list[int],
+    lo: list[int],
+    hi: list[int],
+    root: int,
+) -> Fraction:
+    """The exact probability of the columns rooted at ``root``, in integers.
+
+    ``var``/``lo``/``hi`` are the columns as lists: the node with id
+    ``i + 2`` tests level ``var[i]`` and has children ``lo[i]`` and ``hi[i]``,
+    children first.  With ``p = a/d`` the probability of the variable at a
+    level, and ``S(level)`` the product of ``d`` over the diagram's levels at
+    or below ``level`` (1 for the terminals), each node holds the integer
+    ``v(node) * S(level)``::
+
+        V(node) = a * G(level, high) * V(high) + (d - a) * G(level, low) * V(low)
+
+    where ``G`` is the product of the denominators of the levels an edge
+    skips, cached per pair of levels.
+    """
+    levels = sorted(set(var))
+    numerators: list[int] = []
+    denominators: list[int] = []
+    for level in levels:
+        variable = order[level]
+        if variable not in probabilities:
+            raise LineageError(f"missing probability for variable {variable!r}")
+        raw = probabilities[variable]
+        p = raw if isinstance(raw, Fraction) else Fraction(raw)
+        numerator, denominator = p.as_integer_ratio()
+        numerators.append(numerator)
+        denominators.append(denominator)
+    # Levels are addressed by rank among the diagram's levels; the terminals
+    # sit at rank ``depth``.  scale[rank] = S(levels[rank]).
+    depth = len(levels)
+    scale = [1] * (depth + 1)
+    for rank in range(depth - 1, -1, -1):
+        scale[rank] = scale[rank + 1] * denominators[rank]
+    rank_of = {level: rank for rank, level in enumerate(levels)}
+    # Both lists are indexed by node id and grow one node at a time.
+    ranks = [depth, depth]
+    values = [0, 1]
+    # Edge coefficients a*G (high) and (d - a)*G (low), keyed by the packed
+    # (parent rank, child rank) pair.
+    stride = depth + 1
+    high_coefficients: dict[int, int] = {}
+    low_coefficients: dict[int, int] = {}
+    for level, low, high in zip(var, lo, hi):
+        rank = rank_of[level]
+        high_rank = ranks[high]
+        key = rank * stride + high_rank
+        high_coefficient = high_coefficients.get(key)
+        if high_coefficient is None:
+            high_coefficient = high_coefficients[key] = numerators[rank] * _skipped(
+                scale, denominators, rank, high_rank
+            )
+        low_rank = ranks[low]
+        key = rank * stride + low_rank
+        low_coefficient = low_coefficients.get(key)
+        if low_coefficient is None:
+            low_coefficient = low_coefficients[key] = (
+                denominators[rank] - numerators[rank]
+            ) * _skipped(scale, denominators, rank, low_rank)
+        values.append(high_coefficient * values[high] + low_coefficient * values[low])
+        ranks.append(rank)
+    return Fraction(values[root], scale[ranks[root]])
+
+
+def _skipped(scale: list[int], denominators: list[int], rank: int, child_rank: int) -> int:
+    """Product of the denominators strictly between two ranks (all of those
+    below ``rank`` when the child is a terminal)."""
+    if child_rank == len(denominators):
+        return scale[rank + 1]
+    product = 1
+    for skipped in range(rank + 1, child_rank):
+        product *= denominators[skipped]
+    return product
 
 
 def model_count_recursive(manager: OBDD, node: int) -> int:

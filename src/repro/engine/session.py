@@ -458,6 +458,16 @@ class CompilationEngine:
         is flattened and written behind once.
         """
         use_path = bool(use_path_decomposition)
+        compiled = self._held_or_stored(query, instance, use_path)
+        if compiled is None:
+            compiled = self._build(query, instance, use_path)
+        return compiled
+
+    def _held_or_stored(
+        self, query: Query, instance: Instance, use_path: bool
+    ) -> CompiledOBDD | None:
+        """The compiled OBDD from memory, else from the store (one lookup,
+        kept in memory on a hit), else None."""
         key = (as_ucq(query), use_path)
         slot = self._slot(instance)
         compiled = slot.compiled.get(key)
@@ -466,13 +476,25 @@ class CompilationEngine:
             slot.compiled.move_to_end(key)
             return compiled
         stored = self._store_load_columnar(query, instance, use_path)
-        if stored is not None:
-            compiled = CompiledOBDD.from_columnar(stored)
-        else:
-            lineage = self.lineage(query, instance)
-            order = self.fact_order(instance, "path" if use_path else "default")
-            compiled = compile_lineage_to_obdd(lineage, order)
-            self._store_save_columnar(query, instance, use_path, compiled)
+        if stored is None:
+            return None
+        return self._keep_compiled(slot, key, CompiledOBDD.from_columnar(stored))
+
+    def _build(self, query: Query, instance: Instance, use_path: bool) -> CompiledOBDD:
+        """Compile the lineage afresh, write it behind and keep it in memory."""
+        lineage = self.lineage(query, instance)
+        order = self.fact_order(instance, "path" if use_path else "default")
+        compiled = compile_lineage_to_obdd(lineage, order)
+        self._store_save_columnar(query, instance, use_path, compiled)
+        return self._keep_compiled(self._slot(instance), (as_ucq(query), use_path), compiled)
+
+    def _keep_compiled(
+        self,
+        slot: _InstanceArtifacts,
+        key: tuple[UnionOfConjunctiveQueries, bool],
+        compiled: CompiledOBDD,
+    ) -> CompiledOBDD:
+        """Keep ``compiled`` in the instance's LRU map of compiled OBDDs."""
         slot.compiled[key] = compiled
         while len(slot.compiled) > self._max_queries_per_instance:
             slot.compiled.popitem(last=False)
@@ -830,11 +852,12 @@ def _plan_cached(engine: CompilationEngine, query: Query, instance: Instance) ->
 
 
 def _obdd(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
-    return engine.compile(query, tid.instance).probability(tid.valuation())
+    # The TID itself: the kernel reads its probability column by position.
+    return engine.compile(query, tid.instance).probability(tid)
 
 
 def _obdd_float(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> float:
-    return engine.compile(query, tid.instance).probability(tid.valuation(), exact=False)
+    return engine.compile(query, tid.instance).probability(tid, exact=False)
 
 
 def _read_once(engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance) -> Fraction:
@@ -850,13 +873,28 @@ def _obdd_or_read_once(
     engine: CompilationEngine, query: UCQ, tid: ProbabilisticInstance
 ) -> Fraction:
     """The ``auto`` side of the OBDD route: a read-once-shaped lineage is
-    evaluated directly, skipping OBDD construction entirely."""
+    evaluated directly, skipping OBDD construction entirely.
+
+    A lineage held in memory decides as the shape says.  Otherwise the
+    compiled OBDD is taken from memory, then from the store, and the lineage
+    is enumerated only when both miss, so a store hit enumerates nothing.
+    Either way a request looks the store up at most once.
+    """
     from repro.probability.evaluation import _probability_of_read_once
 
-    lineage = engine.lineage(query, tid.instance)
+    instance = tid.instance
+    slot = _held_slot(engine, instance)
+    lineage_held = slot is not None and query in slot.lineages
+    if not lineage_held:
+        compiled = engine._held_or_stored(query, instance, False)
+        if compiled is not None:
+            return compiled.probability(tid)
+    lineage = engine.lineage(query, instance)
     if lineage.is_read_once_shaped():
         return _probability_of_read_once(lineage, tid)
-    return _obdd(engine, query, tid)
+    if lineage_held:
+        return _obdd(engine, query, tid)
+    return engine._build(query, instance, False).probability(tid)
 
 
 def _held_slot(engine: CompilationEngine, instance: Instance) -> _InstanceArtifacts | None:

@@ -105,7 +105,12 @@ class CompiledOBDD:
 
     def probability(self, probabilities, exact: bool = True):
         """Probability under independent facts: exact :class:`~fractions.Fraction`
-        by default, the float pass (with exact fallback) when ``exact=False``."""
+        by default, the float pass (with exact fallback) when ``exact=False``.
+
+        ``probabilities`` maps facts to probabilities, or is a
+        :class:`~repro.data.tid.ProbabilisticInstance`, whose probabilities
+        the exact kernel reads by fact position
+        (:meth:`~repro.booleans.columnar.ColumnarOBDD.probability`)."""
         return self.to_columnar().probability(probabilities, exact)
 
     def evaluate(self, valuation) -> bool:

@@ -21,25 +21,30 @@ from pathlib import Path
 
 import pytest
 
+import repro.booleans.columnar as columnar_module
 from repro.booleans import OBDD
 from repro.booleans.columnar import (
     ColumnarOBDD,
+    ExactPlan,
     array_backend,
     columnar_from_buffer,
     columnar_from_obdd,
 )
 from repro.booleans.reference import (
+    exact_probability_per_node,
     model_count_recursive,
     probability_recursive,
     width_by_cuts,
 )
 from repro.provenance.compile_obdd import CompiledOBDD
+from repro.data.instance import Instance, fact
 from repro.data.tid import ProbabilisticInstance
-from repro.engine import ROUTES, CompilationEngine
-from repro.errors import CompilationError, LineageError
+from repro.engine import ROUTES, CompilationEngine, ParallelEngine
+from repro.errors import CompilationError, DeadlineExceeded, LineageError
 from repro.generators import labelled_partial_ktree_instance, rst_chain_instance
 from repro.probability.evaluation import probability
 from repro.queries import hierarchical_example, unsafe_rst
+from repro.resilience import Deadline, ResourceBudget, activate
 from repro.testing import random_workload
 
 
@@ -248,6 +253,163 @@ def test_terminal_only_artifacts():
         assert columnar.probability({"x": Fraction(1, 3)}) == value
         assert columnar.model_count() == value * 2
         assert columnar.evaluate({"x": True}) == bool(value)
+
+
+# -- the planned exact kernel ----------------------------------------------------
+
+
+def _seeded_tid(instance, seed):
+    generator = random.Random(seed)
+    return ProbabilisticInstance(
+        instance, {f: Fraction(generator.randint(1, 999), 1000) for f in instance.facts}
+    )
+
+
+@pytest.fixture(scope="module")
+def ktree_artifact():
+    instance = labelled_partial_ktree_instance(40, 2, seed=9)
+    return instance, CompilationEngine().columnar(unsafe_rst(), instance)
+
+
+def test_plan_is_built_once_per_artifact_and_reused(ktree_artifact, monkeypatch):
+    instance, artifact = ktree_artifact
+    built = []
+
+    class CountingPlan(ExactPlan):
+        __slots__ = ()
+
+        def __init__(self, *arguments):
+            built.append(self)
+            super().__init__(*arguments)
+
+    monkeypatch.setattr(columnar_module, "ExactPlan", CountingPlan)
+    fresh = artifact.copy()
+    tids = [_seeded_tid(instance, seed) for seed in range(3)]
+    values = [fresh.probability(tid) for tid in tids]
+    values += fresh.probability_many([tid.valuation() for tid in tids])
+    assert fresh.probability(tids[0].valuation(), exact=False) == pytest.approx(float(values[0]))
+    assert fresh.sweep(tids[1]).probability == values[1]
+    assert len(built) == 1 and fresh._plan is built[0]
+    assert values[:3] == values[3:]
+
+
+def test_tid_and_mapping_inputs_agree(compiled_cases, ktree_artifact):
+    """Both inputs give the answer of the per-node kernel the plan replaced."""
+    for case, compiled in compiled_cases:
+        columnar = compiled.to_columnar()
+        valuation = case.tid.valuation()
+        value = compiled.probability(case.tid)
+        assert value == compiled.probability(valuation)
+        if columnar.root > 1:
+            assert value == exact_probability_per_node(
+                columnar.order, valuation, *columnar._lists(), columnar.root
+            )
+        assert columnar.probability(case.tid, exact=False) == pytest.approx(float(value), abs=1e-9)
+    instance, artifact = ktree_artifact
+    for seed in range(4):
+        tid = _seeded_tid(instance, seed)
+        assert artifact.probability(tid) == artifact.probability(tid.valuation())
+
+
+def test_tid_over_another_instance_object_is_reread_by_position(ktree_artifact):
+    """Positions are reused only for the fact tuple they were read in: a TID
+    over a larger instance, whose extra relation shifts every position,
+    answers what its own valuation says."""
+    instance, artifact = ktree_artifact
+    fresh = artifact.copy()
+    tid = _seeded_tid(instance, 1)
+    value = fresh.probability(tid)
+    shifted = Instance([fact("A", f"x{n}") for n in range(5)] + list(instance.facts))
+    assert shifted.facts[5:] == instance.facts
+    wider = _seeded_tid(shifted, 2)
+    expected = fresh.probability(wider.valuation())
+    assert expected != value
+    assert fresh.probability(wider) == expected
+    assert fresh._positions[0] is shifted.facts
+    # Back on the first instance; an equal instance built anew is another
+    # fact tuple, read afresh to the same answer.
+    assert fresh.probability(tid) == value
+    rebuilt = ProbabilisticInstance(Instance(instance.facts), tid.valuation())
+    assert rebuilt.instance.facts is not instance.facts
+    assert fresh.probability(rebuilt) == value
+    assert fresh._positions[0] is rebuilt.instance.facts
+
+
+def test_missing_probability_raises_lineage_error(ktree_artifact):
+    instance, artifact = ktree_artifact
+    valuation = _seeded_tid(instance, 0).valuation()
+    missing = artifact.order[len(artifact.order) // 2]
+    del valuation[missing]
+    for exact in (True, False):
+        with pytest.raises(LineageError, match="missing probability"):
+            artifact.probability(valuation, exact=exact)
+    with pytest.raises(LineageError, match="missing probability"):
+        artifact.probability_many([valuation])
+    smaller = Instance([f for f in instance.facts if f != missing])
+    with pytest.raises(LineageError, match="missing probability"):
+        artifact.copy().probability(ProbabilisticInstance.uniform(smaller))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_and_reweight_equal_per_map_probability(ktree_artifact, workers):
+    instance, artifact = ktree_artifact
+    maps = [_seeded_tid(instance, seed).valuation() for seed in range(6)]
+    expected = [artifact.probability(weights) for weights in maps]
+    assert artifact.probability_many(maps, exact=True) == expected
+    with ParallelEngine(workers=workers) as parallel:
+        assert parallel.reweight_many(artifact, maps, exact=True) == expected
+
+
+class _ExpiresAfter(Deadline):
+    """A deadline that passes a given number of checks, then expires."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks):
+        super().__init__(float("inf"))
+        self.checks = checks
+
+    def check(self):
+        self.checks -= 1
+        if self.checks < 0:
+            raise DeadlineExceeded("deadline expired inside the sweep")
+
+
+def test_deadline_fires_inside_a_long_sweep(monkeypatch):
+    """A checkpoint before every chunk of ``_CHECKPOINT_STRIDE`` nodes: a
+    deadline that expires after two chunks stops the sweep at the third."""
+    monkeypatch.setattr(columnar_module, "_CHECKPOINT_STRIDE", 64)
+    instance = rst_chain_instance(120)
+    artifact = CompilationEngine().columnar(unsafe_rst(), instance).copy()
+    tid = _seeded_tid(instance, 3)
+    value = artifact.probability(tid)
+    assert len(artifact._plan.chunks) == -(-len(artifact) // 64) > 3
+    deadline = _ExpiresAfter(2)
+    with activate(ResourceBudget(deadline=deadline)):
+        with pytest.raises(DeadlineExceeded):
+            artifact.probability(tid)
+    assert deadline.checks == -1
+    with activate(ResourceBudget(deadline=_ExpiresAfter(len(artifact._plan.chunks)))):
+        assert artifact.probability(tid) == value
+
+
+def test_obdd_route_reads_no_valuation(cases, monkeypatch):
+    """An ``obdd`` request on a compiled artifact reads the TID's column by
+    position: it never copies the valuation."""
+    engine = CompilationEngine()
+    for case in cases:
+        engine.compile(case.query, case.tid.instance)
+    expected = [
+        probability(case.query, case.tid, method="obdd", engine=CompilationEngine())
+        for case in cases
+    ]
+
+    def no_valuation(self):
+        raise AssertionError("the obdd route copied a valuation")
+
+    monkeypatch.setattr(ProbabilisticInstance, "valuation", no_valuation)
+    for case, value in zip(cases, expected):
+        assert engine.probability(case.query, case.tid, method="obdd") == value
 
 
 # -- the no-numpy fallback ------------------------------------------------------

@@ -415,6 +415,51 @@ class TestEngineWiring:
         assert warm.stats["store"].misses == 0
         assert warm.stats["lineage"].misses == 0
 
+    def test_auto_store_hit_enumerates_no_lineage(self, tmp_path):
+        # The RST lineage of a larger ktree is not read-once shaped, so
+        # ``auto`` answers it on the OBDD route: a fresh engine on a populated
+        # store takes the compiled columns from the store and never asks for
+        # the lineage.
+        tid = ProbabilisticInstance.uniform(
+            labelled_partial_ktree_instance(40, 2, seed=5), Fraction(1, 3)
+        )
+        root = tmp_path / "store"
+        value = CompilationEngine(store=root).probability(unsafe_rst(), tid)
+        warm = CompilationEngine(store=root)
+        assert warm.probability(unsafe_rst(), tid) == value
+        assert warm.last_decision.method == "obdd"
+        assert warm.stats["lineage"].total == 0
+        assert warm.stats["store"].total == warm.stats["store"].hits == 1
+
+    def test_auto_read_once_lineage_is_still_answered_by_read_once(
+        self, tmp_path, monkeypatch
+    ):
+        tid = ProbabilisticInstance.uniform(rst_chain_instance(8), Fraction(1, 3))
+        expected = CompilationEngine().probability(unsafe_rst(), tid, method="obdd")
+        sweeps = []
+        original = ColumnarOBDD.probability
+
+        def counting_probability(self, *arguments, **options):
+            sweeps.append(self)
+            return original(self, *arguments, **options)
+
+        monkeypatch.setattr(ColumnarOBDD, "probability", counting_probability)
+        root = tmp_path / "store"
+        engine = CompilationEngine(store=root)
+        assert engine.probability(unsafe_rst(), tid) == expected
+        # One store miss, then the read-once shortcut: nothing compiled.
+        assert engine.stats["store"].total == engine.stats["store"].misses == 1
+        assert sweeps == [] and entry_kinds(root) == []
+        # A lineage held in memory decides by its shape, even beside a
+        # compiled OBDD in memory and in the store.
+        engine.compile(unsafe_rst(), tid.instance)
+        again = ProbabilisticInstance.uniform(tid.instance, Fraction(2, 5))
+        assert engine.probability(unsafe_rst(), again) == engine.probability(
+            unsafe_rst(), again, method="read_once"
+        )
+        assert sweeps == []
+        assert engine.stats["store"].total == 2
+
     def test_store_hit_rebuilds_the_object_diagram_only_for_dnnf(
         self, tmp_path, ktree_tid, monkeypatch
     ):
@@ -465,7 +510,10 @@ class TestEngineWiring:
         # Lifted plans and tree encodings are rebuilt by every engine: the
         # safe-plan route, the OBDD route and the automaton route leave only
         # compiled columns behind, and never read the store for a plan or an
-        # encoding.
+        # encoding.  The two store lookups are the two ``auto`` requests on
+        # the OBDD route: a request that holds no lineage asks the store
+        # before it enumerates one, so the RST lineage on this ktree, which
+        # is read-once shaped and never compiled, pays one miss.
         root = tmp_path / "store"
         engine = CompilationEngine(store=root)
         engine.probability(hierarchical_example(), ktree_tid)
@@ -474,7 +522,7 @@ class TestEngineWiring:
         path_tid = ProbabilisticInstance.uniform(directed_path_instance(12), Fraction(1, 3))
         engine.probability(two_incident_same_direction(), path_tid)
         assert entry_kinds(root) == ["columnar"]
-        assert engine.stats["store"].total == 1
+        assert engine.stats["store"].total == engine.stats["store"].misses == 2
 
     def test_lifted_plan_and_none_verdict_round_trip(self, tmp_path):
         # Plans are not persisted: a restarted engine on the same store
