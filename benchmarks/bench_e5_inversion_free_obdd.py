@@ -3,8 +3,9 @@
 
 OBDD width of an inversion-free UCQ on *arbitrary* (here: dense random ranked)
 instances of growing size, under the element-major variable order induced by
-the unfolding: the width stays constant even though the instances have growing
-treewidth.
+the unfolding (facts by the last of their elements in a preorder of the
+prefix elimination forest, :meth:`Unfolding.element_order`): the width stays
+constant even though the instances have growing treewidth.
 """
 
 from repro.data.signature import Signature
@@ -16,15 +17,14 @@ from repro.queries import inversion_free_example
 from repro.unfold import unfold_instance
 
 RST = Signature([("R", 1), ("S", 2), ("T", 1)])
-SIZES = (10, 20, 40)
+SIZES = (10, 20, 40, 80)
 
 
 def compile_width(fact_count: int) -> int:
     query = inversion_free_example()
     instance = random_ranked_instance(RST, max(6, fact_count // 3), fact_count, seed=fact_count)
     unfolding = unfold_instance(query, instance)
-    element_rank = sorted(unfolding.unfolded.domain, key=lambda e: (len(e), repr(e)))
-    ordered = element_major_order(unfolding.unfolded, element_rank)
+    ordered = element_major_order(unfolding.unfolded, unfolding.element_order())
     compiled = compile_query_to_obdd(query, unfolding.unfolded, order=ordered)
     return compiled.width
 

@@ -36,6 +36,17 @@ order, the interval validation and the first-bag-index placements.  The
 Gaifman graph and the tree decomposition are built outside the timed window
 (neither side changes them).  Both sides must produce identical bags and
 identical fact orders; the largest line must be at least 10x faster.
+
+A third series times a *cold default order*: a fresh engine's
+``fact_order`` on lines up to 1200 edges and width-2 partial k-trees up to
+250 vertices, against :func:`repro.provenance.reference.
+default_fact_order_reference`, the same rule with both decompositions built
+from both elimination sweeps.  The engine builds the path decomposition
+first, the tree decomposition only when the path is wider than 2, and the
+min-fill sweep only when min-degree is above the degeneracy.  Both sides
+build the Gaifman graph.  The orders must be identical before anything is
+timed; each side keeps its minimum of ``DEFAULT_ORDER_REPEATS`` alternating
+runs, and line 600 must be at least 1.3x faster.
 Results go to ``BENCH_structure.json``.
 """
 
@@ -46,6 +57,7 @@ from pathlib import Path
 
 from repro.data.gaifman import gaifman_graph
 from repro.data.tid import ProbabilisticInstance
+from repro.engine import CompilationEngine
 from repro.experiments import ScalingSeries, format_table, speedup, write_benchmark_json
 from repro.generators import (
     directed_path_instance,
@@ -54,6 +66,7 @@ from repro.generators import (
 )
 from repro.provenance.automaton_provenance import provenance
 from repro.provenance.reference import (
+    default_fact_order_reference,
     fact_order_from_path_decomposition_seed,
     fact_order_from_tree_decomposition_seed,
     provenance_seed,
@@ -83,6 +96,11 @@ MINIMUM_SPEEDUP = 3.0
 PATH_ORDER_LINE_SIZES = (150, 300, 600)
 PATH_ORDER_KTREE_SIZES = (60, 120, 250)
 PATH_ORDER_MINIMUM_SPEEDUP = 10.0
+DEFAULT_ORDER_LINE_SIZES = LINE_SIZES
+DEFAULT_ORDER_KTREE_SIZES = PATH_ORDER_KTREE_SIZES
+DEFAULT_ORDER_GATED_SIZE = 600
+DEFAULT_ORDER_REPEATS = 15
+DEFAULT_ORDER_MINIMUM_SPEEDUP = 1.3
 
 # The seed encoding builder recurses to the decomposition depth (the line
 # family reaches ~1200); the fused path is iterative and needs none of this.
@@ -220,6 +238,50 @@ def run_path_order_benchmark():
     return series, gated
 
 
+def _measure_default_order(series_pair, size, instance):
+    reference_series, engine_series = series_pair
+    reference = default_fact_order_reference(instance)
+    assert list(CompilationEngine().fact_order(instance)) == reference, (
+        f"default fact orders differ at size {size}"
+    )
+    reference_best = engine_best = float("inf")
+    for _ in range(DEFAULT_ORDER_REPEATS):
+        start = time.perf_counter()
+        default_fact_order_reference(instance)
+        reference_best = min(reference_best, time.perf_counter() - start)
+        engine = CompilationEngine()
+        start = time.perf_counter()
+        engine.fact_order(instance)
+        engine_best = min(engine_best, time.perf_counter() - start)
+    reference_series.add(size, reference_best)
+    engine_series.add(size, engine_best)
+
+
+def run_default_order_benchmark():
+    """The cold default-order series per family, and the gated line speedup."""
+    families = (
+        ("line", [(n, directed_path_instance(n)) for n in DEFAULT_ORDER_LINE_SIZES]),
+        (
+            "ktree",
+            [
+                (n, labelled_partial_ktree_instance(n, KTREE_WIDTH, seed=n))
+                for n in DEFAULT_ORDER_KTREE_SIZES
+            ],
+        ),
+    )
+    series = {}
+    for family, cases in families:
+        reference_series = ScalingSeries(f"{family}: both-decompositions default order (s)")
+        engine_series = ScalingSeries(f"{family}: engine default order (s)")
+        for size, instance in cases:
+            _measure_default_order((reference_series, engine_series), size, instance)
+        series[family] = (reference_series, engine_series)
+    reference_line, engine_line = series["line"]
+    at = reference_line.sizes.index(DEFAULT_ORDER_GATED_SIZE)
+    gated = reference_line.values[at] / engine_line.values[at]
+    return series, gated
+
+
 def run_benchmark():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, _RECURSION_HEADROOM))
@@ -244,10 +306,15 @@ def run_benchmark():
     # quadratically there, so the margin only grows with size.
     gated = family_speedups["line"]
     path_series, path_gated = run_path_order_benchmark()
+    default_series, default_gated = run_default_order_benchmark()
     write_benchmark_json(
         RESULT_FILE,
         "Fused decomposition→encoding→provenance front-end vs the seed construction",
-        [s for pair in (*series.values(), *path_series.values()) for s in pair],
+        [
+            s
+            for pair in (*series.values(), *path_series.values(), *default_series.values())
+            for s in pair
+        ],
         extra={
             "families": {
                 "line": f"directed paths, E(x,y),E(y,z), sizes {list(LINE_SIZES)}",
@@ -278,12 +345,33 @@ def run_benchmark():
                 "gated_speedup": path_gated,
                 "minimum_required_speedup": PATH_ORDER_MINIMUM_SPEEDUP,
             },
+            "default_order": {
+                "families": {
+                    "line": f"directed paths, sizes {list(DEFAULT_ORDER_LINE_SIZES)}",
+                    "ktree": (
+                        f"labelled partial k-trees, width {KTREE_WIDTH}, "
+                        f"sizes {list(DEFAULT_ORDER_KTREE_SIZES)}"
+                    ),
+                },
+                "stages": (
+                    "Gaifman graph -> path decomposition -> (tree decomposition) -> "
+                    "fact placement; a fresh engine against the both-decompositions rule"
+                ),
+                "timing": f"minimum of {DEFAULT_ORDER_REPEATS} alternating runs per side",
+                "speedup_by_family": {
+                    family: speedup(reference_series, engine_series)
+                    for family, (reference_series, engine_series) in default_series.items()
+                },
+                "gated_size": f"line {DEFAULT_ORDER_GATED_SIZE}",
+                "gated_speedup": default_gated,
+                "minimum_required_speedup": DEFAULT_ORDER_MINIMUM_SPEEDUP,
+            },
         },
     )
-    return series, family_speedups, ratio, path_series, path_gated
+    return series, family_speedups, ratio, (path_series, path_gated), (default_series, default_gated)
 
 
-def _failures(family_speedups, path_gated):
+def _failures(family_speedups, path_gated, default_gated):
     failures = []
     if family_speedups["line"] < MINIMUM_SPEEDUP:
         failures.append(
@@ -294,6 +382,12 @@ def _failures(family_speedups, path_gated):
         failures.append(
             f"path order only {path_gated:.2f}x faster than the seed stages at line "
             f"{PATH_ORDER_LINE_SIZES[-1]}; expected >= {PATH_ORDER_MINIMUM_SPEEDUP}x"
+        )
+    if default_gated < DEFAULT_ORDER_MINIMUM_SPEEDUP:
+        failures.append(
+            f"cold default order only {default_gated:.2f}x faster than the "
+            f"both-decompositions rule at line {DEFAULT_ORDER_GATED_SIZE}; "
+            f"expected >= {DEFAULT_ORDER_MINIMUM_SPEEDUP}x"
         )
     return failures
 
@@ -309,29 +403,33 @@ def _print_series(series, labels):
         print(f"{family} speedup: {speedup(seed_series, kernel_series):.1f}x")
 
 
-def report(series, ratio, path_series, path_gated):
+def report(series, ratio, path_order, default_order):
+    path_series, path_gated = path_order
+    default_series, default_gated = default_order
     _print_series(series, ("seed front-end (s)", "fused front-end (s)"))
     print(f"total speedup: {ratio:.1f}x")
     _print_series(path_series, ("seed path order (s)", "kernel path order (s)"))
+    print(f"path order at line {PATH_ORDER_LINE_SIZES[-1]}: {path_gated:.1f}x")
+    _print_series(default_series, ("both-decompositions rule (s)", "engine default order (s)"))
     print(
-        f"path order at line {PATH_ORDER_LINE_SIZES[-1]}: {path_gated:.1f}x "
+        f"cold default order at line {DEFAULT_ORDER_GATED_SIZE}: {default_gated:.2f}x "
         f"(results in {RESULT_FILE.name})"
     )
 
 
 def test_structure_front_end_speedup(benchmark):
-    series, family_speedups, ratio, path_series, path_gated = run_benchmark()
+    series, family_speedups, ratio, path_order, default_order = run_benchmark()
     automaton = ucq_automaton(parse_ucq("E(x,y), E(y,z)"))
     instance = directed_path_instance(LINE_SIZES[-1])
     benchmark(kernel_path, instance, automaton)
-    report(series, ratio, path_series, path_gated)
-    failures = _failures(family_speedups, path_gated)
+    report(series, ratio, path_order, default_order)
+    failures = _failures(family_speedups, path_order[1], default_order[1])
     assert not failures, "; ".join(failures)
 
 
 if __name__ == "__main__":
-    series, family_speedups, ratio, path_series, path_gated = run_benchmark()
-    report(series, ratio, path_series, path_gated)
-    failures = _failures(family_speedups, path_gated)
+    series, family_speedups, ratio, path_order, default_order = run_benchmark()
+    report(series, ratio, path_order, default_order)
+    failures = _failures(family_speedups, path_order[1], default_order[1])
     if failures:
         raise SystemExit("; ".join(failures))

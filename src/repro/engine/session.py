@@ -408,7 +408,12 @@ class CompilationEngine:
         return slot.encoding
 
     def fact_order(self, instance: Instance, kind: str = "default") -> tuple[Fact, ...]:
-        """A (cached) fact order: ``"default"``, ``"path"``, or ``"tree"``."""
+        """A (cached) fact order: ``"default"``, ``"path"``, or ``"tree"``.
+
+        The default order gets the cached path decomposition and a way to
+        reach the cached tree decomposition, which
+        :func:`default_fact_order` takes only when its rule reads the tree.
+        """
         if kind not in _ORDER_KINDS:
             raise CompilationError(f"unknown fact order kind {kind!r}; use one of {_ORDER_KINDS}")
         slot = self._slot(instance)
@@ -426,7 +431,7 @@ class CompilationEngine:
                 order = default_fact_order(
                     instance,
                     path=self.path_decomposition_of(instance),
-                    tree=self.tree_decomposition_of(instance),
+                    tree=lambda: self.tree_decomposition_of(instance),
                 )
             slot.orders[kind] = tuple(order)
         return slot.orders[kind]

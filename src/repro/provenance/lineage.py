@@ -20,6 +20,7 @@ clauses by index).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.booleans.circuit import BooleanCircuit
@@ -61,8 +62,14 @@ class MonotoneDNFLineage:
         """True when no fact appears in two clauses (the clauses are independent).
 
         This is a sufficient condition for the lineage to be read-once, which
-        makes probability evaluation a simple product/union computation.
+        makes probability evaluation a simple product/union computation.  The
+        verdict is computed once per lineage object: an engine asks it on
+        every ``auto`` request it serves from a cached lineage.
         """
+        return self._read_once_shaped
+
+    @cached_property
+    def _read_once_shaped(self) -> bool:
         seen: set[Fact] = set()
         for clause in self.clauses:
             if clause & seen:

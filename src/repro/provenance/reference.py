@@ -17,7 +17,11 @@ preserves the *seed* constructions in their original form:
   retained until the end, and no co-reachability pruning;
 * ``fact_order_from_path_decomposition_seed`` /
   ``fact_order_from_tree_decomposition_seed`` — every bag scanned for every
-  fact to find its first covering bag.
+  fact to find its first covering bag;
+* ``default_fact_order_reference`` — the default order's rule with both
+  decompositions always built (the tree one from both heuristic sweeps),
+  which :func:`repro.provenance.variable_orders.default_fact_order` must
+  match while building only what the rule reads.
 
 They exist for two purposes:
 
@@ -42,11 +46,21 @@ from repro.data.instance import Fact, Instance
 from repro.errors import CompilationError, DecompositionError
 from repro.provenance.automata import State, TreeAutomaton
 from repro.provenance.tree_encoding import EncodingNode, TreeEncoding
+from repro.provenance.variable_orders import (
+    fact_order_from_path_decomposition,
+    fact_order_from_tree_decomposition,
+)
 from repro.structure.nice import binarize
-from repro.structure.path_decomposition import PathDecomposition
-from repro.structure.tree_decomposition import TreeDecomposition
+from repro.structure.path_decomposition import PathDecomposition, path_decomposition
+from repro.structure.reference import (
+    best_heuristic_ordering_seed,
+    best_heuristic_sweep_reference,
+    decomposition_from_ordering_seed,
+)
+from repro.structure.tree_decomposition import TreeDecomposition, decomposition_from_sweep
 
 __all__ = [
+    "default_fact_order_reference",
     "fact_order_from_path_decomposition_seed",
     "fact_order_from_tree_decomposition_seed",
     "provenance_seed",
@@ -60,11 +74,6 @@ def tree_encoding_seed(
 ) -> TreeEncoding:
     """The seed tree-encoding builder (recursive, with per-fact bag scans)."""
     if decomposition is None:
-        from repro.structure.reference import (
-            best_heuristic_ordering_seed,
-            decomposition_from_ordering_seed,
-        )
-
         graph = gaifman_graph(instance)
         if len(graph) == 0:
             decomposition = TreeDecomposition(bags={0: frozenset()}, children={0: []}, root=0)
@@ -232,6 +241,17 @@ def fact_order_from_path_decomposition_seed(
             raise CompilationError(f"no bag covers the fact {f}")
         placement[f] = min(covering)
     return sorted(instance.facts, key=lambda f: (placement[f], _fact_key(f)))
+
+
+def default_fact_order_reference(instance: Instance) -> list[Fact]:
+    """The default order with both decompositions built: along the path when
+    ``path.width <= max(2 * tw, tw + 1)``, else along the tree of width ``tw``."""
+    graph = gaifman_graph(instance)
+    path = path_decomposition(graph)
+    tree = decomposition_from_sweep(best_heuristic_sweep_reference(graph))
+    if path.width <= max(tree.width * 2, tree.width + 1):
+        return fact_order_from_path_decomposition(instance, path)
+    return fact_order_from_tree_decomposition(instance, tree)
 
 
 def _product(sequences: Sequence[Sequence[State]]):

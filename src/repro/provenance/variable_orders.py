@@ -12,7 +12,7 @@ treewidth (Theorem 6.5) and constant-width OBDDs on bounded pathwidth
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.data.gaifman import gaifman_graph
 from repro.data.instance import Fact, Instance
@@ -71,24 +71,39 @@ def _order_by_first_covering_bag(instance: Instance, bags: Sequence[frozenset]) 
 def default_fact_order(
     instance: Instance,
     path: PathDecomposition | None = None,
-    tree: TreeDecomposition | None = None,
+    tree: TreeDecomposition | Callable[[], TreeDecomposition] | None = None,
 ) -> list[Fact]:
     """The library's default order: along a path decomposition when it is thin,
     otherwise along a tree decomposition.
 
-    Precomputed decompositions may be passed to avoid recomputing them; this
-    is how :class:`repro.engine.CompilationEngine` reuses its cached
-    structural artifacts.
+    The path is thin when ``path.width <= max(2 * tw, tw + 1)``, where ``tw``
+    is the tree decomposition's width.  The path decomposition is built
+    first, and the tree decomposition only when the path's width is above 2.
+    That skip is exact: a graph with an edge has no tree decomposition of
+    width below 1, so the bound is then at least 2, and the path
+    decomposition :func:`path_decomposition` builds for an edgeless graph
+    has width 0 (or -1 when empty), within the bound of any ``tw``.  The
+    rule that always builds both is :func:`repro.provenance.reference.
+    default_fact_order_reference`.
+
+    Precomputed decompositions may be passed to avoid recomputing them, and
+    ``tree`` may be a zero-argument callable that returns one, called only
+    when the rule needs the tree; this is how
+    :class:`repro.engine.CompilationEngine` reuses its cached structural
+    artifacts.
     """
-    if path is None or tree is None:
+    graph = None
+    if path is None:
         graph = gaifman_graph(instance)
-        if path is None:
-            path = path_decomposition(graph)
+        path = path_decomposition(graph)
+    if path.width > 2:
         if tree is None:
-            tree = tree_decomposition(graph)
-    if path.width <= max(tree.width * 2, tree.width + 1):
-        return fact_order_from_path_decomposition(instance, path)
-    return fact_order_from_tree_decomposition(instance, tree)
+            tree = tree_decomposition(graph if graph is not None else gaifman_graph(instance))
+        elif callable(tree):
+            tree = tree()
+        if path.width > max(tree.width * 2, tree.width + 1):
+            return fact_order_from_tree_decomposition(instance, tree)
+    return fact_order_from_path_decomposition(instance, path)
 
 
 def element_major_order(instance: Instance, element_order: Sequence[Any]) -> list[Fact]:

@@ -195,9 +195,45 @@ def min_fill_sweep(graph: Graph) -> EliminationSweep:
 
 
 def best_heuristic_sweep(graph: Graph) -> EliminationSweep:
-    """The better of the min-degree and min-fill sweeps (min-degree on ties)."""
-    candidates = [min_degree_sweep(graph), min_fill_sweep(graph)]
-    return min(candidates, key=lambda sweep: sweep.width)
+    """The better of the min-degree and min-fill sweeps (min-degree on ties).
+
+    The min-degree sweep always runs; the min-fill sweep runs only when the
+    min-degree width is above :func:`treewidth_lower_bound`.  The skip is
+    exact: the degeneracy is at most the treewidth, which is at most every
+    sweep's width, so a min-degree width at that bound is optimal, min-fill
+    can at best tie it, and ties go to min-degree.  The selection that
+    always runs both sweeps is kept as :func:`repro.structure.reference.
+    best_heuristic_sweep_reference`.
+    """
+    by_degree = min_degree_sweep(graph)
+    if by_degree.width <= treewidth_lower_bound(graph):
+        return by_degree
+    by_fill = min_fill_sweep(graph)
+    return by_fill if by_fill.width < by_degree.width else by_degree
+
+
+def treewidth_lower_bound(graph: Graph) -> int:
+    """A cheap treewidth lower bound: the degeneracy of the graph."""
+    vertices = list(graph.vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    adjacency = [{index[u] for u in graph.neighbors(v)} for v in vertices]
+    alive = [True] * len(vertices)
+    degree = [len(neighbors) for neighbors in adjacency]
+    heap = [(degree[i], i) for i in range(len(vertices))]
+    heapq.heapify(heap)
+    degeneracy = 0
+    for _ in range(len(vertices)):
+        while True:
+            current, v = heapq.heappop(heap)
+            if alive[v] and current == degree[v]:
+                break
+        alive[v] = False
+        degeneracy = max(degeneracy, degree[v])
+        for u in adjacency[v]:
+            adjacency[u].discard(v)
+            degree[u] -= 1
+            heapq.heappush(heap, (degree[u], u))
+    return degeneracy
 
 
 def min_degree_ordering(graph: Graph) -> list[Vertex]:

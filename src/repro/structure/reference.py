@@ -23,7 +23,14 @@ vertex — in their original form, for two purposes:
 Everything here intentionally inherits the seed's complexity: min-fill
 recomputes every fill count from scratch on every elimination step, and
 ``best_heuristic_ordering_seed`` re-runs :func:`ordering_width_seed` over
-both candidate orderings.  Do not use these from production code paths.
+both candidate orderings.
+
+``best_heuristic_sweep_reference`` is the indexed selection before it
+learnt to skip min-fill: it always runs both sweeps and keeps the narrower,
+min-degree on ties.  :func:`repro.structure.elimination.best_heuristic_sweep`
+must return the same sweep (order, bags and width) on every graph.
+
+Do not use these from production code paths.
 """
 
 from __future__ import annotations
@@ -31,12 +38,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import DecompositionError
+from repro.structure.elimination import EliminationSweep, min_degree_sweep, min_fill_sweep
 from repro.structure.graph import Graph, Vertex
 from repro.structure.path_decomposition import PathDecomposition
 from repro.structure.tree_decomposition import BagId, TreeDecomposition
 
 __all__ = [
     "best_heuristic_ordering_seed",
+    "best_heuristic_sweep_reference",
     "decomposition_from_ordering_seed",
     "greedy_path_order_seed",
     "min_degree_ordering_seed",
@@ -105,6 +114,12 @@ def best_heuristic_ordering_seed(graph: Graph) -> list[Vertex]:
     """The seed selection: re-run ``ordering_width`` over both candidates."""
     candidates = [min_degree_ordering_seed(graph), min_fill_ordering_seed(graph)]
     return min(candidates, key=lambda order: ordering_width_seed(graph, order))
+
+
+def best_heuristic_sweep_reference(graph: Graph) -> EliminationSweep:
+    """Both indexed sweeps, always: the narrower wins, min-degree on ties."""
+    candidates = [min_degree_sweep(graph), min_fill_sweep(graph)]
+    return min(candidates, key=lambda sweep: sweep.width)
 
 
 def decomposition_from_ordering_seed(

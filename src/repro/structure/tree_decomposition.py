@@ -13,7 +13,6 @@ map; they also expose traversals used by the lineage constructions.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
@@ -24,6 +23,7 @@ from repro.structure.elimination import (
     best_heuristic_sweep,
     exact_ordering,
     ordering_width,
+    treewidth_lower_bound,  # re-exported: it lives beside the sweeps it prunes
 )
 from repro.structure.graph import Graph, Vertex
 
@@ -253,30 +253,6 @@ def treewidth(graph: Graph, exact: bool = False) -> int:
         return ordering_width(graph, exact_ordering(graph))
     _, width = best_heuristic_ordering_with_width(graph)
     return width
-
-
-def treewidth_lower_bound(graph: Graph) -> int:
-    """A cheap treewidth lower bound: the degeneracy of the graph."""
-    vertices = list(graph.vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    adjacency = [{index[u] for u in graph.neighbors(v)} for v in vertices]
-    alive = [True] * len(vertices)
-    degree = [len(neighbors) for neighbors in adjacency]
-    heap = [(degree[i], i) for i in range(len(vertices))]
-    heapq.heapify(heap)
-    degeneracy = 0
-    for _ in range(len(vertices)):
-        while True:
-            current, v = heapq.heappop(heap)
-            if alive[v] and current == degree[v]:
-                break
-        alive[v] = False
-        degeneracy = max(degeneracy, degree[v])
-        for u in adjacency[v]:
-            adjacency[u].discard(v)
-            degree[u] -= 1
-            heapq.heappush(heap, (degree[u], u))
-    return degeneracy
 
 
 def _stable_key(vertex: Any) -> tuple[str, str]:

@@ -13,10 +13,11 @@ from repro.generators import (
     directed_path_instance,
     labelled_partial_ktree_instance,
     rst_bipartite_instance,
+    rst_chain_instance,
 )
 from repro.probability.evaluation import probability
 from repro.provenance.compile_obdd import compile_query_to_obdd
-from repro.provenance.lineage import lineage_of
+from repro.provenance.lineage import MonotoneDNFLineage, lineage_of
 from repro.queries import parse_ucq, qp, unsafe_rst
 from repro.queries.library import hierarchical_example
 
@@ -115,6 +116,21 @@ def test_compile_many_and_probability_many(ktree_tid):
     values = engine.probability_many(queries, ktree_tid)
     assert values[0] == values[2] == probability(unsafe_rst(), ktree_tid)
     assert values[1] == probability(qp(instance.signature), ktree_tid)
+
+
+def test_auto_decides_read_once_shape_once_per_lineage(monkeypatch):
+    instance = rst_chain_instance(20)
+    tids = [ProbabilisticInstance.uniform(instance, p) for p in (Fraction(1, 2), Fraction(1, 3))]
+    expected = [probability(unsafe_rst(), tid, method="read_once") for tid in tids]
+    verdict = MonotoneDNFLineage.__dict__["_read_once_shaped"]
+    decide, calls = verdict.func, []
+    monkeypatch.setattr(verdict, "func", lambda lineage: calls.append(lineage) or decide(lineage))
+    engine = CompilationEngine()
+    # Two TIDs: the second request misses the probability cache and reaches
+    # the obdd route's read-once shortcut with the lineage already held.
+    assert [engine.probability(unsafe_rst(), tid) for tid in tids] == expected
+    assert engine.route_mix() == {"obdd": 2}
+    assert calls == [engine.lineage(unsafe_rst(), instance)]
 
 
 def test_read_once_method_still_rejects_shared_facts():

@@ -1,6 +1,6 @@
 """Differential tests for the structural front-end kernels (tier-1).
 
-Three layers of cross-checking for the indexed structural kernels:
+Four layers of cross-checking for the indexed structural kernels:
 
 * **property-based** (hypothesis): on random graphs, the heap-driven
   min-degree / min-fill orderings pick exactly the same vertices as the seed
@@ -15,6 +15,11 @@ Three layers of cross-checking for the indexed structural kernels:
   plus a full
   :class:`ProbabilityOracle` sweep with the ``automaton`` route running on
   the fused path;
+* **default order**: ``best_heuristic_sweep`` (min-fill skipped at the
+  degeneracy) and ``default_fact_order`` / ``CompilationEngine.fact_order``
+  (tree decomposition built only above path width 2) equal their
+  both-builds references, and a cold ``auto`` request builds only the
+  structure the rule reads;
 * **unit**: co-reachability pruning on unsatisfiable properties, the
   ``peak_live_gates`` memory report, and depth-robustness of the iterative
   ``make_nice`` / encoding builders.
@@ -28,11 +33,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.session as session
+import repro.structure.elimination as elimination
 from repro.data.gaifman import gaifman_graph
 from repro.data.instance import Instance, fact
 from repro.data.tid import ProbabilisticInstance
+from repro.engine import CompilationEngine
 from repro.errors import CompilationError, DecompositionError
 from repro.generators import (
+    balanced_binary_tree_instance,
     directed_path_instance,
     grid_instance,
     labelled_partial_ktree_instance,
@@ -40,6 +49,7 @@ from repro.generators import (
 )
 from repro.provenance.automaton_provenance import provenance, provenance_obdd
 from repro.provenance.reference import (
+    default_fact_order_reference,
     fact_order_from_path_decomposition_seed,
     fact_order_from_tree_decomposition_seed,
     provenance_seed,
@@ -54,6 +64,7 @@ from repro.provenance.variable_orders import (
     fact_order_from_path_decomposition,
     fact_order_from_tree_decomposition,
 )
+from repro.queries.library import two_incident_same_direction, unsafe_rst
 from repro.queries.parser import parse_ucq
 from repro.structure.elimination import (
     best_heuristic_ordering_with_width,
@@ -78,6 +89,7 @@ from repro.structure.path_decomposition import (
 )
 from repro.structure.reference import (
     best_heuristic_ordering_seed,
+    best_heuristic_sweep_reference,
     greedy_path_order_seed,
     min_degree_ordering_seed,
     min_fill_ordering_seed,
@@ -179,6 +191,21 @@ def mixed_graph(rng, n, edge_count, components=1):
     return graph
 
 
+kinds_strategy = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12)
+
+
+def labelled_graph(kinds, edges):
+    """A graph on ``len(kinds)`` vertices labelled by ``_LABELLINGS[kind]``."""
+    n = len(kinds)
+    labels = [_LABELLINGS[kind](i) for i, kind in enumerate(kinds)]
+    graph = Graph()
+    for label in labels:
+        graph.add_vertex(label)
+    for u, v in edges:
+        graph.add_edge(labels[u % n], labels[v % n])
+    return graph
+
+
 def structured_graphs():
     rng = random.Random(14)
     graphs = [
@@ -197,18 +224,9 @@ def structured_graphs():
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    kinds=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12),
-    edges=edges_strategy,
-)
+@given(kinds=kinds_strategy, edges=edges_strategy)
 def test_greedy_path_order_matches_the_seed_rescan(kinds, edges):
-    n = len(kinds)
-    labels = [_LABELLINGS[kind](i) for i, kind in enumerate(kinds)]
-    graph = Graph()
-    for label in labels:
-        graph.add_vertex(label)
-    for u, v in edges:
-        graph.add_edge(labels[u % n], labels[v % n])
+    graph = labelled_graph(kinds, edges)
     assert greedy_path_order(graph) == greedy_path_order_seed(graph)
 
 
@@ -325,6 +343,132 @@ def test_fact_placements_fall_back_to_the_scan_on_mismatched_decompositions():
     for placement in (fact_order_from_path_decomposition, fact_order_from_path_decomposition_seed):
         with pytest.raises(CompilationError, match="no bag covers"):
             placement(instance, uncovered)
+
+
+# -- the default order builds only the structure its rule reads --------------
+
+
+def _assert_same_sweep(graph):
+    fast, reference = best_heuristic_sweep(graph), best_heuristic_sweep_reference(graph)
+    assert fast.order == reference.order
+    assert fast.bags == reference.bags
+    assert fast.width == reference.width
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=kinds_strategy, edges=edges_strategy)
+def test_best_heuristic_sweep_matches_the_both_sweeps_reference(kinds, edges):
+    _assert_same_sweep(labelled_graph(kinds, edges))
+
+
+def test_best_heuristic_sweep_matches_the_reference_on_structured_graphs():
+    # Min-fill certifies 3 where min-degree certifies 4, and the degeneracy
+    # is 3: the one case where the skip must not fire one width early.
+    fill_wins = graph_from_edges(
+        6, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 5), (4, 5)]
+    )
+    assert min_fill_ordering_with_width(fill_wins)[1] < min_degree_ordering_with_width(fill_wins)[1]
+    for graph in [fill_wins, *structured_graphs()]:
+        _assert_same_sweep(graph)
+
+
+_elements = st.one_of(
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from(("a", "b", "c", "d")),
+    st.tuples(st.integers(min_value=0, max_value=3), st.just("t")),
+)
+# Relation names carry their arity, so any mix of facts is one signature.
+_facts_strategy = st.lists(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda arity: st.tuples(
+            st.just(f"R{arity}"), st.lists(_elements, min_size=arity, max_size=arity)
+        )
+    ),
+    max_size=24,
+)
+
+
+def _assert_default_order_matches_the_reference(instance):
+    expected = default_fact_order_reference(instance)
+    assert default_fact_order(instance) == expected
+    assert list(CompilationEngine().fact_order(instance)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(facts=_facts_strategy)
+def test_default_fact_order_matches_the_both_decompositions_rule(facts):
+    _assert_default_order_matches_the_reference(
+        Instance([fact(relation, *arguments) for relation, arguments in facts])
+    )
+
+
+def test_default_fact_order_matches_the_reference_on_families():
+    edgeless = Instance([fact("R", "a"), fact("R", 1), fact("S", "b", "b"), fact("R", (2, "t"))])
+    two_paths = Instance(
+        [fact("E", f"p{i}", f"p{i + 1}") for i in range(6)]
+        + [fact("E", i, i + 1) for i in range(6)]
+    )
+    # A binary tree of depth 4: path width 3 against tree width 1, so the
+    # rule builds the tree and takes it.
+    families = [Instance([]), edgeless, two_paths, balanced_binary_tree_instance(4)]
+    families += [grid_instance(4, 4), grid_instance(2, 9)]
+    families += [directed_path_instance(n) for n in (1, 40)]
+    families += [rst_chain_instance(n) for n in (1, 30)]
+    families += [labelled_partial_ktree_instance(40, k, seed=k) for k in (1, 2, 3)]
+    for instance in families:
+        _assert_default_order_matches_the_reference(instance)
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    original = getattr(module, name)
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _cold_auto_request(monkeypatch, instance, query):
+    counts = {}
+    for name in ("best_heuristic_sweep", "decomposition_from_sweep"):
+        _count_calls(monkeypatch, counts, session, name)
+    for name in ("min_degree_sweep", "min_fill_sweep", "treewidth_lower_bound"):
+        _count_calls(monkeypatch, counts, elimination, name)
+    engine = CompilationEngine()
+    tid = ProbabilisticInstance.uniform(instance, Fraction(1, 2))
+    assert isinstance(engine.probability(query, tid), Fraction)
+    assert engine.route_mix() == {"obdd": 1}
+    monkeypatch.undo()
+    assert engine.tree_decomposition_of(instance) == tree_decomposition(gaifman_graph(instance))
+    return counts
+
+
+def test_cold_auto_request_on_a_path_builds_no_sweep_and_no_tree(monkeypatch):
+    counts = _cold_auto_request(
+        monkeypatch, directed_path_instance(120), two_incident_same_direction()
+    )
+    assert counts == {
+        "best_heuristic_sweep": 0,
+        "decomposition_from_sweep": 0,
+        "min_degree_sweep": 0,
+        "min_fill_sweep": 0,
+        "treewidth_lower_bound": 0,
+    }
+
+
+def test_cold_auto_request_on_a_ktree_runs_min_degree_only(monkeypatch):
+    counts = _cold_auto_request(
+        monkeypatch, labelled_partial_ktree_instance(120, 2), unsafe_rst()
+    )
+    assert counts == {
+        "best_heuristic_sweep": 1,
+        "decomposition_from_sweep": 1,
+        "min_degree_sweep": 1,
+        "min_fill_sweep": 0,
+        "treewidth_lower_bound": 1,
+    }
 
 
 # -- workload-based: orderings and the fused pipeline on real families --------

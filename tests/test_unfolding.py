@@ -106,3 +106,24 @@ def test_fact_map_round_trip():
     unfolding = unfold_instance(query, instance)
     for f in instance:
         assert unfolding.original_fact(unfolding.unfolded_fact(f)) == f
+
+
+def test_element_order_is_a_forest_preorder_of_the_unfolded_domain():
+    query = inversion_free_example()
+    for seed in (2, 3, 11):
+        unfolding = unfold_instance(query, sample_instance(seed=seed, facts=20))
+        order = unfolding.element_order()
+        assert sorted(map(repr, order)) == sorted(map(repr, unfolding.unfolded.domain))
+        assert len(order) == len(set(order))
+        position = {element: i for i, element in enumerate(order)}
+        forest = unfolding.elimination_forest()
+        for element, parent in forest.parent.items():
+            if parent is not None:
+                assert position[parent] < position[element]
+        # A preorder: every element's ancestors precede it, and each subtree is
+        # one contiguous block of the order.
+        for element in order:
+            block = [e for e in order if element in forest.ancestors(e) or e == element]
+            start = position[element]
+            assert [position[e] for e in block] == list(range(start, start + len(block)))
+        assert unfolding.element_order() == order
