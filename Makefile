@@ -7,7 +7,7 @@ PYTHON ?= python
 PYTHONPATH_PREFIX = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 TIER1_WALL_CLOCK ?= 300
 
-.PHONY: test tier1 test-slow test-differential test-chaos test-chaos-disk analyze typecheck bench-engine bench-parallel bench-compile bench-structure bench-vector bench-lifted bench-resilience bench-store bench-lineage bench-paper bench
+.PHONY: test tier1 test-slow test-differential test-chaos test-chaos-disk analyze typecheck bench-engine bench-parallel bench-compile bench-structure bench-vector bench-lifted bench-resilience bench-store bench-lineage bench-data bench-paper bench
 
 # Static invariant checker (see README "Static invariants"): AST/call-graph
 # rules gating the kernel contracts. Fails on any finding.
@@ -68,6 +68,9 @@ bench-store:
 
 bench-lineage:
 	$(PYTHONPATH_PREFIX) $(PYTHON) benchmarks/bench_lineage.py
+
+bench-data:
+	$(PYTHONPATH_PREFIX) $(PYTHON) benchmarks/bench_data.py
 
 # The paper's Table 2 rows and theorems (benchmarks/bench_e*.py, bench_a*.py)
 # as tests, each timed call run once.

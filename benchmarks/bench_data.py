@@ -1,0 +1,178 @@
+"""DATA — the TID build and the JSON TID loader against their seed forms.
+
+A :class:`~repro.data.tid.ProbabilisticInstance` stores its probabilities
+as two integer columns in ``instance.facts`` order.  A valuation that lists
+the instance's facts in order is read as a column, with no fact hashed and
+``Fraction`` values range-checked in bulk; :func:`repro.data.io.tid_from_dict`
+splits each ``digits/digits`` cell into two ints and checks the ranges once,
+in bulk.  This benchmark times both against the seed forms kept in
+:mod:`repro.data.reference`, on two perfbench instances (a 2-tree of 250
+nodes and an RST chain of 480 links), each with one seeded ``k/1000``
+probability per fact:
+
+* TID build: ``ProbabilisticInstance(instance, valuation)`` against
+  :func:`~repro.data.reference.valuation_seed` (a two-set check, then one
+  conversion per fact), on a valuation built by iterating the instance;
+* loader: :func:`~repro.data.io.tid_from_dict` against
+  :func:`~repro.data.reference.tid_from_dict_seed` (every fact built from
+  both lists, every cell through the ``Fraction`` parser), on the JSON
+  description :func:`~repro.data.io.save_instance` writes.
+
+Before timing, the columns and both fingerprints (instance and TID) of each
+pair of sides must be equal.  The two sides alternate, call by call, and
+each keeps its minimum over ``ROUNDS`` samples of ``CALLS`` calls, so a
+noisy stretch of the host hits both.  CI fails below ``MINIMUM_BUILD_SPEEDUP``
+(5x) on the TID build or ``MINIMUM_LOAD_SPEEDUP`` (1.7x) on the loader, at
+either size.  Results go to ``BENCH_data.json``.
+"""
+
+import json
+import random
+import time
+from fractions import Fraction
+from pathlib import Path
+
+from repro.data.io import tid_from_dict, tid_to_dict
+from repro.data.reference import tid_fingerprint_seed, tid_from_dict_seed, valuation_seed
+from repro.data.tid import ProbabilisticInstance
+from repro.experiments import format_table, write_benchmark_json
+from repro.generators import labelled_partial_ktree_instance, rst_chain_instance
+
+RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_data.json"
+ROUNDS = 41
+CALLS = 5
+MINIMUM_BUILD_SPEEDUP = 5.0
+MINIMUM_LOAD_SPEEDUP = 1.7
+
+
+def build_cases():
+    """(label, instance, in-order valuation, saved JSON description) per case."""
+    cases = []
+    for label, instance in (
+        ("ktree-250", labelled_partial_ktree_instance(250, 2)),
+        ("rst-line-480", rst_chain_instance(480)),
+    ):
+        generator = random.Random(label)
+        valuation = {f: Fraction(generator.randint(1, 999), 1000) for f in instance}
+        description = json.loads(json.dumps(tid_to_dict(ProbabilisticInstance(instance, valuation))))
+        cases.append((label, instance, valuation, description))
+    return cases
+
+
+def check_agreement(cases):
+    """Each side must give the seed's columns and both fingerprints."""
+    for label, instance, valuation, description in cases:
+        tid = ProbabilisticInstance(instance, valuation)
+        seed = valuation_seed(instance.facts, valuation)
+        assert tid.column() == tuple(seed.values()), f"TID column diverged on {label}"
+        assert tid.ratios() == (
+            tuple(p.numerator for p in seed.values()),
+            tuple(p.denominator for p in seed.values()),
+        ), f"TID integer columns diverged on {label}"
+        assert tid.fingerprint == tid_fingerprint_seed(
+            instance.fingerprint, instance.facts, seed
+        ), f"TID fingerprint diverged on {label}"
+        loaded, reference = tid_from_dict(description), tid_from_dict_seed(description)
+        assert loaded.instance.facts == reference.instance.facts == instance.facts, label
+        assert loaded.ratios() == reference.ratios() == tid.ratios(), label
+        assert loaded.instance.fingerprint == reference.instance.fingerprint, label
+        assert loaded.fingerprint == reference.fingerprint == tid.fingerprint, label
+
+
+def _sample(function, *args):
+    start = time.perf_counter()
+    for _ in range(CALLS):
+        function(*args)
+    return (time.perf_counter() - start) / CALLS
+
+
+def run_benchmark(rounds: int = ROUNDS):
+    cases = build_cases()
+    check_agreement(cases)
+    results = {}
+    for label, instance, valuation, description in cases:
+        build = build_seed = load = load_seed = float("inf")
+        for _ in range(rounds):
+            build = min(build, _sample(ProbabilisticInstance, instance, valuation))
+            build_seed = min(build_seed, _sample(valuation_seed, instance.facts, valuation))
+            load = min(load, _sample(tid_from_dict, description))
+            load_seed = min(load_seed, _sample(tid_from_dict_seed, description))
+        results[label] = {
+            "facts": len(instance),
+            "tid_build_seconds": build,
+            "tid_build_seed_seconds": build_seed,
+            "tid_build_speedup": build_seed / build,
+            "load_seconds": load,
+            "load_seed_seconds": load_seed,
+            "load_speedup": load_seed / load,
+        }
+    write_benchmark_json(
+        RESULT_FILE,
+        "TID build and JSON TID loader against their seed forms",
+        [],
+        extra={
+            "workload": "one seeded k/1000 probability per fact, valuation in fact order",
+            "rounds": rounds,
+            "calls_per_sample": CALLS,
+            "cases": results,
+            "minimum_required_build_speedup": MINIMUM_BUILD_SPEEDUP,
+            "minimum_required_load_speedup": MINIMUM_LOAD_SPEEDUP,
+        },
+    )
+    return results
+
+
+def report(results):
+    rows = [
+        (
+            label,
+            case["facts"],
+            round(case["tid_build_seconds"] * 1e3, 4),
+            round(case["tid_build_seed_seconds"] * 1e3, 4),
+            round(case["tid_build_speedup"], 2),
+            round(case["load_seconds"] * 1e3, 4),
+            round(case["load_seed_seconds"] * 1e3, 4),
+            round(case["load_speedup"], 2),
+        )
+        for label, case in results.items()
+    ]
+    print()
+    print(
+        format_table(
+            ["case", "facts", "build ms", "seed ms", "x", "load ms", "seed ms", "x"], rows
+        )
+    )
+    print(f"(results in {RESULT_FILE.name})")
+
+
+def gate_failures(results):
+    """The messages of the gates this run fails (empty when it passes)."""
+    failures = []
+    for label, case in results.items():
+        if case["tid_build_speedup"] < MINIMUM_BUILD_SPEEDUP:
+            failures.append(
+                f"{label}: TID build only {case['tid_build_speedup']:.2f}x over the seed"
+                f" valuation; expected >= {MINIMUM_BUILD_SPEEDUP}x"
+            )
+        if case["load_speedup"] < MINIMUM_LOAD_SPEEDUP:
+            failures.append(
+                f"{label}: tid_from_dict only {case['load_speedup']:.2f}x over the seed"
+                f" loader; expected >= {MINIMUM_LOAD_SPEEDUP}x"
+            )
+    return failures
+
+
+def test_data_layer_speedup(benchmark):
+    results = run_benchmark()
+    label, instance, valuation, _ = build_cases()[0]
+    benchmark(ProbabilisticInstance, instance, valuation)
+    report(results)
+    assert not gate_failures(results)
+
+
+if __name__ == "__main__":
+    results = run_benchmark()
+    report(results)
+    failures = gate_failures(results)
+    if failures:
+        raise SystemExit("REGRESSION: " + "; ".join(failures))

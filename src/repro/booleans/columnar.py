@@ -33,7 +33,8 @@ Two arithmetic regimes:
   one coefficient per distinct edge and one multiply-add per node.  A TID
   is read by position: each level's fact is located in
   ``instance.facts`` once per artifact (again only for another fact tuple),
-  and its probability is read from the TID's column;
+  and its numerator and denominator are read from the TID's integer
+  columns (:meth:`~repro.data.tid.ProbabilisticInstance.ratios`);
 * ``exact=False`` runs a float pass whose result is always a float in
   ``[0, 1]``: gross degeneracy (non-finite, or off by more than 1e-9) falls
   back to the exact kernel, and sub-tolerance rounding excursions are
@@ -184,13 +185,15 @@ def _edge_slots(
     return slots
 
 
-def exact_probability(plan: ExactPlan, ratios: Sequence[tuple[int, int]]) -> Fraction:
+def exact_probability(
+    plan: ExactPlan, numerators: Sequence[int], denominators: Sequence[int]
+) -> Fraction:
     """The exact probability of a planned diagram, in integers.
 
-    ``ratios[rank]`` is the ``(a, d)`` pair of ``p = a/d``, the probability
-    of the variable at rank ``rank``.  With ``S(rank)`` the product of ``d``
-    over the ranks at or below ``rank`` (1 for the terminals), each node
-    holds the integer ``v(node) * S(rank)``::
+    ``numerators[rank] / denominators[rank]`` is ``p = a/d``, the
+    probability of the variable at rank ``rank``.  With ``S(rank)`` the
+    product of ``d`` over the ranks at or below ``rank`` (1 for the
+    terminals), each node holds the integer ``v(node) * S(rank)``::
 
         V(node) = a * G(rank, high) * V(high) + (d - a) * G(rank, low) * V(low)
 
@@ -205,7 +208,6 @@ def exact_probability(plan: ExactPlan, ratios: Sequence[tuple[int, int]]) -> Fra
     at the root.  An active budget is checkpointed before every chunk of
     the plan's nodes.
     """
-    numerators, denominators = zip(*ratios)
     depth = len(denominators)
     lows = list(map(operator.sub, denominators, numerators))
     # scale[rank] = S(rank): the suffix products, bottom up.
@@ -236,17 +238,20 @@ def _mapping_ratios(
     order: Sequence[Hashable],
     levels: list[int],
     probabilities: Mapping[Hashable, Fraction | float],
-) -> list[tuple[int, int]]:
-    """The ``(a, d)`` pair of each level's probability, one lookup per level."""
-    ratios = []
+) -> tuple[list[int], list[int]]:
+    """The numerator and the denominator of each level's probability, one
+    lookup per level."""
+    numerators, denominators = [], []
     for level in levels:
         variable = order[level]
         try:
             raw = probabilities[variable]
         except KeyError:
             raise LineageError(f"missing probability for variable {variable!r}") from None
-        ratios.append((raw if isinstance(raw, Fraction) else Fraction(raw)).as_integer_ratio())
-    return ratios
+        value = raw if isinstance(raw, Fraction) else Fraction(raw)
+        numerators.append(value.numerator)
+        denominators.append(value.denominator)
+    return numerators, denominators
 
 
 def _unit_interval(value: float) -> float | None:
@@ -451,12 +456,14 @@ class ColumnarOBDD:
         if plan is None:
             plan = self._plan = ExactPlan(*self._lists(), self.root)
         if isinstance(probabilities, ProbabilisticInstance):
-            column = probabilities.column()
+            numerators, denominators = probabilities.ratios()
             positions = self._fact_positions(probabilities.instance, plan.levels)
-            ratios = list(map(Fraction.as_integer_ratio, map(column.__getitem__, positions)))
-        else:
-            ratios = _mapping_ratios(self.order, plan.levels, probabilities)
-        return exact_probability(plan, ratios)
+            return exact_probability(
+                plan,
+                list(map(numerators.__getitem__, positions)),
+                list(map(denominators.__getitem__, positions)),
+            )
+        return exact_probability(plan, *_mapping_ratios(self.order, plan.levels, probabilities))
 
     def _fact_positions(self, instance: Instance, levels: list[int]) -> list[int]:
         """Where the variable of each level sits in ``instance.facts``.

@@ -13,14 +13,14 @@ import csv
 import io
 import json
 from fractions import Fraction
-from operator import is_
+from operator import is_, le
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.data.instance import Fact, Instance
 from repro.data.signature import Signature
 from repro.data.tid import ProbabilisticInstance, as_probability
-from repro.errors import InstanceError
+from repro.errors import InstanceError, ProbabilityError, ReproError
 
 
 # -- JSON -----------------------------------------------------------------------------------
@@ -73,12 +73,8 @@ def tid_to_dict(probabilistic_instance: ProbabilisticInstance) -> dict[str, Any]
     """A JSON-serializable description of a TID instance."""
     description = instance_to_dict(probabilistic_instance.instance)
     description["probabilities"] = [
-        {
-            "relation": f.relation,
-            "arguments": list(f.arguments),
-            "probability": str(probabilistic_instance.probability_of(f)),
-        }
-        for f in probabilistic_instance.instance.facts
+        {"relation": f.relation, "arguments": list(f.arguments), "probability": str(p)}
+        for f, p in zip(probabilistic_instance.instance.facts, probabilistic_instance.column())
     ]
     return description
 
@@ -95,27 +91,62 @@ def tid_from_dict(data: Mapping[str, Any]) -> ProbabilisticInstance:
     One pass over the entries: entry ``i`` of ``probabilities`` reuses the
     fact of entry ``i`` of ``facts`` when both name the same relation and
     arguments (as :func:`save_instance` writes them), and a cell of ASCII
-    ``digits/digits`` is split into two ints instead of going through the
-    ``Fraction`` string parser.  When the entries list exactly
-    ``instance.facts`` in order, the TID is built from the column.
+    ``digits/digits`` (or ASCII digits) is split into two ints, with no
+    ``Fraction`` built.  The ranges are checked in bulk, once: when the
+    entries list exactly ``instance.facts`` in order, by
+    :meth:`ProbabilisticInstance.from_ratios`.  On a failed check the cells
+    are walked again in file order, so the error, and which of several
+    errors is raised, are those of a cell-by-cell load.
     """
     instance, fact_entries, facts = _read_instance(data)
     listed: list[Fact] = []
-    column: list[Fraction] = []
+    numerators: list[int] = []
+    denominators: list[int] = []
     try:
         for position, entry in enumerate(data.get("probabilities", [])):
             if position < len(facts) and _names_same_fact(entry, fact_entries[position]):
                 listed.append(facts[position])
             else:
                 listed.append(_fact_from_entry(entry, "probability"))
-            column.append(as_probability(_probability_cell(entry)))
-    except (
-        KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError
-    ) as error:
+            cell = _probability_cell(entry)
+            if type(cell) is tuple:
+                numerator, denominator = cell
+            else:
+                probability = as_probability(cell)
+                numerator, denominator = probability.numerator, probability.denominator
+            numerators.append(numerator)
+            denominators.append(denominator)
+    except _MALFORMED as error:
+        _raise_first_invalid_cell(numerators, denominators)
         raise InstanceError(f"malformed probability description: {error}") from error
+    except ReproError:
+        _raise_first_invalid_cell(numerators, denominators)
+        raise
     if len(listed) == len(instance.facts) and all(map(is_, listed, instance.facts)):
-        return ProbabilisticInstance.from_column(instance, column)
-    return ProbabilisticInstance(instance, dict(zip(listed, column)))
+        try:
+            return ProbabilisticInstance.from_ratios(instance, numerators, denominators)
+        except ProbabilityError:
+            _raise_first_invalid_cell(numerators, denominators)
+            raise
+    if numerators and (min(denominators) < 1 or not all(map(le, numerators, denominators))):
+        _raise_first_invalid_cell(numerators, denominators)
+    return ProbabilisticInstance(
+        instance, dict(zip(listed, map(Fraction, numerators, denominators)))
+    )
+
+
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _raise_first_invalid_cell(numerators: list[int], denominators: list[int]) -> None:
+    """Raise, for the first invalid ``numerator/denominator`` cell in file
+    order, the error a cell-by-cell load raises there."""
+    for numerator, denominator in zip(numerators, denominators):
+        try:
+            probability = Fraction(numerator, denominator)
+        except ZeroDivisionError as error:
+            raise InstanceError(f"malformed probability description: {error}") from error
+        as_probability(probability)
 
 
 def _names_same_fact(entry: Any, fact_entry: Any) -> bool:
@@ -129,13 +160,18 @@ def _names_same_fact(entry: Any, fact_entry: Any) -> bool:
     )
 
 
-def _probability_cell(entry: Any) -> Fraction | int | float:
-    """The probability cell of an entry, a string parsed exactly."""
+def _probability_cell(entry: Any) -> tuple[int, int] | Fraction | int | float:
+    """The probability cell of an entry: ASCII ``digits/digits`` or digits
+    as an unchecked ``(numerator, denominator)`` pair, any other string
+    parsed exactly."""
     cell = entry["probability"]
     if isinstance(cell, str):
         numerator, slash, denominator = cell.partition("/")
-        if slash and _is_ascii_digits(numerator) and _is_ascii_digits(denominator):
-            return Fraction(int(numerator), int(denominator))
+        if _is_ascii_digits(numerator):
+            if not slash:
+                return int(numerator), 1
+            if _is_ascii_digits(denominator):
+                return int(numerator), int(denominator)
         return Fraction(cell)
     if isinstance(cell, bool) or not isinstance(cell, (int, float)):
         raise InstanceError(

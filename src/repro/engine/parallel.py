@@ -66,10 +66,12 @@ shard crosses as pickle bytes, keyed by its fingerprint; the parent pickles
 an instance once and keeps the last batch's bytes, so a batch over known
 instances pickles none.  A worker unpickles an instance only the first time
 it sees the fingerprint and keeps it, as many as its engine keeps instances.
-Each TID crosses as two columns of Python ints, the numerators and the
+Each TID crosses as its two columns of Python ints
+(:meth:`ProbabilisticInstance.ratios`), the numerators and the
 denominators of its probabilities in ``instance.facts`` order, and the
 worker rebuilds it once per shard with
-:meth:`ProbabilisticInstance.from_column`.  No TID is hashed on either side.
+:meth:`ProbabilisticInstance.from_ratios`, which builds no ``Fraction``.
+No TID is hashed on either side.
 A worker keys its per-instance artifacts on the instance fingerprint, which
 the pickle carries, so they behave as in-process caching does.  Its
 probability cache is keyed on the TID object: a TID rebuilt in a later task
@@ -125,7 +127,9 @@ ShardRunner = Callable[[Any, Any], ShardOutcome]
 # fingerprint; one (fingerprint, numerators, denominators) column per TID;
 # one (index, query, column slot) per pair.
 ShippedShard = tuple[
-    dict[str, bytes], list[tuple[str, list[int], list[int]]], list[tuple[int, Query, int]]
+    dict[str, bytes],
+    list[tuple[str, Sequence[int], Sequence[int]]],
+    list[tuple[int, Query, int]],
 ]
 
 
@@ -333,12 +337,12 @@ def _run_probability_shard(shard: Shard, method: str) -> ShardOutcome:
 
 
 def _run_shipped_probability_shard(shard: ShippedShard, method: str) -> ShardOutcome:
-    """Rebuild a shipped shard's TIDs, each once, then run it as inline."""
+    """Rebuild a shipped shard's TIDs, each once and from its integer
+    columns, then run it as inline."""
     instances, columns, pairs = shard
     tids = [
-        ProbabilisticInstance.from_column(
-            _worker_instance(fingerprint, instances[fingerprint]),
-            list(map(Fraction, numerators, denominators)),
+        ProbabilisticInstance.from_ratios(
+            _worker_instance(fingerprint, instances[fingerprint]), numerators, denominators
         )
         for fingerprint, numerators, denominators in columns
     ]
@@ -711,7 +715,7 @@ class ParallelEngine:
         for shard in shards:
             instances: dict[str, bytes] = {}
             slots: dict[ProbabilisticInstance, int] = {}
-            columns: list[tuple[str, list[int], list[int]]] = []
+            columns: list[tuple[str, Sequence[int], Sequence[int]]] = []
             pairs: list[tuple[int, Query, int]] = []
             for index, (query, tid) in shard:
                 slot = slots.get(tid)
@@ -723,15 +727,8 @@ class ParallelEngine:
                         if data is None:
                             data = pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
                         instances[fingerprint] = pickled[fingerprint] = data
-                    column = tid.column()
                     slot = slots[tid] = len(columns)
-                    columns.append(
-                        (
-                            fingerprint,
-                            [p.numerator for p in column],
-                            [p.denominator for p in column],
-                        )
-                    )
+                    columns.append((fingerprint, *tid.ratios()))
                 pairs.append((index, query, slot))
             shipped.append((instances, columns, pairs))
         self._instance_pickles = pickled

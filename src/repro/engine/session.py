@@ -364,38 +364,28 @@ class CompilationEngine:
 
     # -- structural artifacts -------------------------------------------------
 
+    # Each caller-facing accessor records one structure lookup; the
+    # derivations they share (``_graph``, ``_sweep``, ...) read and fill the
+    # slot without recording, so the counter measures reuse across calls,
+    # not how the accessors call one another.
+
     def gaifman(self, instance: Instance) -> Graph:
         """The (cached) Gaifman graph of the instance."""
         slot = self._slot(instance)
         self.stats["structure"].record(slot.graph is not None)
-        if slot.graph is None:
-            slot.graph = gaifman_graph(instance)
-        return slot.graph
-
-    def _sweep_of(self, instance: Instance) -> EliminationSweep:
-        """The (cached) best-heuristic elimination sweep: the one structural
-        computation both the tree decomposition and the fused tree encoding
-        derive from, so a session runs it at most once per instance."""
-        slot = self._slot(instance)
-        if slot.sweep is None:
-            slot.sweep = best_heuristic_sweep(self.gaifman(instance))
-        return slot.sweep
+        return self._graph(slot, instance)
 
     def tree_decomposition_of(self, instance: Instance) -> TreeDecomposition:
         """A (cached) tree decomposition of the instance's Gaifman graph."""
         slot = self._slot(instance)
         self.stats["structure"].record(slot.tree is not None)
-        if slot.tree is None:
-            slot.tree = decomposition_from_sweep(self._sweep_of(instance))
-        return slot.tree
+        return self._tree(slot, instance)
 
     def path_decomposition_of(self, instance: Instance) -> PathDecomposition:
         """A (cached) path decomposition of the instance's Gaifman graph."""
         slot = self._slot(instance)
         self.stats["structure"].record(slot.path is not None)
-        if slot.path is None:
-            slot.path = path_decomposition(self.gaifman(instance))
-        return slot.path
+        return self._path(slot, instance)
 
     def tree_encoding_of(self, instance: Instance) -> TreeEncoding:
         """A (cached) tree encoding of the instance, built by the fused
@@ -404,7 +394,7 @@ class CompilationEngine:
         slot = self._slot(instance)
         self.stats["structure"].record(slot.encoding is not None)
         if slot.encoding is None:
-            slot.encoding = fused_tree_encoding(instance, sweep=self._sweep_of(instance))
+            slot.encoding = fused_tree_encoding(instance, sweep=self._sweep(slot, instance))
         return slot.encoding
 
     def fact_order(self, instance: Instance, kind: str = "default") -> tuple[Fact, ...]:
@@ -420,21 +410,40 @@ class CompilationEngine:
         self.stats["structure"].record(kind in slot.orders)
         if kind not in slot.orders:
             if kind == "path":
-                order = fact_order_from_path_decomposition(
-                    instance, self.path_decomposition_of(instance)
-                )
+                order = fact_order_from_path_decomposition(instance, self._path(slot, instance))
             elif kind == "tree":
-                order = fact_order_from_tree_decomposition(
-                    instance, self.tree_decomposition_of(instance)
-                )
+                order = fact_order_from_tree_decomposition(instance, self._tree(slot, instance))
             else:
                 order = default_fact_order(
                     instance,
-                    path=self.path_decomposition_of(instance),
-                    tree=lambda: self.tree_decomposition_of(instance),
+                    path=self._path(slot, instance),
+                    tree=lambda: self._tree(slot, instance),
                 )
             slot.orders[kind] = tuple(order)
         return slot.orders[kind]
+
+    def _graph(self, slot: _InstanceArtifacts, instance: Instance) -> Graph:
+        if slot.graph is None:
+            slot.graph = gaifman_graph(instance)
+        return slot.graph
+
+    def _sweep(self, slot: _InstanceArtifacts, instance: Instance) -> EliminationSweep:
+        """The best-heuristic elimination sweep: the one structural
+        computation both the tree decomposition and the fused tree encoding
+        derive from, so a session runs it at most once per instance."""
+        if slot.sweep is None:
+            slot.sweep = best_heuristic_sweep(self._graph(slot, instance))
+        return slot.sweep
+
+    def _tree(self, slot: _InstanceArtifacts, instance: Instance) -> TreeDecomposition:
+        if slot.tree is None:
+            slot.tree = decomposition_from_sweep(self._sweep(slot, instance))
+        return slot.tree
+
+    def _path(self, slot: _InstanceArtifacts, instance: Instance) -> PathDecomposition:
+        if slot.path is None:
+            slot.path = path_decomposition(self._graph(slot, instance))
+        return slot.path
 
     # -- lineages and OBDDs ---------------------------------------------------
 

@@ -21,9 +21,11 @@ back to the exact kernel whenever the float pass degenerates).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
+from repro.data.instance import Instance
 from repro.data.tid import ProbabilisticInstance
+from repro.errors import ProbabilityError
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
 
@@ -65,21 +67,43 @@ def _probability_of_read_once(lineage, probabilistic_instance: ProbabilisticInst
 
     A clause with probability ``n/d`` misses with ``(d - n)/d``; the misses
     and the denominators multiply as balanced product trees, and the answer
-    is the one :class:`~fractions.Fraction` ``(D - M)/D``.
+    is the one :class:`~fractions.Fraction` ``(D - M)/D``.  Each clause's
+    ``n`` and ``d`` are products of the TID's integer columns at the
+    clause's fact positions.
     """
-    probability_of = probabilistic_instance.probability_of
+    numerators, denominators = probabilistic_instance.ratios()
     misses: list[int] = []
-    denominators: list[int] = []
-    for clause in lineage.clauses:
+    clause_denominators: list[int] = []
+    for clause in _clause_positions(lineage, probabilistic_instance.instance):
         numerator = denominator = 1
-        for fact in clause:
-            fact_numerator, fact_denominator = probability_of(fact).as_integer_ratio()
-            numerator *= fact_numerator
-            denominator *= fact_denominator
+        for position in clause:
+            numerator *= numerators[position]
+            denominator *= denominators[position]
         misses.append(denominator - numerator)
-        denominators.append(denominator)
-    denominator = balanced_product(denominators)
+        clause_denominators.append(denominator)
+    denominator = balanced_product(clause_denominators)
     return Fraction(denominator - balanced_product(misses), denominator)
+
+
+def _clause_positions(lineage, instance: Instance) -> Sequence[Sequence[int]]:
+    """The lineage's clauses as positions in ``instance.facts``: the
+    lineage's own when ``instance`` holds its fact tuple, else each fact
+    looked up, an unknown one raising :class:`ProbabilityError`."""
+    if instance.facts is lineage.instance.facts:
+        clauses = lineage.clause_positions
+        if clauses is not None:
+            return clauses
+    fact_positions = instance.fact_positions
+    looked_up = []
+    for clause in lineage.clauses:
+        positions = []
+        for fact in clause:
+            position = fact_positions(fact.relation).get(fact.arguments)
+            if position is None:
+                raise ProbabilityError(f"{fact} is not a fact of this instance")
+            positions.append(position)
+        looked_up.append(positions)
+    return looked_up
 
 
 def balanced_product(factors: list[int]) -> int:

@@ -8,8 +8,9 @@ the component, queries are constant-free, and nullary atoms only ground at a
 term's root), so every table below a node is keyed the same way:
 
 * a :class:`~repro.probability.lifted.plan.GroundNode` scans the facts of
-  each atom's relation together with their probabilities
-  (:meth:`repro.data.tid.ProbabilisticInstance.probabilities_of`) and picks
+  each atom's relation together with their probabilities, the relation's
+  block of the TID's integer columns
+  (:meth:`repro.data.tid.ProbabilisticInstance.ratios`), and picks
   each fact's key out of its arguments by position.  A repeated variable
   (``U(x, y, x)``) is an equality filter on the scanned facts, and a fact
   that two atoms of the node share is counted once (``P(A ∧ A) = P(A)``);
@@ -71,7 +72,6 @@ Table = dict[Key, Pair]
 Filter = tuple[Table, int]
 
 _ARGUMENTS = attrgetter("arguments")
-_RATIO = Fraction.as_integer_ratio
 _FIRST = itemgetter(0)
 _SECOND = itemgetter(1)
 _ALL_BUT_LAST = itemgetter(slice(0, -1))
@@ -212,9 +212,8 @@ def _ground_table(
     table: Table | None = None
     scanned: dict[str, list[tuple[int, ...]]] = {}
     for atom in dict.fromkeys(node.atoms):
-        keys, fractions = _scan(atom, variables, keep, tid, budget)
-        pairs = list(map(_RATIO, fractions))
-        rows = dict(compress(zip(keys, pairs), map(_FIRST, pairs)))
+        keys, numerators, denominators = _scan(atom, variables, keep, tid, budget)
+        rows = dict(compress(zip(keys, zip(numerators, denominators)), numerators))
         layout = tuple(map(variables.index, atom.arguments))
         for earlier in scanned.get(atom.relation, ()):
             for key in rows:
@@ -235,35 +234,43 @@ def _scan(
     keep: Filter | None,
     tid: ProbabilisticInstance,
     budget: ResourceBudget | None,
-) -> tuple[Iterable[Key], Iterable[Fraction]]:
+) -> tuple[Iterable[Key], list[int], list[int]]:
     """One pass over the facts of ``atom``'s relation.
 
     Keeps each fact that matches the atom's repeated variables and whose
     key starts with a ``keep`` key, and returns, in fact order, each kept
-    fact's key with its probability (zero probabilities included)."""
-    facts = tid.instance.facts_of(atom.relation)
+    fact's key with the numerator and the denominator of its probability
+    (zero probabilities included), sliced from the TID's integer columns at
+    the relation's block."""
+    instance = tid.instance
+    facts = instance.facts_of(atom.relation)
     if not facts:
-        return (), ()
+        return (), [], []
     if budget is not None:
         budget.charge_rows(len(facts))
     arguments = atom.arguments
     arity = len(arguments)
     columns: list[tuple[Any, ...]] = list(map(_ARGUMENTS, facts))
-    fractions: Iterable[Fraction] = tid.probabilities_of(atom.relation)
+    start = instance.block_start(atom.relation)
+    all_numerators, all_denominators = tid.ratios()
+    numerators = all_numerators[start : start + len(facts)]
+    denominators = all_denominators[start : start + len(facts)]
     first = list(map(arguments.index, arguments))
     repeats = [(position, at) for position, at in enumerate(first) if position != at]
     if repeats:
         equal = [all(row[position] == row[at] for position, at in repeats) for row in columns]
         columns = list(compress(columns, equal))
-        fractions = compress(fractions, equal)
+        numerators = list(compress(numerators, equal))
+        denominators = list(compress(denominators, equal))
     positions = list(map(arguments.index, variables))
     keys = _picked(columns, positions, arity)
     if keep is not None:
         kept, length = keep
         mask = list(map(kept.__contains__, _picked(columns, positions[:length], arity)))
         keys = compress(keys, mask)
-        fractions = compress(fractions, mask)
-    return keys, fractions
+        numerators = list(compress(numerators, mask))
+        denominators = list(compress(denominators, mask))
+    return keys, numerators, denominators
 
 
 def _picked(columns: list[tuple[Any, ...]], positions: list[int], arity: int) -> Iterable[Key]:

@@ -69,6 +69,22 @@ class MonotoneDNFLineage:
         return self._read_once_shaped
 
     @cached_property
+    def clause_positions(self) -> tuple[tuple[int, ...], ...] | None:
+        """The clauses as positions in ``instance.facts``, computed once per
+        lineage object; None when a clause names a fact the instance lacks.
+
+        The read-once kernel reads a TID's integer columns at these
+        positions when the TID's instance holds this lineage's fact tuple."""
+        fact_positions = self.instance.fact_positions
+        try:
+            return tuple(
+                tuple(fact_positions(f.relation)[f.arguments] for f in clause)
+                for clause in self.clauses
+            )
+        except KeyError:
+            return None
+
+    @cached_property
     def _read_once_shaped(self) -> bool:
         seen: set[Fact] = set()
         for clause in self.clauses:

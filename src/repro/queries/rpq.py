@@ -510,21 +510,24 @@ def c2rpq_matches(
     """Witness fact sets of the query: one choice of witness path per atom.
 
     The result may contain non-minimal sets; use :func:`c2rpq_minimal_matches`
-    for the minimal ones (the clauses of the monotone-DNF lineage).
+    for the minimal ones (the clauses of the monotone-DNF lineage).  An
+    atom's witness paths depend only on the atom and its two endpoints, so
+    each ``(atom index, source, target)`` is enumerated once per call, however
+    many homomorphisms share it.
     """
     matches: set[frozenset[Fact]] = set()
+    witnessed: dict[tuple[int, Any, Any], list[frozenset[Fact]]] = {}
     for assignment in c2rpq_homomorphisms(query, instance):
         per_atom: list[list[frozenset[Fact]]] = []
-        for current in query.atoms:
-            witnesses = list(
-                rpq_witness_paths(
-                    instance,
-                    current.regex,
-                    assignment[current.source],
-                    assignment[current.target],
-                    max_facts=max_facts_per_atom,
+        for index, current in enumerate(query.atoms):
+            key = (index, assignment[current.source], assignment[current.target])
+            witnesses = witnessed.get(key)
+            if witnesses is None:
+                witnesses = witnessed[key] = list(
+                    rpq_witness_paths(
+                        instance, current.regex, key[1], key[2], max_facts=max_facts_per_atom
+                    )
                 )
-            )
             per_atom.append(witnesses)
         combinations: list[frozenset[Fact]] = [frozenset()]
         for witnesses in per_atom:

@@ -1,5 +1,6 @@
 """Tests for the indexed, cached compilation engine (repro.engine)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -349,3 +350,33 @@ def test_lineage_rejects_query_arity_mismatch(unary_tid):
 @pytest.mark.parametrize("method", list(ROUTES))
 def test_relations_missing_from_the_signature_contribute_zero(method, unary_tid):
     assert CompilationEngine().probability(parse_ucq("R(x), T(x, y)"), unary_tid, method) == 0
+
+
+def test_a_fresh_engine_records_no_structure_hit_on_its_first_request():
+    """Structure lookups count the caller-facing accessors only: the
+    derivations they share (graph, sweep, decompositions) are not lookups."""
+    for instance in (labelled_partial_ktree_instance(40, 2), directed_path_instance(40)):
+        engine = CompilationEngine()
+        query = unsafe_rst() if "R" in instance.signature else parse_ucq("E(x, y), E(y, z)")
+        engine.probability(query, ProbabilisticInstance.uniform(instance))
+        assert engine.stats["structure"].hits == 0
+        assert engine.stats["structure"].misses == 1
+        engine.fact_order(instance)
+        assert (engine.stats["structure"].hits, engine.stats["structure"].misses) == (1, 1)
+
+
+def test_a_warm_obdd_request_reads_probabilities_without_fraction_ratios(monkeypatch):
+    instance = labelled_partial_ktree_instance(60, 2, seed=1)
+    engine = CompilationEngine()
+    engine.probability(unsafe_rst(), ProbabilisticInstance.uniform(instance))
+    generator = random.Random(0)
+    tid = ProbabilisticInstance(
+        instance, {f: Fraction(generator.randint(1, 999), 1000) for f in instance}
+    )
+    ratio, calls = Fraction.as_integer_ratio, []
+    monkeypatch.setattr(Fraction, "as_integer_ratio", lambda self: calls.append(self) or ratio(self))
+    value = engine.probability(unsafe_rst(), tid)
+    assert engine.last_decision.method == "obdd"
+    assert calls == []
+    monkeypatch.setattr(Fraction, "as_integer_ratio", ratio)
+    assert value == engine.probability(unsafe_rst(), tid, method="dnnf")

@@ -409,6 +409,32 @@ def test_each_cell_loads_as_the_reference_loads_it(cell):
     )
 
 
+_LATER_FAULTS = [
+    {"relation": "R", "arguments": ["b"]},
+    {"relation": "R", "arguments": [["b"]], "probability": "1/2"},
+    {"relation": "R", "arguments": ["b"], "probability": True},
+    {"relation": "R", "arguments": ["b"], "probability": "1.5"},
+    {"relation": "R", "arguments": ["b"], "probability": "x"},
+    {"relation": "R", "arguments": ["b"], "probability": "2/1"},
+    {"relation": "R", "arguments": ["b"], "probability": "1/0"},
+    {"relation": "R", "arguments": ["zz"], "probability": "1/2"},
+]
+
+
+@pytest.mark.parametrize("first", ["3/2", "1/0", "1/2"])
+@pytest.mark.parametrize("later", _LATER_FAULTS, ids=repr)
+def test_a_bad_digits_cell_is_reported_before_a_later_fault(first, later):
+    """The loader checks ``digits/digits`` cells in bulk, after its pass:
+    a bad cell must still be reported before any fault in a later entry,
+    and in file order, as the cell-by-cell reference loader reports it."""
+    data = {
+        "signature": {"R": 1},
+        "facts": [{"relation": "R", "arguments": [name]} for name in ("a", "b")],
+        "probabilities": [{"relation": "R", "arguments": ["a"], "probability": first}, later],
+    }
+    assert _loaded(tid_from_dict, data) == _loaded(tid_from_dict_seed, data)
+
+
 # -- DOT exports -------------------------------------------------------------------------------
 
 

@@ -492,3 +492,42 @@ def test_cli_batch_workers_flag(tmp_path, capsys, workload):
     serial = CompilationEngine()
     expected_value = serial.probability(parse_ucq("R(x)"), tid)
     assert f"R(x): {expected_value}" in output
+
+
+def test_pool_workers_build_no_fraction_per_shipped_probability(tmp_path, monkeypatch):
+    """A worker rebuilds each shipped TID from its integer columns: the
+    rebuild constructs no ``Fraction``, however many facts the TID has."""
+    log = tmp_path / "rebuilt"
+    built = [0]
+    fraction_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    from_ratios = ProbabilisticInstance.__dict__["from_ratios"].__func__
+
+    def logged(cls, instance, numerators, denominators):
+        before = built[0]
+        tid = from_ratios(cls, instance, numerators, denominators)
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {len(numerators)} {built[0] - before}\n")
+        return tid
+
+    # Patched before the pool forks, so the workers inherit both.
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    monkeypatch.setattr(ProbabilisticInstance, "from_ratios", classmethod(logged))
+    instances = [labelled_partial_ktree_instance(8, 2, seed=seed) for seed in range(3)]
+    pairs = [
+        (unsafe_rst(), ProbabilisticInstance.uniform(instance, Fraction(k, 7)))
+        for k in range(1, 5)
+        for instance in instances
+    ]
+    serial = CompilationEngine()
+    with ParallelEngine(workers=2) as parallel:
+        report = parallel.map_probability(pairs)
+    assert list(report.values) == [serial.probability(q, t) for q, t in pairs]
+    rebuilt = [line.split() for line in log.read_text().splitlines()]
+    assert len(rebuilt) == len(pairs)
+    assert all(int(pid) != os.getpid() for pid, _, _ in rebuilt)
+    assert all(int(facts) > 0 and built == "0" for _, facts, built in rebuilt)

@@ -333,3 +333,31 @@ def test_two_way_star_is_symmetric_connectivity(edges):
     pairs = rpq_pairs(instance, "(E|E-)+")
     # Symmetry of the two-way closure.
     assert all((b, a) in pairs for a, b in pairs)
+
+
+def test_c2rpq_matches_enumerate_each_atom_witness_list_once(monkeypatch):
+    """An atom's witness paths depend on the atom and its two endpoints
+    only, so one call enumerates them once per ``(atom, source, target)``,
+    however many homomorphisms share that key; the minimal matches still
+    equal the reference."""
+    import repro.queries.rpq as rpq
+
+    instance = _path(6)
+    query = two_incident_paths_query()
+    homomorphisms = list(c2rpq_homomorphisms(query, instance))
+    keys = {
+        (index, assignment[atom.source], assignment[atom.target])
+        for assignment in homomorphisms
+        for index, atom in enumerate(query.atoms)
+    }
+    witnesses, calls = rpq.rpq_witness_paths, []
+
+    def counted(instance, regex, source, target, max_facts=None):
+        calls.append((source, target))
+        return witnesses(instance, regex, source, target, max_facts=max_facts)
+
+    monkeypatch.setattr(rpq, "rpq_witness_paths", counted)
+    minimal = c2rpq_minimal_matches(query, instance)
+    assert len(calls) == len(keys) < len(homomorphisms) * len(query.atoms)
+    monkeypatch.setattr(rpq, "rpq_witness_paths", witnesses)
+    assert minimal == c2rpq_minimal_matches_reference(query, instance)

@@ -1,12 +1,22 @@
 """Tests for repro.data.tid (tuple-independent databases)."""
 
+import pickle
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data.instance import Instance, fact
+from repro.data.instance import Fact, Instance, fact
+from repro.data.io import load_instance, load_tid, save_instance
+from repro.data.reference import tid_fingerprint_seed, valuation_seed
+from repro.data.signature import Signature
 from repro.data.tid import ProbabilisticInstance, as_probability
 from repro.errors import ProbabilityError
+from repro.generators import labelled_partial_ktree_instance
+from repro.generators.random_instances import random_instance
 
 
 def make_tid():
@@ -97,3 +107,170 @@ def test_from_column_converts_each_value_like_init():
 def test_from_column_rejects_a_column_of_the_wrong_length(column):
     with pytest.raises(ProbabilityError, match="facts"):
         ProbabilisticInstance.from_column(make_tid().instance, column)
+
+
+# -- integer columns -------------------------------------------------------------------------
+
+_INSTANCE = random_instance(Signature([("R", 1), ("S", 2)]), 4, 8, seed=3)
+_OUTSIDE = [fact("R", "zz"), fact("S", "zz", "e0")]
+_VALID = [
+    st.builds(Fraction, st.integers(0, 7), st.just(7)),
+    st.sampled_from([0, 1]),
+    st.sampled_from([0.0, 0.1, 0.25, 1.0]),
+    st.sampled_from(["0", "1", "1/3", "0.5", " 2/4 "]),
+    st.sampled_from([(0, 1), (1, 2), (2, 6), (5, 5)]),
+]
+_INVALID = st.sampled_from([Fraction(3, 2), -1, 2, 1.5, "5/4", "x", (1, 0), (3, 2), None])
+
+
+@st.composite
+def valuations(draw):
+    """A valuation over ``_INSTANCE``: in fact order, shuffled or partial,
+    with values of every accepted type, and sometimes invalid values (one
+    or several, so that which one is reported matters) or a fact outside
+    the instance."""
+    facts = list(_INSTANCE.facts)
+    layout = draw(st.sampled_from(["in order", "shuffled", "partial"]))
+    if layout == "shuffled":
+        facts = draw(st.permutations(facts))
+    elif layout == "partial":
+        facts = draw(st.lists(st.sampled_from(facts), unique=True))
+    invalid = draw(st.sampled_from([0, 0, 1, 3]))
+    values = [
+        draw(_INVALID if draw(st.integers(0, 7)) < invalid else st.one_of(_VALID))
+        for _ in facts
+    ]
+    if draw(st.integers(0, 5)) == 0:
+        facts.insert(draw(st.integers(0, len(facts))), draw(st.sampled_from(_OUTSIDE)))
+        values.append(draw(st.one_of(_VALID)))
+    default = draw(st.one_of(st.just(1), st.sampled_from([Fraction(1, 2), 0, "1/3"])))
+    return dict(zip(facts, values)), default
+
+
+def _dict_keyed(instance, valuation, default):
+    """The fact-keyed build that the integer columns replaced: the default
+    is converted first, facts outside the instance are reported next, then
+    each given value is converted in valuation order."""
+    default_prob = as_probability(default)
+    merged = dict.fromkeys(instance.facts, default_prob)
+    merged.update(valuation)
+    if len(merged) != len(instance):
+        unknown = sorted(map(str, islice(merged, len(instance), None)))
+        raise ProbabilityError(f"valuation mentions facts not in the instance: {unknown[:3]}")
+    for f, given in valuation.items():
+        merged[f] = as_probability(given)
+    return merged
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as error:  # the type and message are what is compared
+        return type(error), str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=valuations())
+def test_a_tid_from_any_valuation_reads_as_the_fact_keyed_build(case):
+    valuation, default = case
+    tid = _outcome(lambda: ProbabilisticInstance(_INSTANCE, valuation, default))
+    expected = _outcome(lambda: _dict_keyed(_INSTANCE, valuation, default))
+    if isinstance(expected, tuple):
+        assert tid == expected
+        return
+    seed = valuation_seed(_INSTANCE.facts, valuation, default)
+    assert expected == seed
+    assert tid.valuation() == seed
+    assert tid.column() == tuple(seed.values())
+    assert [tid.probability_of(f) for f in _INSTANCE.facts] == list(seed.values())
+    for relation in ("R", "S", "T"):
+        assert tid.probabilities_of(relation) == tuple(
+            seed[f] for f in _INSTANCE.facts_of(relation)
+        )
+    assert tid.ratios() == (
+        tuple(p.numerator for p in seed.values()),
+        tuple(p.denominator for p in seed.values()),
+    )
+    assert tid.fingerprint == tid_fingerprint_seed(_INSTANCE.fingerprint, _INSTANCE.facts, seed)
+    assert ProbabilisticInstance.from_column(_INSTANCE, tid.column()).ratios() == tid.ratios()
+
+
+def test_from_ratios_reduces_each_pair_to_lowest_terms():
+    instance = make_tid().instance
+    tid = ProbabilisticInstance.from_ratios(instance, [2, 0], [4, 5])
+    assert tid.ratios() == ((1, 0), (2, 1))
+    assert tid.column() == (Fraction(1, 2), Fraction(0))
+    assert tid.fingerprint == ProbabilisticInstance.from_column(instance, ["1/2", 0]).fingerprint
+    assert ProbabilisticInstance.from_ratios(instance, *make_tid().ratios()).valuation() == (
+        make_tid().valuation()
+    )
+
+
+@pytest.mark.parametrize(
+    "numerators, denominators",
+    [([-1, 1], [2, 2]), ([3, 1], [2, 2]), ([1, 0], [0, 1]), ([1], [2]), ([1, 1], [2]), ([1] * 3, [2] * 3)],
+    ids=["negative", "above one", "zero denominator", "short", "ragged", "long"],
+)
+def test_from_ratios_rejects_what_is_no_probability_column(numerators, denominators):
+    with pytest.raises(ProbabilityError):
+        ProbabilisticInstance.from_ratios(make_tid().instance, numerators, denominators)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of ``Fact.__hash__`` calls and ``Fraction`` constructions."""
+    counts = {"hash": 0, "fraction": 0}
+    fact_hash, fraction_new = Fact.__hash__, Fraction.__new__
+
+    def hashed(self):
+        counts["hash"] += 1
+        return fact_hash(self)
+
+    def built(cls, *args, **kwargs):
+        counts["fraction"] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fact, "__hash__", hashed)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(built))
+    return counts
+
+
+def test_an_in_order_valuation_hashes_no_fact_and_builds_no_fraction(counted):
+    instance = labelled_partial_ktree_instance(30, 2, seed=1)
+    generator = random.Random(0)
+    valuation = {f: Fraction(generator.randint(1, 999), 1000) for f in instance}
+    counted.update(hash=0, fraction=0)
+    tid = ProbabilisticInstance(instance, valuation)
+    assert counted == {"hash": 0, "fraction": 0}
+    assert tid.column() == tuple(valuation.values())
+
+
+def test_loading_a_saved_tid_hashes_no_fact_beyond_the_instance(tmp_path, counted):
+    instance = labelled_partial_ktree_instance(30, 2, seed=1)
+    generator = random.Random(0)
+    saved = ProbabilisticInstance(
+        instance, {f: Fraction(generator.randint(1, 999), 1000) for f in instance}
+    )
+    path = tmp_path / "tid.json"
+    save_instance(saved, path)
+    counted.update(hash=0, fraction=0)
+    load_instance(path)
+    instance_hashes = counted["hash"]
+    counted.update(hash=0, fraction=0)
+    loaded = load_tid(path)
+    assert counted == {"hash": instance_hashes, "fraction": 0}
+    assert loaded.ratios() == saved.ratios()
+    assert loaded.fingerprint == saved.fingerprint
+
+
+def test_a_pickled_tid_carries_no_lazy_cache():
+    tid = make_tid()
+    assert tid.valuation() and tid.fingerprint
+    restored = pickle.loads(pickle.dumps(tid))
+    assert restored._fractions is None and restored._by_fact is None
+    assert restored._fingerprint == tid.fingerprint
+    assert restored.ratios() == tid.ratios()
+    assert restored.valuation() == tid.valuation()
+    bare = ProbabilisticInstance.from_ratios(tid.instance, *tid.ratios())
+    assert bare.fingerprint == tid.fingerprint
+    assert len(pickle.dumps(bare)) == len(pickle.dumps(tid))
