@@ -24,7 +24,7 @@ import hashlib
 from fractions import Fraction
 from itertools import compress, islice, repeat
 from math import gcd
-from operator import attrgetter, eq, floordiv, is_, le, not_
+from operator import eq, floordiv, is_, le, not_
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.data.instance import Fact, Instance
@@ -32,8 +32,11 @@ from repro.errors import ProbabilityError
 
 ProbabilityLike = Fraction | float | int | str | tuple[int, int]
 
-_NUMERATOR = attrgetter("numerator")
-_DENOMINATOR = attrgetter("denominator")
+# The getters of the public ``numerator`` and ``denominator`` properties:
+# mapped over a column, they skip the attribute lookup that ``attrgetter``
+# repeats for every value.
+_NUMERATOR = Fraction.numerator.fget
+_DENOMINATOR = Fraction.denominator.fget
 #: The default probability of an unmentioned fact, built once.
 _CERTAIN = Fraction(1)
 #: What :func:`as_probability` raises on a value it cannot take.
