@@ -8,29 +8,92 @@ facts.  Instances over arity-2 signatures can be viewed as (labeled) graphs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from itertools import chain, count, repeat
-from operator import add, attrgetter, mul
+from bisect import bisect_left, bisect_right
+from collections import deque
+from dataclasses import FrozenInstanceError
+from itertools import chain, count, groupby, repeat
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.data.signature import Relation, Signature
-from repro.errors import InstanceError, SignatureError
+from repro.errors import InstanceError, ReproError, SignatureError
 
 
-@dataclass(frozen=True, order=True)
 class Fact:
     """A ground fact ``R(a_1, ..., a_k)``.
 
     Domain elements can be any hashable, orderable values (we use strings and
     integers throughout the library).
+
+    A slotted, immutable record: equality, ordering, ``repr`` and
+    ``__match_args__`` are those of a frozen, ordered dataclass with the
+    fields ``relation`` and ``arguments``, and assigning or deleting an
+    attribute raises :class:`dataclasses.FrozenInstanceError`.  The hash is
+    computed on first use and cached on the fact, so a fact that is never
+    put in a set or used as a dict key is never hashed, and one that is
+    hashes its arguments once.  A pickle carries the two fields only:
+    string hashes differ between processes, so the cache does not travel.
     """
+
+    __slots__ = ("relation", "arguments", "_hash")
+    __match_args__ = ("relation", "arguments")
 
     relation: str
     arguments: tuple[Any, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.arguments, tuple):
-            object.__setattr__(self, "arguments", tuple(self.arguments))
+    def __init__(self, relation: str, arguments: Iterable[Any]) -> None:
+        if not isinstance(arguments, tuple):
+            arguments = tuple(arguments)
+        _SET_RELATION(self, relation)
+        _SET_ARGUMENTS(self, arguments)
+        _SET_HASH(self, None)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.relation, self.arguments))
+            _SET_HASH(self, cached)
+        return cached
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (type(self), (self.relation, self.arguments))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(relation={self.relation!r}, "
+            f"arguments={self.arguments!r})"
+        )
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.relation, self.arguments) == (other.relation, other.arguments)
+        return NotImplemented
+
+    def __lt__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.relation, self.arguments) < (other.relation, other.arguments)
+        return NotImplemented
+
+    def __le__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.relation, self.arguments) <= (other.relation, other.arguments)
+        return NotImplemented
+
+    def __gt__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.relation, self.arguments) > (other.relation, other.arguments)
+        return NotImplemented
+
+    def __ge__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.relation, self.arguments) >= (other.relation, other.arguments)
+        return NotImplemented
 
     @property
     def arity(self) -> int:
@@ -51,6 +114,25 @@ class Fact:
         return f"{self.relation}({', '.join(map(str, self.arguments))})"
 
 
+# The slots' own setters: they write past ``Fact.__setattr__``.
+_SET_RELATION = Fact.__dict__["relation"].__set__
+_SET_ARGUMENTS = Fact.__dict__["arguments"].__set__
+_SET_HASH = Fact.__dict__["_hash"].__set__
+
+
+def facts_from_columns(
+    relations: Sequence[str], arguments: Sequence[tuple[Any, ...]]
+) -> list[Fact]:
+    """``[Fact(r, a) for r, a in zip(relations, arguments)]``, built a column
+    at a time: no Python-level call per fact.  ``arguments`` must hold
+    tuples, and both columns must have the same length."""
+    facts = list(map(object.__new__, repeat(Fact, len(relations))))
+    deque(map(_SET_RELATION, facts, relations), maxlen=0)
+    deque(map(_SET_ARGUMENTS, facts, arguments), maxlen=0)
+    deque(map(_SET_HASH, facts, repeat(None)), maxlen=0)
+    return facts
+
+
 def fact(relation: str, *arguments: Any) -> Fact:
     """Convenience constructor: ``fact("R", "a", "b") == Fact("R", ("a", "b"))``."""
     return Fact(relation, tuple(arguments))
@@ -62,15 +144,23 @@ class Instance:
     The signature may be given explicitly; otherwise it is inferred from the
     facts (each relation gets the arity of its first fact).  Facts are stored
     in a deterministic (sorted) order so that iteration, variable orders, and
-    generated lineages are reproducible.
+    generated lineages are reproducible.  Of several equal facts, the first
+    one given is kept, as ``dict.fromkeys(facts)`` keeps it.
 
     The order is by relation, then by the ``(type name, repr)`` rendering of
-    each argument.  Construction interns each distinct element once, keyed by
-    ``(type(element), element)`` because ``1``, ``True`` and ``1.0`` are equal
-    but render differently, ranks the interned elements by their rendering,
-    and sorts each relation's facts by their packed element ranks.  For the
-    order to be well defined, ``repr`` must be faithful to equality within
-    each element type (see :attr:`fingerprint`).
+    each argument.  Construction works a column at a time: it checks that
+    every item is a :class:`Fact` in bulk, groups the facts by relation with
+    one stable sort, interns each distinct element once, ranks the interned
+    elements by their rendering (by ``repr`` alone when every element has
+    one type, which gives the same order), and sorts each relation's facts
+    by their packed element ranks.  Equal facts have equal packed ranks, so
+    duplicates are dropped by rank, the first one given kept, and no fact is
+    hashed.  When the elements have several types, the key is
+    ``(type(element), element)``, because ``1``, ``True`` and ``1.0`` are
+    equal but render differently, and duplicates are dropped by
+    ``dict.fromkeys``, which hashes each fact once.  For the order to be
+    well defined, ``repr`` must be faithful to equality within each element
+    type (see :attr:`fingerprint`).
     """
 
     __slots__ = (
@@ -88,21 +178,51 @@ class Instance:
         facts: Iterable[Fact] = (),
         signature: Signature | None = None,
     ) -> None:
-        # A dict keeps the first of several equal facts, as a set would.
-        by_relation: dict[str, list[Fact]] = {}
-        for f in dict.fromkeys(facts):
-            if not isinstance(f, Fact):
-                raise InstanceError(f"expected Fact, got {type(f).__name__}")
-            by_relation.setdefault(f.relation, []).append(f)
-        self._signature = _checked_signature(by_relation, signature)
-        relations = sorted(by_relation)
-        # Every argument occurrence, relation by relation: arity-strided.
-        grouped = chain.from_iterable(map(by_relation.get, relations))
-        arguments = list(chain.from_iterable(map(_ARGUMENTS, grouped)))
-        # Each distinct element is rendered and ranked once.
-        keys, distinct, renderings = _interned(arguments)
-        order = sorted(range(len(distinct)), key=renderings.__getitem__)
-        ranked = list(map(distinct.__getitem__, order))
+        given = list(facts)
+        if not all(map(isinstance, given, repeat(Fact))):
+            item = next(item for item in given if not isinstance(item, Fact))
+            raise InstanceError(f"expected Fact, got {type(item).__name__}")
+        names = list(map(_RELATION, given))
+        try:
+            # A stable sort: each relation's facts stay in the given order.
+            sorted_names = sorted(names)
+            grouped = given if sorted_names == names else sorted(given, key=_RELATION)
+            relations = [name for name, _ in groupby(sorted_names)]
+            if not all(map(isinstance, relations, repeat(str))):
+                raise TypeError("relation names must be strings")
+            tuples = list(map(_ARGUMENTS, grouped))
+            # Every argument occurrence, relation by relation: arity-strided.
+            arguments = list(chain.from_iterable(tuples))
+            mixed = len(set(map(type, arguments))) > 1
+            if mixed:
+                grouped = list(dict.fromkeys(grouped))
+                sorted_names = list(map(_RELATION, grouped))
+                tuples = list(map(_ARGUMENTS, grouped))
+                arguments = list(chain.from_iterable(tuples))
+                keys, distinct, renderings = _interned(arguments)
+            else:
+                # One type: the (type name, repr) order is the repr order.
+                keys, distinct = arguments, list(set(arguments))
+                renderings = list(map(repr, distinct))
+            order = sorted(range(len(distinct)), key=renderings.__getitem__)
+            ranked = list(map(distinct.__getitem__, order))
+        except TypeError as error:
+            raise _rejected(given, error) from error
+        bounds = {
+            name: slice(bisect_left(sorted_names, name), bisect_right(sorted_names, name))
+            for name in relations
+        }
+        lengths = list(map(len, tuples))
+        arities = {name: dict.fromkeys(lengths[block]) for name, block in bounds.items()}
+        by_relation = {name: grouped[block] for name, block in bounds.items()}
+        try:
+            self._signature = _checked_signature(by_relation, arities, signature)
+        except SignatureError:
+            # Name the relation the facts use first, as a fact-by-fact
+            # check would.
+            first_used = {name: arities[name] for name in dict.fromkeys(names)}
+            _checked_signature(by_relation, first_used, signature)
+            raise
         base = len(ranked)
         rank = dict(zip(ranked, range(base)))
         ranks = list(map(rank.__getitem__, keys))
@@ -117,13 +237,15 @@ class Instance:
             packed = ranks[start:stop:arity]
             for position in range(1, arity):
                 digits = ranks[start + position : stop : arity]
-                packed = list(map(add, map(mul, packed, repeat(base)), digits))
-            order = sorted(range(len(group)), key=packed.__getitem__)
-            block = self._by_relation[relation] = tuple(map(group.__getitem__, order))
+                packed = [number * base + digit for number, digit in zip(packed, digits)]
+            # Equal facts have equal packed ranks: the first one given wins
+            # (the dict is filled back to front), and the rest are dropped.
+            first = dict(zip(reversed(packed), reversed(group)))
+            block = self._by_relation[relation] = tuple(map(first.__getitem__, sorted(first)))
             ordered.extend(block)
             start = stop
         self._facts: tuple[Fact, ...] = tuple(ordered)
-        if keys is arguments:
+        if not mixed:
             self._domain = tuple(ranked)
         else:
             # Equal elements of different types (1, True, 1.0) share one
@@ -389,17 +511,19 @@ class Instance:
 
 
 _ARGUMENTS = attrgetter("arguments")
+_RELATION = attrgetter("relation")
 _TYPE_NAME = attrgetter("__name__")
 
 
 def _checked_signature(
-    by_relation: Mapping[str, Sequence[Fact]], signature: Signature | None
+    by_relation: Mapping[str, Sequence[Fact]],
+    arities: Mapping[str, Mapping[int, None]],
+    signature: Signature | None,
 ) -> Signature:
-    """The signature inferred from (or checked against) facts grouped by relation."""
-    arities = {
-        relation: dict.fromkeys(map(len, map(_ARGUMENTS, group)))
-        for relation, group in by_relation.items()
-    }
+    """The signature inferred from (or checked against) facts grouped by
+    relation.  ``arities`` maps each relation to the argument counts its
+    facts use, in order of first use; the relations are checked in its
+    order."""
     if signature is None:
         for relation, used in arities.items():
             if len(used) > 1:
@@ -444,6 +568,20 @@ def _interned(arguments: list[Any]) -> tuple[list[Any], list[Any], list[tuple[st
         distinct = elements = list(set(arguments))
     renderings = list(zip(map(_TYPE_NAME, map(type, elements)), map(repr, elements)))
     return keys, distinct, renderings
+
+
+def _rejected(facts: Sequence[Fact], error: TypeError) -> ReproError:
+    """The typed error for the first of ``facts`` whose relation is not a
+    string or whose arguments cannot be hashed (a list, say), or ``error``
+    itself as an :class:`InstanceError` when there is no such fact."""
+    for f in facts:
+        if not isinstance(f.relation, str):
+            return SignatureError(f"fact {f}: relation name must be a string, got {f.relation!r}")
+        try:
+            hash(f.arguments)
+        except TypeError as cause:
+            return InstanceError(f"fact {f} has an unhashable argument: {cause}")
+    return InstanceError(str(error))
 
 
 def graph_instance(

@@ -13,11 +13,12 @@ import csv
 import io
 import json
 from fractions import Fraction
-from operator import is_, le
+from itertools import chain, repeat
+from operator import contains, is_, itemgetter, le
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from repro.data.instance import Fact, Instance
+from repro.data.instance import Fact, Instance, facts_from_columns
 from repro.data.signature import Signature
 from repro.data.tid import ProbabilisticInstance, as_probability
 from repro.errors import InstanceError, ProbabilityError, ReproError
@@ -41,15 +42,43 @@ def instance_from_dict(data: Mapping[str, Any]) -> Instance:
     return _read_instance(data)[0]
 
 
-def _read_instance(data: Mapping[str, Any]) -> tuple[Instance, list[Any], list[Fact]]:
-    """The instance, its fact entries and their facts, in file order."""
+def _read_instance(
+    data: Mapping[str, Any],
+) -> tuple[Instance, list[Any], list[Any], list[Fact]]:
+    """The instance, the relation and argument columns of its fact entries,
+    and their facts, in file order."""
     try:
         signature = Signature(sorted(data["signature"].items()))
         entries = list(data["facts"])
     except (KeyError, TypeError, AttributeError) as error:
         raise InstanceError(f"malformed instance description: {error}") from error
-    facts = [_fact_from_entry(entry, "fact") for entry in entries]
-    return Instance(facts, signature), entries, facts
+    relations, arguments = _fact_columns(entries, "fact")
+    facts = facts_from_columns(relations, list(map(tuple, arguments)))
+    return Instance(facts, signature), relations, arguments, facts
+
+
+def _fact_columns(entries: list[Any], kind: str) -> tuple[list[Any], list[Any]]:
+    """The relation and argument columns of fact entries, checked a column
+    at a time; on a failed check the entries are walked in file order, so
+    the error is the one :func:`_fact_from_entry` raises first."""
+    try:
+        relations = list(map(_RELATION, entries))
+        arguments = list(map(_ARGUMENTS, entries))
+        if not (
+            all(map(isinstance, relations, repeat(str)))
+            and all(relations)
+            and all(map(isinstance, arguments, repeat(list)))
+            and not any(
+                issubclass(kind, (list, dict))
+                for kind in set(map(type, chain.from_iterable(arguments)))
+            )
+        ):
+            raise ValueError("malformed fact entry")
+    except (KeyError, TypeError, ValueError) as error:
+        for entry in entries:
+            _fact_from_entry(entry, kind)
+        raise InstanceError(f"malformed {kind} entries: {error}") from error
+    return relations, arguments
 
 
 def _fact_from_entry(entry: Any, kind: str) -> Fact:
@@ -67,6 +96,11 @@ def _fact_from_entry(entry: Any, kind: str) -> Fact:
             f"{kind} entry {entry!r}: arguments must be scalars, not arrays or objects"
         )
     return Fact(relation, tuple(arguments))
+
+
+_RELATION = itemgetter("relation")
+_ARGUMENTS = itemgetter("arguments")
+_PROBABILITY = itemgetter("probability")
 
 
 def tid_to_dict(probabilistic_instance: ProbabilisticInstance) -> dict[str, Any]:
@@ -88,48 +122,47 @@ def tid_from_dict(data: Mapping[str, Any]) -> ProbabilisticInstance:
     ``10**12``, so ``0.1`` is ``1/10``, as in a CSV cell).  A boolean or any
     other JSON value raises :class:`InstanceError` naming the entry.
 
-    One pass over the entries: entry ``i`` of ``probabilities`` reuses the
-    fact of entry ``i`` of ``facts`` when both name the same relation and
-    arguments (as :func:`save_instance` writes them), and a cell of ASCII
-    ``digits/digits`` (or ASCII digits) is split into two ints, with no
-    ``Fraction`` built.  The ranges are checked in bulk, once: when the
-    entries list exactly ``instance.facts`` in order, by
-    :meth:`ProbabilisticInstance.from_ratios`.  On a failed check the cells
-    are walked again in file order, so the error, and which of several
+    Both lists are read a column at a time.  The ``facts`` list becomes a
+    relation column and an argument column, checked in bulk, and its facts
+    are built from them with no call per fact.  The ``probabilities`` list
+    becomes the same two columns and a cell column; when its two columns
+    equal those of ``facts`` (as :func:`save_instance` writes them), it
+    names the same facts and builds none.  When every cell is ASCII
+    ``digits/digits`` (as :func:`save_instance` writes any probability
+    below 1), the cells are parsed as one column of ints, with no
+    ``Fraction`` built; otherwise each cell is read on its own (an ASCII
+    ``digits`` or ``digits/digits`` cell still builds no ``Fraction``).  The
+    ranges are checked once, in bulk: when the entries list exactly
+    ``instance.facts`` in order, by :meth:`ProbabilisticInstance.from_ratios`.
+    No fact is hashed when they do.  A check that fails leaves the columns
+    and walks the entries in file order, so the error, and which of several
     errors is raised, are those of a cell-by-cell load.
     """
-    instance, fact_entries, facts = _read_instance(data)
-    listed: list[Fact] = []
-    numerators: list[int] = []
-    denominators: list[int] = []
+    instance, fact_relations, fact_arguments, facts = _read_instance(data)
+    entries = data.get("probabilities", [])
     try:
-        for position, entry in enumerate(data.get("probabilities", [])):
-            if position < len(facts) and _names_same_fact(entry, fact_entries[position]):
-                listed.append(facts[position])
-            else:
-                listed.append(_fact_from_entry(entry, "probability"))
-            cell = _probability_cell(entry)
-            if type(cell) is tuple:
-                numerator, denominator = cell
-            else:
-                probability = as_probability(cell)
-                numerator, denominator = probability.numerator, probability.denominator
-            numerators.append(numerator)
-            denominators.append(denominator)
-    except _MALFORMED as error:
-        _raise_first_invalid_cell(numerators, denominators)
-        raise InstanceError(f"malformed probability description: {error}") from error
-    except ReproError:
-        _raise_first_invalid_cell(numerators, denominators)
-        raise
-    if len(listed) == len(instance.facts) and all(map(is_, listed, instance.facts)):
-        try:
+        entries = list(entries)
+        relations = list(map(_RELATION, entries))
+        arguments = list(map(_ARGUMENTS, entries))
+        if relations == fact_relations and arguments == fact_arguments:
+            listed = facts
+        else:
+            _fact_columns(entries, "probability")
+            listed = facts_from_columns(relations, list(map(tuple, arguments)))
+        numerators, denominators = _ratio_columns(list(map(_PROBABILITY, entries)))
+        if (
+            listed is facts
+            and len(facts) == len(instance.facts)
+            and all(map(is_, facts, instance.facts))
+        ):
             return ProbabilisticInstance.from_ratios(instance, numerators, denominators)
-        except ProbabilityError:
-            _raise_first_invalid_cell(numerators, denominators)
+        if numerators and (min(denominators) < 1 or not all(map(le, numerators, denominators))):
+            raise ProbabilityError("probability outside [0, 1]")
+    except (ReproError, *_MALFORMED) as error:
+        _raise_first_error(entries)
+        if isinstance(error, ReproError):
             raise
-    if numerators and (min(denominators) < 1 or not all(map(le, numerators, denominators))):
-        _raise_first_invalid_cell(numerators, denominators)
+        raise InstanceError(f"malformed probability description: {error}") from error
     return ProbabilisticInstance(
         instance, dict(zip(listed, map(Fraction, numerators, denominators)))
     )
@@ -138,33 +171,27 @@ def tid_from_dict(data: Mapping[str, Any]) -> ProbabilisticInstance:
 _MALFORMED = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError)
 
 
-def _raise_first_invalid_cell(numerators: list[int], denominators: list[int]) -> None:
-    """Raise, for the first invalid ``numerator/denominator`` cell in file
-    order, the error a cell-by-cell load raises there."""
-    for numerator, denominator in zip(numerators, denominators):
-        try:
-            probability = Fraction(numerator, denominator)
-        except ZeroDivisionError as error:
-            raise InstanceError(f"malformed probability description: {error}") from error
-        as_probability(probability)
+def _ratio_columns(cells: list[Any]) -> tuple[list[int], list[int]]:
+    """The numerators and the denominators of probability cells, with the
+    ranges unchecked.  When every cell is ASCII ``digits/digits``, the cells
+    are joined, split at the slashes and parsed as one column; otherwise
+    each cell is read through :func:`_cell_ratio`."""
+    if cells and all(map(isinstance, cells, repeat(str))):
+        parts = "/".join(cells).split("/")
+        # As many slashes as cells, and one in each: one slash per cell.
+        if len(parts) == 2 * len(cells) and all(map(contains, cells, repeat("/"))):
+            digits = "".join(parts)
+            if digits.isascii() and digits.isdigit() and all(parts):
+                numbers = list(map(int, parts))
+                return numbers[0::2], numbers[1::2]
+    ratios = list(map(_cell_ratio, cells))
+    return [n for n, _ in ratios], [d for _, d in ratios]
 
 
-def _names_same_fact(entry: Any, fact_entry: Any) -> bool:
-    """Whether a probability entry names the fact of an (already checked)
-    fact entry."""
-    return (
-        type(entry) is dict
-        and type(fact_entry) is dict
-        and entry.get("relation") == fact_entry["relation"]
-        and entry.get("arguments") == fact_entry["arguments"]
-    )
-
-
-def _probability_cell(entry: Any) -> tuple[int, int] | Fraction | int | float:
-    """The probability cell of an entry: ASCII ``digits/digits`` or digits
-    as an unchecked ``(numerator, denominator)`` pair, any other string
-    parsed exactly."""
-    cell = entry["probability"]
+def _cell_ratio(cell: Any) -> tuple[int, int]:
+    """The numerator and the denominator of one probability cell: a
+    digits cell split, any other string parsed exactly, a number through
+    :func:`~repro.data.tid.as_probability`; ``TypeError`` for anything else."""
     if isinstance(cell, str):
         numerator, slash, denominator = cell.partition("/")
         if _is_ascii_digits(numerator):
@@ -172,12 +199,31 @@ def _probability_cell(entry: Any) -> tuple[int, int] | Fraction | int | float:
                 return int(numerator), 1
             if _is_ascii_digits(denominator):
                 return int(numerator), int(denominator)
-        return Fraction(cell)
-    if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-        raise InstanceError(
-            f"probability entry {entry!r}: probability must be a number or a string"
-        )
-    return cell
+        probability = as_probability(Fraction(cell))
+    elif isinstance(cell, bool) or not isinstance(cell, (int, float)):
+        raise TypeError(f"probability cell {cell!r}")
+    else:
+        probability = as_probability(cell)
+    return probability.numerator, probability.denominator
+
+
+def _raise_first_error(entries: Any) -> None:
+    """Walk the probability entries in file order, as a cell-by-cell load
+    does (the fact, then the cell, then its range), and raise its first
+    error."""
+    try:
+        for entry in entries:
+            _fact_from_entry(entry, "probability")
+            cell = entry["probability"]
+            if isinstance(cell, str):
+                cell = Fraction(cell)
+            elif isinstance(cell, bool) or not isinstance(cell, (int, float)):
+                raise InstanceError(
+                    f"probability entry {entry!r}: probability must be a number or a string"
+                )
+            as_probability(cell)
+    except _MALFORMED as error:
+        raise InstanceError(f"malformed probability description: {error}") from error
 
 
 def _is_ascii_digits(text: str) -> bool:

@@ -39,6 +39,8 @@ _NUMERATOR = Fraction.numerator.fget
 _DENOMINATOR = Fraction.denominator.fget
 #: The default probability of an unmentioned fact, built once.
 _CERTAIN = Fraction(1)
+#: What ``valuation.get`` returns for a fact the valuation does not name.
+_MISSING = object()
 #: What :func:`as_probability` raises on a value it cannot take.
 _CONVERSION_ERRORS = (ProbabilityError, ArithmeticError, LookupError, TypeError, ValueError)
 
@@ -89,7 +91,8 @@ class ProbabilisticInstance:
 
     A valuation that lists exactly ``instance.facts``, in that order (any
     valuation built by iterating the instance does), is read as a column:
-    no fact is hashed.  Any other valuation is merged by fact.
+    no fact is hashed.  A valuation of every fact in another order is read
+    with one lookup per fact; a partial one is merged by fact.
     """
 
     # ``__weakref__``: the engine's probability cache holds TIDs weakly.
@@ -113,15 +116,20 @@ class ProbabilisticInstance:
 
         When ``valuation`` lists exactly ``instance.facts`` in order (the
         keys are the instance's own fact objects), its values are the
-        column.  Otherwise every fact of ``instance`` starts at ``default``
-        and ``valuation`` is merged over it, which reuses the hashes a
-        ``dict`` valuation already stores.  Any fact the merge appends is
-        unknown to the instance, so :class:`ProbabilityError` names up to
-        three of them; this check comes before any probability is
-        validated.  ``Fraction`` values are range-checked in bulk; other
-        values go through :func:`as_probability`.  An invalid value raises
-        the error :func:`as_probability` raises for the first invalid value
-        in ``valuation`` order.
+        column, and no fact is hashed.  When it names as many facts as the
+        instance has, in another order, the column is one
+        ``valuation.get(fact)`` per fact of the instance, which hashes each
+        fact once (a :class:`~repro.data.instance.Fact` caches its hash)
+        and never inserts into the valuation, so a ``defaultdict`` is left
+        as it was.  Otherwise, or when one of those lookups misses, every
+        fact of ``instance`` starts at ``default`` and ``valuation`` is
+        merged over it.  Any fact the merge appends is unknown to the
+        instance, so :class:`ProbabilityError` names up to three of them;
+        this check comes before any probability is validated.
+        ``Fraction`` values are range-checked in bulk; other values go
+        through :func:`as_probability`.  An invalid value raises the error
+        :func:`as_probability` raises for the first invalid value in
+        ``valuation`` order.
         """
         default_prob = (
             _CERTAIN if type(default) is int and default == 1 else as_probability(default)
@@ -136,9 +144,17 @@ class ProbabilisticInstance:
             self._denominators = (default_prob.denominator,) * count
             self._fractions: tuple[Fraction, ...] | None = (default_prob,) * count
             return
-        if len(valuation) == len(facts) and all(map(is_, valuation, facts)):
-            values: Iterable[Any] = valuation.values()
-        else:
+        values: Iterable[Any] | None = None
+        if len(valuation) == len(facts):
+            if all(map(is_, valuation, facts)):
+                values = valuation.values()
+            else:
+                # Each fact's own value, or _MISSING when the valuation
+                # names a fact the instance lacks in its place.
+                found = list(map(valuation.get, facts, repeat(_MISSING)))
+                if not any(map(is_, found, repeat(_MISSING))):
+                    values = found
+        if values is None:
             merged: dict[Fact, Any] = dict.fromkeys(facts, default_prob)
             merged.update(valuation)
             if len(merged) != len(facts):

@@ -1,6 +1,8 @@
 """Tests for repro.data.instance."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.instance import Fact, Instance, fact, graph_instance
 from repro.data.signature import Signature
@@ -191,3 +193,228 @@ def test_pickle_leaves_out_the_lazy_indexes_and_keeps_the_fingerprint():
     unhashed = pickle.loads(pickle.dumps(labelled_partial_ktree_instance(12, 2)))
     assert unhashed._fingerprint is None
     assert unhashed.fingerprint == labelled_partial_ktree_instance(12, 2).fingerprint
+
+
+# -- typed errors ---------------------------------------------------------------
+
+
+def test_a_non_fact_is_a_typed_error():
+    with pytest.raises(InstanceError, match="expected Fact, got list"):
+        Instance([["R", "a"]])
+    with pytest.raises(InstanceError, match="expected Fact, got tuple"):
+        Instance([fact("R", "a"), ("R", ("b",))])
+
+
+def test_an_unhashable_argument_is_a_typed_error_naming_the_fact():
+    with pytest.raises(InstanceError, match=r"fact R\(\[1\]\) has an unhashable argument"):
+        Instance([fact("R", "a"), Fact("R", ([1],))])
+    # Mixed element types take the dict.fromkeys path, which hashes facts.
+    with pytest.raises(InstanceError, match=r"fact S\(1, \{\}\) has an unhashable argument"):
+        Instance([fact("R", "a"), Fact("S", (1, {}))])
+
+
+def test_a_relation_name_that_is_not_a_string_is_a_signature_error():
+    with pytest.raises(SignatureError, match="relation name must be a string"):
+        Instance([fact("R", "a"), Fact(1, ("b",))])
+    with pytest.raises(SignatureError, match="relation name must be a string"):
+        Instance([Fact(["R"], ("a",))])
+
+
+def test_signature_errors_name_the_relation_used_first():
+    # Z is used before A; both are unknown to the signature.
+    with pytest.raises(SignatureError, match=r"fact Z\(a\) uses relation not in signature"):
+        Instance([fact("Z", "a"), fact("A", "b")], Signature.of(R=1))
+    with pytest.raises(SignatureError, match="relation 'Z' used with arities 1 and 2"):
+        Instance([fact("Z", "a"), fact("A", "b"), fact("A", "b", "c"), fact("Z", "a", "b")])
+
+
+# -- which of several equal facts is kept ----------------------------------------
+
+
+def _first_equal(facts):
+    """What ``dict.fromkeys(facts)`` keeps: the first fact of each class of
+    equal facts, by identity."""
+    return {id(f) for f in dict.fromkeys(facts)}
+
+
+def assert_keeps_the_first_equal_fact(facts):
+    instance = Instance(facts)
+    assert len(instance) == len(dict.fromkeys(facts))
+    assert {id(f) for f in instance.facts} == _first_equal(facts)
+    for f in instance.facts:
+        assert next(g for g in facts if g == f) is f
+
+
+single_type_facts = st.lists(
+    st.builds(
+        lambda relation, arguments: Fact(relation, tuple(arguments)),
+        st.sampled_from(["R", "S"]),
+        st.lists(st.sampled_from(["a", "b", "c"]), min_size=2, max_size=2),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(facts=single_type_facts, data=st.data())
+def test_instance_keeps_the_first_equal_fact_of_shuffled_repeats(facts, data):
+    # Repeats are new objects equal to an earlier fact, then all is shuffled.
+    repeats = [Fact(f.relation, f.arguments) for f in facts]
+    mixed = data.draw(st.permutations(facts + repeats))
+    assert_keeps_the_first_equal_fact(mixed)
+
+
+equal_elements = st.lists(
+    st.builds(
+        lambda relation, a, b: Fact(relation, (a, b)),
+        st.sampled_from(["R", "S"]),
+        st.sampled_from([1, True, 1.0, 0, False, 0.0, -0.0, "1"]),
+        st.sampled_from([0.0, -0.0, 2, 2.0]),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(facts=equal_elements)
+def test_instance_keeps_the_first_equal_fact_of_equal_elements(facts):
+    # 1, True and 1.0 are equal but of different types (the dict.fromkeys
+    # path); 0.0 and -0.0 are equal floats of one type (the packed-rank path
+    # when no other type occurs).
+    assert_keeps_the_first_equal_fact(facts)
+    floats = [f for f in facts if all(type(a) is float for a in f.arguments)]
+    assert_keeps_the_first_equal_fact(floats)
+
+
+def test_equal_floats_of_one_type_keep_the_first():
+    first, second = Fact("R", (0.0,)), Fact("R", (-0.0,))
+    assert Instance([first, second]).facts[0] is first
+    assert Instance([second, first]).facts[0] is second
+
+
+# -- the Fact record ----------------------------------------------------------------
+
+
+def test_fact_behaves_as_a_frozen_ordered_dataclass():
+    import copy
+    from dataclasses import FrozenInstanceError
+
+    f = Fact("R", ["a", "b"])
+    assert f.arguments == ("a", "b")
+    assert f == Fact(relation="R", arguments=("a", "b"))
+    assert f != ("R", ("a", "b"))
+    assert repr(f) == "Fact(relation='R', arguments=('a', 'b'))"
+    assert Fact.__match_args__ == ("relation", "arguments")
+    match f:
+        case Fact(relation, (first, _)):
+            assert (relation, first) == ("R", "a")
+    assert sorted([fact("S", "a"), fact("R", "b"), fact("R", "a")]) == [
+        fact("R", "a"),
+        fact("R", "b"),
+        fact("S", "a"),
+    ]
+    assert fact("R", "a") <= fact("R", "a") < fact("R", "b")
+    assert fact("R", "b") >= fact("R", "b") > fact("R", "a")
+    with pytest.raises(TypeError):
+        fact("R", "a") < ("R", ("a",))
+    with pytest.raises(FrozenInstanceError):
+        f.relation = "S"
+    with pytest.raises(FrozenInstanceError):
+        del f.arguments
+    assert not hasattr(f, "__dict__")
+    assert copy.copy(f) == f and copy.deepcopy(f) == f
+
+
+def test_fact_hash_is_cached_and_left_out_of_the_pickle():
+    import pickle
+
+    f = fact("S", "a", 1)
+    before = pickle.dumps(f)
+    assert hash(f) == hash(("S", ("a", 1))) == hash(f)
+    assert f._hash == hash(f)
+    assert pickle.dumps(f) == before
+    copy = pickle.loads(before)
+    assert copy == f and copy._hash is None
+    assert hash(copy) == hash(f)
+    # 1 == True, so the two facts are equal and must hash alike.
+    assert hash(fact("R", 1)) == hash(fact("R", True))
+
+
+def test_facts_from_columns_builds_the_same_facts():
+    from repro.data.instance import facts_from_columns
+
+    built = facts_from_columns(["R", "S"], [("a",), ("a", 1)])
+    assert built == [fact("R", "a"), fact("S", "a", 1)]
+    assert all(f._hash is None for f in built)
+    assert {built[1]: 1}[fact("S", "a", 1)] == 1
+
+
+# -- the cached hash across processes ---------------------------------------------------
+
+_DUMP = """
+import pickle, sys
+from repro.generators import labelled_partial_ktree_instance
+instance = labelled_partial_ktree_instance(40, 2)
+assert len(set(instance.facts)) == len(instance)  # every fact hashes, and caches it
+with open(sys.argv[1], "wb") as handle:
+    pickle.dump(instance, handle)
+"""
+
+_LOAD = """
+import pickle, sys
+from collections import defaultdict
+from fractions import Fraction
+from repro.data.instance import Fact
+from repro.data.tid import ProbabilisticInstance
+from repro.errors import ProbabilityError
+from repro.generators import labelled_partial_ktree_instance
+with open(sys.argv[1], "rb") as handle:
+    loaded = pickle.load(handle)
+fresh = labelled_partial_ktree_instance(40, 2)
+assert loaded == fresh and loaded.facts == fresh.facts
+assert loaded.fingerprint == fresh.fingerprint
+positions = {f: i for i, f in enumerate(loaded.facts)}
+assert all(positions[Fact(f.relation, f.arguments)] == i for i, f in enumerate(fresh.facts))
+assert all(f in fresh for f in loaded.facts)
+# A complete valuation in another order goes through valuation.get per fact.
+valuation = defaultdict(lambda: Fraction(1, 3))
+valuation.update({f: Fraction(i % 7, 7) for i, f in reversed(list(enumerate(fresh.facts)))})
+kept = dict(valuation)
+tid = ProbabilisticInstance(loaded, valuation)
+assert dict(valuation) == kept and len(valuation) == len(fresh)
+assert tid.column() == tuple(Fraction(i % 7, 7) for i in range(len(fresh)))
+unknown = dict(valuation)
+del unknown[fresh.facts[0]]
+unknown[Fact("Z", ("nowhere",))] = Fraction(1, 2)
+try:
+    ProbabilisticInstance(loaded, unknown)
+except ProbabilityError as error:
+    assert "Z(nowhere)" in str(error), error
+else:
+    raise AssertionError("an unknown fact was not reported")
+print("hash travels correctly")
+"""
+
+
+def test_a_pickled_instance_finds_its_facts_under_another_hash_seed(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    pickled = tmp_path / "instance.pickle"
+    for script, hash_seed in ((_DUMP, "0"), (_LOAD, "1")):
+        env = dict(
+            os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(filter(None, paths))
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(pickled)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=110,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+    assert "hash travels correctly" in result.stdout

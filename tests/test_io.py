@@ -409,6 +409,23 @@ def test_each_cell_loads_as_the_reference_loads_it(cell):
     )
 
 
+def test_duplicated_fact_entries_load_as_the_reference_loads_them():
+    """Both lists name a fact twice, in the same layout: the columns match,
+    but the file does not list ``instance.facts``, so the later cell wins
+    as it does cell by cell."""
+    names = ["a", "b", "b", "c"]
+    data = {
+        "signature": {"R": 1},
+        "facts": [{"relation": "R", "arguments": [name]} for name in names],
+        "probabilities": [
+            {"relation": "R", "arguments": [name], "probability": cell}
+            for name, cell in zip(names, ["1/2", "1/3", "1/4", "1/5"])
+        ],
+    }
+    assert _loaded(tid_from_dict, data) == _loaded(tid_from_dict_seed, data)
+    assert tid_from_dict(data).probability_of(fact("R", "b")) == Fraction(1, 4)
+
+
 _LATER_FAULTS = [
     {"relation": "R", "arguments": ["b"]},
     {"relation": "R", "arguments": [["b"]], "probability": "1/2"},
