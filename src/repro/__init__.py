@@ -14,8 +14,8 @@ For repeated workloads, :mod:`repro.engine` provides the
 lineages/OBDDs are memoized behind content fingerprints, and probabilities
 per TID object, with batched entry points ``compile_many`` and
 ``probability_many`` (see the ``repro.engine`` package docstring for the
-caching keys and invalidation rules).  :class:`ParallelEngine` shards those
-batched workloads across ``multiprocessing`` workers, :mod:`repro.store`
+caching keys and invalidation rules).  :class:`ParallelEngine` shards
+probability batches across ``multiprocessing`` workers, :mod:`repro.store`
 persists compiled artifacts to a crash-safe checksummed disk tier shared
 across processes (:class:`ArtifactStore`, accepted by both engines as
 ``store=``), and

@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import LineageError
+from repro.structure.graph import element_key
 
 
 class GateKind(Enum):
@@ -265,10 +266,7 @@ class BooleanCircuit:
 
     def equivalent_to(self, other: "BooleanCircuit") -> bool:
         """Exhaustive equivalence check over the union of variable sets (small)."""
-        names = sorted(
-            set(self.variables()) | set(other.variables()),
-            key=lambda v: (type(v).__name__, repr(v)),
-        )
+        names = sorted(set(self.variables()) | set(other.variables()), key=element_key)
         if len(names) > 22:
             raise LineageError("too many variables for exhaustive equivalence check")
         for mask in range(1 << len(names)):

@@ -30,6 +30,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.booleans.circuit import BooleanCircuit
 from repro.errors import LineageError
+from repro.structure.graph import element_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,13 +240,11 @@ class DNNF:
             stack.pop()
         return values[root]
 
-    def _probability_sweep(
-        self, probs: Mapping[Hashable, Fraction | float], exact: bool
-    ) -> Fraction | float:
+    def _probability_sweep(self, probs: Mapping[Hashable, Fraction]) -> Fraction:
         """One iterative pass computing the probability of the output node."""
-        one = Fraction(1) if exact else 1.0
-        zero = Fraction(0) if exact else 0.0
-        values: dict[int, Fraction | float] = {}
+        one = Fraction(1)
+        zero = Fraction(0)
+        values: dict[int, Fraction] = {}
         for current in self.reachable():
             data = self._nodes[current]
             if data.kind == "lit":
@@ -278,28 +277,12 @@ class DNNF:
         missing = self.variables() - set(probs)
         if missing:
             raise LineageError(f"missing probabilities for {sorted(map(repr, missing))[:3]}")
-        result = self._probability_sweep(probs, exact=True)
+        result = self._probability_sweep(probs)
         if not 0 <= result <= 1:
             raise LineageError(
                 "probability outside [0, 1]; the circuit is not deterministic/decomposable"
             )
         return result
-
-    def probability_float(self, probabilities: Mapping[Hashable, Fraction | float]) -> float:
-        """The float fast path: one float sweep, exact fallback on degeneracy."""
-        import math
-
-        if self.output is None:
-            raise LineageError("d-DNNF has no output")
-        probs = {v: float(p) for v, p in probabilities.items()}
-        missing = self.variables() - set(probs)
-        if missing:
-            raise LineageError(f"missing probabilities for {sorted(map(repr, missing))[:3]}")
-        result = self._probability_sweep(probs, exact=False)
-        if not (math.isfinite(result) and -1e-9 <= result <= 1 + 1e-9):
-            return float(self.probability(probabilities))
-        # Sub-tolerance float rounding: keep the reported value inside [0, 1].
-        return min(max(result, 0.0), 1.0)
 
     def model_count(self, all_variables: Iterable[Hashable] | None = None) -> int:
         """Number of satisfying assignments over ``all_variables``.
@@ -329,7 +312,7 @@ class DNNF:
 
     def check_determinism(self, max_variables: int = 16) -> bool:
         """Exhaustively verify that OR children are mutually exclusive (testing only)."""
-        names = sorted(self.variables(), key=lambda v: (type(v).__name__, repr(v)))
+        names = sorted(self.variables(), key=element_key)
         if len(names) > max_variables:
             raise LineageError("too many variables for exhaustive determinism check")
         for mask in range(1 << len(names)):

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import CompilationError, LineageError
+from repro.structure.graph import element_key
 
 FALSE_NODE = 0
 TRUE_NODE = 1
@@ -450,7 +451,7 @@ def compile_circuit_to_fbdd(
             gate = sub.gate(gate_id)
             if gate.kind is GateKind.VAR:
                 live.add(gate.payload)
-        return sorted(live, key=lambda v: (type(v).__name__, repr(v)))
+        return sorted(live, key=element_key)
 
     def build(sub, assignment: dict[Hashable, bool]) -> int:
         if len(diagram) > max_nodes:

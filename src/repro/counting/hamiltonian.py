@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from repro.structure.graph import Graph
+from repro.structure.graph import Graph, element_key
 
 
 def count_hamiltonian_cycles(graph: Graph) -> int:
@@ -20,7 +20,7 @@ def count_hamiltonian_cycles(graph: Graph) -> int:
     two traversal directions identified; suitable for graphs of at most ~10
     vertices.
     """
-    vertices = sorted(graph.vertices, key=lambda v: (type(v).__name__, repr(v)))
+    vertices = sorted(graph.vertices, key=element_key)
     n = len(vertices)
     if n < 3:
         return 0

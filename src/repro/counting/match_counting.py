@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable
 
 from repro.data.gaifman import gaifman_graph
 from repro.data.instance import Instance
-from repro.structure.graph import Graph
+from repro.structure.graph import Graph, element_key
 from repro.structure.tree_decomposition import TreeDecomposition, tree_decomposition
 
 
@@ -75,7 +75,7 @@ def count_independent_sets_treewidth_dp(
 
     def solve(node: int) -> dict[frozenset, int]:
         bag = decomposition.bags[node]
-        bag_list = sorted(bag, key=lambda v: (type(v).__name__, repr(v)))
+        bag_list = sorted(bag, key=element_key)
         # All independent assignments of the bag itself.
         states: dict[frozenset, int] = {}
         for mask in range(1 << len(bag_list)):

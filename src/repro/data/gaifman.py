@@ -7,7 +7,7 @@ instance are defined as those of its Gaifman graph.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.data.instance import Instance
 from repro.structure.graph import Graph
@@ -24,19 +24,6 @@ def gaifman_graph(instance: Instance) -> Graph:
         graph.add_vertex(element)
     for f in instance:
         elements = f.elements()
-        for i, u in enumerate(elements):
-            for v in elements[i + 1 :]:
-                graph.add_edge(u, v)
-    return graph
-
-
-def primal_graph_of_facts(facts: Iterable) -> Graph:
-    """Gaifman graph of an arbitrary collection of facts (no Instance needed)."""
-    graph = Graph()
-    for f in facts:
-        elements = f.elements()
-        for u in elements:
-            graph.add_vertex(u)
         for i, u in enumerate(elements):
             for v in elements[i + 1 :]:
                 graph.add_edge(u, v)

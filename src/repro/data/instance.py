@@ -17,6 +17,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.data.signature import Relation, Signature
 from repro.errors import InstanceError, ReproError, SignatureError
+from repro.structure.graph import element_key
 
 
 class Fact:
@@ -131,6 +132,14 @@ def facts_from_columns(
     deque(map(_SET_ARGUMENTS, facts, arguments), maxlen=0)
     deque(map(_SET_HASH, facts, repeat(None)), maxlen=0)
     return facts
+
+
+def fact_key(f: Fact) -> tuple[str, tuple[str, ...]]:
+    """A process-stable order on facts: by relation, then argument reprs.
+
+    Fact orders, lineage clauses and bag contents are sorted by this key.
+    """
+    return (f.relation, tuple(repr(a) for a in f.arguments))
 
 
 def fact(relation: str, *arguments: Any) -> Fact:
@@ -251,7 +260,7 @@ class Instance:
             # Equal elements of different types (1, True, 1.0) share one
             # domain entry: the one that occurs first in fact order.
             first = dict.fromkeys(chain.from_iterable(map(_ARGUMENTS, self._facts)))
-            self._domain = tuple(sorted(first, key=_element_key))
+            self._domain = tuple(sorted(first, key=element_key))
         self._fingerprint: str | None = None
         self._position_index: dict[str, dict[tuple[int, Any], tuple[Fact, ...]]] = {}
         self._positions: dict[str, dict[tuple[Any, ...], int]] | None = None
@@ -545,14 +554,9 @@ def _checked_signature(
     return signature
 
 
-def _element_key(element: Any) -> tuple[str, str]:
-    """A total order on heterogeneous domain elements (by type name, then repr)."""
-    return (type(element).__name__, repr(element))
-
-
 def _interned(arguments: list[Any]) -> tuple[list[Any], list[Any], list[tuple[str, str]]]:
     """Intern argument occurrences: the key of every occurrence, the distinct
-    keys, and the :func:`_element_key` rendering of each distinct key.
+    keys, and the :func:`element_key` rendering of each distinct key.
 
     The key is ``(type(element), element)``: ``1``, ``True`` and ``1.0`` are
     equal but render differently.  When every occurrence has the same type,

@@ -189,25 +189,6 @@ class ProbabilisticInstance:
         return cls(instance, dict(pair_list))
 
     @classmethod
-    def from_column(
-        cls, instance: Instance, probabilities: Sequence[ProbabilityLike]
-    ) -> "ProbabilisticInstance":
-        """The TID in which ``instance.facts[i]`` has ``probabilities[i]``.
-
-        The inverse of :meth:`column`, for callers that already hold the
-        probabilities in fact order: no fact is looked up.  A column whose
-        length differs from the instance's raises :class:`ProbabilityError`;
-        then the values are checked as ``__init__`` checks them.
-        """
-        facts = instance.facts
-        if len(probabilities) != len(facts):
-            raise ProbabilityError(
-                f"{len(probabilities)} probabilities for {len(facts)} facts"
-            )
-        values = tuple(probabilities)
-        return cls._from_columns(instance, *_checked_column(values, values))
-
-    @classmethod
     def from_ratios(
         cls, instance: Instance, numerators: Sequence[int], denominators: Sequence[int]
     ) -> "ProbabilisticInstance":
@@ -326,9 +307,9 @@ class ProbabilisticInstance:
         return self.column()[start : start + len(self._instance.facts_of(relation))]
 
     def column(self) -> tuple[Fraction, ...]:
-        """The probabilities of ``instance.facts``, in that order (what
-        :meth:`from_column` takes).  Built from :meth:`ratios` on first use,
-        unless the valuation was given as ``Fraction`` values."""
+        """The probabilities of ``instance.facts``, in that order.  Built
+        from :meth:`ratios` on first use, unless the valuation was given as
+        ``Fraction`` values."""
         if self._fractions is None:
             self._fractions = tuple(map(Fraction, self._numerators, self._denominators))
         return self._fractions

@@ -66,27 +66,28 @@ the choice.  Chosen routes are counted in
 
 Parallelism
 -----------
-:class:`repro.engine.parallel.ParallelEngine` scales the same batched entry
-points past one core: workloads are partitioned into shards (split when a
-single group dominates), each shard runs in a worker of a
+:class:`repro.engine.parallel.ParallelEngine` scales ``probability_many``
+past one core: workloads are partitioned into shards (split when a single
+group dominates), each shard runs in a worker of a
 :class:`concurrent.futures.ProcessPoolExecutor` owning a private
 :class:`CompilationEngine`, and the values plus per-worker ``CacheStats``
 are merged back into one :class:`ParallelReport` that counts that batch's
 work only.  The CLI ``batch --workers N`` flag and
-``benchmarks/bench_parallel.py`` go through it.  A compile workload groups
-its ``(query, instance)`` pairs by instance fingerprint, for cache
-affinity.  A probability workload groups its ``(query, tid)`` pairs by TID
-object, so no TID is hashed, and ships each distinct instance once as
-pickle bytes and each TID as columns of its probabilities' numerators and
-denominators; a worker unpickles an instance once and keeps it.
+``benchmarks/bench_parallel.py`` go through it.  A probability workload
+groups its ``(query, tid)`` pairs by TID object, so no TID is hashed, and
+ships each distinct instance once as pickle bytes and each TID as columns
+of its probabilities' numerators and denominators; a worker unpickles an
+instance once and keeps it.  Compilation stays in one process
+(``compile_many`` above).
 
 Data plane
 ----------
-Compiled artifacts cross the process boundary as flat columnar buffers in
-``multiprocessing.shared_memory`` segments (:mod:`repro.engine.shm`): a
-:class:`~repro.engine.shm.SegmentPlane` owns the segments' lifecycle
-(create/attach/close/unlink, plus a prefix sweep of ``/dev/shm`` that
-reclaims segments orphaned by crashed workers), and only the tiny
+:meth:`ParallelEngine.reweight_many` ships one compiled artifact to every
+worker as flat columns in a ``multiprocessing.shared_memory`` segment
+(:mod:`repro.engine.shm`).  Only the parent creates segments, and workers
+only attach: a :class:`~repro.engine.shm.SegmentPlane` in the parent owns
+every segment it publishes and unlinks them on close (then sweeps its
+``/dev/shm`` prefix), and only the tiny
 :class:`~repro.engine.shm.SegmentHandle` sidecars are pickled.
 
 Resilience

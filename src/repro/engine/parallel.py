@@ -5,9 +5,9 @@ natural unit of parallelism is not the individual ``(query, instance)`` pair
 but the *instance group*: all items touching one instance should land in the
 same worker, where they share that worker's cached Gaifman graph,
 decompositions, fact orders, and lineages.  :func:`shard_workload` groups a
-workload by the fingerprint of each item's second element (the instance of a
-compile workload) or by the TID object of a probability workload, and assigns
-the groups greedily to the least-loaded shard.
+workload by a caller-given key (the TID object of a probability workload,
+the item itself of a reweight workload) and assigns the groups greedily to
+the least-loaded shard.
 :class:`ParallelEngine` runs each shard in a worker process that owns a
 private :class:`CompilationEngine`, then merges the values (in the original
 workload order) and the per-worker :class:`CacheStats` into a single
@@ -25,34 +25,31 @@ Two execution regimes:
   against hot instances keep their artifacts warm.  ``close()`` (or use as
   a context manager) shuts the pool down, **clears the inline engine's
   caches deterministically**, and unlinks every shared-memory segment the
-  run created (including orphans left by crashed workers, swept by the
-  plane prefix).
+  engine published.
 
 A run submits one future per shard and collects them with
 :func:`concurrent.futures.wait`, so it never returns or raises while any of
 its shards is still running.  A worker that dies breaks the whole executor
 (``BrokenProcessPool``): the engine shuts the broken executor down (joining
-its workers), sweeps the shared-memory segments the dead workers left
-unclaimed, and charges one retry to every unfinished shard; the next
+its workers) and charges one retry to every unfinished shard; the next
 submission starts a fresh executor, so a crash restarts every worker and
-rebuilds their warm caches.  Worker-reported ``MemoryError`` /
+rebuilds their warm caches.  Workers create no segment, so a crash leaves
+none behind.  Worker-reported ``MemoryError`` /
 :class:`~repro.errors.SegmentError` failures are retried per shard (a
 segment failure first triggers the caller's recovery hook, e.g.
 republishing the reweight artifact); any other worker error is re-raised in
 the parent.  Retries are bounded per shard, with exponential backoff, and
 exhaustion raises the typed :class:`~repro.errors.WorkerCrashError`.
 
-The data plane is columnar.  Compiled artifacts cross the process boundary
-as :class:`repro.booleans.columnar.ColumnarOBDD` columns inside
-``multiprocessing.shared_memory`` segments (:mod:`repro.engine.shm`): a
-worker *publishes* the flat ``var|lo|hi`` buffer and ships back only a tiny
-:class:`~repro.engine.shm.SegmentHandle`; the parent *attaches* zero-copy.
-:meth:`ParallelEngine.reweight_many` runs the same plane in the other
-direction — the parent publishes one compiled artifact (once per engine:
-later calls on the same artifact reuse its segment), every worker attaches
-to it and runs the columnar batch kernel over its share of the probability
-assignments, which is the batch re-weighting workload where per-worker cost
-is exactly "an attach plus a sweep".
+The data plane runs one way, from the parent to the workers.
+:meth:`ParallelEngine.reweight_many` publishes one compiled artifact as its
+flat :class:`repro.booleans.columnar.ColumnarOBDD` ``var|lo|hi`` columns in
+a ``multiprocessing.shared_memory`` segment (:mod:`repro.engine.shm`; once
+per engine: later calls on the same artifact reuse its segment) and ships
+only the tiny :class:`~repro.engine.shm.SegmentHandle`; every worker
+attaches zero-copy and runs the columnar batch kernel over its share of the
+probability assignments, so per-worker cost is exactly "an attach plus a
+sweep".  Only the parent creates segments.
 
 Because the hot artifacts are acyclic int arrays rather than node-object
 graphs, workers run with the cyclic garbage collector frozen and disabled
@@ -85,15 +82,14 @@ queries (frozen dataclasses), ``Fraction`` results, segment handles, and
 from __future__ import annotations
 
 import gc
-import itertools
 import multiprocessing
 import os
 import pickle
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence
 
 from repro.booleans.columnar import ColumnarOBDD
 from repro.data.instance import Instance
@@ -104,12 +100,7 @@ from repro.engine.session import (
     Query,
     merge_cache_stats,
 )
-from repro.engine.shm import (
-    SegmentHandle,
-    SegmentPlane,
-    attach_segment,
-    publish_segment,
-)
+from repro.engine.shm import SegmentHandle, SegmentPlane, attach_segment
 from repro.errors import CompilationError, SegmentError, WorkerCrashError
 from repro.provenance.compile_obdd import CompiledOBDD
 
@@ -119,7 +110,6 @@ if TYPE_CHECKING:
     from repro.testing.faults import WorkerFaults
 
 ProbabilityItem = tuple[Query, ProbabilisticInstance]
-CompileItem = tuple[Query, Instance]
 Shard = list[tuple[int, tuple]]
 ShardOutcome = tuple[list[tuple[int, Any]], dict[str, CacheStats], dict[str, int]]
 ShardRunner = Callable[[Any, Any], ShardOutcome]
@@ -148,30 +138,25 @@ def available_workers() -> int:
 def shard_workload(
     items: Sequence[tuple],
     shard_count: int,
-    group_key: Callable[[tuple], Hashable] | None = None,
+    group_key: Callable[[tuple], Hashable],
 ) -> list[list[tuple[int, tuple]]]:
     """Partition indexed work items into at most ``shard_count`` shards.
 
-    Items with equal ``group_key`` share a group.  By default that is the
-    ``fingerprint`` of the second element of each pair, which
-    :meth:`ParallelEngine.map_compile` uses: the instance, so one instance's
-    structural artifacts are computed by as few workers as possible.
-    :meth:`ParallelEngine.map_probability` groups by the TID object instead,
-    so no TID is hashed: pairs of one TID share a group, but fresh
-    valuations of one instance do not, and a batch of them spreads evenly
-    while every worker keeps the instance's artifacts.  A group larger than
-    the balanced shard size ``ceil(len(items) / shard_count)`` is split into
-    chunks of that size, so a batch against a *single* instance still spreads
-    over all shards (each worker then recomputes that instance's artifacts
-    once — duplicated structural work, parallelized compilation work).  The
-    chunks are assigned largest-first to the currently least-loaded shard.
-    Each shard entry keeps the item's index in the original workload so
-    results can be merged back in order.  Empty shards are dropped.
+    Items with equal ``group_key`` share a group.
+    :meth:`ParallelEngine.map_probability` groups by the TID object, so no
+    TID is hashed: pairs of one TID share a group, but fresh valuations of
+    one instance do not, and a batch of them spreads evenly while every
+    worker keeps the instance's artifacts.  A group larger than the balanced
+    shard size ``ceil(len(items) / shard_count)`` is split into chunks of
+    that size, so a batch against a *single* TID still spreads over all
+    shards (each worker then recomputes that instance's artifacts once —
+    duplicated structural work, parallelized compilation work).  The chunks
+    are assigned largest-first to the currently least-loaded shard.  Each
+    shard entry keeps the item's index in the original workload so results
+    can be merged back in order.  Empty shards are dropped.
     """
     if shard_count < 1:
         raise CompilationError("shard_count must be at least 1")
-    if group_key is None:
-        group_key = lambda item: item[1].fingerprint  # noqa: E731
     groups: dict[Hashable, list[tuple[int, tuple]]] = {}
     for index, item in enumerate(items):
         groups.setdefault(group_key(item), []).append((index, item))
@@ -231,24 +216,20 @@ class ParallelReport:
 # The pool initializer builds one CompilationEngine per worker process; the
 # shard runners look it up through a module global.  Under the ``fork`` start
 # method the workload shards themselves are the only data pickled per task.
-# Workers also carry the plane prefix (for naming the segments they publish;
-# the inline regime has none and publishes nothing), the fault hooks of the
-# chaos tests, a small LRU of attached shared artifacts for the reweight
-# runner, and an LRU of the instances that probability shards shipped.
+# Workers also carry the fault hooks of the chaos tests, a small LRU of
+# attached shared artifacts for the reweight runner, and an LRU of the
+# instances that probability shards shipped.
 
 _WORKER_ENGINE: CompilationEngine | None = None
-_WORKER_PLANE_PREFIX: str | None = None
 _WORKER_FAULTS: WorkerFaults | None = None
-_WORKER_SEGMENT_SERIAL = itertools.count(1)
 _WORKER_ATTACHMENTS: dict[str, ColumnarOBDD] = {}
 _WORKER_ATTACHMENT_LIMIT = 8
 _WORKER_INSTANCES: OrderedDict[str, Instance] = OrderedDict()
 
 
-def _init_worker(store: str | None, plane_prefix: str, fault_plan: Any) -> None:
-    global _WORKER_ENGINE, _WORKER_PLANE_PREFIX, _WORKER_FAULTS
+def _init_worker(store: str | None, fault_plan: Any) -> None:
+    global _WORKER_ENGINE, _WORKER_FAULTS
     _WORKER_ENGINE = CompilationEngine(store=store)
-    _WORKER_PLANE_PREFIX = plane_prefix
     _WORKER_ATTACHMENTS.clear()
     _WORKER_INSTANCES.clear()
     if fault_plan is not None:
@@ -351,21 +332,6 @@ def _run_shipped_probability_shard(shard: ShippedShard, method: str) -> ShardOut
     )
 
 
-def _run_compile_shard(shard: Shard, use_path_decomposition: bool) -> ShardOutcome:
-    """Compile to columns; a pool worker ships them as segment handles."""
-    engine = _worker_engine()
-    _reset_stats(engine)
-    results: list[tuple[int, Any]] = []
-    for index, (query, instance) in shard:
-        columnar = engine.columnar(query, instance, use_path_decomposition)
-        if _WORKER_PLANE_PREFIX is None:  # inline: no process boundary to cross
-            results.append((index, columnar))
-        else:
-            name = f"{_WORKER_PLANE_PREFIX}-w{os.getpid()}-{next(_WORKER_SEGMENT_SERIAL)}"
-            results.append((index, publish_segment(columnar, name)))
-    return _outcome(engine, results)
-
-
 def _run_reweight_shard(
     shard: Shard, extra: tuple[SegmentHandle | ColumnarOBDD, bool]
 ) -> ShardOutcome:
@@ -383,18 +349,9 @@ def _run_reweight_shard(
     return _outcome(engine, [(index, value) for (index, _), value in zip(shard, values)])
 
 
-def _segment_names(outcomes: Iterable[ShardOutcome]) -> set[str]:
-    """Segment names referenced by completed outcomes (must survive sweeps)."""
-    names: set[str] = set()
-    for results, _, _ in outcomes:
-        for _, value in results:
-            if isinstance(value, SegmentHandle) and value.name is not None:
-                names.add(value.name)
-    return names
-
-
 class ParallelEngine:
-    """Shard ``(query, instance)`` workloads across engine-owning workers.
+    """Shard ``(query, tid)`` and reweight workloads across engine-owning
+    workers.
 
     Parameters
     ----------
@@ -420,10 +377,7 @@ class ParallelEngine:
         :class:`~repro.store.ArtifactStore` whose directory is reused.
         Each worker's :class:`CompilationEngine` opens the store itself (a
         path string is what crosses the process boundary), so compiled
-        artifacts persist across runs *and* across workers; a worker that
-        loads a stored columnar artifact publishes it into shared memory
-        straight from the file mapping — no node-graph deserialization
-        anywhere on the path.
+        artifacts persist across runs *and* across workers.
     """
 
     def __init__(
@@ -472,12 +426,8 @@ class ParallelEngine:
         inline engine's caches are *cleared* — not merely dereferenced, so
         no dead engine keeps millions of cached nodes alive for later GC
         passes to rescan — and every shared-memory segment this engine
-        created is unlinked (a prefix sweep also reclaims segments orphaned
-        by worker crashes).  Shared-columnar artifacts returned by earlier
-        calls become invalid at that point; take a :meth:`ColumnarOBDD.copy`
-        first if one must outlive the engine.  The engine itself stays
-        usable: pools, plane, and inline engine are rebuilt lazily on the
-        next call.
+        published is unlinked.  The engine itself stays usable: pools,
+        plane, and inline engine are rebuilt lazily on the next call.
 
         Exception-safe by construction (``try``/``finally`` chain): even
         when shutting the pool down fails — e.g. the context manager body
@@ -517,7 +467,7 @@ class ParallelEngine:
         items: Sequence[tuple],
         runner: ShardRunner,
         extra: Any,
-        group_key: Callable[[tuple], Hashable] | None = None,
+        group_key: Callable[[tuple], Hashable],
         recover: Callable[[], Any] | None = None,
         ship: Callable[[list[Shard]], tuple[ShardRunner, list[Any]]] | None = None,
     ) -> ParallelReport:
@@ -571,7 +521,7 @@ class ParallelEngine:
                 self.workers,
                 mp_context=context,
                 initializer=_init_worker,
-                initargs=(self._store, self.segment_plane().prefix, self.fault_plan),
+                initargs=(self._store, self.fault_plan),
             )
         return self._pool
 
@@ -629,7 +579,7 @@ class ParallelEngine:
                     failure = failure or error
                     continue
                 # Retryable: a crash, transient allocation pressure, or a
-                # segment a crashed publisher / racing sweep invalidated.
+                # published segment found unlinked or corrupt on attach.
                 if isinstance(error, SegmentError) and recover is not None:
                     extra = recover()
                 attempts[index] += 1
@@ -643,10 +593,6 @@ class ParallelEngine:
                     failure = failure or exhausted
                 else:
                     retried.append(index)
-            if broken:
-                # Reclaim the dead pool's unclaimed segments — except those
-                # merged into completed outcomes, which the caller adopts.
-                self.segment_plane().sweep_worker_orphans(_segment_names(outcomes.values()))
             pending.extend(sorted(retried))
             if retried and failure is None and self.retry_backoff > 0.0:
                 attempt = max(attempts[index] for index in retried)
@@ -749,47 +695,6 @@ class ParallelEngine:
         report = self.map_probability([(query, tid) for query in queries], method)
         return list(report.values)
 
-    # -- compilation workloads -------------------------------------------------
-
-    def map_compile(
-        self,
-        pairs: Sequence[CompileItem],
-        use_path_decomposition: bool = False,
-    ) -> ParallelReport:
-        """Compile a workload of ``(query, instance)`` pairs; full report.
-
-        The values are always :class:`~repro.booleans.columnar.ColumnarOBDD`
-        artifacts.  In the pool regime, workers publish the columns into
-        shared-memory segments and return handles; the parent attaches
-        zero-copy, so the values are views owned by this engine (valid until
-        :meth:`close`).  The inline regime (``workers=1``, or a workload that
-        collapses to a single shard) builds the same columns directly and
-        never creates a segment — there is no process boundary to cross.
-        """
-        report = self._run(pairs, _run_compile_shard, bool(use_path_decomposition))
-        if any(isinstance(value, SegmentHandle) for value in report.values):
-            plane = self.segment_plane()
-            report = self.last_report = replace(
-                report,
-                values=tuple(
-                    plane.adopt(value) if isinstance(value, SegmentHandle) else value
-                    for value in report.values
-                ),
-            )
-        return report
-
-    def compile_many(
-        self,
-        queries: Sequence[Query],
-        instance: Instance,
-        use_path_decomposition: bool = False,
-    ) -> list[ColumnarOBDD]:
-        """Compiled artifacts of a batch of queries against one instance."""
-        report = self.map_compile(
-            [(query, instance) for query in queries], use_path_decomposition
-        )
-        return list(report.values)
-
     # -- batch re-weighting over one shared artifact ---------------------------
 
     def reweight_many(
@@ -800,11 +705,11 @@ class ParallelEngine:
     ) -> list[Fraction | float]:
         """Probabilities of one compiled artifact under many weightings.
 
-        The inverse direction of :meth:`map_compile`'s transport: the parent
-        publishes the artifact's columns *once* into a shared-memory segment,
-        and every worker attaches to that one segment and runs columnar
-        sweeps for its shard of ``probability_maps`` — per-worker cost is an
-        attach plus one batch pass over its assignments, never a deserialize.
+        The parent publishes the artifact's columns *once* into a
+        shared-memory segment, and every worker attaches to that one segment
+        and runs columnar sweeps for its shard of ``probability_maps`` —
+        per-worker cost is an attach plus one batch pass over its
+        assignments, never a deserialize.
         This is the re-weighting workload (same lineage, changing fact
         probabilities) that motivates separating diagram structure from
         weights.  ``workers=1`` evaluates inline without any segment.
@@ -818,16 +723,17 @@ class ParallelEngine:
             compiled if isinstance(compiled, ColumnarOBDD) else compiled.to_columnar()
         )
         items = [(probabilities,) for probabilities in probability_maps]
-        # Each item is its own group, so a batch runs inline exactly when one
-        # worker or one item leaves a single shard: it then sweeps the
-        # artifact itself, and no segment is published.
+        # Each item is its own group (a distinct tuple, alive while it is
+        # sharded), so a batch runs inline exactly when one worker or one
+        # item leaves a single shard: it then sweeps the artifact itself,
+        # and no segment is published.
         inline = self.workers == 1 or len(items) < 2
         shared = columnar if inline else self._published_handle(columnar)
         report = self._run(
             items,
             _run_reweight_shard,
             (shared, exact),
-            group_key=_reweight_group_key,
+            group_key=id,
             # A worker that cannot attach (absent/corrupt segment) reports a
             # retryable SegmentError; republishing under a fresh name is the
             # recovery — retried shards then attach to the new segment.
@@ -853,14 +759,6 @@ class ParallelEngine:
         if len(self._published) > _WORKER_ATTACHMENT_LIMIT:
             plane.unlink(self._published.pop(next(iter(self._published))))
         return handle
-
-
-_REWEIGHT_COUNTER = itertools.count()
-
-
-def _reweight_group_key(item: tuple) -> str:
-    """Reweight items share one artifact; spread them evenly over shards."""
-    return str(next(_REWEIGHT_COUNTER))
 
 
 def _tid_object(item: tuple) -> ProbabilisticInstance:

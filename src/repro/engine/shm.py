@@ -3,19 +3,17 @@
 A :class:`SegmentPlane` owns a family of shared-memory segments, all named
 under one per-plane prefix.  Compiled columnar artifacts
 (:class:`repro.booleans.columnar.ColumnarOBDD`) are *published* into a
-segment (one contiguous ``var|lo|hi`` buffer) and *attached* elsewhere as
-numpy views straight into the mapping — no pickling of node graphs, no
-per-node object materialization on the far side.
+segment (one contiguous ``var|lo|hi`` buffer) by the parent process and
+*attached* in workers as numpy views straight into the mapping — no
+pickling of node graphs, no per-node object materialization on the far
+side.
 
-Lifecycle contract (the satellite tests pin it):
+Lifecycle contract (``tests/test_shared_memory.py`` pins it):
 
-* the plane that calls :meth:`publish` — or that adopts a worker-created
-  segment via :meth:`adopt` — owns the segment and is responsible for the
-  single ``unlink``;
-* :meth:`close` closes every mapping, unlinks every owned segment, and then
-  sweeps ``/dev/shm`` for orphans under the plane's prefix — segments left
-  behind by a worker that crashed between ``shm_open`` and handing the name
-  back are reclaimed too;
+* the plane that calls :meth:`publish` owns the segment and is responsible
+  for the single ``unlink``;
+* :meth:`close` unlinks every owned segment, and then sweeps ``/dev/shm``
+  for any other name under the plane's prefix;
 * segments never talk to CPython's ``resource_tracker`` (:class:`_Segment`
   opens them with ``shm_open`` directly): under the ``spawn`` start method
   each worker has its *own* tracker, which would unlink segments at worker
@@ -35,7 +33,7 @@ import os
 import secrets
 import weakref
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 import _posixshmem
 
@@ -93,9 +91,9 @@ class SegmentHandle:
 def publish_segment(columnar: ColumnarOBDD, name: str) -> SegmentHandle:
     """Create segment ``name`` holding the artifact's packed columns.
 
-    The creating process keeps no mapping open afterwards; the caller (or an
-    adopting plane) owns the unlink.  Terminal-only artifacts (zero decision
-    nodes) need no segment at all and return a handle with ``name=None``.
+    The creating process keeps no mapping open afterwards; the caller owns
+    the unlink.  Terminal-only artifacts (zero decision nodes) need no
+    segment at all and return a handle with ``name=None``.
     """
     if len(columnar) == 0:
         return SegmentHandle(None, 0, columnar.root, columnar.order)
@@ -114,11 +112,11 @@ def attach_segment(handle: SegmentHandle) -> ColumnarOBDD:
     artifact is referenced — but an ``unlink`` (plane close) invalidates it;
     call :meth:`ColumnarOBDD.copy` first to keep a private copy.
 
-    An absent segment (publisher crashed before the write, or the plane
-    already swept it) and a corrupt buffer (rejected by the columnar
-    topology check) both raise the typed
-    :class:`~repro.errors.SegmentError`, which the parallel tier treats as
-    retryable: the parent republishes and re-submits the affected shard.
+    An absent segment (unlinked, or swept by its plane's close) and a
+    corrupt buffer (rejected by the columnar topology check) both raise the
+    typed :class:`~repro.errors.SegmentError`, which the parallel tier
+    treats as retryable: the parent republishes and re-submits the affected
+    shard.
     """
     if handle.name is None:
         return ColumnarOBDD(handle.order, [], [], [], handle.root)
@@ -127,7 +125,7 @@ def attach_segment(handle: SegmentHandle) -> ColumnarOBDD:
     except FileNotFoundError as error:
         raise SegmentError(
             f"shared-memory segment {handle.name!r} is absent"
-            " (crashed publisher or swept plane)"
+            " (unlinked or swept plane)"
         ) from error
     if segment.size < handle.nbytes:
         segment.close()
@@ -144,8 +142,12 @@ def attach_segment(handle: SegmentHandle) -> ColumnarOBDD:
     except CompilationError as error:
         # The failed validation may have exported views into the mapping (the
         # exception traceback keeps them alive), so a plain close can raise
-        # BufferError; the tolerant close leaves the mapping for process exit.
-        _close_ignoring_exports(segment)
+        # BufferError.  The mapping is then left for process exit, and the
+        # close is stubbed out so the destructor does not raise it again.
+        try:
+            segment.close()
+        except BufferError:
+            segment.close = lambda: None  # type: ignore[method-assign]
         raise SegmentError(
             f"shared-memory segment {handle.name!r} holds a corrupt columnar"
             f" buffer: {error}"
@@ -160,12 +162,10 @@ class SegmentPlane:
     """Owner of a prefix-named family of shared-memory segments.
 
     One plane lives in the parent :class:`~repro.engine.parallel.
-    ParallelEngine`; workers derive segment names from the plane's prefix
-    (:meth:`worker_name`) so the parent can both adopt the handles they
-    return and sweep orphans after a crash.
+    ParallelEngine`, which publishes into it; workers only attach.
 
     The effective prefix is ``{base}-{session_id}``: a fresh random session
-    id per plane scopes the crash-orphan sweep to this plane's own segments,
+    id per plane scopes the closing sweep to this plane's own segments,
     so two concurrent engines on one host — even ones constructed with the
     same base ``prefix`` — cannot reclaim each other's live segments.
     """
@@ -178,7 +178,7 @@ class SegmentPlane:
             raise CompilationError("segment prefix must not contain '/'")
         self.base_prefix = base
         self.session_id = session_id
-        # Every name this plane creates — and everything its orphan sweep
+        # Every name this plane creates — and everything its closing sweep
         # reclaims — lives under the *session-scoped* prefix.  Two planes
         # sharing a base prefix (two engines in one process, or two processes
         # handed the same explicit prefix) therefore can never sweep each
@@ -186,18 +186,13 @@ class SegmentPlane:
         # disjoint.
         self.prefix = f"{base}-{session_id}"
         self._serial = 0
-        # name -> open segment mapping (attached artifacts keep their
-        # own reference too; this registry is for close/unlink).
-        self._attached: dict[str, _Segment] = {}
         self._owned: set[str] = set()
         # Safety net for planes that are garbage-collected (or alive at
         # interpreter exit) without an explicit close(): the finalizer sees
-        # the same mutable registries, so whatever close() already reclaimed
+        # the same mutable registry, so whatever close() already reclaimed
         # is skipped and whatever it missed is unlinked.  Explicit close()
         # remains the contract; this only prevents /dev/shm litter.
-        self._finalizer = weakref.finalize(
-            self, _reclaim_segments, self.prefix, self._owned, self._attached
-        )
+        self._finalizer = weakref.finalize(self, _reclaim_segments, self.prefix, self._owned)
 
     # -- naming ----------------------------------------------------------------
 
@@ -205,10 +200,7 @@ class SegmentPlane:
         self._serial += 1
         return f"{self.prefix}-p{self._serial}"
 
-    def worker_name(self, worker_pid: int, serial: int) -> str:
-        return f"{self.prefix}-w{worker_pid}-{serial}"
-
-    # -- publish / attach ------------------------------------------------------
+    # -- publish / unlink ------------------------------------------------------
 
     def publish(self, columnar: ColumnarOBDD) -> SegmentHandle:
         """Publish an artifact under a fresh plane-owned name."""
@@ -227,42 +219,14 @@ class SegmentPlane:
             self._owned.discard(handle.name)
             _unlink_quietly(handle.name)
 
-    def adopt(self, handle: SegmentHandle) -> ColumnarOBDD:
-        """Attach to a worker-published segment and take ownership of it."""
-        artifact = attach_segment(handle)
-        if handle.name is not None:
-            self._owned.add(handle.name)
-            if artifact._retain is not None:
-                self._attached[handle.name] = artifact._retain
-        return artifact
-
     # -- lifecycle -------------------------------------------------------------
 
     def owned_segments(self) -> tuple[str, ...]:
         return tuple(sorted(self._owned))
 
-    def sweep_worker_orphans(self, keep: Iterable[str] = ()) -> list[str]:
-        """Reclaim the worker segments a crashed pool left unclaimed.
-
-        Called after a broken pool has been shut down and joined, when no
-        worker of this plane is alive to publish.  Only worker-published
-        names (``{prefix}-w*``) are touched — segments the parent published
-        (``{prefix}-p*``) survive; names in ``keep`` (handles already merged
-        into completed outcomes) and names the plane owns (adopted earlier)
-        survive too.  Returns the unlinked names.
-        """
-        kept = set(keep) | self._owned
-        swept = []
-        for name in orphan_segments(f"{self.prefix}-w"):
-            if name in kept:
-                continue
-            _unlink_quietly(name)
-            swept.append(name)
-        return swept
-
     def close(self) -> None:
-        """Close every mapping, unlink every owned segment, sweep orphans."""
-        _reclaim_segments(self.prefix, self._owned, self._attached)
+        """Unlink every owned segment, then sweep the prefix."""
+        _reclaim_segments(self.prefix, self._owned)
 
     def __enter__(self) -> "SegmentPlane":
         return self
@@ -271,40 +235,18 @@ class SegmentPlane:
         self.close()
 
 
-def _reclaim_segments(
-    prefix: str,
-    owned: set[str],
-    attached: dict[str, _Segment],
-) -> None:
-    """Close mappings, unlink owned segments, sweep prefix orphans.
+def _reclaim_segments(prefix: str, owned: set[str]) -> None:
+    """Unlink owned segments, then sweep the prefix.
 
     Shared by :meth:`SegmentPlane.close` and the plane's GC finalizer; takes
-    the mutable registries (not the plane) so the finalizer keeps nothing
+    the mutable registry (not the plane) so the finalizer keeps nothing
     alive and both paths observe whatever the other already reclaimed.
     """
-    for name, segment in list(attached.items()):
-        _close_ignoring_exports(segment)
-        del attached[name]
     for name in sorted(owned):
         _unlink_quietly(name)
     owned.clear()
     for name in orphan_segments(prefix):
         _unlink_quietly(name)
-
-
-def _close_ignoring_exports(segment: _Segment) -> None:
-    """Close a mapping, tolerating still-exported numpy views.
-
-    An adopted artifact that outlives its plane keeps views into the mapping;
-    ``mmap.close`` then raises ``BufferError``.  The mapping is left in place
-    (the OS reclaims it at process exit — the *segment* is already unlinked)
-    and the object's ``close`` is stubbed out so its destructor does not
-    re-raise the same error as interpreter-teardown noise.
-    """
-    try:
-        segment.close()
-    except BufferError:
-        segment.close = lambda: None  # type: ignore[method-assign]
 
 
 def _unlink_quietly(name: str) -> None:

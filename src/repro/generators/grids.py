@@ -13,7 +13,7 @@ from typing import Any
 
 from repro.data.instance import Fact, Instance
 from repro.data.signature import Signature
-from repro.structure.graph import Graph, grid_graph
+from repro.structure.graph import Graph, element_key, grid_graph
 
 
 def grid_instance(rows: int, cols: int, relation: str = "E", symmetric: bool = False) -> Instance:
@@ -56,7 +56,7 @@ def graph_to_instance(graph: Graph, relation: str = "E", symmetric: bool = False
     """Encode an undirected graph as a relational instance."""
     facts: list[Fact] = []
     for u, v in graph.edges():
-        first, second = sorted((u, v), key=lambda x: (type(x).__name__, repr(x)))
+        first, second = sorted((u, v), key=element_key)
         facts.append(Fact(relation, (_name(first), _name(second))))
         if symmetric:
             facts.append(Fact(relation, (_name(second), _name(first))))

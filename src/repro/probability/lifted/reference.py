@@ -29,7 +29,7 @@ from repro.probability.lifted.plan import (
     PlanNode,
     ProjectNode,
 )
-from repro.probability.safe_plans import _value_key
+from repro.structure.graph import element_key
 
 __all__ = ["execute_plan_reference"]
 
@@ -162,4 +162,4 @@ def _root_candidates(
         if not candidates:
             return []
     assert candidates is not None
-    return sorted(candidates, key=_value_key)
+    return sorted(candidates, key=element_key)

@@ -55,6 +55,7 @@ from repro.probability.lifted.plan import is_liftable
 from repro.queries.atoms import Atom, Variable
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.structure.graph import element_key
 
 __all__ = ["UnsafeQueryError", "is_liftable", "safe_plan_probability"]
 
@@ -212,11 +213,7 @@ def _root_values(
         candidates = values if candidates is None else candidates & values
         if not candidates:
             return []
-    return sorted(candidates or set(), key=_value_key)
-
-
-def _value_key(value: Any) -> tuple[str, str]:
-    return (type(value).__name__, repr(value))
+    return sorted(candidates or set(), key=element_key)
 
 
 def _components(atoms: list[tuple[Atom, _Binding]]) -> list[list[tuple[Atom, _Binding]]]:

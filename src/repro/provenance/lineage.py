@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.booleans.circuit import BooleanCircuit
-from repro.data.instance import Fact, Instance
+from repro.data.instance import Fact, Instance, fact_key
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.matching import minimal_matches, ucq_matches
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
@@ -97,7 +97,7 @@ class MonotoneDNFLineage:
         """A monotone lineage circuit (OR of ANDs of fact variables)."""
         circuit = BooleanCircuit()
         terms = [
-            circuit.conjunction([circuit.variable(f) for f in sorted(clause, key=_fact_key)])
+            circuit.conjunction([circuit.variable(f) for f in sorted(clause, key=fact_key)])
             for clause in self.clauses
         ]
         circuit.set_output(circuit.disjunction(terms))
@@ -143,7 +143,3 @@ def brute_force_lineage_table(
     for world in instance.all_subinstances():
         table[frozenset(world.facts)] = satisfies(world, query)
     return table
-
-
-def _fact_key(f: Fact) -> tuple:
-    return (f.relation, tuple(repr(a) for a in f.arguments))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.data.gaifman import gaifman_graph
-from repro.data.instance import Fact, Instance
+from repro.data.instance import Fact, Instance, fact_key
 from repro.errors import DecompositionError
 from repro.structure.elimination import EliminationSweep, best_heuristic_sweep
 from repro.structure.graph import Graph
@@ -77,7 +77,7 @@ class TreeEncoding:
     def validate(self) -> None:
         """Check the tree-decomposition conditions and the fact attachment."""
         attached = [node.fact for node in self.nodes.values() if node.fact is not None]
-        if sorted(attached, key=_fact_key) != sorted(self.instance.facts, key=_fact_key):
+        if sorted(attached, key=fact_key) != sorted(self.instance.facts, key=fact_key):
             raise DecompositionError("attached facts do not match the instance's facts")
         for node in self.nodes.values():
             if node.fact is not None and not set(node.fact.elements()) <= node.bag:
@@ -168,7 +168,7 @@ def fused_tree_encoding(
         # single empty bag (the seed's single-bag decomposition did the same).
         current_children: tuple[int, ...] = ()
         empty = frozenset()
-        for f in sorted(instance.facts, key=_fact_key):
+        for f in sorted(instance.facts, key=fact_key):
             nodes[counter] = EncodingNode(counter, empty, f, current_children)
             current_children = (counter,)
             counter += 1
@@ -202,7 +202,7 @@ def fused_tree_encoding(
             child_ids[-2:] = [counter]
             counter += 1
         current_children = tuple(child_ids)
-        facts = sorted(facts_at[i], key=_fact_key)
+        facts = sorted(facts_at[i], key=fact_key)
         if not facts:
             nodes[counter] = EncodingNode(counter, bag, None, current_children)
             current_children = (counter,)
@@ -257,7 +257,7 @@ def _encoding_from_decomposition(
     for bag_node in reversed(order):
         bag = decomposition.bags[bag_node]
         child_ids = tuple(built[child] for child in decomposition.children.get(bag_node, []))
-        facts = sorted(facts_at[bag_node], key=_fact_key)
+        facts = sorted(facts_at[bag_node], key=fact_key)
         if not facts:
             nodes[counter] = EncodingNode(counter, bag, None, child_ids)
             built[bag_node] = counter
@@ -287,7 +287,3 @@ def path_encoding(instance: Instance, decomposition: PathDecomposition | None = 
     if decomposition is None:
         decomposition = compute_path(gaifman_graph(instance))
     return tree_encoding(instance, decomposition.to_tree_decomposition())
-
-
-def _fact_key(f: Fact) -> tuple:
-    return (f.relation, tuple(repr(a) for a in f.arguments))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.data.gaifman import gaifman_graph
-from repro.data.instance import Fact, Instance
+from repro.data.instance import Fact, Instance, fact_key
 from repro.errors import CompilationError
 from repro.structure.path_decomposition import PathDecomposition, path_decomposition
 from repro.structure.tree_decomposition import TreeDecomposition, tree_decomposition
@@ -65,7 +65,7 @@ def _order_by_first_covering_bag(instance: Instance, bags: Sequence[frozenset]) 
         if covering is None:
             raise CompilationError(f"no bag covers the fact {f}")
         placement[f] = covering
-    return sorted(instance.facts, key=lambda f: (placement[f], _fact_key(f)))
+    return sorted(instance.facts, key=lambda f: (placement[f], fact_key(f)))
 
 
 def default_fact_order(
@@ -118,9 +118,5 @@ def element_major_order(instance: Instance, element_order: Sequence[Any]) -> lis
         raise CompilationError("element order does not cover all fact elements")
     return sorted(
         instance.facts,
-        key=lambda f: (max(rank[a] for a in f.elements()), _fact_key(f)),
+        key=lambda f: (max(rank[a] for a in f.elements()), fact_key(f)),
     )
-
-
-def _fact_key(f: Fact) -> tuple:
-    return (f.relation, tuple(repr(a) for a in f.arguments))

@@ -19,7 +19,6 @@ already-ranked inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.data.instance import Fact, Instance
 from repro.data.signature import Signature
@@ -27,6 +26,7 @@ from repro.errors import QueryError
 from repro.queries.atoms import Atom, Disequality, Variable
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.structure.graph import element_key
 
 ASC_SUFFIX = "_asc"
 DESC_SUFFIX = "_desc"
@@ -43,10 +43,6 @@ class RankedInstance:
     def original_of(self, ranked_fact: Fact) -> Fact:
         inverse = {v: k for k, v in self.fact_map.items()}
         return inverse[ranked_fact]
-
-
-def _element_order_key(element: Any) -> tuple[str, str]:
-    return (type(element).__name__, repr(element))
 
 
 def rank_instance(instance: Instance) -> RankedInstance:
@@ -68,7 +64,7 @@ def rank_instance(instance: Instance) -> RankedInstance:
         a, b = f.arguments
         if a == b:
             new_facts[f] = Fact(f.relation + EQ_SUFFIX, (a,))
-        elif _element_order_key(a) < _element_order_key(b):
+        elif element_key(a) < element_key(b):
             new_facts[f] = Fact(f.relation + ASC_SUFFIX, (a, b))
         else:
             new_facts[f] = Fact(f.relation + DESC_SUFFIX, (b, a))

@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.structure.graph import Graph, Vertex
+from repro.structure.graph import Graph, Vertex, element_key
 
 
 @dataclass
@@ -116,7 +116,7 @@ def _indexed_sweep(graph: Graph, use_fill: bool) -> EliminationSweep:
     ``(score..., stable_key)`` — the exact tie-breaking of the seed scans —
     and stale entries are discarded lazily against the current score arrays.
     """
-    vertices = sorted(graph.vertices, key=_stable_key)
+    vertices = sorted(graph.vertices, key=element_key)
     n = len(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     adjacency: list[set[int]] = [
@@ -295,7 +295,7 @@ def exists_ordering_of_width(graph: Graph, target: int) -> bool:
                     return True
                 failed.add(key)
                 return False
-        for v in sorted(adjacency, key=lambda u: (len(adjacency[u]), _stable_key(u))):
+        for v in sorted(adjacency, key=lambda u: (len(adjacency[u]), element_key(u))):
             if len(adjacency[v]) > target:
                 continue
             next_adjacency = {u: set(ns) for u, ns in adjacency.items()}
@@ -326,7 +326,7 @@ def treewidth_dp_oracle(graph: Graph) -> int:
     the test suite uses it as a cross-check oracle.  O(2^n · poly(n)): only
     for graphs of at most ~14 vertices.
     """
-    vertices = sorted(graph.vertices, key=_stable_key)
+    vertices = sorted(graph.vertices, key=element_key)
     n = len(vertices)
     if n == 0:
         return -1
@@ -403,7 +403,7 @@ def exact_ordering(graph: Graph) -> list[Vertex]:
     adjacency = {v: graph.neighbors(v) for v in graph.vertices}
     while adjacency:
         chosen = None
-        for v in sorted(adjacency, key=lambda u: (len(adjacency[u]), _stable_key(u))):
+        for v in sorted(adjacency, key=lambda u: (len(adjacency[u]), element_key(u))):
             if len(adjacency[v]) > target:
                 continue
             trial = {u: set(ns) for u, ns in adjacency.items()}
@@ -418,11 +418,7 @@ def exact_ordering(graph: Graph) -> list[Vertex]:
                 chosen = v
                 break
         if chosen is None:  # pragma: no cover - cannot happen if target is feasible
-            chosen = min(adjacency, key=lambda u: (len(adjacency[u]), _stable_key(u)))
+            chosen = min(adjacency, key=lambda u: (len(adjacency[u]), element_key(u)))
         ordering.append(chosen)
         _eliminate(adjacency, chosen)
     return ordering
-
-
-def _stable_key(vertex: Vertex) -> tuple[str, str]:
-    return (type(vertex).__name__, repr(vertex))

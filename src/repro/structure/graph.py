@@ -13,6 +13,16 @@ from typing import Any, Hashable, Iterable, Iterator
 Vertex = Hashable
 
 
+def element_key(element: Any) -> tuple[str, str]:
+    """A process-stable total order on heterogeneous elements: by type name,
+    then ``repr``, which tells elements of one type apart.
+
+    Domains, vertex orders and variable orders are sorted by this key, so
+    they do not depend on hash seeds or on the order elements were given.
+    """
+    return (type(element).__name__, repr(element))
+
+
 class Graph:
     """A mutable, simple, undirected graph."""
 

@@ -17,9 +17,8 @@ of Chekuri-Chuzhoy [10]; as a Python prototype substitution we provide:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-from repro.structure.graph import Graph, Vertex
+from repro.structure.graph import Graph, Vertex, element_key
 
 
 @dataclass
@@ -71,10 +70,10 @@ def find_topological_minor(
     only suitable for small patterns (a handful of vertices) and moderate
     hosts.  ``max_path_length`` bounds the length of subdivision paths.
     """
-    pattern_vertices = sorted(pattern.vertices, key=_stable_key)
-    pattern_edges = [tuple(sorted(e, key=_stable_key)) for e in pattern.edges()]
-    pattern_edges.sort(key=lambda e: (_stable_key(e[0]), _stable_key(e[1])))
-    host_vertices = sorted(host.vertices, key=_stable_key)
+    pattern_vertices = sorted(pattern.vertices, key=element_key)
+    pattern_edges = [tuple(sorted(e, key=element_key)) for e in pattern.edges()]
+    pattern_edges.sort(key=lambda e: (element_key(e[0]), element_key(e[1])))
+    host_vertices = sorted(host.vertices, key=element_key)
 
     vertex_map: dict[Vertex, Vertex] = {}
     used: set[Vertex] = set()
@@ -130,7 +129,7 @@ def _paths_up_to(graph: Graph, source: Vertex, target: Vertex, limit: int, block
             return
         if len(path) > limit:
             return
-        for neighbor in sorted(graph.neighbors(current), key=_stable_key):
+        for neighbor in sorted(graph.neighbors(current), key=element_key):
             if neighbor in path:
                 continue
             if neighbor != target and neighbor in blocked:
@@ -177,7 +176,7 @@ def subdivide(graph: Graph, times: int = 1) -> Graph:
     result = Graph()
     for v in graph.vertices:
         result.add_vertex(v)
-    for index, (u, v) in enumerate(sorted(graph.edges(), key=lambda e: (_stable_key(e[0]), _stable_key(e[1])))):
+    for index, (u, v) in enumerate(sorted(graph.edges(), key=lambda e: (element_key(e[0]), element_key(e[1])))):
         previous = u
         for step in range(times):
             middle = ("sub", index, step)
@@ -252,7 +251,3 @@ def wall_graph(rows: int, cols: int) -> Graph:
             if (r + c) % 2 == 0:
                 graph.add_edge((r, c), (r + 1, c))
     return graph
-
-
-def _stable_key(vertex: Any) -> tuple[str, str]:
-    return (type(vertex).__name__, repr(vertex))

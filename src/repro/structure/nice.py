@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+from repro.structure.graph import element_key
 from repro.structure.tree_decomposition import BagId, TreeDecomposition
 
 
@@ -136,16 +137,16 @@ def make_nice(decomposition: TreeDecomposition) -> NiceTreeDecomposition:
         """Insert forget/introduce nodes turning ``from_bag`` (below) into ``to_bag``."""
         current_bag = from_bag
         current = below
-        for vertex in sorted(from_bag - to_bag, key=_stable_key):
+        for vertex in sorted(from_bag - to_bag, key=element_key):
             current_bag = current_bag - {vertex}
             current = emit(NiceNodeKind.FORGET, current_bag, (current,), vertex)
-        for vertex in sorted(to_bag - current_bag, key=_stable_key):
+        for vertex in sorted(to_bag - current_bag, key=element_key):
             current_bag = current_bag | {vertex}
             current = emit(NiceNodeKind.INTRODUCE, current_bag, (current,), vertex)
         return current
 
     def leaf_chain(bag: frozenset) -> int:
-        ordered = sorted(bag, key=_stable_key)
+        ordered = sorted(bag, key=element_key)
         if not ordered:
             return emit(NiceNodeKind.LEAF, frozenset(), ())
         current = emit(NiceNodeKind.LEAF, frozenset({ordered[0]}), ())
@@ -174,7 +175,3 @@ def make_nice(decomposition: TreeDecomposition) -> NiceTreeDecomposition:
     nice = NiceTreeDecomposition(nodes=nodes, root=root)
     nice.validate()
     return nice
-
-
-def _stable_key(vertex: Any) -> tuple[str, str]:
-    return (type(vertex).__name__, repr(vertex))

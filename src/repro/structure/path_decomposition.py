@@ -17,7 +17,7 @@ import heapq
 from typing import Any, Sequence
 
 from repro.errors import DecompositionError
-from repro.structure.graph import Graph, Vertex
+from repro.structure.graph import Graph, Vertex, element_key
 from repro.structure.tree_decomposition import TreeDecomposition
 
 
@@ -46,7 +46,7 @@ class PathDecomposition:
         """Graph vertices by first appearance along the path (for OBDD orders)."""
         seen: dict[Any, None] = {}
         for bag in self._bags:
-            for vertex in sorted(bag, key=_stable_key):
+            for vertex in sorted(bag, key=element_key):
                 seen.setdefault(vertex, None)
         return list(seen)
 
@@ -145,7 +145,7 @@ def greedy_path_order(graph: Graph) -> list[Vertex]:
     re-pushed.  The seed full rescan is kept as
     :func:`repro.structure.reference.greedy_path_order_seed`.
     """
-    vertices = sorted(graph.vertices, key=_stable_key)
+    vertices = sorted(graph.vertices, key=element_key)
     index = {v: i for i, v in enumerate(vertices)}
     adjacency = [[index[u] for u in graph.neighbors(v)] for v in vertices]
     n = len(vertices)
@@ -199,7 +199,7 @@ def pathwidth(graph: Graph, exact: bool = False) -> int:
 
 def _exact_path_order(graph: Graph) -> list[Vertex]:
     """Exact minimum vertex-separation order by DP over vertex subsets."""
-    vertices = sorted(graph.vertices, key=_stable_key)
+    vertices = sorted(graph.vertices, key=element_key)
     n = len(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     neighbor_masks = [0] * n
@@ -261,7 +261,3 @@ def path_decomposition_from_tree(decomposition: TreeDecomposition) -> PathDecomp
         extra = {v for v in first if first[v] <= i <= last[v]}
         fixed.append(frozenset(bag | extra))
     return PathDecomposition(fixed)
-
-
-def _stable_key(vertex: Any) -> tuple[str, str]:
-    return (type(vertex).__name__, repr(vertex))

@@ -25,7 +25,7 @@ from repro.structure.elimination import (
     ordering_width,
     treewidth_lower_bound,  # re-exported: it lives beside the sweeps it prunes
 )
-from repro.structure.graph import Graph, Vertex
+from repro.structure.graph import Graph, Vertex, element_key
 
 BagId = int
 
@@ -111,7 +111,7 @@ class TreeDecomposition:
         This order is used to derive OBDD variable orders (Section 6)."""
         seen: dict[Any, None] = {}
         for node in self.topological_order():
-            for vertex in sorted(self.bags[node], key=_stable_key):
+            for vertex in sorted(self.bags[node], key=element_key):
                 seen.setdefault(vertex, None)
         return list(seen)
 
@@ -253,7 +253,3 @@ def treewidth(graph: Graph, exact: bool = False) -> int:
         return ordering_width(graph, exact_ordering(graph))
     _, width = best_heuristic_ordering_with_width(graph)
     return width
-
-
-def _stable_key(vertex: Any) -> tuple[str, str]:
-    return (type(vertex).__name__, repr(vertex))

@@ -11,10 +11,10 @@ bounded-pathwidth lineage results apply to unfolded instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.errors import DecompositionError
-from repro.structure.graph import Graph, Vertex
+from repro.structure.graph import Graph, Vertex, element_key
 
 
 @dataclass
@@ -100,7 +100,7 @@ def dfs_elimination_forest(graph: Graph) -> EliminationForest:
     """
     parent: dict[Vertex, Vertex | None] = {}
     visited: set[Vertex] = set()
-    for start in sorted(graph.vertices, key=_stable_key):
+    for start in sorted(graph.vertices, key=element_key):
         if start in visited:
             continue
         # Parents are assigned when a vertex is *entered* (popped), not when it
@@ -113,7 +113,7 @@ def dfs_elimination_forest(graph: Graph) -> EliminationForest:
                 continue
             visited.add(current)
             parent[current] = predecessor
-            for neighbor in sorted(graph.neighbors(current), key=_stable_key, reverse=True):
+            for neighbor in sorted(graph.neighbors(current), key=element_key, reverse=True):
                 if neighbor not in visited:
                     stack.append((neighbor, current))
     forest = EliminationForest(parent)
@@ -149,7 +149,7 @@ def optimal_elimination_forest(graph: Graph) -> EliminationForest:
         best_height = len(vertices) + 1
         best_parent: dict[Vertex, Vertex | None] = {}
         best_root: Vertex | None = None
-        for root in sorted(vertices, key=_stable_key):
+        for root in sorted(vertices, key=element_key):
             rest_height, rest_parent = solve(vertices - {root})
             if 1 + rest_height < best_height:
                 best_height = 1 + rest_height
@@ -177,7 +177,3 @@ def optimal_elimination_forest(graph: Graph) -> EliminationForest:
 def pathwidth_upper_bound_from_tree_depth(depth: int) -> int:
     """Lemma 11 of [5]: pathwidth <= tree-depth - 1."""
     return max(depth - 1, -1)
-
-
-def _stable_key(vertex: Any) -> tuple[str, str]:
-    return (type(vertex).__name__, repr(vertex))

@@ -15,8 +15,8 @@ Fault kinds (see :data:`FAULT_KINDS`):
 
 * ``worker_kill`` — the worker ``SIGKILL``s itself at task start (a hard
   crash: no reply, no cleanup; breaks the process pool, and exercises the
-  pool restart, the one retry charged to every unfinished shard, and the
-  sweep of the segments the dead pool's workers left unclaimed);
+  pool restart and the one retry charged to every unfinished shard; the
+  parent's published reweight segment must survive it);
 * ``slow_kernel`` — the worker sleeps ``slow_seconds`` at task start (a
   straggler, not an error; nothing should be retried);
 * ``alloc_fail`` — the worker raises ``MemoryError`` after computing its
@@ -175,7 +175,7 @@ class WorkerFaults:
         """Fire start-of-task faults: hard kill, or straggler sleep."""
         if consume_token(self.plan, "worker_kill"):
             # A real crash, not an exception: no reply reaches the parent,
-            # no cleanup runs, published segments are orphaned.
+            # and no cleanup runs.
             os.kill(os.getpid(), signal.SIGKILL)
         if consume_token(self.plan, "slow_kernel"):
             time.sleep(self.plan.slow_seconds)

@@ -26,6 +26,7 @@ from repro.errors import UnfoldingError
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.properties import attribute_orders, is_ranked_instance, is_ranked_query
 from repro.queries.ucq import UnionOfConjunctiveQueries, as_ucq
+from repro.structure.graph import element_key
 from repro.structure.tree_depth import EliminationForest
 
 
@@ -93,11 +94,11 @@ class Unfolding:
         for element, parent in self.elimination_forest().parent.items():
             children.setdefault(parent, []).append(element)
         order: list[Any] = []
-        stack = sorted(children.get(None, ()), key=_stable_key, reverse=True)
+        stack = sorted(children.get(None, ()), key=element_key, reverse=True)
         while stack:
             element = stack.pop()
             order.append(element)
-            stack.extend(sorted(children.get(element, ()), key=_stable_key, reverse=True))
+            stack.extend(sorted(children.get(element, ()), key=element_key, reverse=True))
         return order
 
     @property
@@ -150,7 +151,3 @@ def unfold_instance(
     return Unfolding(
         original=instance, unfolded=unfolded, fact_map=fact_map, homomorphism=homomorphism
     )
-
-
-def _stable_key(element: Any) -> tuple[str, str]:
-    return (type(element).__name__, repr(element))

@@ -109,23 +109,28 @@ def test_worker_kill_recovery_is_exact(injector, workload, expected):
     assert report.values[0] == oracle.check(query, tid, "chaos-kill").reference
 
 
-def test_worker_kill_during_shm_compile_leaves_no_orphans(injector, workload):
-    """A worker killed while publishing compile artifacts leaves segments
-    behind; the sweep must reclaim them without touching the survivors'."""
+def _reweight_case(tid, count=8):
+    """A compiled artifact, ``count`` weightings of its facts, and the
+    exact answers the artifact gives in process."""
+    compiled = CompilationEngine().compile(unsafe_rst(), tid.instance)
+    maps = [
+        {fact: Fraction(i + 1, i + 4) for fact in compiled.order} for i in range(count)
+    ]
+    return compiled, maps, [compiled.probability(m) for m in maps]
+
+
+def test_worker_kill_during_reweight_is_exact_and_leaves_no_segments(injector, workload):
+    """A worker killed while sweeping the shared reweight artifact: the
+    restarted pool attaches to the same segment and answers exactly, and
+    close() leaves nothing in /dev/shm."""
+    compiled, maps, reference = _reweight_case(workload[0][1])
     injector.arm("worker_kill", 1)
-    _, tid = workload[0]
-    queries = [unsafe_rst(), hierarchical_example()]
-    serial = CompilationEngine().compile_many(queries, tid.instance)
-    pairs = [(query, tid.instance) for query in queries]
     with ParallelEngine(
         workers=2, fault_plan=injector.plan, retry_backoff=0.01
     ) as parallel:
         prefix = parallel.segment_plane().prefix
-        report = parallel.map_compile(pairs)
-        for mine, reference in zip(report.values, serial):
-            assert mine.probability(tid.valuation()) == reference.probability(
-                tid.valuation()
-            )
+        assert parallel.reweight_many(compiled, maps) == reference
+        assert len(parallel.segment_plane().owned_segments()) == 1
     assert injector.armed("worker_kill") == 0
     assert live_segments(prefix) == []
 
@@ -135,9 +140,7 @@ def test_worker_kill_restarts_the_pool_and_the_engine_stays_usable(
 ):
     """A crash replaces the whole executor; the same engine keeps answering
     exactly afterwards, and close() still reclaims every segment."""
-    _, tid = workload[0]
-    queries = [unsafe_rst(), hierarchical_example()]
-    serial = CompilationEngine().compile_many(queries, tid.instance)
+    compiled, maps, reference = _reweight_case(workload[0][1])
     with ParallelEngine(
         workers=2, fault_plan=injector.plan, retry_backoff=0.0
     ) as parallel:
@@ -151,12 +154,8 @@ def test_worker_kill_restarts_the_pool_and_the_engine_stays_usable(
         assert parallel._pool is not None and parallel._pool is not first
         # The next call runs on the replacement pool, segments included.
         assert list(parallel.map_probability(workload).values) == expected
-        compiled = parallel.compile_many(queries, tid.instance)
-        for mine, reference in zip(compiled, serial):
-            assert mine.probability(tid.valuation()) == reference.probability(
-                tid.valuation()
-            )
-        del compiled
+        assert parallel.reweight_many(compiled, maps) == reference
+        assert live_segments(prefix) == list(parallel.segment_plane().owned_segments())
     assert live_segments(prefix) == []
 
 
@@ -206,12 +205,7 @@ def test_reweight_recovers_from_segment_sabotage(injector, workload, kind):
     """Corrupting or unlinking the published reweight artifact must surface
     as a retryable SegmentError: the parent republishes under a fresh name
     and the retried shards attach to the replacement."""
-    _, tid = workload[0]
-    compiled = CompilationEngine().compile(unsafe_rst(), tid.instance)
-    maps = [
-        {fact: Fraction(i + 1, i + 4) for fact in compiled.order} for i in range(8)
-    ]
-    reference = [compiled.probability(m) for m in maps]
+    compiled, maps, reference = _reweight_case(workload[0][1])
     injector.arm(kind, 1)
     with ParallelEngine(
         workers=2, fault_plan=injector.plan, retry_backoff=0.0
@@ -228,11 +222,10 @@ def test_reweight_recovers_from_segment_sabotage(injector, workload, kind):
 def test_context_exit_releases_everything_when_body_raises(workload):
     """Regression: a body that raises mid-batch must still get the pool torn
     down and every shared-memory segment unlinked by __exit__."""
-    _, tid = workload[0]
-    pairs = [(query, tid.instance) for query in (unsafe_rst(), hierarchical_example())]
+    compiled, maps, _ = _reweight_case(workload[0][1], count=4)
     with pytest.raises(RuntimeError, match="mid-batch"):
         with ParallelEngine(workers=2) as parallel:
-            parallel.map_compile(pairs)
+            parallel.reweight_many(compiled, maps)
             prefix = parallel.segment_plane().prefix
             assert live_segments(prefix), "the batch should have published segments"
             raise RuntimeError("mid-batch failure")

@@ -28,7 +28,7 @@ import pytest
 from repro.data.instance import Instance
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine
-from repro.engine.shm import SegmentPlane
+from repro.engine.shm import SegmentPlane, attach_segment
 from repro.generators import (
     directed_path_instance,
     labelled_partial_ktree_instance,
@@ -170,7 +170,7 @@ def test_fresh_stored_and_attached_artifacts_agree(family, n, tmp_path):
     assert restarted.stats["store"].hits == 1
     assert stored.probability(tid) == value
     with SegmentPlane() as plane:
-        attached = plane.adopt(plane.publish(fresh.to_columnar()))
+        attached = attach_segment(plane.publish(fresh.to_columnar()))
         assert attached is not fresh.to_columnar()
         assert attached.probability(tid) == value
         del attached

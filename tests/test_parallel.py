@@ -18,6 +18,7 @@ from repro.engine import (
     available_workers,
     shard_workload,
 )
+from repro.engine.parallel import _tid_object
 from repro.errors import CompilationError
 from repro.generators import labelled_partial_ktree_instance
 from repro.queries import hierarchical_example, parse_ucq, qp, unsafe_rst
@@ -47,15 +48,15 @@ def expected(workload):
 
 def test_shard_workload_preserves_every_item(workload):
     for shard_count in (1, 2, 3, 5, 100):
-        shards = shard_workload(workload, shard_count)
+        shards = shard_workload(workload, shard_count, _tid_object)
         assert len(shards) <= shard_count
         indices = sorted(index for shard in shards for index, _ in shard)
         assert indices == list(range(len(workload)))
 
 
 def test_shard_workload_groups_by_instance(workload):
-    # 4 instances, 2 shards: each instance's items stay in one shard.
-    shards = shard_workload(workload, 2)
+    # 4 TIDs, one per instance, 2 shards: each instance's items stay in one shard.
+    shards = shard_workload(workload, 2, _tid_object)
     for shard in shards:
         fingerprints = {}
         for _, (query, tid) in shard:
@@ -67,13 +68,13 @@ def test_shard_workload_groups_by_instance(workload):
 def test_shard_workload_splits_a_single_dominant_group(workload):
     tid = workload[0][1]
     single = [(unsafe_rst(), tid)] * 8
-    shards = shard_workload(single, 4)
+    shards = shard_workload(single, 4, _tid_object)
     assert len(shards) == 4
     assert sorted(len(shard) for shard in shards) == [2, 2, 2, 2]
 
 
 def test_shard_workload_balances_load(workload):
-    shards = shard_workload(workload, 3)
+    shards = shard_workload(workload, 3, _tid_object)
     sizes = sorted(len(shard) for shard in shards)
     assert sum(sizes) == len(workload)
     assert sizes[-1] - sizes[0] <= 2
@@ -81,7 +82,7 @@ def test_shard_workload_balances_load(workload):
 
 def test_shard_workload_rejects_zero_shards(workload):
     with pytest.raises(CompilationError):
-        shard_workload(workload, 0)
+        shard_workload(workload, 0, _tid_object)
 
 
 # -- execution ------------------------------------------------------------------
@@ -206,30 +207,14 @@ def test_probability_many_single_instance(workload, expected):
     assert parallel.last_report.items == len(queries)
 
 
-def test_compile_many_matches_serial_engine(workload):
-    _, tid = workload[0]
-    queries = [unsafe_rst(), hierarchical_example()]
-    serial = CompilationEngine().compile_many(queries, tid.instance)
+def test_pool_map_batch_touches_no_shared_memory(workload, expected):
+    """A probability batch ships pickles and columns, never segments: the
+    pool starts without building the engine's segment plane."""
     with ParallelEngine(workers=2) as parallel:
-        for mine, reference in zip(parallel.compile_many(queries, tid.instance), serial):
-            assert mine.size == reference.size
-            assert mine.width == reference.width
-            assert mine.order == reference.order
-            assert mine.probability(tid.valuation()) == reference.probability(
-                tid.valuation()
-            )
-
-
-def test_map_compile_report_carries_worker_stats(workload):
-    pairs = [(query, tid.instance) for query, tid in workload]
-    with ParallelEngine(workers=2) as parallel:
-        report = parallel.map_compile(pairs)
-    assert report.items == len(pairs)
-    assert report.stats["obdd"].total == len(pairs)
-    # Repeated (query, instance) pairs hit the owning worker's cache.
-    with ParallelEngine(workers=2) as parallel:
-        doubled = parallel.map_compile(pairs + pairs)
-    assert doubled.stats["obdd"].hits >= len(pairs)
+        report = parallel.map_probability(workload)
+        assert report.shard_count == 2
+        assert list(report.values) == expected
+        assert parallel._plane is None
 
 
 def test_pool_persists_across_calls(workload, expected):
@@ -359,40 +344,6 @@ def test_close_drops_worker_caches_deterministically(workload):
     assert ref() is None, "close() left a cached compiled artifact alive"
 
 
-def test_map_compile_shm_transport_in_pool_regime(workload):
-    from repro.booleans.columnar import ColumnarOBDD
-
-    _, tid = workload[0]
-    queries = [unsafe_rst(), hierarchical_example()]
-    serial = CompilationEngine().compile_many(queries, tid.instance)
-    with ParallelEngine(workers=2) as parallel:
-        artifacts = parallel.compile_many(queries, tid.instance)
-        assert all(isinstance(artifact, ColumnarOBDD) for artifact in artifacts)
-        for mine, reference in zip(artifacts, serial):
-            assert mine.probability(tid.valuation()) == reference.probability(
-                tid.valuation()
-            )
-
-
-def test_map_compile_shm_transport_in_inline_regime(workload):
-    """The columnar representation holds even when the workload collapses
-    to the inline regime — which still creates no segment."""
-    from repro.booleans.columnar import ColumnarOBDD
-
-    _, tid = workload[0]
-    reference = CompilationEngine().compile(unsafe_rst(), tid.instance)
-    for parallel in (ParallelEngine(workers=1), ParallelEngine(workers=2)):
-        with parallel:
-            # One query -> one shard -> inline, whatever the worker count.
-            artifacts = parallel.compile_many([unsafe_rst()], tid.instance)
-            assert isinstance(artifacts[0], ColumnarOBDD)
-            assert artifacts[0].probability(tid.valuation()) == reference.probability(
-                tid.valuation()
-            )
-            if parallel._plane is not None:
-                assert parallel._plane.owned_segments() == ()
-
-
 def test_reweight_many_matches_direct_evaluation(workload):
     _, tid = workload[0]
     compiled = CompilationEngine().compile(unsafe_rst(), tid.instance)
@@ -439,9 +390,11 @@ def test_inline_regime_leaves_gc_enabled(workload):
     import gc
 
     assert gc.isenabled()
+    compiled = CompilationEngine().compile(unsafe_rst(), workload[0][1].instance)
+    maps = [{fact: Fraction(1, i + 2) for fact in compiled.order} for i in range(3)]
     parallel = ParallelEngine(workers=1)
     parallel.map_probability(workload)
-    parallel.compile_many([unsafe_rst()], workload[0][1].instance)
+    parallel.reweight_many(compiled, maps)
     assert gc.isenabled(), "the inline regime must never touch the caller's GC"
     parallel.close()
 

@@ -1,11 +1,10 @@
 """Tests for the shared-memory segment lifecycle (repro.engine.shm).
 
-The contract under test: every segment a :class:`SegmentPlane` creates (or
-adopts from a worker) is provably reclaimed — ``close()`` and context exit
-unlink the owned segments, the prefix sweep reclaims segments orphaned by a
-crashed worker, garbage collection of an unclosed plane reclaims them too,
-and the ``workers=1`` inline regime never creates a segment in the first
-place.
+The contract under test: every segment a :class:`SegmentPlane` publishes is
+provably reclaimed — ``close()`` and context exit unlink the owned segments,
+the prefix sweep reclaims any other name under the plane's prefix, garbage
+collection of an unclosed plane reclaims them too, and the ``workers=1``
+inline regime never creates a segment in the first place.
 """
 
 import gc
@@ -127,49 +126,16 @@ def test_context_exit_unlinks_segments(columnar_artifact):
     assert live_segments(plane.prefix) == []
 
 
-def test_adopted_worker_segments_are_unlinked_on_close(columnar_artifact):
-    columnar, tid = columnar_artifact
-    plane = SegmentPlane()
-    # A worker publishes under a plane-derived name and hands the handle back.
-    name = plane.worker_name(os.getpid(), 1)
-    handle = publish_segment(columnar, name)
-    adopted = plane.adopt(handle)
-    assert adopted.probability(tid.valuation()) == columnar.probability(tid.valuation())
-    assert live_segments(plane.prefix) == [name]
-    del adopted
-    plane.close()
-    assert live_segments(plane.prefix) == []
-
-
 def test_crash_orphans_are_swept_on_close(columnar_artifact):
     columnar, _ = columnar_artifact
     plane = SegmentPlane()
-    # Simulate a worker that published under the plane's prefix and died
-    # before handing the handle back: nobody adopted it.
-    orphan_name = plane.worker_name(99999, 7)
+    # A segment under the plane's prefix that the plane does not own (say,
+    # left by a process that died between creating it and recording it).
+    orphan_name = f"{plane.prefix}-orphan"
     publish_segment(columnar, orphan_name)
     assert live_segments(plane.prefix) == [orphan_name]
+    assert plane.owned_segments() == ()
     plane.close()
-    assert live_segments(plane.prefix) == []
-
-
-def test_sweep_worker_orphans_spares_kept_owned_and_parent_segments(columnar_artifact):
-    """The crash-path sweep unlinks only unclaimed worker segments."""
-    columnar, _ = columnar_artifact
-    with SegmentPlane() as plane:
-        parent = plane.publish(columnar)
-        owned_name = plane.worker_name(11111, 1)
-        adopted = plane.adopt(publish_segment(columnar, owned_name))
-        kept_name = plane.worker_name(22222, 1)
-        publish_segment(columnar, kept_name)
-        orphans = [plane.worker_name(pid, 2) for pid in (11111, 33333)]
-        for name in orphans:
-            publish_segment(columnar, name)
-        assert parent.name is not None and parent.name.startswith(f"{plane.prefix}-p")
-        assert sorted(plane.sweep_worker_orphans(keep=[kept_name])) == sorted(orphans)
-        assert live_segments(plane.prefix) == sorted([parent.name, owned_name, kept_name])
-        assert plane.sweep_worker_orphans(keep=[kept_name]) == []
-        del adopted
     assert live_segments(plane.prefix) == []
 
 
@@ -230,18 +196,6 @@ def workload():
     return [unsafe_rst(), hierarchical_example()], tids
 
 
-def test_pool_compile_segments_reclaimed_after_close(workload):
-    queries, tids = workload
-    engine = ParallelEngine(workers=2)
-    artifacts = engine.compile_many(queries, tids[0].instance)
-    prefix = engine.segment_plane().prefix
-    assert len(live_segments(prefix)) > 0
-    assert set(engine.segment_plane().owned_segments()) == set(live_segments(prefix))
-    del artifacts
-    engine.close()
-    assert live_segments(prefix) == []
-
-
 def test_pool_reweight_segments_reclaimed_after_context_exit(workload):
     queries, tids = workload
     compiled = CompilationEngine().compile(queries[0], tids[0].instance)
@@ -294,13 +248,15 @@ def test_inline_regime_never_creates_segments(workload, monkeypatch):
         raise AssertionError("workers=1 must never touch shared memory")
 
     monkeypatch.setattr(shm_module, "_Segment", forbidden)
+    serial = CompilationEngine()
+    pairs = [(query, tid) for tid in tids for query in queries]
+    artifact = serial.columnar(queries[0], tids[0].instance)
+    maps = [{fact: Fraction(1, i + 3) for fact in artifact.order} for i in range(3)]
     engine = ParallelEngine(workers=1)
-    artifacts = engine.compile_many(queries, tids[0].instance)
-    assert all(type(artifact).__name__ == "ColumnarOBDD" for artifact in artifacts)
-    maps = [{fact: Fraction(1, 3) for fact in artifacts[0].order}]
-    assert engine.reweight_many(artifacts[0], maps) == [
-        artifacts[0].probability(maps[0])
+    assert list(engine.map_probability(pairs).values) == [
+        serial.probability(query, tid) for query, tid in pairs
     ]
+    assert engine.reweight_many(artifact, maps) == [artifact.probability(m) for m in maps]
     assert engine._plane is None
     engine.close()
 

@@ -84,29 +84,21 @@ def test_from_pairs():
     assert tid.probability_of(fact("R", "a")) == Fraction(1, 3)
 
 
-def test_from_column_equals_the_valuation_build():
+def test_from_ratios_equals_the_valuation_build():
     tid = make_tid()
-    rebuilt = ProbabilisticInstance.from_column(tid.instance, tid.column())
+    rebuilt = ProbabilisticInstance.from_ratios(tid.instance, *tid.ratios())
     assert rebuilt.valuation() == tid.valuation()
     assert rebuilt.fingerprint == tid.fingerprint
     assert rebuilt.column() == (Fraction(1, 2), Fraction(1, 4))
 
 
-def test_from_column_converts_each_value_like_init():
+def test_in_order_valuation_converts_each_value_like_as_probability():
     instance = make_tid().instance
-    rebuilt = ProbabilisticInstance.from_column(instance, [0.1, (1, 3)])
+    rebuilt = ProbabilisticInstance(instance, dict(zip(instance.facts, [0.1, (1, 3)])))
     assert rebuilt.column() == (Fraction(1, 10), Fraction(1, 3))
-    assert rebuilt.valuation() == ProbabilisticInstance(
-        instance, dict(zip(instance.facts, [0.1, (1, 3)]))
-    ).valuation()
+    assert rebuilt.ratios() == ((1, 1), (10, 3))
     with pytest.raises(ProbabilityError, match="outside"):
-        ProbabilisticInstance.from_column(instance, [Fraction(1, 2), Fraction(3, 2)])
-
-
-@pytest.mark.parametrize("column", [[], [Fraction(1, 2)], [1, 1, 1]])
-def test_from_column_rejects_a_column_of_the_wrong_length(column):
-    with pytest.raises(ProbabilityError, match="facts"):
-        ProbabilisticInstance.from_column(make_tid().instance, column)
+        ProbabilisticInstance(instance, dict(zip(instance.facts, [Fraction(1, 2), Fraction(3, 2)])))
 
 
 # -- integer columns -------------------------------------------------------------------------
@@ -192,7 +184,8 @@ def test_a_tid_from_any_valuation_reads_as_the_fact_keyed_build(case):
         tuple(p.denominator for p in seed.values()),
     )
     assert tid.fingerprint == tid_fingerprint_seed(_INSTANCE.fingerprint, _INSTANCE.facts, seed)
-    assert ProbabilisticInstance.from_column(_INSTANCE, tid.column()).ratios() == tid.ratios()
+    rebuilt = ProbabilisticInstance(_INSTANCE, dict(zip(_INSTANCE.facts, tid.column())))
+    assert rebuilt.ratios() == tid.ratios()
 
 
 def test_from_ratios_reduces_each_pair_to_lowest_terms():
@@ -200,7 +193,8 @@ def test_from_ratios_reduces_each_pair_to_lowest_terms():
     tid = ProbabilisticInstance.from_ratios(instance, [2, 0], [4, 5])
     assert tid.ratios() == ((1, 0), (2, 1))
     assert tid.column() == (Fraction(1, 2), Fraction(0))
-    assert tid.fingerprint == ProbabilisticInstance.from_column(instance, ["1/2", 0]).fingerprint
+    in_order = ProbabilisticInstance(instance, dict(zip(instance.facts, ["1/2", 0])))
+    assert tid.fingerprint == in_order.fingerprint
     assert ProbabilisticInstance.from_ratios(instance, *make_tid().ratios()).valuation() == (
         make_tid().valuation()
     )
@@ -208,8 +202,16 @@ def test_from_ratios_reduces_each_pair_to_lowest_terms():
 
 @pytest.mark.parametrize(
     "numerators, denominators",
-    [([-1, 1], [2, 2]), ([3, 1], [2, 2]), ([1, 0], [0, 1]), ([1], [2]), ([1, 1], [2]), ([1] * 3, [2] * 3)],
-    ids=["negative", "above one", "zero denominator", "short", "ragged", "long"],
+    [
+        ([-1, 1], [2, 2]),
+        ([3, 1], [2, 2]),
+        ([1, 0], [0, 1]),
+        ([], []),
+        ([1], [2]),
+        ([1, 1], [2]),
+        ([1] * 3, [2] * 3),
+    ],
+    ids=["negative", "above one", "zero denominator", "empty", "short", "ragged", "long"],
 )
 def test_from_ratios_rejects_what_is_no_probability_column(numerators, denominators):
     with pytest.raises(ProbabilityError):
