@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from repro.booleans import FALSE_NODE, TRUE_NODE
+from repro.booleans.columnar import ColumnarOBDD
 from repro.cli import main
 from repro.data.instance import Instance
 from repro.data.io import save_instance
@@ -19,6 +21,7 @@ from repro.engine import (
     shard_workload,
 )
 from repro.engine.parallel import _tid_object
+from repro.engine.shm import attach_segment, live_segments
 from repro.errors import CompilationError
 from repro.generators import labelled_partial_ktree_instance
 from repro.queries import hierarchical_example, parse_ucq, qp, unsafe_rst
@@ -78,6 +81,17 @@ def test_shard_workload_balances_load(workload):
     sizes = sorted(len(shard) for shard in shards)
     assert sum(sizes) == len(workload)
     assert sizes[-1] - sizes[0] <= 2
+
+
+def test_shard_workload_keys_unhashable_items_by_identity():
+    """Reweight items carry probability maps, which do not hash; keyed by
+    ``id``, each item is its own group and the batch spreads evenly."""
+    items = [({"x": Fraction(1, i + 2)},) for i in range(7)]
+    with pytest.raises(TypeError):
+        hash(items[0])
+    shards = shard_workload(items, 3, id)
+    assert sorted(len(shard) for shard in shards) == [2, 2, 3]
+    assert sorted(index for shard in shards for index, _ in shard) == list(range(7))
 
 
 def test_shard_workload_rejects_zero_shards(workload):
@@ -215,6 +229,22 @@ def test_pool_map_batch_touches_no_shared_memory(workload, expected):
         assert report.shard_count == 2
         assert list(report.values) == expected
         assert parallel._plane is None
+
+
+def test_map_probability_report_carries_worker_stats(workload):
+    with ParallelEngine(workers=2) as parallel:
+        report = parallel.map_probability(workload)
+        assert report.items == len(workload)
+        assert len(report.worker_stats) == report.shard_count == 2
+        assert str(report.stats["probability"]) == f"0 hits / {len(workload)} misses"
+        assert sum(report.route_mix.values()) == len(workload)
+        # A TID's pairs share a shard, which rebuilds the TID once, so each
+        # repeated pair hits the owning worker's probability cache.
+        doubled = parallel.map_probability(workload + workload)
+    assert doubled.items == 2 * len(workload)
+    assert str(doubled.stats["probability"]) == (
+        f"{len(workload)} hits / {len(workload)} misses"
+    )
 
 
 def test_pool_persists_across_calls(workload, expected):
@@ -360,6 +390,36 @@ def test_reweight_many_matches_direct_evaluation(workload):
                 for value, reference in zip(floats, expected)
             )
     assert ParallelEngine(workers=2).reweight_many(compiled, []) == []
+
+
+def test_reweight_many_shares_the_parents_segment_in_pool_regime(workload):
+    """The parent publishes the artifact's columns once; every shard of the
+    pool batch attaches that one segment."""
+    _, tid = workload[0]
+    columnar = CompilationEngine().columnar(unsafe_rst(), tid.instance)
+    maps = [{fact: Fraction(1, i + 3) for fact in columnar.order} for i in range(6)]
+    with ParallelEngine(workers=2) as parallel:
+        assert parallel.reweight_many(columnar, maps) == [columnar.probability(m) for m in maps]
+        assert parallel.last_report.shard_count == 2
+        handle = parallel._published[columnar]
+        assert parallel.segment_plane().owned_segments() == (handle.name,)
+        shared = attach_segment(handle)
+        assert list(shared.var) == list(columnar.var)
+        assert list(shared.lo) == list(columnar.lo)
+        assert list(shared.hi) == list(columnar.hi)
+        del shared
+
+
+@pytest.mark.parametrize("root", [FALSE_NODE, TRUE_NODE], ids=["false", "true"])
+def test_reweight_many_ships_a_terminal_only_artifact_without_a_segment(root):
+    constant = ColumnarOBDD(("x",), [], [], [], root)
+    maps = [{"x": Fraction(1, i + 2)} for i in range(4)]
+    with ParallelEngine(workers=2) as parallel:
+        assert parallel.reweight_many(constant, maps) == [Fraction(root)] * len(maps)
+        assert parallel.last_report.shard_count == 2
+        plane = parallel.segment_plane()
+        assert plane.owned_segments() == ()
+        assert live_segments(plane.prefix) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -24,6 +24,7 @@ from repro.engine.shm import (
     live_segments,
     publish_segment,
 )
+from repro.errors import CompilationError, SegmentError
 from repro.generators import labelled_partial_ktree_instance
 from repro.queries import hierarchical_example, unsafe_rst
 
@@ -93,6 +94,42 @@ def test_terminal_only_artifact_needs_no_segment():
         assert attached.probability({"x": Fraction(1, 2)}) == 1
 
 
+def test_plane_owns_exactly_what_it_publishes(columnar_artifact):
+    """Each publish takes a fresh name under the plane's prefix and is owned;
+    a segment made beside the plane under that prefix is not."""
+    columnar, _ = columnar_artifact
+    with SegmentPlane() as plane:
+        first = plane.publish(columnar)
+        second = plane.publish(columnar)
+        assert first.name != second.name
+        assert all(handle.name.startswith(f"{plane.prefix}-p") for handle in (first, second))
+        assert plane.owned_segments() == tuple(sorted([first.name, second.name]))
+        stray = publish_segment(columnar, f"{plane.prefix}-stray")
+        assert plane.owned_segments() == tuple(sorted([first.name, second.name]))
+        assert live_segments(plane.prefix) == sorted([first.name, second.name, stray.name])
+    assert live_segments(plane.prefix) == []
+
+
+def test_attach_rejects_a_truncated_segment(columnar_artifact):
+    columnar, tid = columnar_artifact
+    with SegmentPlane() as plane:
+        handle = plane.publish(columnar)
+        oversized = SegmentHandle(handle.name, handle.node_count + 1, handle.root, handle.order)
+        with pytest.raises(SegmentError, match="truncated"):
+            attach_segment(oversized)
+        attached = attach_segment(handle)
+        assert attached.probability(tid.valuation()) == columnar.probability(tid.valuation())
+        del attached
+
+
+@pytest.mark.parametrize(
+    "prefix, session_id", [("repro/x", None), ("repro", "a/b")], ids=["prefix", "session id"]
+)
+def test_plane_names_must_not_contain_a_slash(prefix, session_id):
+    with pytest.raises(CompilationError, match="must not contain"):
+        SegmentPlane(prefix=prefix, session_id=session_id)
+
+
 def test_handles_are_picklable(columnar_artifact):
     import pickle
 
@@ -124,6 +161,28 @@ def test_context_exit_unlinks_segments(columnar_artifact):
         plane.publish(columnar)
         assert len(live_segments(plane.prefix)) == 2
     assert live_segments(plane.prefix) == []
+
+
+def test_unlink_reclaims_one_owned_segment_before_close(columnar_artifact):
+    columnar, tid = columnar_artifact
+    with SegmentPlane() as plane, SegmentPlane() as other:
+        kept = plane.publish(columnar)
+        dropped = plane.publish(columnar)
+        foreign = other.publish(columnar)
+        attached = attach_segment(dropped)
+        plane.unlink(dropped)
+        assert plane.owned_segments() == (kept.name,)
+        assert live_segments(plane.prefix) == [kept.name]
+        # A mapping made before the unlink stays readable; a new attach fails.
+        assert attached.probability(tid.valuation()) == columnar.probability(tid.valuation())
+        with pytest.raises(SegmentError, match="absent"):
+            attach_segment(dropped)
+        # Unlinking again, or unlinking what another plane owns, does nothing.
+        plane.unlink(dropped)
+        plane.unlink(foreign)
+        assert live_segments(other.prefix) == [foreign.name]
+        del attached
+    assert live_segments(plane.prefix) == live_segments(other.prefix) == []
 
 
 def test_crash_orphans_are_swept_on_close(columnar_artifact):
