@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 from repro.errors import LineageError
 from repro.structure.graph import element_key

@@ -16,9 +16,8 @@ provides:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.booleans.circuit import BooleanCircuit, GateKind
 from repro.errors import LineageError

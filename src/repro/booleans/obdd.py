@@ -78,6 +78,10 @@ class OBDD:
         except KeyError:
             raise LineageError(f"variable {variable!r} not in the OBDD order") from None
 
+    def levels_of(self, variables: Iterable[Hashable]) -> list[int | None]:
+        """The level of each variable, None for one outside the order."""
+        return list(map(self._level.get, variables))
+
     def make_node(self, level: int, low: int, high: int) -> int:
         """The (hash-consed) node testing the variable at ``level``."""
         if low == high:
@@ -420,10 +424,15 @@ class OBDD:
         quadratic on path-shaped lineages; both constructions produce the
         same reduced diagram, hence the same root id, in the same manager.
         """
-        level_clauses: set[tuple[int, ...]] = set()
-        for clause in clauses:
-            level_clauses.add(tuple(sorted({self.level_of(v) for v in clause})))
-        self.root = self._compile_clause_trie(level_clauses)
+        return self.build_from_levels(
+            tuple(sorted({self.level_of(v) for v in clause})) for clause in clauses
+        )
+
+    def build_from_levels(self, clauses: Iterable[tuple[int, ...]]) -> int:
+        """Compile a monotone DNF whose clauses are given as strictly
+        increasing tuples of variable levels, as :meth:`build_from_clauses`
+        does once it has looked the variables up."""
+        self.root = self._compile_clause_trie(set(clauses))
         return self.root
 
     def _compile_clause_trie(self, level_clauses: set[tuple[int, ...]]) -> int:

@@ -48,7 +48,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -57,7 +56,6 @@ from repro.data.io import (
     circuit_to_dot,
     dnnf_to_dot,
     instance_to_csv,
-    instance_to_dict,
     load_instance_csv,
     load_tid,
     obdd_to_dot,

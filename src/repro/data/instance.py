@@ -15,7 +15,7 @@ from itertools import chain, count, groupby, repeat
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.data.signature import Relation, Signature
+from repro.data.signature import Signature
 from repro.errors import InstanceError, ReproError, SignatureError
 from repro.structure.graph import element_key
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import contains, is_, itemgetter, le
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.data.instance import Fact, Instance, facts_from_columns
 from repro.data.signature import Signature

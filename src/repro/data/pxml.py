@@ -25,10 +25,10 @@ provides that substrate:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.data.instance import Fact, Instance
 from repro.data.signature import Signature

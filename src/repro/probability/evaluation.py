@@ -87,23 +87,26 @@ def _probability_of_read_once(lineage, probabilistic_instance: ProbabilisticInst
 
 def _clause_positions(lineage, instance: Instance) -> Sequence[Sequence[int]]:
     """The lineage's clauses as positions in ``instance.facts``: the
-    lineage's own when ``instance`` holds its fact tuple, else each fact
-    looked up, an unknown one raising :class:`ProbabilityError`."""
-    if instance.facts is lineage.instance.facts:
-        clauses = lineage.clause_positions
-        if clauses is not None:
-            return clauses
+    lineage's own when ``instance`` holds its fact tuple, else each fact they
+    name looked up once in ``instance``, an unknown one raising
+    :class:`ProbabilityError`."""
+    clauses = lineage.clause_positions
+    if clauses is not None and instance.facts is lineage.instance.facts:
+        return clauses
     fact_positions = instance.fact_positions
-    looked_up = []
-    for clause in lineage.clauses:
-        positions = []
-        for fact in clause:
-            position = fact_positions(fact.relation).get(fact.arguments)
-            if position is None:
-                raise ProbabilityError(f"{fact} is not a fact of this instance")
-            positions.append(position)
-        looked_up.append(positions)
-    return looked_up
+
+    def located(fact) -> int:
+        position = fact_positions(fact.relation).get(fact.arguments)
+        if position is None:
+            raise ProbabilityError(f"{fact} is not a fact of this instance")
+        return position
+
+    if clauses is None:
+        # Fact clauses naming a fact outside the lineage's own instance.
+        return [list(map(located, clause)) for clause in lineage.clauses]
+    facts = lineage.instance.facts
+    moved = {position: located(facts[position]) for position in set().union(*clauses)}
+    return [list(map(moved.__getitem__, clause)) for clause in clauses]
 
 
 def balanced_product(factors: list[int]) -> int:

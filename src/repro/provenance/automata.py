@@ -32,7 +32,7 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Mapping, Protocol, Sequence
 
 from repro import resilience as _resilience
-from repro.data.instance import Fact, Instance
+from repro.data.instance import Fact
 from repro.data.tid import ProbabilisticInstance
 from repro.errors import LineageError
 from repro.provenance.tree_encoding import EncodingNode, TreeEncoding

@@ -30,7 +30,6 @@ from repro.provenance.lineage import MonotoneDNFLineage, lineage_of
 from repro.provenance.variable_orders import (
     default_fact_order,
     fact_order_from_path_decomposition,
-    fact_order_from_tree_decomposition,
 )
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
@@ -123,15 +122,30 @@ class CompiledOBDD:
 def compile_lineage_to_obdd(
     lineage: MonotoneDNFLineage, order: Sequence[Fact] | None = None
 ) -> CompiledOBDD:
-    """Compile a monotone DNF lineage into a reduced OBDD under a fact order."""
+    """Compile a monotone DNF lineage into a reduced OBDD under a fact order.
+
+    The clauses reach the OBDD as levels: one list maps each position in
+    ``lineage.instance.facts`` to its fact's level, so no clause is read as
+    facts.  A lineage whose fact clauses name a fact outside its instance
+    (no positions) is compiled from those facts."""
     if order is None:
         order = default_fact_order(lineage.instance)
     order = list(order)
-    missing = lineage.variables() - set(order)
-    if missing:
-        raise CompilationError("fact order does not cover all lineage variables")
     manager = OBDD(order)
-    root = manager.build_from_clauses(lineage.clauses)
+    clauses = lineage.clause_positions
+    if clauses is None:
+        if lineage.variables() - set(order):
+            raise CompilationError("fact order does not cover all lineage variables")
+        root = manager.build_from_clauses(lineage.clauses)
+    else:
+        levels = manager.levels_of(lineage.instance.facts)
+        if None in levels and any(
+            levels[position] is None for clause in clauses for position in clause
+        ):
+            raise CompilationError("fact order does not cover all lineage variables")
+        root = manager.build_from_levels(
+            tuple(sorted(map(levels.__getitem__, clause))) for clause in clauses
+        )
     return CompiledOBDD(manager, root, tuple(order))
 
 

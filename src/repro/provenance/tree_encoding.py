@@ -15,7 +15,7 @@ uncertain-tree setting of [2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.data.gaifman import gaifman_graph

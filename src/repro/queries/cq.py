@@ -8,7 +8,7 @@ one with no disequalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.data.signature import Signature

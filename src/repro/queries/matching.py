@@ -12,15 +12,21 @@ Homomorphisms are enumerated one at a time by backtracking
 (:func:`cq_homomorphisms`), and :func:`satisfies` stops at the first one.
 Matches are enumerated set-at-a-time over positions in ``instance.facts``:
 one hash join per atom, so for a fixed query the cost is linear in |I| plus
-the number of matches.  A match of k facts is minimal exactly when none of
-its proper non-empty subsets is a match, which is at most 2^k - 2 set
-lookups.  The tuple-at-a-time forms are kept in :mod:`repro.queries.reference`.
+the number of matches.  A match is a sorted tuple of distinct positions, and
+one of k facts is minimal exactly when none of its proper non-empty subsets
+is a match, which is at most 2^k - 2 lookups.  :func:`match_positions`
+returns them in the order the join first reaches them, rendering no fact:
+a lineage holds exactly these position tuples.  :func:`fact_sets` turns
+them into sets of the instance's facts, ordered by size and then by the
+facts' ``str`` renderings; :func:`ucq_matches`, :func:`minimal_matches` and
+a lineage's derived ``Fact`` view return that form.  The tuple-at-a-time
+forms are kept in :mod:`repro.queries.reference`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress, repeat
-from operator import itemgetter, ne
+from operator import eq, itemgetter, ne
 from typing import Any, Collection, Iterable, Iterator, Sequence
 
 from repro.data.instance import Fact, Instance
@@ -126,9 +132,10 @@ def cq_homomorphisms_naive(
     )
 
 
-def _disjunct_matches(query: ConjunctiveQuery, instance: Instance) -> Iterator[frozenset[int]]:
-    """The matches of a CQ≠ as sets of positions in ``instance.facts``, with
-    repeats, in the order backtracking over :func:`_atom_order` reaches them.
+def _disjunct_matches(query: ConjunctiveQuery, instance: Instance) -> Iterator[tuple[int, ...]]:
+    """The matches of a CQ≠ as sorted tuples of distinct positions in
+    ``instance.facts``, with repeats, in the order backtracking over
+    :func:`_atom_order` reaches them.
 
     Set-at-a-time over columns: the partial matches are one list per bound
     variable (its values) and one per joined atom (its facts' positions).
@@ -141,9 +148,10 @@ def _disjunct_matches(query: ConjunctiveQuery, instance: Instance) -> Iterator[f
     columns: list[list] = []
     slot: dict[Variable, int] = {}
     position_slots: list[int] = []
+    atoms = _atom_order(query)
     disequalities = list(query.disequalities)
     count = 1
-    for current in _atom_order(query):
+    for current in atoms:
         first: dict[Variable, int] = {}
         for index, variable in enumerate(current.arguments):
             first.setdefault(variable, index)
@@ -204,9 +212,23 @@ def _disjunct_matches(query: ConjunctiveQuery, instance: Instance) -> Iterator[f
             kept = list(compress(range(count), map(ne, columns[slot[d.left]], columns[slot[d.right]])))
             columns = _gathered(columns, kept)
             count = len(kept)
-    if len(position_slots) == 1:
-        return (frozenset((position,)) for position in columns[position_slots[0]])
-    return map(frozenset, zip(*[columns[index] for index in position_slots]))
+    relations = [atom.relation for atom in atoms]
+    if len(set(relations)) == len(relations):
+        # Distinct relations are disjoint blocks of instance.facts, so the
+        # columns taken in block order give every row sorted.
+        starts = list(map(instance.block_start, relations))
+        by_block = sorted(range(len(atoms)), key=starts.__getitem__)
+        return zip(*[columns[position_slots[index]] for index in by_block])
+    rows = zip(*[columns[index] for index in position_slots])
+    shared = any(
+        any(map(eq, columns[position_slots[i]], columns[position_slots[j]]))
+        for i, j in combinations(range(len(atoms)), 2)
+        if relations[i] == relations[j]
+    )
+    if shared:
+        # Two atoms mapped onto one fact: the match has fewer facts than atoms.
+        rows = map(set, rows)
+    return map(tuple, map(sorted, rows))
 
 
 def _gathered(columns: list[list], rows: list[int]) -> list[list]:
@@ -216,39 +238,51 @@ def _gathered(columns: list[list], rows: list[int]) -> list[list]:
 
 def _match_positions(
     query: UnionOfConjunctiveQueries | ConjunctiveQuery, instance: Instance
-) -> dict[frozenset[int], None]:
-    """The matches of a UCQ≠ as position sets, in order of first occurrence."""
+) -> dict[tuple[int, ...], None]:
+    """The matches of a UCQ≠ as sorted position tuples, in order of first
+    occurrence."""
     query = as_ucq(query)
     query.check_arities(instance.signature)
-    matches: dict[frozenset[int], None] = {}
+    matches: dict[tuple[int, ...], None] = {}
     for disjunct in query.disjuncts:
         matches.update(dict.fromkeys(_disjunct_matches(disjunct, instance)))
     return matches
 
 
-def _minimal(matches: dict[frozenset[int], None]) -> list[frozenset[int]]:
+def _minimal(matches: dict[tuple[int, ...], None]) -> list[tuple[int, ...]]:
     """The matches none of whose proper non-empty subsets is a match.
 
-    A match of k facts is tested with at most 2^k - 2 set lookups, one per
-    subset whose size some match has; k is at most the largest disjunct's
-    atom count.
+    A match of k facts is tested with at most 2^k - 2 lookups, one per
+    subset whose size some match has (the subsets of a sorted tuple come out
+    sorted); k is at most the largest disjunct's atom count.
     """
     sizes = sorted(set(map(len, matches)))
     smaller = {size: [s for s in sizes if s < size] for size in sizes}
     minimal = []
     for match in matches:
         below = smaller[len(match)]
-        if below and any(
-            frozenset(subset) in matches for size in below for subset in combinations(match, size)
-        ):
+        if below and any(subset in matches for size in below for subset in combinations(match, size)):
             continue
         minimal.append(match)
     return minimal
 
 
-def _as_facts(matches: Collection[frozenset[int]], instance: Instance) -> list[frozenset[Fact]]:
-    """Position sets as fact sets, sorted by size and then by the sorted
-    ``str`` renderings of their facts; each fact is rendered once."""
+def match_positions(
+    query: UnionOfConjunctiveQueries | ConjunctiveQuery, instance: Instance, minimal: bool = True
+) -> list[tuple[int, ...]]:
+    """The (inclusion-minimal) matches of a UCQ≠ as sorted tuples of
+    positions in ``instance.facts``, in the order the join first reaches
+    them: deterministic for a given query and instance, and free of any
+    rendering of facts.  :func:`fact_sets` turns them into the instance's
+    facts in the order of :func:`ucq_matches`."""
+    matches = _match_positions(query, instance)
+    return _minimal(matches) if minimal else list(matches)
+
+
+def fact_sets(matches: Collection[Sequence[int]], instance: Instance) -> list[frozenset[Fact]]:
+    """Position tuples as sets of the instance's facts, sorted by size and
+    then by the sorted ``str`` renderings of their facts; each fact is
+    rendered once."""
     facts = instance.facts
     rendered = {position: str(facts[position]) for position in set().union(*matches)}
     ordered = sorted(matches, key=lambda match: (len(match), sorted(map(rendered.__getitem__, match))))
@@ -274,13 +308,13 @@ def ucq_matches(query: UnionOfConjunctiveQueries | ConjunctiveQuery, instance: I
     elements of different types (``1`` and ``True``), a fact renders as it
     is stored, not through the value its variable was first bound to.
     """
-    return _as_facts(_match_positions(query, instance), instance)
+    return fact_sets(match_positions(query, instance, minimal=False), instance)
 
 
 def minimal_matches(query: UnionOfConjunctiveQueries | ConjunctiveQuery, instance: Instance) -> list[frozenset[Fact]]:
     """The inclusion-minimal matches of a UCQ≠ on an instance (Section 2), in
     the order of :func:`ucq_matches`."""
-    return _as_facts(_minimal(_match_positions(query, instance)), instance)
+    return fact_sets(match_positions(query, instance), instance)
 
 
 def satisfies(instance: Instance, query: UnionOfConjunctiveQueries | ConjunctiveQuery) -> bool:
@@ -290,8 +324,3 @@ def satisfies(instance: Instance, query: UnionOfConjunctiveQueries | Conjunctive
         for _ in cq_homomorphisms(disjunct, instance):
             return True
     return False
-
-
-def is_monotone_witnessed(query: UnionOfConjunctiveQueries | ConjunctiveQuery, instance: Instance, subset: Instance) -> bool:
-    """Check (by brute force) that satisfaction on ``subset`` implies it on ``instance``."""
-    return not satisfies(subset, query) or satisfies(instance, query)

@@ -8,7 +8,7 @@ the meta-dichotomy on intricate queries (Theorem 8.7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.data.signature import Signature
 from repro.errors import QueryError, SignatureError

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Hashable, Iterable, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, TypeVar
 
 K = TypeVar("K")
 

@@ -25,7 +25,7 @@ the fixed-parameter tractability in clique-width that [15] establishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, Mapping
+from typing import Any, Hashable, Iterator
 
 from repro.errors import DecompositionError
 from repro.structure.graph import Graph

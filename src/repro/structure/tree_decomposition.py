@@ -14,7 +14,7 @@ map; they also expose traversals used by the lineage constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.errors import DecompositionError
 from repro.structure.elimination import (

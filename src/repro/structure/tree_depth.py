@@ -11,7 +11,6 @@ bounded-pathwidth lineage results apply to unfolded instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.errors import DecompositionError
 from repro.structure.graph import Graph, Vertex, element_key
@@ -71,10 +70,6 @@ class EliminationForest:
                 raise DecompositionError(
                     f"edge ({u!r}, {v!r}) does not connect an ancestor-descendant pair"
                 )
-
-
-def elimination_forest_from_parent(parent: Mapping[Vertex, Vertex | None]) -> EliminationForest:
-    return EliminationForest(dict(parent))
 
 
 def tree_depth(graph: Graph, exact: bool = True) -> int:

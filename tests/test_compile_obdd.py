@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+
 from repro.data.instance import Instance, fact
 from repro.data.tid import ProbabilisticInstance
+from repro.errors import CompilationError
 from repro.generators import (
     directed_path_instance,
     grid_instance,
@@ -112,3 +115,23 @@ def test_clause_order_does_not_reach_the_diagram():
         assert forward.root == backward.root
         for column in ("var", "lo", "hi"):
             assert list(getattr(forward, column)) == list(getattr(backward, column))
+
+
+def test_the_order_must_cover_every_clause_fact():
+    instance = rst_chain_instance(3)
+    lineage = lineage_of(unsafe_rst(), instance)
+    order = default_fact_order(instance)
+    unused = fact("R", "z")
+    # Facts outside every clause may be missing from the order or extra in it.
+    grown = instance.with_facts([unused])
+    assert compile_lineage_to_obdd(lineage_of(unsafe_rst(), grown), order).size == (
+        compile_lineage_to_obdd(lineage, [unused, *order]).size
+    )
+    for held in (lineage, MonotoneDNFLineage(instance, lineage.clauses)):
+        with pytest.raises(CompilationError, match="does not cover"):
+            compile_lineage_to_obdd(held, order[1:])
+    foreign = MonotoneDNFLineage(instance, (frozenset({unused}),))
+    assert foreign.clause_positions is None
+    with pytest.raises(CompilationError, match="does not cover"):
+        compile_lineage_to_obdd(foreign, order)
+    assert compile_lineage_to_obdd(foreign, [unused]).model_count() == 1

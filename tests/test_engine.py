@@ -134,6 +134,28 @@ def test_auto_decides_read_once_shape_once_per_lineage(monkeypatch):
     assert calls == [engine.lineage(unsafe_rst(), instance)]
 
 
+@pytest.mark.parametrize(
+    "instance, read_once",
+    [(rst_chain_instance(20), True), (rst_bipartite_instance(3), False)],
+    ids=["read-once", "obdd"],
+)
+def test_cold_auto_evaluation_never_builds_the_fact_view(monkeypatch, instance, read_once):
+    tid = ProbabilisticInstance.uniform(instance, Fraction(1, 3))
+    expected = probability(unsafe_rst(), tid, method="automaton")
+    view = MonotoneDNFLineage.__dict__["clauses"]
+    build, calls = view.func, []
+    monkeypatch.setattr(view, "func", lambda lineage: calls.append(lineage) or build(lineage))
+    engine = CompilationEngine()
+    assert engine.probability(unsafe_rst(), tid) == expected
+    assert engine.route_mix() == {"obdd": 1}
+    lineage = engine.lineage(unsafe_rst(), instance)
+    assert lineage.is_read_once_shaped() == read_once
+    # The OBDD branch keeps the diagram it built; the read-once one built none.
+    engine.compile(unsafe_rst(), instance)
+    assert engine.stats["obdd"].hits == (0 if read_once else 1)
+    assert calls == []
+
+
 def test_read_once_method_still_rejects_shared_facts():
     instance = rst_bipartite_instance(2)
     tid = ProbabilisticInstance.uniform(instance, Fraction(1, 2))

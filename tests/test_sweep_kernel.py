@@ -39,14 +39,17 @@ from repro.booleans.reference import (
     probability_recursive,
     width_by_cuts,
 )
+from repro.data.instance import Instance, fact
 from repro.data.tid import ProbabilisticInstance
 from repro.engine import CompilationEngine
-from repro.generators import directed_path_instance
+from repro.errors import ProbabilityError
+from repro.generators import directed_path_instance, rst_chain_instance
 from repro.probability.brute_force import brute_force_probability
 from repro.probability.evaluation import _probability_of_read_once, probability
 from repro.probability.lifted import execute_plan, try_lifted_plan
 from repro.probability.lifted.reference import execute_plan_reference
-from repro.queries.library import two_incident_same_direction
+from repro.provenance.lineage import MonotoneDNFLineage, lineage_of
+from repro.queries.library import two_incident_same_direction, unsafe_rst
 from repro.testing import ProbabilityOracle, random_workload
 
 VARIABLES = [f"v{i}" for i in range(8)]
@@ -277,6 +280,39 @@ def test_integer_read_once_matches_a_fraction_product():
             assert _probability_of_read_once(lineage, tid) == 1 - complement
         checked += 1
     assert checked >= 10
+
+
+def test_read_once_maps_positions_into_an_equal_instance_built_apart(monkeypatch):
+    # The TID's instance equals the lineage's but holds another fact tuple,
+    # so the lineage's positions are mapped through its facts into the
+    # TID's instance, without building the Fact view.
+    lineage = lineage_of(unsafe_rst(), rst_chain_instance(6))
+    apart = ProbabilisticInstance.uniform(rst_chain_instance(6), Fraction(1, 3))
+    own = ProbabilisticInstance.uniform(lineage.instance, Fraction(1, 3))
+    assert apart.instance == lineage.instance and apart.instance.facts is not lineage.instance.facts
+    view = MonotoneDNFLineage.__dict__["clauses"]
+    monkeypatch.setattr(view, "func", lambda lineage: pytest.fail("built the Fact view"))
+    assert _probability_of_read_once(lineage, apart) == _probability_of_read_once(lineage, own)
+    # A fact that sorts first shifts every position of the TID's instance.
+    grown = lineage.instance.with_facts([fact("R", "0")])
+    tid = ProbabilisticInstance(grown, {f: Fraction(1, 3) if f in own.instance else Fraction(1, 7) for f in grown})
+    assert grown.facts.index(fact("R", "0")) == 0
+    assert _probability_of_read_once(lineage, tid) == _probability_of_read_once(lineage, own)
+
+
+def test_read_once_rejects_a_fact_the_tids_instance_lacks():
+    instance = rst_chain_instance(3)
+    lineage = lineage_of(unsafe_rst(), instance)
+    missing = fact("S", "a1", "b1")
+    smaller = Instance([f for f in instance.facts if f != missing], instance.signature)
+    tid = ProbabilisticInstance.uniform(smaller, Fraction(1, 2))
+    with pytest.raises(ProbabilityError, match=r"S\(a1, b1\) is not a fact"):
+        _probability_of_read_once(lineage, tid)
+    # Fact clauses naming a fact outside the lineage's own instance.
+    foreign = MonotoneDNFLineage(instance, (frozenset({fact("R", "z")}),))
+    assert foreign.clause_positions is None
+    with pytest.raises(ProbabilityError, match=r"R\(z\) is not a fact"):
+        _probability_of_read_once(foreign, ProbabilisticInstance.uniform(instance, Fraction(1, 2)))
 
 
 def test_integer_executor_matches_the_fraction_reference_and_brute_force():
